@@ -2,11 +2,12 @@
 
 Run from the repository root::
 
-    python3 campaign_bench/baseline.py --runs 10 \\
+    python3 campaign_bench/baseline.py --runs 10 --seconds 60 \\
         --out campaign_bench/baseline.json
 
 For each workload it makes ``--runs`` end-to-end runs with seeds
-``--first-seed``, ``--first-seed + 1``, ... and records every raw value,
+``--first-seed``, ``--first-seed + 1``, ... (one run of every workload
+per seed, in turn) and records every raw value,
 the median, the quartiles (``statistics.quantiles(values, n=4)``) and
 the spread (Q3 - Q1) / median.  ``--traced`` names workloads that also
 get one traced run (seed 0) for the per-layer split.  Results merge
@@ -48,7 +49,7 @@ def main() -> int:
     parser.add_argument("--workloads", default=",".join(BENCHMARK_WORKLOADS))
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--seconds", type=int, default=60)
     parser.add_argument("--traced", default="",
                         help="comma-separated workloads for a traced run")
     parser.add_argument("--out", type=Path)
@@ -56,10 +57,16 @@ def main() -> int:
 
     record = (json.loads(args.out.read_text())
               if args.out and args.out.exists() else {})
-    workloads = args.workloads.split(",") if args.runs >= 2 else []
-    for workload in filter(None, workloads):
-        runs = [bench(workload, args.first_seed + i, args.seconds, 0)
-                for i in range(args.runs)]
+    workloads = list(filter(None, args.workloads.split(","))
+                     if args.runs >= 2 else [])
+    # Seed-major order: a slow stretch of the host lands on a run of
+    # every workload instead of on consecutive runs of one.
+    all_runs = {workload: [] for workload in workloads}
+    for i in range(args.runs):
+        for workload in workloads:
+            all_runs[workload].append(
+                bench(workload, args.first_seed + i, args.seconds, 0))
+    for workload, runs in all_runs.items():
         if not all(run["correct"] for run in runs):
             raise SystemExit(f"{workload}: output check failed")
         metrics = {name: summarize([run["metrics"][name]["value"]

@@ -83,16 +83,19 @@ def cache_metrics() -> dict:
 
 
 def _timed_run_one(original):
-    """Wrap ``run_one`` to attach the item's wall time to its result.
+    """Wrap ``run_one`` to attach the item's wall and CPU time to its
+    result.
 
     Installed before the pool forks, so pooled items are timed in the
-    worker that ran them; the extra attribute rides back with the
-    pickled result and is not part of ``TaskRun.to_payload()``.
+    worker that ran them; the extra attributes ride back with the
+    pickled result and are not part of ``TaskRun.to_payload()``.
     """
     def run_one(*args, **kwargs):
-        start = time.perf_counter()
+        start, cpu = time.perf_counter(), time.process_time()
         run = original(*args, **kwargs)
         object.__setattr__(run, "_bench_item_s", time.perf_counter() - start)
+        object.__setattr__(run, "_bench_item_cpu_s",
+                           time.process_time() - cpu)
         return run
 
     return run_one
@@ -162,6 +165,7 @@ def main(argv: list[str]) -> dict:
     out = {"setup_s": setup_s, "campaign_s": campaign_s, "cpu_s": cpu_s,
            "peak_rss_mb": rss_kb / 1024,
            "items": [run._bench_item_s for run in result.runs],
+           "item_cpu": [run._bench_item_cpu_s for run in result.runs],
            "digests": {item_key(run): payload_digest(run.to_payload())
                        for run in result.runs}}
     if tracer is not None:

@@ -21,6 +21,7 @@ import time
 from pathlib import Path
 
 from repro.codegen import render_checker_core, render_driver
+from repro.codegen.driver import DriverFaults
 from repro.core.checker_runtime import run_checker
 from repro.core.simulation import (clear_simulation_caches,
                                    clear_template_caches, run_driver,
@@ -46,6 +47,10 @@ SEED_BASELINE = {
     "tier1_suite_s": 85.9,
     "parse_small_tb_ms": 1.12,
 }
+
+# ``bench_runaway`` measured on the commit before periodic-state
+# fast-forward (same container as the recorded numbers).
+PRE_FAST_FORWARD_RUNAWAY_MS = 468.0
 
 COUNTER_TB = """
 module top_module (input clk, input reset, output reg [7:0] q);
@@ -206,6 +211,31 @@ def bench_counter(seconds: float) -> dict:
         out["interpret"] / out["compiled"])
     out["speedup_vs_seed"] = SEED_BASELINE["counter_ms"] / out["compiled"]
     return out
+
+
+def bench_runaway(seconds: float, task_id: str = "seq_div8_tick") -> dict:
+    """One ``DriverRun`` of a driver that forgot ``clk = 0`` against the
+    golden DUT: the clock ticks ``x`` until ``max_time`` fires (the
+    campaign's runaway shape).  Caches are warm, so this is kernel time.
+    ``before_fast_forward_ms`` is the same run recorded before the
+    kernel learned to skip periodic states.
+    """
+    task = get_task(task_id)
+    driver = render_driver(task, task.canonical_scenarios(),
+                           DriverFaults(missing_clock_init=True))
+    dut = task.golden_rtl()
+
+    def run():
+        assert run_driver(driver, dut).detail.startswith(
+            "simulation exceeded max_time=")
+
+    run()
+    ms = _time_repeated(run, seconds) * 1000
+    return {
+        "compiled": ms,
+        "before_fast_forward_ms": PRE_FAST_FORWARD_RUNAWAY_MS,
+        "speedup_vs_before": PRE_FAST_FORWARD_RUNAWAY_MS / ms,
+    }
 
 
 def _build_validator(task_id: str, group_size: int = 20):
@@ -704,6 +734,7 @@ def main(argv) -> int:
 
     parse = bench_parse(seconds)
     counter = bench_counter(seconds)
+    runaway = bench_runaway(seconds)
     matrix = bench_validator_matrix(seconds)
     batch = bench_batch_vs_serial(seconds)
     reuse = bench_driver_reuse(seconds)
@@ -717,6 +748,7 @@ def main(argv) -> int:
         "seed_baseline": SEED_BASELINE,
         "parse_front_end": parse,
         "counter_200_cycles_ms": counter,
+        "runaway_dead_clock_ms": runaway,
         "validator_rs_matrix_20_ms": matrix,
         "driver_batch_10_mutants": batch,
         "driver_reuse_10_variants": reuse,

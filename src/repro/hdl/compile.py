@@ -72,13 +72,21 @@ class CompiledProc:
     a plain callable ``run(sim)``; for ``initial``/``always`` it is a
     generator function ``run(sim)`` yielding the simulator's suspension
     requests (``("delay", n)`` / ``("wait", resolved_events)``).
+
+    ``memoryless`` marks a program whose next step depends on signal and
+    memory values alone: a ``comb`` body that reads no ``$time``, or an
+    ``always`` body with no sensitivity list, no nested generator, no
+    ``$time`` read and exactly one suspension point (``always #5 clk =
+    ~clk``), so a suspended instance has no program counter to remember.
+    The kernel's periodic-state fast-forward relies on it.
     """
 
-    __slots__ = ("kind", "run")
+    __slots__ = ("kind", "run", "memoryless")
 
-    def __init__(self, kind: str, run: Callable):
+    def __init__(self, kind: str, run: Callable, memoryless: bool):
         self.kind = kind
         self.run = run
+        self.memoryless = memoryless
 
 
 # ----------------------------------------------------------------------
@@ -147,13 +155,14 @@ class SharedProgram:
     program was lowered.
     """
 
-    __slots__ = ("kind", "run", "slot_specs", "signature", "prefix",
-                 "sink_width", "shareable", "_refs")
+    __slots__ = ("kind", "run", "memoryless", "slot_specs", "signature",
+                 "prefix", "sink_width", "shareable", "_refs")
 
-    def __init__(self, kind: str, run: Callable, ctx: LowerCtx,
-                 spec: ProcSpec, refs: tuple):
+    def __init__(self, kind: str, run: Callable, memoryless: bool,
+                 ctx: LowerCtx, spec: ProcSpec, refs: tuple):
         self.kind = kind
         self.run = run
+        self.memoryless = memoryless
         self.slot_specs = tuple(ctx.slot_specs)
         self.signature = ctx.signature()
         self.prefix = ctx.scope.prefix if ctx.prefix_sensitive else None
@@ -194,7 +203,8 @@ class SharedProgram:
                 frame.append(spec.port_bind[2])
         bound = tuple(frame)
         run = self.run
-        return CompiledProc(self.kind, lambda sim: run(sim, bound))
+        return CompiledProc(self.kind, lambda sim: run(sim, bound),
+                            self.memoryless)
 
 
 def _program_key(spec: ProcSpec):
@@ -260,6 +270,7 @@ def _shared_program(spec: ProcSpec) -> SharedProgram:
 def _lower_spec(spec: ProcSpec) -> SharedProgram:
     ctx = LowerCtx(spec.scope)
     refs = (spec.body, spec.events)
+    memoryless = spec.kind == "comb"
     if spec.kind == "comb":
         if spec.port_bind is not None:
             run = _compile_port_bind(spec, ctx)
@@ -269,6 +280,7 @@ def _lower_spec(spec: ProcSpec) -> SharedProgram:
             assert spec.pyfunc is not None
             pyfunc = spec.pyfunc
             ctx.shareable = False
+            memoryless = False
 
             def run(sim, frame, _fn=pyfunc):
                 _fn(sim)
@@ -278,10 +290,11 @@ def _lower_spec(spec: ProcSpec) -> SharedProgram:
         assert spec.body is not None
         run = _compile_initial(spec, ctx)
     elif spec.kind == "always":
-        run = _compile_always(spec, ctx)
+        run, memoryless = _compile_always(spec, ctx)
     else:  # pragma: no cover - elaborator invariant
         raise SimulationError(f"unknown process kind {spec.kind!r}")
-    return SharedProgram(spec.kind, run, ctx, spec, refs)
+    return SharedProgram(spec.kind, run, memoryless and not ctx.reads_time,
+                         ctx, spec, refs)
 
 
 # ----------------------------------------------------------------------
@@ -988,6 +1001,8 @@ def _compile_initial(spec: ProcSpec, ctx: LowerCtx):
 
 
 def _compile_always(spec: ProcSpec, ctx: LowerCtx):
+    """Compile an ``always`` body; returns ``(run, memoryless)``, the
+    flag before the ``$time`` check (see :class:`CompiledProc`)."""
     assert spec.body is not None
     events = spec.events or ()
     pairs = resolve_event_slots(events, ctx) if events else ()
@@ -1003,7 +1018,7 @@ def _compile_always(spec: ProcSpec, ctx: LowerCtx):
                 sim._tick()
                 yield request
                 body(sim, frame)
-        return run_clocked
+        return run_clocked, False
 
     if suspends:
         # Per-clock-edge hot path (e.g. `always #5 clk = ~clk`): the
@@ -1035,7 +1050,10 @@ def _compile_always(spec: ProcSpec, ctx: LowerCtx):
                         yield ("delay", amount)
                     else:
                         yield from op[1](sim, frame)
-        return run_mixed_always
+        suspensions = [op[0] for op in body_ops if op[0] != _OP_CALL]
+        return run_mixed_always, (k is None
+                                  and suspensions in ([_OP_YIELD],
+                                                      [_OP_DELAY]))
 
     def run_free(sim, frame):
         # No suspension points at all: the statement budget is the only
@@ -1044,4 +1062,4 @@ def _compile_always(spec: ProcSpec, ctx: LowerCtx):
             sim._tick()
             body(sim, frame)
         yield  # pragma: no cover - unreachable; makes this a generator
-    return run_free
+    return run_free, False

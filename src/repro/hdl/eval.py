@@ -420,6 +420,10 @@ class LowerCtx:
         # Deferred compile errors embed this scope's prefix in their
         # message; such programs only transfer between equal prefixes.
         self.prefix_sensitive = False
+        # Set when a runtime ``$time`` read is compiled in: the program's
+        # behaviour then depends on the absolute time, not only on
+        # signal values (the kernel's fast-forward must not skip it).
+        self.reads_time = False
         self._obj_slots: dict[str, int] = {}
         self._lit_slots: dict = {}
         self._design_slot: int | None = None
@@ -850,6 +854,7 @@ def _compile_binary(expr: ast.Binary, ctx: LowerCtx, ctx_width: int | None):
 def _compile_system_call(expr: ast.SystemCall, ctx: LowerCtx):
     name = expr.name
     if name == "$time":
+        ctx.reads_time = True
         j = ctx.design_slot()
         return lambda frame: Logic.from_int(frame[j].runtime_time(), 64)
     if name in ("$signed", "$unsigned"):

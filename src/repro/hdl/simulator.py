@@ -33,6 +33,24 @@ Two execution engines produce those generators/callables:
     (:meth:`Simulator._exec`), kept as the behavioural reference — the
     golden-equivalence suite checks the engines produce identical
     results.
+
+**Periodic-state fast-forward** (compiled engine only).  A candidate
+that forgets ``clk = 0`` ticks an ``x`` clock until ``max_time`` while
+its stimulus waits for an edge that never comes.  Every
+``FF_SAMPLE_EVERY`` time advances, between time slots, the kernel
+samples the state the rest of the run depends on (values, output
+lengths, ``$random`` and descriptor state, process and wait-token
+state, and the future heap relative to now; see
+:meth:`Simulator._periodic_state`).  Two equal samples ``P`` time units
+apart mean the run repeats with period ``P``: the kernel is
+deterministic, and its next steps depend on that sample alone because
+every process pending in the heap is *memoryless* (one suspension
+point, no program counter to remember) and no code that can run reads
+``$time``.  So it is exact to add whole periods to the time and
+statement count and shift the heap.  The kernel keeps at least one
+period of headroom below ``max_time`` and ``max_stmts`` and simulates
+the tail normally, so a limit still fires with the same message, time,
+statement count and output as a full run.
 """
 
 from __future__ import annotations
@@ -60,6 +78,10 @@ from .logic import Logic
 from .parser import parse_source_cached
 
 MAX_DELTAS_PER_SLOT = 20_000
+# Time advances between two periodic-state samples, and the number of
+# distinct heap shapes remembered between them (see _fast_forward).
+FF_SAMPLE_EVERY = 1024
+_FF_MAX_SHAPES = 16
 
 
 def set_default_engine(engine: str) -> None:
@@ -104,13 +126,15 @@ class WaitToken:
 
 
 class Process:
-    __slots__ = ("name", "gen", "tokens", "done")
+    __slots__ = ("name", "gen", "tokens", "done", "memoryless")
 
-    def __init__(self, name: str, gen):
+    def __init__(self, name: str, gen, memoryless: bool = False):
         self.name = name
         self.gen = gen
         self.tokens: list[WaitToken] = []
         self.done = False
+        # See CompiledProc.memoryless; always False under the interpreter.
+        self.memoryless = memoryless
 
 
 class CombProcess:
@@ -179,6 +203,12 @@ class Simulator:
 
         self._comb_procs: list[CombProcess] = []
         self._processes: list[Process] = []
+        # Periodic-state fast-forward (compiled engine only): cleared by
+        # any comb process that is not memoryless.  ``_ff_marks`` maps a
+        # sampled heap shape to the last ``(time, stmt_count, state)``
+        # seen with it.
+        self._ff_enabled = engine == ENGINE_COMPILED
+        self._ff_marks: dict[tuple, tuple] = {}
         # The combinational process currently executing; its own writes do
         # not re-trigger it (a process cannot observe events while it runs).
         self._current_comb: CombProcess | None = None
@@ -204,8 +234,13 @@ class Simulator:
         compiled = self.engine == ENGINE_COMPILED
         for spec in specs:
             if spec.kind == "comb":
-                runner = (compile_spec(spec).run if compiled
-                          else self._interp_comb_runner(spec))
+                if compiled:
+                    program = compile_spec(spec)
+                    runner = program.run
+                    if not program.memoryless:
+                        self._ff_enabled = False
+                else:
+                    runner = self._interp_comb_runner(spec)
                 self._add_comb(spec, runner)
             elif spec.kind == "initial":
                 assert spec.body is not None
@@ -215,9 +250,12 @@ class Simulator:
                 self._processes.append(proc)
                 self.active.append(proc)
             elif spec.kind == "always":
-                gen = (compile_spec(spec).run(self) if compiled
-                       else self._always_gen(spec))
-                proc = Process(spec.label, gen)
+                if compiled:
+                    program = compile_spec(spec)
+                    proc = Process(spec.label, program.run(self),
+                                   program.memoryless)
+                else:
+                    proc = Process(spec.label, self._always_gen(spec))
                 self._processes.append(proc)
                 self.active.append(proc)
             else:  # pragma: no cover - elaborator invariant
@@ -720,6 +758,84 @@ class Simulator:
         finally:
             self._current_comb = None
 
+    # ------------------------------------------------------------------
+    # Periodic-state fast-forward
+    # ------------------------------------------------------------------
+    def _periodic_state(self) -> tuple | None:
+        """Everything the rest of the run depends on, minus the absolute
+        time and statement count; ``None`` when some pending process has
+        hidden generator state (it is not memoryless).
+
+        Sampled between time slots, when the active, inactive and NBA
+        queues are empty.  Processes and wait tokens define no
+        ``__eq__``, so comparing two states compares them by identity
+        (``is``) against the references this tuple holds.
+        """
+        now = self.time
+        heap = []
+        for t, _, proc in sorted(self.future):
+            if not proc.memoryless:
+                return None
+            heap.append((t - now, proc))
+        design = self.design
+        return (
+            tuple(heap),
+            tuple((proc.done,
+                   proc.tokens[0] if proc.tokens and proc.tokens[0].armed
+                   else None)
+                  for proc in self._processes),
+            tuple(sig.value for sig in design.signals.values()),
+            tuple(tuple(mem.words) for mem in design.memories.values()),
+            len(self.stdout),
+            tuple(len(lines) for lines in self._fd_lines.values()),
+            tuple(len(text) for text in self._fd_partial.values()),
+            self._rand_state,
+            self._next_fd,
+        )
+
+    def _fast_forward(self) -> None:
+        """Skip whole periods once the run has entered a periodic state.
+
+        Equal states at sample times ``T1 < T2`` mean the run repeats
+        with period ``T2 - T1`` and the same statement count per period:
+        the kernel is deterministic, every pending process resumes from
+        values alone, and no code that could run reads ``$time``.  Whole
+        periods are skipped while at least one period of headroom stays
+        below both ``max_time`` and ``max_stmts``; the ordinary kernel
+        then simulates the tail, so whichever limit fires does so with
+        the message, time and counts of a full run.
+
+        Samples are matched per heap shape, not just against the previous
+        sample: with several clocks (say periods 5 and 7) consecutive
+        samples land on different phases of the joint period, and only a
+        later sample with the same shape can repeat an earlier one.
+        """
+        state = self._periodic_state()
+        if state is None:
+            return
+        marks = self._ff_marks
+        if len(marks) >= _FF_MAX_SHAPES:
+            marks.clear()
+        mark = marks.get(state[0])
+        marks[state[0]] = (self.time, self.stmt_count, state)
+        if mark is None or mark[2] != state:
+            return
+        # Both positive: each of the time advances between the samples
+        # resumed a heap process, and a memoryless one ticks per resume.
+        period = self.time - mark[0]
+        stmts = self.stmt_count - mark[1]
+        skip = min((self.max_time - self.time) // period,
+                   (self.max_stmts - self.stmt_count) // stmts) - 1
+        if skip < 1:
+            return
+        shift = skip * period
+        self.time += shift
+        self.stmt_count += skip * stmts
+        # A uniform shift keeps the heap invariant.
+        self.future[:] = [(t + shift, seq, proc)
+                          for t, seq, proc in self.future]
+        marks.clear()
+
     def run(self) -> SimulationResult:
         # Local aliases: this loop is the hottest few lines of the whole
         # system (every evaluation pipeline bottoms out here).
@@ -729,6 +845,9 @@ class Simulator:
         run_comb = self._run_comb
         run_process = self._run_process
         future = self.future
+        # Time advances until the next periodic-state sample; negative
+        # (never reaching zero) when fast-forward is off.
+        countdown = FF_SAMPLE_EVERY if self._ff_enabled else -1
         while True:
             # Delta loop for the current time slot.
             while active or inactive or nba:
@@ -746,6 +865,10 @@ class Simulator:
                     self._apply_nba()
             if self.finish_requested or not future:
                 break
+            countdown -= 1
+            if not countdown:
+                countdown = FF_SAMPLE_EVERY
+                self._fast_forward()
             next_time, _, proc = heapq.heappop(future)
             if next_time > self.max_time:
                 raise SimulationLimit(
@@ -759,8 +882,12 @@ class Simulator:
                 _, _, other = heapq.heappop(future)
                 active.append(other)
 
-        files = {self._fd_names[fd]: lines
-                 for fd, lines in self._fd_lines.items()}
+        # Text from a trailing $fwrite (no closing $fdisplay) is the
+        # file's last line.
+        files = {}
+        for fd, lines in self._fd_lines.items():
+            partial = self._fd_partial[fd]
+            files[self._fd_names[fd]] = [*lines, partial] if partial else lines
         return SimulationResult(
             finished=self.finish_requested,
             sim_time=self.time,

@@ -1,5 +1,7 @@
 """Sequential simulation semantics: clocking, NBA region, resets, races."""
 
+import pytest
+
 from repro.hdl import simulate
 
 
@@ -184,6 +186,25 @@ endmodule
 """
     result = simulate(src, "tb")
     assert result.files["out.txt"] == ["first", "second"]
+
+
+@pytest.mark.parametrize("engine", ["compiled", "interpret"])
+def test_trailing_fwrite_text_is_the_last_line(engine):
+    src = """
+module tb;
+    integer f;
+    initial begin
+        f = $fopen("out.txt");
+        $fwrite(f, "a");
+        $fdisplay(f, "b");
+        $fwrite(f, "tail ");
+        $fwrite(f, "%0d", 7);
+        $finish;
+    end
+endmodule
+"""
+    result = simulate(src, "tb", engine=engine)
+    assert result.files["out.txt"] == ["ab", "tail 7"]
 
 
 def test_repeat_and_wait_composition():

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..problems.model import CheckerModelError, Port, load_ref_model
+from ..problems.model import (CheckerModelError, Port, compile_checker,
+                              load_ref_model)
 from .simulation import Record
 
 CHECKER_SYNTAX = "checker_syntax"
@@ -56,7 +57,7 @@ class CheckReport:
 def checker_compiles(checker_src: str) -> bool:
     """Eval0-side syntax check of the Python half of the testbench."""
     try:
-        compile(checker_src, "<checker>", "exec")
+        compile_checker(checker_src, "<checker>")
     except SyntaxError:
         return False
     return True

@@ -21,7 +21,7 @@ from ..codegen import parse_driver_scenarios, parse_scenario_listing
 from ..hdl.errors import VerilogSyntaxError
 from ..llm.base import GenerationIntent, LLMClient, MeteredClient
 from ..llm.conversation import single_turn
-from ..problems.model import TaskSpec
+from ..problems.model import TaskSpec, compile_checker
 from ..util import extract_first_code_block
 from . import prompts
 from .artifacts import HybridTestbench
@@ -96,7 +96,7 @@ class AutoBenchGenerator:
     def _debug_checker(self, checker_src: str, attempt: int) -> str:
         for iteration in range(MAX_DEBUG_ITERATIONS):
             try:
-                compile(checker_src, "<checker>", "exec")
+                compile_checker(checker_src, "<checker>")
                 return checker_src
             except SyntaxError as exc:
                 reply = self._ask(

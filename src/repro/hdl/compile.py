@@ -23,12 +23,13 @@ slot into a per-elaboration ``frame`` tuple; the
 :class:`~repro.hdl.eval.LowerCtx` allocates the slots during lowering
 and records, for each name it resolves, a structural *fact* (kind,
 width, signedness, bounds).  The resulting :class:`SharedProgram` is
-cached globally, keyed by the identity of the (parse-cached, hence
-shared) AST body, and is reused by any later elaboration whose scope
-matches the recorded signature — so a testbench driver compiled once is
-re-*bound* (a cheap slot-table build) rather than re-*compiled* for
-every DUT design it is paired with.  :func:`program_cache_stats` exposes
-the compile/share/bind counters.
+cached globally, keyed by the *value* of the AST body (nodes are frozen
+dataclasses, so they hash and compare by structure), and is reused by
+any later elaboration whose scope matches the recorded signature — so a
+testbench driver compiled once is re-*bound* (a cheap slot-table build)
+rather than re-*compiled* for every DUT design it is paired with, and a
+process that recurs verbatim in another source text compiles once.
+:func:`program_cache_stats` exposes the compile/share/bind counters.
 
 The statement budget (``sim._tick``) is charged at loop back-edges and
 suspension points rather than per straight-line statement: loops are the
@@ -39,8 +40,8 @@ Laziness parity: the interpreter only discovers errors on the executed
 path, so statement compilation is guarded — a statement whose lowering
 raises an :class:`HdlError` is replaced by a closure that re-raises that
 same error when (and only when) the statement executes.  Deferred errors
-embed the elaboration prefix in their message, so such programs are only
-shared between scopes with equal prefixes.
+embed the elaboration prefix or the process label in their message, so
+such programs are only shared between processes with equal labels.
 """
 
 from __future__ import annotations
@@ -95,11 +96,9 @@ class CompiledProc:
 _PROGRAM_CACHE_SIZE = 1024
 _MAX_VARIANTS_PER_KEY = 8
 
-# key -> list[SharedProgram]; keys embed ``id()`` of parse-cached AST
-# nodes, which each cached program pins via ``_refs`` (an evicted entry
-# releases them together, so a recycled id can never hit a stale value).
-# The lock guards the scan/evict/insert sequences: concurrent
-# DesignTemplate runs in threads reach compile_spec concurrently.
+# key -> list[SharedProgram]; keys hold the AST nodes themselves.  The
+# lock guards the scan/evict/insert sequences: concurrent DesignTemplate
+# runs in threads reach compile_spec concurrently.
 _program_cache: "OrderedDict[tuple, list]" = OrderedDict()
 _program_lock = threading.Lock()
 _stats = {"programs_compiled": 0, "programs_shared": 0, "specs_bound": 0,
@@ -156,24 +155,28 @@ class SharedProgram:
     """
 
     __slots__ = ("kind", "run", "memoryless", "slot_specs", "signature",
-                 "prefix", "sink_width", "shareable", "_refs")
+                 "label", "sink_width", "shareable")
 
     def __init__(self, kind: str, run: Callable, memoryless: bool,
-                 ctx: LowerCtx, spec: ProcSpec, refs: tuple):
+                 ctx: LowerCtx, spec: ProcSpec):
         self.kind = kind
         self.run = run
         self.memoryless = memoryless
         self.slot_specs = tuple(ctx.slot_specs)
         self.signature = ctx.signature()
-        self.prefix = ctx.scope.prefix if ctx.prefix_sensitive else None
+        # Deferred errors embed the scope prefix or the whole label (the
+        # comb guard names the construct: ``always_comb`` and
+        # ``always_list`` bodies share a key), so both must match.
+        self.label = ((ctx.scope.prefix, spec.label)
+                      if ctx.prefix_sensitive else None)
         self.sink_width = (spec.port_bind[2].width
                           if spec.port_bind is not None else None)
         self.shareable = ctx.shareable
-        self._refs = refs
 
     def matches(self, spec: ProcSpec) -> bool:
         scope = spec.scope
-        if self.prefix is not None and scope.prefix != self.prefix:
+        if (self.label is not None
+                and (scope.prefix, spec.label) != self.label):
             return False
         if (self.sink_width is not None
                 and spec.port_bind[2].width != self.sink_width):
@@ -210,18 +213,18 @@ class SharedProgram:
 def _program_key(spec: ProcSpec):
     """Cache key for a spec's program, or ``None`` when uncacheable.
 
-    Keys lean on AST identity: module bodies come from the text-keyed
-    parse cache, so the same driver source pairs every DUT with the
-    *same* statement objects.
+    Keys are AST values: frozen nodes hash and compare by structure, so
+    a process body that recurs in another source text (or a continuous
+    assign re-synthesized by a fresh elaboration) finds the program.
     """
     if spec.port_bind is not None:
         direction = spec.port_bind[0]
         if direction == "out":
             return None  # a single closure over two signals; see below
-        return ("bind_in", id(spec.port_bind[1]))
+        return ("bind_in", spec.port_bind[1])
     if spec.body is None:
         return None  # opaque elaborator-provided pyfunc
-    return (spec.kind, id(spec.body), id(spec.events))
+    return (spec.kind, spec.body, spec.events)
 
 
 def compile_spec(spec: ProcSpec) -> CompiledProc:
@@ -269,12 +272,10 @@ def _shared_program(spec: ProcSpec) -> SharedProgram:
 
 def _lower_spec(spec: ProcSpec) -> SharedProgram:
     ctx = LowerCtx(spec.scope)
-    refs = (spec.body, spec.events)
     memoryless = spec.kind == "comb"
     if spec.kind == "comb":
         if spec.port_bind is not None:
             run = _compile_port_bind(spec, ctx)
-            refs = (spec.port_bind[1],)
         elif spec.body is None:
             # Elaborator-provided Python callable with no AST body.
             assert spec.pyfunc is not None
@@ -294,7 +295,7 @@ def _lower_spec(spec: ProcSpec) -> SharedProgram:
     else:  # pragma: no cover - elaborator invariant
         raise SimulationError(f"unknown process kind {spec.kind!r}")
     return SharedProgram(spec.kind, run, memoryless and not ctx.reads_time,
-                         ctx, spec, refs)
+                         ctx, spec)
 
 
 # ----------------------------------------------------------------------
@@ -954,8 +955,7 @@ def _compile_comb_body(spec: ProcSpec, ctx: LowerCtx):
     if not suspends:
         return body
     # The guard message embeds the process label (prefix + construct
-    # suffix); a program carrying it only transfers between scopes with
-    # equal prefixes — which, for the same AST body, implies equal labels.
+    # suffix); noting it makes the program match on the whole label.
     ctx.note_deferred()
     label = spec.label
 

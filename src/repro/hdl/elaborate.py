@@ -9,8 +9,6 @@ processes, which gives plain wire semantics without a net-resolution pass.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -379,7 +377,7 @@ class Elaborator:
         collect_expr_reads(item.value, reads)
         self._verify_names(scope, reads,
                            f"{scope.prefix or 'top'} continuous assign")
-        stmt = _interned_assign(item)
+        stmt = ast.BlockingAssign(item.target, item.value)
         if isinstance(item.target, ast.LvIndex):
             # Partial drivers read-modify-write the target.
             collect_expr_reads(item.target.index, reads)
@@ -519,31 +517,6 @@ class Elaborator:
             kind="comb", scope=parent, pyfunc=update, reads=(child_sig,),
             label=f"{parent.prefix}{inst_name}.{child_sig.name}=>bind",
             port_bind=("out", child_sig, parent_sig)))
-
-
-# Continuous assignments lower to a synthesized ``BlockingAssign``
-# statement.  The compile layer keys its shared-program cache by body
-# *identity*, so the synthesized statement is interned (by structural
-# equality, AST nodes are frozen/hashable) — re-elaborating the same
-# source, and even structurally identical assigns in different sources,
-# reuse one statement object and therefore one compiled program.
-_ASSIGN_INTERN_SIZE = 4096
-_assign_interned: "OrderedDict[ast.ContinuousAssign, ast.BlockingAssign]" \
-    = OrderedDict()
-_assign_intern_lock = threading.Lock()
-
-
-def _interned_assign(item: ast.ContinuousAssign) -> ast.BlockingAssign:
-    with _assign_intern_lock:
-        stmt = _assign_interned.get(item)
-        if stmt is None:
-            stmt = ast.BlockingAssign(item.target, item.value)
-            while len(_assign_interned) >= _ASSIGN_INTERN_SIZE:
-                _assign_interned.popitem(last=False)
-            _assign_interned[item] = stmt
-        else:
-            _assign_interned.move_to_end(item)
-        return stmt
 
 
 def elaborate(source: ast.SourceFile, top: str) -> Design:

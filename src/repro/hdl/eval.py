@@ -417,8 +417,9 @@ class LowerCtx:
         # closures (elaboration-time memory contents, runtime hooks
         # evaluated at compile time, foreign-scope signal objects).
         self.shareable = True
-        # Deferred compile errors embed this scope's prefix in their
-        # message; such programs only transfer between equal prefixes.
+        # Deferred compile errors embed this scope's prefix (or the
+        # process label) in their message; such programs only transfer
+        # between processes with equal prefixes and labels.
         self.prefix_sensitive = False
         # Set when a runtime ``$time`` read is compiled in: the program's
         # behaviour then depends on the absolute time, not only on

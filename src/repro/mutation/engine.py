@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..hdl.parser import parse_source
+from ..hdl.parser import parse_source_cached
 from ..hdl.unparse import unparse_module
 from ..util import derive_rng
 from .operators import count_sites, mutate_module
@@ -26,7 +26,7 @@ def generate_mutants(rtl_src: str, count: int, seed: object,
     that fail it are discarded (the dataset only ships compiling mutants).
     Deterministic in ``seed``.
     """
-    module = parse_source(rtl_src).module(module_name)
+    module = parse_source_cached(rtl_src).module(module_name)
     n_sites = count_sites(module)
     if n_sites == 0:
         return []
@@ -77,7 +77,7 @@ def random_mutation(rtl_src: str, seed: object,
     Returns ``(source, description)``; falls back to the original source
     when the module has no mutation sites.
     """
-    module = parse_source(rtl_src).module(module_name)
+    module = parse_source_cached(rtl_src).module(module_name)
     n_sites = count_sites(module)
     if n_sites == 0:
         return rtl_src, ""

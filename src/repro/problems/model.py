@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import CodeType
 from typing import Any, Callable, Mapping
 
 CMB = "CMB"
@@ -217,6 +219,16 @@ class CheckerModelError(RuntimeError):
     """Raised when a checker core cannot be loaded or executed."""
 
 
+@lru_cache(maxsize=256)
+def compile_checker(source: str, filename: str) -> CodeType:
+    """Compile checker-core source once per ``(source, filename)``.
+
+    Code objects are immutable, so sharing one is safe.  Failed compiles
+    are not cached: each raises its :class:`SyntaxError` anew.
+    """
+    return compile(source, filename, "exec")
+
+
 def load_ref_model(source: str) -> Any:
     """Compile and instantiate the ``RefModel`` from checker-core source.
 
@@ -227,7 +239,7 @@ def load_ref_model(source: str) -> Any:
     structurally-broken ones.
     """
     namespace: dict[str, Any] = {}
-    code = compile(source, "<checker-core>", "exec")
+    code = compile_checker(source, "<checker-core>")
     exec(code, namespace)  # noqa: S102 - sandboxed, generated by this repo
     ref_model = namespace.get("RefModel")
     if ref_model is None:

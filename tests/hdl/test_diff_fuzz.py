@@ -13,12 +13,17 @@ program is executed three ways:
    the slot-indexed programs),
 3. the ``compiled`` engine again on a fresh elaboration, which must hit
    the shared-program cache and only *rebind* the slot tables — the
-   path every production driver/DUT re-pairing takes.
+   path every production driver/DUT re-pairing takes,
+4. the ``compiled`` engine on the program instantiated inside a
+   differently named wrapper module — another source text, so another
+   parsed AST, at another scope prefix — once straight after (3), where
+   its processes share programs by structural key, and once cold.
 
-All three must produce identical observable traces: stdout, emitted
+All runs must produce identical observable traces: stdout, emitted
 files, finish flag, final simulation time and the final (VCD-visible)
-value of every signal and memory word.  When a program errors, all
-engines must raise the same error class.
+value of every signal and memory word (the wrapped run's names lose
+their instance prefix).  When a program errors, all engines must raise
+the same error class.
 
 The corpus is deterministic under a fixed seed.  Budget knobs:
 
@@ -252,9 +257,30 @@ def snapshot(result) -> dict:
     }
 
 
-def run_engine(src: str, engine: str):
+WRAPPER = "fuzz_wrap"
+WRAPPED_PREFIX = "inner."
+
+
+def wrap_program(src: str) -> str:
+    """The program as the single instance of another top module."""
+    return f"{src}\n\nmodule {WRAPPER};\n    tb inner();\nendmodule"
+
+
+def unwrap(outcome):
+    """A wrapped run's outcome with the instance prefix stripped."""
+    if isinstance(outcome, tuple):
+        return outcome
+    strip = len(WRAPPED_PREFIX)
+    for key in ("signals", "memories"):
+        assert all(name.startswith(WRAPPED_PREFIX) for name in outcome[key])
+        outcome[key] = {name[strip:]: value
+                        for name, value in outcome[key].items()}
+    return outcome
+
+
+def run_engine(src: str, engine: str, top: str = "tb"):
     try:
-        return snapshot(simulate(src, "tb", max_time=MAX_TIME,
+        return snapshot(simulate(src, top, max_time=MAX_TIME,
                                  max_stmts=MAX_STMTS, engine=engine))
     except HdlError as exc:
         return ("error", type(exc).__name__)
@@ -277,12 +303,22 @@ def test_differential_fuzz(index):
     rebound = run_engine(src, "compiled")
     after = program_cache_stats()
 
+    wrapped = wrap_program(src)
+    shared = unwrap(run_engine(wrapped, "compiled", WRAPPER))
+    after_wrapped = program_cache_stats()
+    clear_program_cache()
+    cold = unwrap(run_engine(wrapped, "compiled", WRAPPER))
+
     assert fresh == rebound, "fresh-compile vs shared-rebind divergence"
     assert interp == fresh, "interpreter vs compiled divergence"
+    assert shared == cold, "cross-source sharing vs cold compile divergence"
+    assert cold == fresh, "wrapped vs unwrapped divergence"
     ok = not (isinstance(interp, tuple) and interp[0] == "error")
     if ok:
         assert after["programs_shared"] > before["programs_shared"], \
             "second compiled run did not reuse shared programs"
+        assert after_wrapped["programs_shared"] > after["programs_shared"], \
+            "wrapped run did not reuse the unwrapped run's programs"
     _corpus_outcomes[index] = (ok, ok and bool(interp["stdout"]))
 
 

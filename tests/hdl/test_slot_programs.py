@@ -6,10 +6,14 @@ after the first — asserted here via the compile counters exposed by
 :func:`repro.hdl.compile.program_cache_stats`.
 """
 
+import pytest
+
 from repro.hdl import ast as hdl_ast
+from repro.hdl import simulate
 from repro.hdl.compile import (clear_program_cache, compile_spec,
                                program_cache_stats)
 from repro.hdl.elaborate import elaborate
+from repro.hdl.errors import SimulationError
 from repro.hdl.parser import parse_source_cached
 from repro.hdl.simulator import Simulator
 
@@ -211,3 +215,84 @@ endmodule
         added, _ = _compiles_during(lambda: _compile_all(
             elaborate(parse_source_cached(src), "tb")))
         assert added == 0
+
+
+COUNTER_TB = """
+module tb;
+    reg clk;
+    reg [3:0] q;
+    wire [3:0] next = q + 4'd3;
+    always #5 clk = ~clk;
+    always @(posedge clk) q <= next;
+    initial begin
+        clk = 0;
+        q = 0;
+        repeat (6) @(posedge clk);
+        #1 $display("q=%0d", q);
+        $finish;
+    end
+endmodule
+"""
+
+
+def _outcome(src: str, engine: str = "compiled"):
+    try:
+        result = simulate(src, "tb", engine=engine)
+    except SimulationError as exc:
+        return ("error", str(exc))
+    return (result.stdout, result.sim_time,
+            {name: sig.value.bits()
+             for name, sig in result.design.signals.items()})
+
+
+class TestStructuralKeys:
+    def test_identical_process_in_another_source_compiles_once(self):
+        """A second source text (so a separately parsed AST) that repeats
+        every process verbatim and adds one compiles only the new one,
+        and runs exactly as a cold compile of it does."""
+        other = COUNTER_TB.replace(
+            "    always #5", "    // another candidate\n"
+                            "    wire [3:0] spare = q ^ 4'd5;\n"
+                            "    always #5")
+        clear_program_cache()
+        _compile_all(elaborate(parse_source_cached(COUNTER_TB), "tb"))
+        design = elaborate(parse_source_cached(other), "tb")
+        added, _ = _compiles_during(lambda: _compile_all(design))
+        assert added == 1
+        shared = _outcome(other)
+        clear_program_cache()
+        assert shared == _outcome(other)
+        assert shared[0] == ["q=2"]
+
+    @pytest.mark.parametrize("engine", ["interpret", "compiled"])
+    def test_equal_comb_bodies_keep_their_own_labels(self, engine):
+        """``always @(*)`` and ``always @(a)`` elaborate to the same comb
+        body in the same (top) scope; the compiled guard bakes in the
+        label, so the second must not reuse the first's program."""
+        template = """
+module tb;
+    reg a, y;
+    always @(EVENTS) begin #1 y = a; end
+    initial begin a = 0; #5 a = 1; #5 $finish; end
+endmodule
+"""
+        clear_program_cache()
+        for events, label in (("*", "always_comb"), ("a", "always_list"),
+                              ("*", "always_comb")):
+            outcome = _outcome(template.replace("EVENTS", events), engine)
+            assert outcome == (
+                "error", "delay/event control inside combinational "
+                f"block {label!r}")
+
+    def test_equal_body_with_other_widths_does_not_share(self):
+        """The same ``assign`` text over a wider operand resolves to a
+        different slot signature: it compiles anew and keeps its own
+        width semantics."""
+        wide = COUNTER_TB.replace("[3:0]", "[7:0]")
+        clear_program_cache()
+        _compile_all(elaborate(parse_source_cached(COUNTER_TB), "tb"))
+        design = elaborate(parse_source_cached(wide), "tb")
+        added, _ = _compiles_during(lambda: _compile_all(design))
+        assert added > 0
+        assert _outcome(wide)[0] == ["q=18"]
+        assert _outcome(COUNTER_TB)[0] == ["q=2"]

@@ -77,6 +77,27 @@ class TestTokenCounting:
                                approx_token_count(b) // 2)
 
 
+class TestUsageFor:
+    @given(st.lists(st.text(st.one_of(st.sampled_from(" \t\n\r\u00a0"),
+                                      st.characters()), max_size=60),
+                    max_size=6),
+           st.text(max_size=60))
+    def test_input_tokens_equal_joined_count(self, contents, reply):
+        messages = [ChatMessage("user", text) for text in contents]
+        usage = usage_for(messages, reply)
+        assert usage.input_tokens == approx_token_count(
+            "\n".join(m.content for m in messages))
+        assert usage.output_tokens == approx_token_count(reply)
+
+    def test_empty_whitespace_and_non_ascii(self):
+        messages = [ChatMessage("system", ""), ChatMessage("user", "  \n\t"),
+                    ChatMessage("assistant", "zähler ≥ 4 ok"),
+                    ChatMessage("user", "zähler ≥ 4 ok")]
+        assert usage_for(messages, "").input_tokens == approx_token_count(
+            "\n".join(m.content for m in messages))
+        assert usage_for([], "") == Usage(0, 0)
+
+
 class TestMeteredClient:
     class _Echo:
         name = "echo-model"

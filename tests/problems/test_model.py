@@ -119,6 +119,29 @@ class TestRefModelLoading:
         with pytest.raises(SyntaxError):
             load_ref_model("class RefModel\n    pass\n")
 
+    def test_repeated_loads_share_no_state(self):
+        source = ("class RefModel:\n"
+                  "    seen = []\n"
+                  "    def step(self, inputs):\n"
+                  "        self.seen.append(inputs['a'])\n"
+                  "        return {'out': len(self.seen)}\n")
+        first = load_ref_model(source)
+        assert first.step({"a": 1}) == {"out": 1}
+        assert first.step({"a": 2}) == {"out": 2}
+        second = load_ref_model(source)
+        assert type(second) is not type(first)
+        assert second.step({"a": 3}) == {"out": 1}
+
+    def test_repeated_syntax_error_keeps_its_message(self):
+        source = "class RefModel\n    pass\n"
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SyntaxError) as info:
+                load_ref_model(source)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "<checker-core>" in messages[0]
+
     def test_run_model_on_plan_masks_outputs(self):
         source = (
             "class RefModel:\n"

@@ -8,7 +8,8 @@ Two modes:
 - ``pytest benchmarks/bench_hdl_simulator.py --benchmark-only`` runs the
   pytest-benchmark suite (steady-state numbers, caches warm);
 - ``python benchmarks/bench_hdl_simulator.py [--quick] [--record]``
-  times the compiled-vs-interpreted engines and the batched-vs-serial
+  times the compiled simulator against the reference interpreter (the
+  test oracle in ``tests/oracles/``) and the batched-vs-serial
   validator path end-to-end (cold caches), prints a report, and with
   ``--record`` refreshes ``benchmarks/BENCH_simulator.json`` so future
   PRs have a perf trajectory to compare against.
@@ -18,12 +19,15 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
+import repro.core.simulation as simulation
 from repro.codegen import render_checker_core, render_driver
 from repro.codegen.driver import DriverFaults
 from repro.core.checker_runtime import run_checker
-from repro.core.simulation import (clear_simulation_caches,
+from repro.core.simulation import (_per_mutant_sweep,
+                                   clear_simulation_caches,
                                    clear_template_caches, run_driver,
                                    run_driver_batch, run_mutant_sweep)
 from repro.hdl.compile import clear_program_cache
@@ -34,6 +38,11 @@ from repro.llm.profiles import get_profile
 from repro.llm.synthetic import SyntheticLLM
 from repro.mutation import generate_mutants
 from repro.problems import get_task
+
+# The reference interpreter and lexer are test oracles, not runtime code.
+sys.path.insert(0, str(Path(__file__).parents[1] / "tests"))
+from oracles import (InterpretedSimulator, reference_tokenize,  # noqa: E402
+                     simulate_interpreted)
 
 BENCH_JSON = Path(__file__).parent / "BENCH_simulator.json"
 
@@ -93,10 +102,7 @@ def test_simulate_200_cycle_counter(benchmark):
 
 
 def test_simulate_200_cycle_counter_interpreted(benchmark):
-    def run():
-        return simulate(COUNTER_TB, "tb", engine="interpret")
-
-    result = benchmark(run)
+    result = benchmark(simulate_interpreted, COUNTER_TB, "tb")
     assert result.stdout == ["q=200"]
 
 
@@ -137,16 +143,14 @@ def test_mutant_sweep_lockstep(benchmark):
         golden, 20, task.task_id)]
 
     sweep = benchmark(run_mutant_sweep, driver, mutants,
-                      golden_src=golden, mutant_engine="lockstep")
+                      golden_src=golden)
     assert sweep.engine == "lockstep", sweep.fallback_reason
     assert len(sweep.runs) == 20
 
 
 def test_parse_throughput_reference_lexer(benchmark):
-    from repro.hdl.lexer import tokenize
-
     source = get_task("cmb_alu8").golden_rtl()
-    result = benchmark(tokenize, source, "reference")
+    result = benchmark(reference_tokenize, source)
     assert result[-1].text == ""
 
 
@@ -184,8 +188,8 @@ def bench_parse(seconds: float) -> dict:
     }
     out = {}
     for name, src in sources.items():
-        master = _time_repeated(lambda: tokenize(src, "master"), seconds)
-        reference = _time_repeated(lambda: tokenize(src, "reference"),
+        master = _time_repeated(lambda: tokenize(src), seconds)
+        reference = _time_repeated(lambda: reference_tokenize(src),
                                    seconds)
         cold_parse = _time_repeated(lambda: parse_uncached(src), seconds)
         out[name] = {
@@ -202,9 +206,10 @@ def bench_parse(seconds: float) -> dict:
 
 def bench_counter(seconds: float) -> dict:
     out = {}
-    for engine in ("interpret", "compiled"):
-        def run(_engine=engine):
-            result = simulate(COUNTER_TB, "tb", engine=_engine)
+    for engine, run_sim in (("interpret", simulate_interpreted),
+                            ("compiled", simulate)):
+        def run(_run_sim=run_sim):
+            result = _run_sim(COUNTER_TB, "tb")
             assert result.stdout == ["q=200"]
         out[engine] = _time_repeated(run, seconds) * 1000
     out["speedup_compiled_vs_interpret"] = (
@@ -255,6 +260,17 @@ def _build_validator(task_id: str, group_size: int = 20):
     return validator, tb
 
 
+@contextmanager
+def _interpreted_pipeline():
+    """Run every pipeline simulation through the reference interpreter."""
+    original = simulation.Simulator
+    simulation.Simulator = InterpretedSimulator
+    try:
+        yield
+    finally:
+        simulation.Simulator = original
+
+
 def bench_validator_matrix(seconds: float, task_id: str = "seq_count8_en",
                            group_size: int = 20) -> dict:
     """End-to-end 20-sample R/S matrix builds (the acceptance scenario).
@@ -269,7 +285,7 @@ def bench_validator_matrix(seconds: float, task_id: str = "seq_count8_en",
     validator, tb = _build_validator(task_id, group_size)
     out = {}
     # Seed cost model: interpreter, no surviving caches.
-    with use_context(engine="interpret"):
+    with _interpreted_pipeline():
 
         def seed_style():
             clear_simulation_caches()
@@ -278,22 +294,21 @@ def bench_validator_matrix(seconds: float, task_id: str = "seq_count8_en",
             assert report.matrix is not None
         out["seed_style_ms"] = _time_repeated(seed_style, seconds) * 1000
 
-    # Batched path, compiled engine.
-    with use_context(engine="compiled"):
-        clear_simulation_caches()
-        validator._sim_cache.clear()
-        t0 = time.perf_counter()
-        validator.validate(tb)
-        out["cold_first_ms"] = (time.perf_counter() - t0) * 1000
-        # One warm validate so steady state measures pure template reuse.
-        validator._sim_cache.clear()
-        validator.validate(tb)
+    # Batched path, compiled programs.
+    clear_simulation_caches()
+    validator._sim_cache.clear()
+    t0 = time.perf_counter()
+    validator.validate(tb)
+    out["cold_first_ms"] = (time.perf_counter() - t0) * 1000
+    # One warm validate so steady state measures pure template reuse.
+    validator._sim_cache.clear()
+    validator.validate(tb)
 
-        def steady():
-            validator._sim_cache.clear()
-            report = validator.validate(tb)
-            assert report.matrix is not None
-        out["steady_state_ms"] = _time_repeated(steady, seconds) * 1000
+    def steady():
+        validator._sim_cache.clear()
+        report = validator.validate(tb)
+        assert report.matrix is not None
+    out["steady_state_ms"] = _time_repeated(steady, seconds) * 1000
     out["speedup_steady_vs_seed_style"] = (
         out["seed_style_ms"] / out["steady_state_ms"])
     out["speedup_cold_vs_seed_style"] = (
@@ -407,8 +422,11 @@ def bench_mutant_sweep(seconds: float, task_id: str = "seq_count8_en",
         golden, n_mutants, task.task_id)]
 
     def sweep(engine):
-        result = run_mutant_sweep(driver, mutants, golden_src=golden,
-                                  mutant_engine=engine)
+        if engine == "lockstep":
+            result = run_mutant_sweep(driver, mutants, golden_src=golden)
+        else:
+            result = _per_mutant_sweep(driver, mutants, golden, None,
+                                       current_context())
         assert result.engine == engine, result.fallback_reason
         assert result.golden.ok
 
@@ -537,10 +555,11 @@ def bench_context_overhead(seconds: float) -> dict:
     ``resolve_us`` / ``dispatch_us`` price one ``current_context()``
     resolve and one method-registry lookup (both sit on every simulate
     / campaign-item call).  ``overhead_ratio`` is the end-to-end check:
-    a context-resolved counter simulation (``engine=None`` under an
-    active ``use_context``) against the same run with the engine passed
-    explicitly — the PR-3 cost model.  Parity (~1.0) is the CI floor:
-    the explicit-global-to-context redesign must not tax the hot path.
+    a context-resolved counter simulation (``max_stmts=None`` under an
+    active ``use_context(max_stmts=...)``) against the same run with
+    the limit passed explicitly — the PR-3 cost model.  Parity (~1.0) is
+    the CI floor: the explicit-global-to-context redesign must not tax
+    the hot path.
     """
     from repro.eval.methods import get_method
 
@@ -559,8 +578,10 @@ def bench_context_overhead(seconds: float) -> dict:
         "dispatch_us": _time_repeated(dispatch_loop, seconds) / n * 1e6,
     }
 
+    max_stmts = current_context().max_stmts
+
     def run_explicit():
-        result = simulate(COUNTER_TB, "tb", engine="compiled")
+        result = simulate(COUNTER_TB, "tb", max_stmts=max_stmts)
         assert result.stdout == ["q=200"]
 
     def run_context():
@@ -569,7 +590,7 @@ def bench_context_overhead(seconds: float) -> dict:
 
     out["simulate_explicit_ms"] = _time_repeated(run_explicit,
                                                  seconds) * 1000
-    with use_context(engine="compiled"):
+    with use_context(max_stmts=max_stmts):
         out["simulate_context_ms"] = _time_repeated(run_context,
                                                     seconds) * 1000
     out["overhead_ratio"] = (out["simulate_context_ms"]
@@ -762,7 +783,7 @@ def main(argv) -> int:
 
     ok = True
     # Same-machine, same-run ratios: meaningful on any host (CI gates on
-    # these).  The interpret engine benefits from this PR's shared
+    # these).  The reference interpreter benefits from the shared kernel
     # improvements (port aliasing, parse cache, scheduler), so the
     # thresholds sit below the vs-seed ones.
     # Quick (CI) floor sits below the measured ~3.2x like every other
@@ -798,7 +819,7 @@ def main(argv) -> int:
     overhead_floor = 1.2 if quick else 1.1
     if context["overhead_ratio"] > overhead_floor:
         print("WARNING: context-resolved simulate is "
-              f"{context['overhead_ratio']:.3f}x the explicit-engine "
+              f"{context['overhead_ratio']:.3f}x the explicit-limit "
               f"run (> {overhead_floor}x)", file=sys.stderr)
         ok = False
     if context["resolve_us"] > 10.0:

@@ -6,10 +6,6 @@ slice of the benchmark and prints a miniature Table I — plus a fourth,
 *out-of-tree* method registered through the campaign-method registry,
 to show that new strategies plug in without touching the runner.
 
-The whole comparison executes under an explicit ``SimContext`` (the
-request-scoped configuration API); flip ``ENGINE`` below to
-``"interpret"`` to rerun everything on the reference engine.
-
 Run:  python examples/compare_methods.py          (12 tasks, 1 seed)
       python examples/compare_methods.py --full   (all 156 tasks)
 """
@@ -21,10 +17,7 @@ from repro.core.baseline import DirectBaseline
 from repro.eval import (ALL_METHODS, campaign_method, default_config,
                         render_table1, run_campaign)
 from repro.eval.campaign import campaign_jobs_from_env
-from repro.hdl import use_context
 from repro.problems import dataset_slice, load_dataset
-
-ENGINE = "compiled"
 
 
 # An extra strategy the campaign runner has never heard of: the direct
@@ -54,7 +47,7 @@ def main() -> None:
     config = default_config(
         task_ids=task_ids, seeds=(0,), methods=methods, n_jobs=jobs)
     print(f"running {len(methods)} methods x {len(task_ids)} tasks "
-          f"(jobs={config.n_jobs}, engine={ENGINE}) ...")
+          f"(jobs={config.n_jobs}) ...")
 
     done = {"n": 0}
 
@@ -64,10 +57,7 @@ def main() -> None:
             print(f"  {index}/{total} ({run.method} {run.task_id}: "
                   f"{run.level.label})")
 
-    # The campaign snapshots the active context into every work item,
-    # so this choice travels to pool workers too.
-    with use_context(engine=ENGINE):
-        result = run_campaign(config, progress=progress)
+    result = run_campaign(config, progress=progress)
     print()
     print(render_table1(result))
     retry = result.of_method("baseline-retry")

@@ -11,15 +11,15 @@ Subcommands:
 - ``serve``    — run the asyncio testbench-generation service
   (``serve --status`` queries a running server's telemetry endpoint).
 
-``run``/``validate``/``campaign`` accept ``--engine`` and ``--lexer``,
-and ``campaign`` additionally ``--start-method`` and
+``run``/``validate``/``campaign`` accept ``--trace-dir`` and the LLM
+backend flags, and ``campaign`` additionally ``--start-method`` and
 ``--warm-start/--no-warm-start`` (worker-pool start method and
 cache-snapshot warm-up) plus ``--store DIR`` / ``--resume`` /
 ``--shards N`` (persistent artifact store, kill-resume, and the shard
 coordinator); the selections feed a
 :class:`~repro.hdl.context.SimContext` activated around the command
 (and shipped inside campaign work items), so no environment variable
-is needed to pick an execution engine.  ``run`` and ``campaign``
+is needed to configure a run.  ``run`` and ``campaign``
 dispatch through the campaign-method registry: a method registered
 with :func:`repro.eval.register_method` before :func:`build_parser` is
 called appears in ``--method`` choices automatically.
@@ -36,8 +36,8 @@ from .eval import (default_config, evaluate, registered_methods,
                    render_recovery_report, render_store_summary,
                    render_table1, render_table3, render_usage_summary,
                    run_campaign, run_one, run_sharded_campaign)
-from .hdl.context import (ENGINES, LEXERS, START_METHODS, current_context,
-                          use_context, valid_llm_backend)
+from .hdl.context import (START_METHODS, current_context, use_context,
+                          valid_llm_backend)
 from .llm import MeteredClient, UsageMeter
 from .problems import load_dataset, get_task
 
@@ -63,13 +63,9 @@ def _backend_spec(value: str) -> str:
 
 def _context(args):
     """The SimContext for this invocation: the ambient context evolved
-    with whatever ``--engine`` / ``--lexer`` / ``--start-method`` /
-    ``--warm-start`` / ``--backend`` selected."""
+    with whatever ``--start-method`` / ``--warm-start`` / ``--trace-dir``
+    / ``--store`` / ``--backend`` selected."""
     overrides = {}
-    if getattr(args, "engine", None):
-        overrides["engine"] = args.engine
-    if getattr(args, "lexer", None):
-        overrides["lexer"] = args.lexer
     if getattr(args, "start_method", None):
         overrides["start_method"] = args.start_method
     if getattr(args, "warm_start", None) is not None:
@@ -354,11 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--criterion", default=DEFAULT_CRITERION.name,
                         choices=sorted(CRITERIA))
-    common.add_argument("--engine", choices=ENGINES, default=None,
-                        help="simulation engine (default: active context)")
-    common.add_argument("--lexer", choices=LEXERS, default=None,
-                        help="tokenizer implementation "
-                             "(default: active context)")
     common.add_argument("--trace-dir", default=None, dest="trace_dir",
                         help="record correction traces (JSONL) into this "
                              "directory (default: REPRO_TRACE_DIR / off)")
@@ -453,12 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--jobs", type=int, default=None,
                          help="sim process-pool fan-out per batch "
                               "(default: active context)")
-    p_serve.add_argument("--engine", choices=ENGINES, default=None,
-                         help="base simulation engine for requests that "
-                              "don't override it")
-    p_serve.add_argument("--lexer", choices=LEXERS, default=None,
-                         help="base tokenizer for requests that don't "
-                              "override it")
     p_serve.add_argument("--status", action="store_true",
                          help="query a running server's /v1/status "
                               "(uses --host/--port) and exit")

@@ -56,7 +56,7 @@ from ..util import LruCache as LruCache  # re-export: public cache API
 
 #: Snapshot schema version; bumped when payload shapes change so a
 #: stale pickled artifact fails loudly instead of half-importing.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 @dataclass(frozen=True)

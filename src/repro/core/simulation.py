@@ -30,13 +30,11 @@ One layer below, :mod:`repro.hdl.compile` shares slot-indexed compiled
 programs across elaborations, so even a *fresh* (driver, DUT) pairing
 only re-binds the driver's programs instead of recompiling them.
 
-The execution engine (``compiled`` closures vs the reference
-``interpret`` walker), the simulation limits and the batch worker count
-resolve through the active :class:`~repro.hdl.context.SimContext`
-(explicit argument > ``use_context`` activation > env-seeded root
-context); batch APIs ship the resolved context to pool workers as part
-of each work item, so a worker never falls back to its own process
-defaults.  All cache layers register with
+The simulation limits and the batch worker count resolve through the
+active :class:`~repro.hdl.context.SimContext` (explicit argument >
+``use_context`` activation > env-seeded root context); batch APIs ship
+the resolved context to pool workers as part of each work item, so a
+worker never falls back to its own process defaults.  All cache layers register with
 :data:`repro.core.caches.caches`; the ``clear_*`` / ``*_stats``
 helpers below delegate to that facade.
 
@@ -78,20 +76,9 @@ from ..hdl.parser import (clear_parse_cache, export_parse_cache,
                           import_parse_cache, parse_cache_stats,
                           parse_source_cached)
 from ..hdl.simulator import SimulationResult, Simulator
-# Engine selection lives in repro.hdl.context (the single source of
-# truth); these are re-exported (redundant-alias form) for callers that
-# configure simulation at this layer (campaigns, CLI, benchmarks).
-from ..hdl.context import ENGINE_COMPILED as ENGINE_COMPILED
-from ..hdl.context import ENGINE_INTERPRET as ENGINE_INTERPRET
-from ..hdl.context import ENGINES as ENGINES
-from ..hdl.context import MUTANT_ENGINES as MUTANT_ENGINES
-from ..hdl.context import MUTANT_LOCKSTEP as MUTANT_LOCKSTEP
-from ..hdl.context import MUTANT_PER_MUTANT as MUTANT_PER_MUTANT
 from ..hdl import lockstep as lockstep_mod
 from ..hdl.lockstep import (LockstepUnsupported, build_union,
                             clear_lockstep_caches, lockstep_cache_stats)
-from ..hdl.simulator import get_default_engine as get_default_engine
-from ..hdl.simulator import set_default_engine as set_default_engine
 from ..codegen.driver import DUMP_FILE
 from .caches import CacheSnapshot, ScopedLruCache, caches, use_task_scope
 
@@ -164,12 +151,12 @@ class DesignTemplate:
                 mem.waiters.clear()
 
     def run(self, max_time: int | None = None,
-            max_stmts: int | None = None, seed: int = 0,
-            engine: str | None = None) -> SimulationResult:
+            max_stmts: int | None = None,
+            seed: int = 0) -> SimulationResult:
         """Reset state and simulate.
 
-        ``engine`` / ``max_time`` / ``max_stmts`` left as ``None``
-        resolve through the active :class:`SimContext`.
+        ``max_time`` / ``max_stmts`` left as ``None`` resolve through
+        the active :class:`SimContext`.
 
         Note: the returned ``SimulationResult.design`` references the
         *shared* design — snapshot any final signal values you need
@@ -179,8 +166,7 @@ class DesignTemplate:
             self.reset()
             try:
                 return Simulator(self.design, max_time=max_time,
-                                 max_stmts=max_stmts, seed=seed,
-                                 engine=engine).run()
+                                 max_stmts=max_stmts, seed=seed).run()
             finally:
                 # The simulator rebinds the design's runtime hooks to
                 # itself; restore the defaults so this cached template
@@ -595,8 +581,7 @@ def _demux_records(lines: list[str],
     return lanes
 
 
-def run_driver(driver_src: str, dut_src: str,
-               engine: str | None = None) -> DriverRun:
+def run_driver(driver_src: str, dut_src: str) -> DriverRun:
     """Simulate the hybrid-TB driver against a DUT, collect the dump."""
     try:
         parse_cached(driver_src)
@@ -614,7 +599,7 @@ def run_driver(driver_src: str, dut_src: str,
     except ElaborationError as exc:
         return DriverRun(ELABORATION, detail=str(exc))
     try:
-        result = template.run(engine=engine)
+        result = template.run()
     except (SimulationError, SimulationLimit) as exc:
         return DriverRun(RUNTIME, detail=str(exc))
     except HdlError as exc:  # late elaboration-class errors: still runtime
@@ -641,8 +626,7 @@ class MonolithicRun:
     detail: str = ""
 
 
-def run_monolithic(tb_src: str, dut_src: str,
-                   engine: str | None = None) -> MonolithicRun:
+def run_monolithic(tb_src: str, dut_src: str) -> MonolithicRun:
     """Simulate a baseline testbench; parse its printed verdict."""
     from ..codegen.baseline import baseline_verdict
 
@@ -661,7 +645,7 @@ def run_monolithic(tb_src: str, dut_src: str,
     except ElaborationError as exc:
         return MonolithicRun(ELABORATION, detail=str(exc))
     try:
-        result = template.run(engine=engine)
+        result = template.run()
     except (SimulationError, SimulationLimit) as exc:
         return MonolithicRun(RUNTIME, detail=str(exc))
     except HdlError as exc:
@@ -934,7 +918,7 @@ def _monolithic_batch_worker(item: tuple) -> MonolithicRun:
 
 
 def _run_batch(worker, shared_src: str, dut_srcs, jobs: int | None,
-               engine: str | None, context: SimContext | None) -> list:
+               context: SimContext | None) -> list:
     """Shared fan-out: dedup identical DUTs, then run each unique pair.
 
     The shared testbench text is parsed once (cache) and each unique
@@ -951,8 +935,6 @@ def _run_batch(worker, shared_src: str, dut_srcs, jobs: int | None,
     ignore any activation made in this (the parent) process.
     """
     context = context if context is not None else current_context()
-    if engine:
-        context = context.evolve(engine=engine)
     if jobs is None:
         jobs = context.jobs
     dut_list = list(dut_srcs)
@@ -974,27 +956,24 @@ def _run_batch(worker, shared_src: str, dut_srcs, jobs: int | None,
 
 
 def run_driver_batch(driver_src: str, dut_srcs, jobs: int | None = None,
-                     engine: str | None = None,
                      context: SimContext | None = None) -> list[DriverRun]:
     """Run one hybrid-TB driver against many DUT variants.
 
     This is the validator/AutoEval hot path: the driver is compiled
     once, identical DUTs are simulated once, and ``jobs > 1`` fans the
-    unique runs across a process pool.  ``jobs`` / ``engine`` /
-    ``context`` left unset resolve through the active
-    :class:`SimContext`.
+    unique runs across a process pool.  ``jobs`` / ``context`` left
+    unset resolve through the active :class:`SimContext`.
     """
     return _run_batch(_driver_batch_worker, driver_src, dut_srcs, jobs,
-                      engine, context)
+                      context)
 
 
 def run_monolithic_batch(tb_src: str, dut_srcs, jobs: int | None = None,
-                         engine: str | None = None,
                          context: SimContext | None = None,
                          ) -> list[MonolithicRun]:
     """Run one self-checking testbench against many DUT variants."""
     return _run_batch(_monolithic_batch_worker, tb_src, dut_srcs, jobs,
-                      engine, context)
+                      context)
 
 
 # ----------------------------------------------------------------------
@@ -1008,21 +987,21 @@ class MutantSweep:
     (:class:`DriverRun` for hybrid sweeps, :class:`MonolithicRun` for
     monolithic ones).  ``engine`` reports the strategy that actually
     executed — ``"lockstep"`` or ``"per-mutant"`` — and
-    ``fallback_reason`` is non-empty when lockstep was requested but the
-    sweep fell back (unsupported driver shape, union build/run failure,
+    ``fallback_reason`` is non-empty when the sweep fell back from
+    lockstep (unsupported driver shape, union build/run failure,
     monolithic stdout verdicts).
 
     When a ``golden_src`` was supplied, ``golden`` carries its run and
     ``retire_rounds[i]`` is the dump-record index at which variant ``i``
     first diverged from the golden lane (``None`` = never diverged, or
-    no comparable records).  Both engines compute it from the same
+    no comparable records).  Both paths compute it from the same
     per-lane records, so the differential fuzz battery asserts equality.
     """
 
     runs: list
     golden: DriverRun | None = None
     retire_rounds: list = field(default_factory=list)
-    engine: str = MUTANT_PER_MUTANT
+    engine: str = "per-mutant"
     fallback_reason: str = ""
 
 
@@ -1049,6 +1028,8 @@ def _per_mutant_sweep(driver_src: str, dut_list: list[str],
                       golden_src: str | None, jobs: int | None,
                       context: SimContext,
                       fallback_reason: str = "") -> MutantSweep:
+    """Simulate each variant separately: lockstep's fallback, and the
+    reference the lockstep differential tests compare it with."""
     lanes = ([golden_src] if golden_src is not None else []) + dut_list
     runs = run_driver_batch(driver_src, lanes, jobs=jobs, context=context)
     golden_run = runs[0] if golden_src is not None else None
@@ -1057,7 +1038,7 @@ def _per_mutant_sweep(driver_src: str, dut_list: list[str],
         runs=dut_runs, golden=golden_run,
         retire_rounds=[_retire_round(golden_run, run)
                        for run in dut_runs],
-        engine=MUTANT_PER_MUTANT, fallback_reason=fallback_reason)
+        engine="per-mutant", fallback_reason=fallback_reason)
 
 
 def _lockstep_sweep(driver_src: str, dut_list: list[str],
@@ -1114,27 +1095,24 @@ def _lockstep_sweep(driver_src: str, dut_list: list[str],
         runs=dut_runs, golden=golden_run,
         retire_rounds=[_retire_round(golden_run, run)
                        for run in dut_runs],
-        engine=MUTANT_LOCKSTEP)
+        engine="lockstep")
 
 
 def run_mutant_sweep(driver_src: str, dut_srcs,
                      golden_src: str | None = None,
                      kind: str = "hybrid",
                      jobs: int | None = None,
-                     engine: str | None = None,
-                     mutant_engine: str | None = None,
                      context: SimContext | None = None) -> MutantSweep:
     """Sweep one shared testbench across many DUT variants of one
     design (AutoEval Eval2 mutant batches, validator R/S matrices).
 
-    With the default ``lockstep`` strategy the driver and every variant
-    merge into one union design executed in a single simulation — the
-    driver's stimulus, clocking and scheduler costs are paid once per
-    sweep instead of once per variant — and shapes the union cannot
-    express fall back to the ``per-mutant`` path transparently
-    (``MutantSweep.fallback_reason`` says why).  ``per-mutant`` is the
-    behavioural oracle: it simulates each variant separately and is
-    pinned against lockstep by a differential fuzz battery.
+    The driver and every variant merge into one *lockstep* union design
+    executed in a single simulation — the driver's stimulus, clocking
+    and scheduler costs are paid once per sweep instead of once per
+    variant — and shapes the union cannot express fall back to the
+    *per-mutant* path transparently (``MutantSweep.fallback_reason``
+    says why).  The per-mutant path simulates each variant separately;
+    a differential fuzz battery pins lockstep against it.
 
     ``kind="monolithic"`` sweeps a self-checking testbench
     (:class:`MonolithicRun` results); its verdicts travel on stdout,
@@ -1145,18 +1123,10 @@ def run_mutant_sweep(driver_src: str, dut_srcs,
     run separately plus each variant's *retire round* — the dump-record
     index of first divergence from the golden lane.
 
-    ``mutant_engine`` / ``jobs`` / ``engine`` / ``context`` left unset
-    resolve through the active :class:`SimContext`
-    (``SimContext.mutant_engine``, env ``REPRO_MUTANT_ENGINE``).
+    ``jobs`` / ``context`` left unset resolve through the active
+    :class:`SimContext`.
     """
     context = context if context is not None else current_context()
-    if engine:
-        context = context.evolve(engine=engine)
-    strategy = (mutant_engine if mutant_engine is not None
-                else context.mutant_engine)
-    if strategy not in MUTANT_ENGINES:
-        raise ValueError(f"unknown mutant_engine {strategy!r}; "
-                         f"expected one of {MUTANT_ENGINES}")
     dut_list = list(dut_srcs)
 
     if kind == "monolithic":
@@ -1168,14 +1138,13 @@ def run_mutant_sweep(driver_src: str, dut_srcs,
             runs=runs[1:] if golden_src is not None else runs,
             golden=golden_run,
             retire_rounds=[None] * len(dut_list),
-            engine=MUTANT_PER_MUTANT,
-            fallback_reason=("monolithic verdicts travel on stdout"
-                             if strategy == MUTANT_LOCKSTEP else ""))
+            engine="per-mutant",
+            fallback_reason="monolithic verdicts travel on stdout")
     if kind != "hybrid":
         raise ValueError(f"unknown sweep kind {kind!r}; "
                          f"expected 'hybrid' or 'monolithic'")
 
-    if strategy == MUTANT_PER_MUTANT or not dut_list:
+    if not dut_list:
         return _per_mutant_sweep(driver_src, dut_list, golden_src, jobs,
                                  context)
     try:

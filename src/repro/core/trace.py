@@ -6,8 +6,7 @@ records that conversation as a versioned JSONL stream — one JSON object
 per line — capturing enough to *re-run* the session offline:
 
 ``session``
-    one header line: task, model, seed, criterion, budgets, and the
-    execution context (engine / lexer) the run used.
+    one header line: task, model, seed, criterion and budgets.
 ``exchange``
     one line per LLM request: intent kind, the full prompt messages, a
     SHA-256 prompt fingerprint, the response text, token usage, and

@@ -14,8 +14,8 @@ Work items are referenced by ids (task ids, profile names) so campaigns
 can fan out over a process pool — TaskSpec objects hold closures and are
 deliberately never pickled.  Each item also carries the resolved
 :class:`~repro.hdl.context.SimContext`, activated in whichever process
-executes the item, so engine/lexer/limit choices neither depend on pool
-workers' own defaults nor leak between serial items.
+executes the item, so limit and LLM-tier choices neither depend on
+pool workers' own defaults nor leak between serial items.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class CampaignConfig:
     methods: tuple[str, ...] = ALL_METHODS
     group_size: int = 20
     n_jobs: int = 1
-    engine: str = ""  # legacy knob; prefer ``context``
     context: SimContext | None = None  # None = the caller's active context
 
     def __post_init__(self):
@@ -74,11 +73,8 @@ class CampaignConfig:
 
     def resolved_context(self) -> SimContext:
         """The context campaign items will run under."""
-        context = (self.context if self.context is not None
-                   else current_context())
-        if self.engine:
-            context = context.evolve(engine=self.engine)
-        return context
+        return (self.context if self.context is not None
+                else current_context())
 
 
 @dataclass
@@ -114,14 +110,14 @@ def default_config(task_ids: Iterable[str] | None = None,
 def run_one(method: str, task_id: str, seed: int,
             profile_name: str = "gpt-4o",
             criterion_name: str = DEFAULT_CRITERION.name,
-            group_size: int = 20, engine: str = "",
+            group_size: int = 20,
             context: SimContext | None = None) -> TaskRun:
     """Run one registered method on one (task, seed) item.
 
     The item executes under ``context`` (default: the caller's active
     context) via :func:`use_context`, so the configuration applies in
     whichever process runs it and is restored afterwards — serial
-    campaigns cannot leak an engine choice into later work.
+    campaigns cannot leak a limit into later work.
 
     The model client resolves through
     :func:`repro.llm.backends.resolve_llm_client`: the context's
@@ -132,8 +128,6 @@ def run_one(method: str, task_id: str, seed: int,
     runner = get_method(method)
     if context is None:
         context = current_context()
-    if engine:  # legacy per-call string; folded into the context
-        context = context.evolve(engine=engine)
     # The task scope gives this item its own template-cache bucket, so
     # one task's mutant churn cannot evict another's warm templates
     # (see repro.core.caches.ScopedLruCache).
@@ -477,7 +471,7 @@ def run_sharded_campaign(config: CampaignConfig, shards: int,
         store.save_snapshot(caches.export_snapshot())
 
     slices = [config.task_ids[shard::shards] for shard in range(shards)]
-    payloads = [(replace(config, task_ids=chunk, n_jobs=1, engine="",
+    payloads = [(replace(config, task_ids=chunk, n_jobs=1,
                          context=context), str(store.root))
                 for chunk in slices if chunk]
     mp_context = multiprocessing.get_context(

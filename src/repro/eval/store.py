@@ -57,16 +57,15 @@ from .methods import TaskRun
 
 #: On-disk schema version; bumped when blob/entry/manifest shapes
 #: change so a stale store fails loudly instead of half-resuming.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 #: SimContext fields that can change a campaign item's *result* (and
 #: therefore enter the store key).  Deliberately excludes operational
 #: knobs — ``jobs``, ``start_method``, ``warm_start``, cache
 #: capacities, ``trace_dir``, ``store_dir``, ``llm_fixture_dir`` — so
 #: rerunning with different parallelism or paths still reuses entries.
-CONTEXT_RESULT_FIELDS = ("engine", "lexer", "mutant_engine", "max_time",
-                         "max_stmts", "llm_backend", "llm_model",
-                         "llm_base_url")
+CONTEXT_RESULT_FIELDS = ("max_time", "max_stmts", "llm_backend",
+                         "llm_model", "llm_base_url")
 
 
 class StoreError(RuntimeError):
@@ -113,7 +112,7 @@ def context_fingerprint(context: SimContext) -> str:
     >>> context_fingerprint(a) == context_fingerprint(b)
     True
     >>> context_fingerprint(a) == context_fingerprint(
-    ...     a.evolve(engine="interpret"))
+    ...     a.evolve(max_stmts=10_000))
     False
     """
     fields = {name: getattr(context, name)

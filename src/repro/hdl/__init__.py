@@ -8,11 +8,10 @@ CorrectBench system.  Execution is a four-stage pipeline::
 **parse** (:mod:`repro.hdl.lexer` + :mod:`repro.hdl.parser`)
     Lexes and parses the supported Verilog subset into immutable
     (frozen-dataclass) AST nodes.  Lexing runs through a single-pass
-    *master-regex* tokenizer by default; the original
-    character-at-a-time lexer is kept as a behavioural oracle
-    (``use_context(lexer="reference")`` or the ``REPRO_LEXER`` root
-    seed), and the lexer differential fuzz suite pins both to identical
-    token streams and error positions.  :func:`parse_source_cached` is the
+    *master-regex* tokenizer; the lexer differential fuzz suite pins it
+    to the original character-at-a-time lexer, which the test suite
+    keeps as a reference, with identical token streams and error
+    positions.  :func:`parse_source_cached` is the
     text-keyed parse cache: identical source text is parsed once
     process-wide, and the shared AST is safe because nodes are
     immutable.  A token-stream cache sits underneath it, so sources
@@ -35,7 +34,7 @@ CorrectBench system.  Execution is a four-stage pipeline::
     at real suspension points, format strings into pre-parsed segments.
     Closures reference runtime objects through integer slots into a
     per-elaboration ``frame`` tuple, so programs are scope-polymorphic:
-    they are cached globally by AST identity + structural signature and
+    they are cached globally by AST value + structural signature and
     merely re-*bound* (a cheap slot-table build) for each new
     elaboration — pairing one driver with N DUT designs compiles it
     once.  The bound program is then cached on the ``ProcSpec``, so
@@ -43,11 +42,10 @@ CorrectBench system.  Execution is a four-stage pipeline::
 
 **run** (:mod:`repro.hdl.simulator`)
     A three-region (active / inactive / NBA) event scheduler per the
-    simplified IEEE 1364 model.  Two engines share it: ``compiled``
-    (default) executes the closure programs; ``interpret`` re-walks the
-    AST per statement and is kept as the behavioural reference — the
-    golden-equivalence test suite asserts identical results on the whole
-    fixture corpus and every benchmark problem.
+    simplified IEEE 1364 model, executing the closure programs.  The
+    test suite keeps a statement-walking interpreter as the behavioural
+    reference: the golden-equivalence suite asserts identical results on
+    the whole fixture corpus and every benchmark problem.
 
 One layer up, :mod:`repro.core.simulation` adds design-level reuse: an
 elaboration cache keyed by source text that stamps fresh runtime state
@@ -59,7 +57,7 @@ Public surface:
 - :func:`compile_design` — parse + elaborate (the Eval0 "compiles" check),
 - :func:`simulate` — run a design whose testbench calls ``$finish``,
 - :class:`SimContext` / :func:`use_context` / :func:`current_context` —
-  the request-scoped configuration API (engine, lexer, limits, jobs);
+  the request-scoped configuration API (limits, jobs, pool, LLM tier);
   resolution order is explicit argument > active context > env-seeded
   root context,
 - :class:`Logic` — 4-state fixed-width vectors,
@@ -67,31 +65,18 @@ Public surface:
   engine).
 """
 
-from .context import (MUTANT_ENGINES, MUTANT_LOCKSTEP, MUTANT_PER_MUTANT,
-                      SimContext, current_context, resolve_jobs,
+from .context import (SimContext, current_context, resolve_jobs,
                       root_context, set_root_context, use_context)
 from .errors import (ElaborationError, HdlError, SimulationError,
                      SimulationLimit, VerilogSyntaxError)
-from .lexer import (LEXER_MASTER, LEXER_REFERENCE, LEXERS,
-                    get_default_lexer, set_default_lexer, tokenize,
-                    tokenize_cached)
+from .lexer import tokenize, tokenize_cached
 from .logic import Logic
 from .parser import parse_module, parse_source, parse_source_cached
-from .simulator import (ENGINE_COMPILED, ENGINE_INTERPRET, ENGINES,
-                        SimulationResult, Simulator, compile_design,
+from .simulator import (SimulationResult, Simulator, compile_design,
                         simulate)
 from .unparse import unparse_expr, unparse_module, unparse_source
 
 __all__ = [
-    "ENGINE_COMPILED",
-    "ENGINE_INTERPRET",
-    "ENGINES",
-    "LEXER_MASTER",
-    "LEXER_REFERENCE",
-    "LEXERS",
-    "MUTANT_ENGINES",
-    "MUTANT_LOCKSTEP",
-    "MUTANT_PER_MUTANT",
     "ElaborationError",
     "HdlError",
     "Logic",
@@ -103,13 +88,11 @@ __all__ = [
     "VerilogSyntaxError",
     "compile_design",
     "current_context",
-    "get_default_lexer",
     "parse_module",
     "parse_source",
     "parse_source_cached",
     "resolve_jobs",
     "root_context",
-    "set_default_lexer",
     "set_root_context",
     "simulate",
     "use_context",

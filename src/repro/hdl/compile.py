@@ -1,9 +1,9 @@
 """Compile pass: ``ProcSpec`` bodies -> shared slot-indexed programs.
 
-This is the second execution engine of :mod:`repro.hdl`.  The original
-engine (:meth:`Simulator._exec`) re-walks the statement AST with
-``isinstance`` dispatch on every executed statement; this module lowers
-each process body *once*:
+This is the execution engine of :mod:`repro.hdl`.  The original engine,
+now the test suite's reference interpreter (``tests/oracles/``),
+re-walks the statement AST with ``isinstance`` dispatch on every
+executed statement; this module lowers each process body *once*:
 
 - expressions are compiled through :mod:`repro.hdl.eval` (widths,
   signedness and constant part-select bounds are all resolved at compile
@@ -1057,7 +1057,7 @@ def _compile_always(spec: ProcSpec, ctx: LowerCtx):
 
     def run_free(sim, frame):
         # No suspension points at all: the statement budget is the only
-        # brake, exactly like the interpreted engine.
+        # brake, exactly like the reference interpreter.
         while True:
             sim._tick()
             body(sim, frame)

@@ -1,22 +1,18 @@
 """Explicit, request-scoped simulation configuration.
 
-Historically every execution knob was process-wide mutable state:
-``set_default_engine`` / ``REPRO_SIM_ENGINE`` picked the simulator
-engine, ``set_default_lexer`` / ``REPRO_LEXER`` the tokenizer,
-``REPRO_JOBS`` the campaign worker count, and simulation limits were
-module constants.  That shape cannot serve concurrent workloads with
-different configurations: one request flipping a global reconfigures
-every other request in flight.
-
-This module replaces the globals with one immutable value object:
+Every execution knob — simulation limits, the campaign worker count,
+the pool start method, cache capacities, trace/store directories and
+the LLM tier — lives in one immutable value object instead of
+process-wide mutable state, so concurrent workloads with different
+configurations never reconfigure each other:
 
 :class:`SimContext`
-    a frozen dataclass carrying the engine, the lexer, the simulation
-    limits (``max_time`` / ``max_stmts``), the differential-fuzz budget
-    knobs and the worker-pool configuration (job count, start method,
-    warm-start flag, template-cache capacity).  Being immutable and
-    made of primitives it is hashable, comparable and picklable —
-    campaign work items ship the context to pool workers as plain data.
+    a frozen dataclass carrying the simulation limits (``max_time`` /
+    ``max_stmts``), the differential-fuzz budget knobs and the
+    worker-pool configuration (job count, start method, warm-start
+    flag, template-cache capacity).  Being immutable and made of
+    primitives it is hashable, comparable and picklable — campaign
+    work items ship the context to pool workers as plain data.
 
 :func:`current_context`
     the single resolution point.  Selection follows a strict order:
@@ -29,16 +25,16 @@ This module replaces the globals with one immutable value object:
     a context manager activating a context (or a derived one via
     keyword overrides) for the dynamic extent of a block::
 
-        with use_context(engine="interpret", max_stmts=10_000):
-            simulate(src, "tb")          # runs interpreted, capped
+        with use_context(max_stmts=10_000):
+            simulate(src, "tb")          # runs capped
 
 :func:`root_context` / :func:`set_root_context`
-    the process-wide fallback, seeded once at import from the legacy
+    the process-wide fallback, seeded once at import from the
     ``REPRO_*`` environment variables (invalid values warn on stderr
-    and fall back to the defaults).  The deprecated
-    ``set_default_engine`` / ``set_default_lexer`` shims steer this
-    root, so existing code keeps working while new code composes
-    contexts explicitly.
+    and fall back to the defaults).
+
+There is one simulator engine, one lexer and one mutant-sweep strategy
+(lockstep with a per-mutant fallback), so none of them is a knob.
 """
 
 from __future__ import annotations
@@ -48,22 +44,6 @@ import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-
-ENGINE_COMPILED = "compiled"
-ENGINE_INTERPRET = "interpret"
-ENGINES = (ENGINE_COMPILED, ENGINE_INTERPRET)
-
-LEXER_MASTER = "master"
-LEXER_REFERENCE = "reference"
-LEXERS = (LEXER_MASTER, LEXER_REFERENCE)
-
-#: Mutant-sweep execution strategies (see ``run_mutant_sweep``):
-#: ``lockstep`` merges all same-interface DUT variants into one union
-#: design and runs the shared driver once; ``per-mutant`` simulates each
-#: variant separately and stays the behavioural oracle.
-MUTANT_LOCKSTEP = "lockstep"
-MUTANT_PER_MUTANT = "per-mutant"
-MUTANT_ENGINES = (MUTANT_LOCKSTEP, MUTANT_PER_MUTANT)
 
 #: Worker-pool start methods.  ``"default"`` defers to the platform
 #: (fork on Linux); the explicit names select a multiprocessing start
@@ -119,12 +99,12 @@ class SimContext:
     Fields are validated on construction, so an invalid context fails
     at the call site that built it — not deep inside a pool worker.
 
-    >>> SimContext().engine
-    'compiled'
-    >>> SimContext(engine="quantum")
+    >>> SimContext().max_stmts
+    4000000
+    >>> SimContext(max_stmts=0)
     Traceback (most recent call last):
         ...
-    ValueError: unknown engine 'quantum'; expected one of ('compiled', 'interpret')
+    ValueError: max_stmts must be a positive integer, got 0
 
     Contexts are plain immutable values: hashable, comparable and
     picklable, so batch and campaign APIs ship them to pool workers
@@ -134,12 +114,6 @@ class SimContext:
     True
     """
 
-    engine: str = ENGINE_COMPILED
-    lexer: str = LEXER_MASTER
-    #: How batched same-driver mutant sweeps execute: ``"lockstep"``
-    #: (union design, one run) with automatic per-shape fallback, or
-    #: ``"per-mutant"`` (one run per variant, the oracle path).
-    mutant_engine: str = MUTANT_LOCKSTEP
     max_time: int = DEFAULT_MAX_TIME
     max_stmts: int = DEFAULT_MAX_STMTS
     jobs: int = DEFAULT_JOBS
@@ -173,27 +147,18 @@ class SimContext:
     llm_fixture_dir: str = ""
 
     def __post_init__(self):
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; "
-                             f"expected one of {ENGINES}")
-        if self.lexer not in LEXERS:
-            raise ValueError(f"unknown lexer {self.lexer!r}; "
-                             f"expected one of {LEXERS}")
-        if self.mutant_engine not in MUTANT_ENGINES:
-            raise ValueError(f"unknown mutant_engine "
-                             f"{self.mutant_engine!r}; "
-                             f"expected one of {MUTANT_ENGINES}")
         if self.start_method not in START_METHODS:
             raise ValueError(f"unknown start_method "
                              f"{self.start_method!r}; "
                              f"expected one of {START_METHODS}")
+        # bool is an int subclass, but True is not a one-unit limit.
         for name in ("max_time", "max_stmts", "jobs", "fuzz_programs",
                      "template_cache_size", "template_cache_budget"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be a positive integer, "
                                  f"got {value!r}")
-        if not isinstance(self.fuzz_seed, int):
+        if type(self.fuzz_seed) is not int:
             raise ValueError(f"fuzz_seed must be an integer, "
                              f"got {self.fuzz_seed!r}")
         if not isinstance(self.warm_start, bool):
@@ -241,41 +206,12 @@ def _context_from_env(environ=None) -> tuple[SimContext, frozenset]:
     Returns ``(context, seeded)`` where ``seeded`` names the fields an
     environment variable actually set.  Invalid values warn on stderr
     and leave the field at its default — a misspelt knob must degrade a
-    run, never kill it (mirrors the historical ``REPRO_SIM_ENGINE``
-    behaviour, now extended to every variable including ``REPRO_JOBS``).
+    run, never kill it.
     """
     if environ is None:
         environ = os.environ
     overrides: dict = {}
     seeded: set[str] = set()
-
-    engine = environ.get("REPRO_SIM_ENGINE")
-    if engine is not None:
-        if engine in ENGINES:
-            overrides["engine"] = engine
-            seeded.add("engine")
-        else:
-            _warn_env(f"REPRO_SIM_ENGINE={engine!r} is not one of "
-                      f"{ENGINES}; using {ENGINE_COMPILED!r}")
-
-    lexer = environ.get("REPRO_LEXER")
-    if lexer is not None:
-        if lexer in LEXERS:
-            overrides["lexer"] = lexer
-            seeded.add("lexer")
-        else:
-            _warn_env(f"REPRO_LEXER={lexer!r} is not one of "
-                      f"{LEXERS}; using {LEXER_MASTER!r}")
-
-    mutant_engine = environ.get("REPRO_MUTANT_ENGINE")
-    if mutant_engine is not None:
-        if mutant_engine in MUTANT_ENGINES:
-            overrides["mutant_engine"] = mutant_engine
-            seeded.add("mutant_engine")
-        else:
-            _warn_env(f"REPRO_MUTANT_ENGINE={mutant_engine!r} is not "
-                      f"one of {MUTANT_ENGINES}; using "
-                      f"{MUTANT_LOCKSTEP!r}")
 
     jobs = environ.get("REPRO_JOBS")
     if jobs:
@@ -378,18 +314,11 @@ _active: ContextVar[SimContext | None] = ContextVar(
 def current_context() -> SimContext:
     """Resolve the context in effect: active if any, else the root.
 
-    >>> current_context().engine in ENGINES
+    >>> current_context().max_stmts >= 1
     True
     """
     context = _active.get()
     return context if context is not None else _root
-
-
-def active_context() -> SimContext | None:
-    """The activation in effect, or ``None`` when resolution falls
-    through to the root (used by the deprecation shims to flag
-    root-steering that an activation would mask)."""
-    return _active.get()
 
 
 def root_context() -> SimContext:
@@ -401,8 +330,7 @@ def set_root_context(context: SimContext) -> None:
     """Replace the process-wide fallback context.
 
     Prefer :func:`use_context` for anything request-scoped; this is for
-    process setup (CLI entry points, worker initializers) and for the
-    legacy ``set_default_*`` shims.
+    process setup (CLI entry points, worker initializers).
     """
     global _root
     if not isinstance(context, SimContext):
@@ -442,10 +370,7 @@ def use_context(context: SimContext | None = None, **overrides):
 #: operator-owned knobs — ``jobs``, ``start_method``, ``warm_start``,
 #: cache capacities, ``trace_dir`` — which shape shared process state a
 #: single request must not reconfigure.
-REQUEST_CONTEXT_FIELDS = ("engine", "lexer", "mutant_engine",
-                          "max_time", "max_stmts")
-
-_REQUEST_INT_FIELDS = ("max_time", "max_stmts")
+REQUEST_CONTEXT_FIELDS = ("max_time", "max_stmts")
 
 
 def context_from_request(overrides, base: SimContext | None = None,
@@ -454,19 +379,18 @@ def context_from_request(overrides, base: SimContext | None = None,
 
     ``overrides`` is a mapping of field name to value, typically decoded
     from request headers or a JSON body.  Only
-    :data:`REQUEST_CONTEXT_FIELDS` are accepted; integer fields coerce
-    from strings (header values arrive as text).  Anything else —
+    :data:`REQUEST_CONTEXT_FIELDS` are accepted; they are integers and
+    coerce from strings (header values arrive as text).  Anything else —
     unknown fields, malformed integers, values
     :class:`SimContext.__post_init__` rejects — raises ``ValueError``
     with a message fit for a ``400`` response body.
 
-    >>> context_from_request({"engine": "interpret",
-    ...                       "max_stmts": "50000"}).engine
-    'interpret'
+    >>> context_from_request({"max_stmts": "50000"}).max_stmts
+    50000
     >>> context_from_request({"jobs": 64})
     Traceback (most recent call last):
         ...
-    ValueError: unknown context field(s) ['jobs']; requests may set ('engine', 'lexer', 'mutant_engine', 'max_time', 'max_stmts')
+    ValueError: unknown context field(s) ['jobs']; requests may set ('max_time', 'max_stmts')
     """
     base = base if base is not None else current_context()
     unknown = sorted(name for name in overrides
@@ -476,7 +400,7 @@ def context_from_request(overrides, base: SimContext | None = None,
                          f"requests may set {REQUEST_CONTEXT_FIELDS}")
     clean: dict = {}
     for name, value in dict(overrides).items():
-        if name in _REQUEST_INT_FIELDS and isinstance(value, str):
+        if isinstance(value, str):
             try:
                 value = int(value)
             except ValueError:

@@ -43,9 +43,9 @@ class FinishRequest(Exception):
 
     Deliberately *not* an :class:`HdlError`: it must never be reported as
     a failure, only caught by the scheduler (which sets
-    ``finish_requested``).  Both the interpreted and the compiled
-    execution engines raise this class, so the scheduler's catch sites
-    work for either engine.
+    ``finish_requested``).  Compiled programs and the test suite's
+    reference interpreter both raise this class, so the scheduler's
+    catch sites work for either.
     """
 
 

@@ -8,7 +8,8 @@ operands are signed), and pessimistic X-propagation via :class:`Logic`.
 
 Two execution strategies share these semantics:
 
-- :func:`eval_expr` walks the AST on every evaluation (the interpreter);
+- :func:`eval_expr` walks the AST on every evaluation (constant folding
+  during elaboration, and the test suite's reference interpreter);
 - :func:`compile_expr` lowers an expression *once* into a tree of Python
   closures with all widths, signedness flags and constant indices
   resolved at compile time.  Runtime objects (signals, memories) are

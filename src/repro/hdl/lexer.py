@@ -1,315 +1,35 @@
-"""Lexers for the supported Verilog subset.
+"""Lexer for the supported Verilog subset.
 
-Two interchangeable implementations produce **identical** token streams
-and identical :class:`VerilogSyntaxError` positions:
+A table-driven single-pass tokenizer built around one precompiled
+*master regex*: alternation over trivia (whitespace, comments, compiler
+directives), identifiers/keywords, based and unsized literals, system
+identifiers, strings, and a longest-match punctuation branch generated
+from :data:`~repro.hdl.tokens.PUNCTUATIONS`.  Line/column pairs are
+derived lazily from a newline-offset table (monotonic sweep, no
+per-character bookkeeping), identifier and keyword texts are interned,
+and literal ``(width, value, xmask, signed)`` payloads are decoded in
+the match handler.  The test suite keeps the original
+character-at-a-time lexer (``tests/oracles/``) as the behavioural
+reference: the lexer differential fuzz suite holds both to identical
+token streams and identical :class:`VerilogSyntaxError` positions over
+random token soups and the full golden corpus.
 
-``master`` (the default)
-    a table-driven single-pass tokenizer built around one precompiled
-    *master regex*: alternation over trivia (whitespace, comments,
-    compiler directives), identifiers/keywords, based and unsized
-    literals, system identifiers, strings, and a longest-match
-    punctuation branch generated from :data:`~repro.hdl.tokens.PUNCTUATIONS`.
-    Line/column pairs are derived lazily from a newline-offset table
-    (monotonic sweep, no per-character bookkeeping), identifier and
-    keyword texts are interned, and literal ``(width, value, xmask,
-    signed)`` payloads are decoded in the match handler.
-``reference``
-    the original character-at-a-time lexer, kept as the behavioural
-    oracle.  The lexer differential fuzz suite drives both through
-    random token soups and the full golden corpus the same way
-    ``engine="interpret"`` anchors the simulator.
-
-Selection mirrors the simulator's engine knob and resolves through the
-active :class:`~repro.hdl.context.SimContext`: an explicit ``lexer=``
-argument to :func:`tokenize` wins, then ``use_context(lexer=...)``,
-then the env-seeded root context (``REPRO_LEXER``; invalid values warn
-and fall back to ``master``).  :func:`set_default_lexer` remains as a
-deprecated shim steering the root context.
-
-:func:`tokenize_cached` adds a text-keyed token-stream cache (keyed by
-the active lexer so the ``reference`` CI leg genuinely re-lexes):
-sources whose *parse* failed, or whose parse-cache entry was evicted,
-skip the lexer entirely on re-entry.
+:func:`tokenize_cached` adds a text-keyed token-stream cache: sources
+whose *parse* failed, or whose parse-cache entry was evicted, skip the
+lexer entirely on re-entry.
 """
 
 from __future__ import annotations
 
 import re
-import warnings
 from sys import intern
 
 from ..util import LruCache
-
-# The canonical lexer names live in repro.hdl.context (alongside
-# SimContext); re-exported here (redundant-alias form) for the many
-# callers that import them from the lexer.
-from .context import LEXER_MASTER as LEXER_MASTER
-from .context import LEXER_REFERENCE as LEXER_REFERENCE
-from .context import LEXERS as LEXERS
-from .context import (active_context, current_context, root_context,
-                      set_root_context)
 from .errors import VerilogSyntaxError
 from .tokens import KEYWORDS, PUNCTUATIONS, Token, TokenKind
 
 
-def set_default_lexer(lexer: str) -> None:
-    """Deprecated: steer the root :class:`~repro.hdl.context.SimContext`.
-
-    Prefer ``use_context(lexer=...)`` for request-scoped selection or
-    ``set_root_context`` for process setup; this shim remains so legacy
-    callers keep working.
-    """
-    if lexer not in LEXERS:
-        raise ValueError(f"unknown lexer {lexer!r}; "
-                         f"expected one of {LEXERS}")
-    message = ("set_default_lexer() is deprecated; use "
-               "repro.hdl.use_context(lexer=...) or set_root_context()")
-    if active_context() is not None:
-        # Mirror set_default_engine: flag root-steering that the
-        # current activation will mask (and that a pin-and-restore
-        # idiom would corrupt).
-        message += (" — an activated SimContext is in effect and keeps "
-                    "winning over this root-context change until it "
-                    "exits")
-    warnings.warn(message, DeprecationWarning, stacklevel=2)
-    set_root_context(root_context().evolve(lexer=lexer))
-
-
-def get_default_lexer() -> str:
-    """The lexer the current context resolves to (legacy accessor)."""
-    return current_context().lexer
-
-
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789$")
-_DIGITS = frozenset("0123456789")
-
 _BASE_BITS = {"b": 1, "o": 3, "d": 0, "h": 4}
-_HEX_DIGITS = "0123456789abcdef"
-
-
-# ======================================================================
-# Reference lexer (behavioural oracle)
-# ======================================================================
-class ReferenceLexer:
-    """Character-at-a-time lexer: the behavioural oracle.
-
-    Kept byte-for-byte compatible with the master tokenizer; every
-    intentional behaviour change must land in both implementations and
-    is pinned by the differential suite in
-    ``tests/hdl/test_lexer_diff_fuzz.py``.
-    """
-
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    # ------------------------------------------------------------------
-    def tokenize(self) -> list[Token]:
-        tokens: list[Token] = []
-        while True:
-            tok = self._next_token()
-            tokens.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return tokens
-
-    # ------------------------------------------------------------------
-    def _error(self, message: str) -> VerilogSyntaxError:
-        return VerilogSyntaxError(message, self.line, self.column)
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-                self.pos += 1
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self.source[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self.source[self.pos] != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line = self.line
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self.source[self.pos] == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise VerilogSyntaxError(
-                        "unterminated block comment", start_line, 0)
-            elif ch == "`":
-                # Compiler directives (`timescale etc.) are skipped to end
-                # of line; the subset does not use macros.
-                while self.pos < len(self.source) and self.source[self.pos] != "\n":
-                    self._advance()
-            else:
-                return
-
-    # ------------------------------------------------------------------
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        line, column = self.line, self.column
-        if self.pos >= len(self.source):
-            return Token(TokenKind.EOF, "", line, column)
-        ch = self.source[self.pos]
-
-        if ch in _IDENT_START:
-            return self._lex_ident(line, column)
-        if ch in _DIGITS or (ch == "'"
-                             and self._peek(1).lower() in tuple("sbodh")):
-            return self._lex_number(line, column)
-        if ch == "$":
-            return self._lex_system_ident(line, column)
-        if ch == '"':
-            return self._lex_string(line, column)
-        for punct in PUNCTUATIONS:
-            if self.source.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, line, column)
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _lex_ident(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self.pos < len(self.source) and self.source[self.pos] in _IDENT_CONT:
-            self._advance()
-        text = self.source[start:self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, line, column)
-
-    def _lex_system_ident(self, line: int, column: int) -> Token:
-        start = self.pos
-        self._advance()  # $
-        if self._peek() not in _IDENT_START:
-            raise self._error("expected system task name after '$'")
-        while self.pos < len(self.source) and self.source[self.pos] in _IDENT_CONT:
-            self._advance()
-        return Token(TokenKind.SYSTEM_IDENT, self.source[start:self.pos],
-                     line, column)
-
-    def _lex_string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        out = []
-        while True:
-            if self.pos >= len(self.source):
-                raise VerilogSyntaxError("unterminated string", line, column)
-            ch = self.source[self.pos]
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                esc = self._peek()
-                self._advance()
-                out.append({"n": "\n", "t": "\t", "\\": "\\", '"': '"'}.get(esc, esc))
-            elif ch == "\n":
-                raise VerilogSyntaxError("newline in string", line, column)
-            else:
-                out.append(ch)
-                self._advance()
-        text = "".join(out)
-        return Token(TokenKind.STRING, text, line, column, value=text)
-
-    # ------------------------------------------------------------------
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self.pos
-        width: int | None = None
-
-        if self.source[self.pos] in _DIGITS:
-            digits = self._take_while(_DIGITS | {"_"})
-            digits_end = self.pos
-            self._skip_spaces_within_number()
-            if self._peek() != "'":
-                # Trailing spaces probed for a ``'`` are trivia, not part
-                # of the literal's text.
-                text = self.source[start:digits_end]
-                value = int(digits.replace("_", ""))
-                # Unsized decimal literals are 32-bit in Verilog.
-                return Token(TokenKind.NUMBER, text, line, column,
-                             value=(None, value & 0xFFFFFFFF, 0, True))
-            width = int(digits.replace("_", ""))
-            if width < 1:
-                # Report at the start of the malformed literal (the width
-                # digits), not at the quote the cursor happens to sit on.
-                raise VerilogSyntaxError(
-                    "literal width must be >= 1", line, column)
-
-        # Based literal: '<s>?<base><digits>
-        self._advance()  # '
-        signed = False
-        if self._peek().lower() == "s":
-            signed = True
-            self._advance()
-        base_ch = self._peek().lower()
-        if base_ch not in _BASE_BITS:
-            raise self._error(f"invalid number base {base_ch!r}")
-        self._advance()
-        self._skip_spaces_within_number()
-
-        if base_ch == "d":
-            digits = self._take_while(_DIGITS | {"_"})
-            if not digits.replace("_", ""):
-                raise self._error("missing digits in decimal literal")
-            val = int(digits.replace("_", ""))
-            xmask = 0
-            natural = max(val.bit_length(), 1)
-        else:
-            allowed = set(_HEX_DIGITS[:1 << _BASE_BITS[base_ch]] if base_ch != "h"
-                          else _HEX_DIGITS)
-            allowed |= {c.upper() for c in allowed}
-            allowed |= set("xXzZ?_")
-            digits = self._take_while(allowed)
-            digits = digits.replace("_", "")
-            if not digits:
-                raise self._error("missing digits in based literal")
-            bits_per = _BASE_BITS[base_ch]
-            val = 0
-            xmask = 0
-            for d in digits:
-                val <<= bits_per
-                xmask <<= bits_per
-                if d in "xXzZ?":
-                    xmask |= (1 << bits_per) - 1
-                else:
-                    val |= int(d, 16)
-            natural = len(digits) * bits_per
-
-        if width is None:
-            width = max(natural, 32)
-        text = self.source[start:self.pos]
-        return Token(TokenKind.NUMBER, text, line, column,
-                     value=(width, val, xmask, signed))
-
-    def _take_while(self, allowed) -> str:
-        start = self.pos
-        while self.pos < len(self.source) and self.source[self.pos] in allowed:
-            self._advance()
-        return self.source[start:self.pos]
-
-    def _skip_spaces_within_number(self) -> None:
-        # _peek() returns "" at EOF, and "" is a substring of " \t", so the
-        # emptiness check is required to terminate at end of input.
-        while self._peek() and self._peek() in " \t":
-            self._advance()
-
-
-#: Backwards-compatible alias: external code that instantiated ``Lexer``
-#: keeps getting the (reference) class it was written against.
-Lexer = ReferenceLexer
 
 
 # ======================================================================
@@ -325,7 +45,7 @@ Lexer = ReferenceLexer
 #   (BASED before BADBASE, STRING before BADSTRING, SYSTEM before
 #   BADSYSTEM, the unterminated-comment probe before the ``/`` punct);
 # - the punctuation branch preserves PUNCTUATIONS order, which is
-#   longest-match (same first-match semantics as the reference loop);
+#   longest-match (same first-match semantics as the reference lexer);
 # - a final any-character branch turns into "unexpected character".
 #
 # The based-literal digit run is deliberately *generous* (full hex +
@@ -579,22 +299,8 @@ def _position_at(newlines: list[int], nl_i: int, line_start: int,
 # ======================================================================
 # Public entry points
 # ======================================================================
-def tokenize(source: str, lexer: str | None = None) -> list[Token]:
-    """Tokenize Verilog source text, raising :class:`VerilogSyntaxError`.
-
-    ``lexer`` selects the implementation (``"master"`` /
-    ``"reference"``); ``None`` resolves through the active
-    :class:`~repro.hdl.context.SimContext`.
-    """
-    name = lexer or current_context().lexer
-    if name == LEXER_REFERENCE:
-        return ReferenceLexer(source).tokenize()
-    if name != LEXER_MASTER:
-        # Mirror set_default_lexer: a mistyped explicit name must not
-        # silently fall back to the master implementation (it would turn
-        # the differential suite into master-vs-master).
-        raise ValueError(f"unknown lexer {name!r}; "
-                         f"expected one of {LEXERS}")
+def tokenize(source: str) -> list[Token]:
+    """Tokenize Verilog source text, raising :class:`VerilogSyntaxError`."""
     return _master_tokenize(source)
 
 
@@ -603,9 +309,8 @@ def tokenize(source: str, lexer: str | None = None) -> list[Token]:
 _tokenize_cache = LruCache(capacity=512)
 
 
-def tokenize_cached(source: str,
-                    lexer: str | None = None) -> tuple[Token, ...]:
-    """Text-keyed token-stream cache (context-resolved lexer).
+def tokenize_cached(source: str) -> tuple[Token, ...]:
+    """Text-keyed token-stream cache.
 
     Token objects are immutable by convention, so sharing one stream is
     safe.  The main beneficiaries are sources that lex but fail to
@@ -615,13 +320,10 @@ def tokenize_cached(source: str,
     served from its cached AST and never reads its token stream again.
     Lexing *errors* are not cached — a failing text re-raises on every
     call (the elaboration-failure cache in :mod:`repro.core.simulation`
-    sits above this and absorbs those).  The key includes the resolved
-    lexer so flipping the context's lexer never serves a stream
-    produced by the other implementation.
+    sits above this and absorbs those).
     """
-    key = (source, lexer or current_context().lexer)
     return _tokenize_cache.get_or_create(
-        key, lambda: tuple(tokenize(key[0], key[1])))
+        source, lambda: tuple(tokenize(source)))
 
 
 def clear_tokenize_cache() -> None:
@@ -633,7 +335,7 @@ def tokenize_cache_stats() -> dict:
 
 
 def export_tokenize_cache() -> dict:
-    """Snapshot payload: ``{(source, lexer): token_stream}``."""
+    """Snapshot payload: ``{source: token_stream}``."""
     return _tokenize_cache.export()
 
 

@@ -17,24 +17,18 @@ callables re-run whenever one of their read signals changes; convergence
 is guaranteed by only propagating actual value changes, and runaway
 feedback is cut off by a per-slot delta budget.
 
-Two execution engines produce those generators/callables:
+Process bodies are lowered once by :mod:`repro.hdl.compile` into
+slot-indexed closure programs that only yield at real suspension
+points.  Programs are scope-polymorphic: they are cached globally by
+AST value + structural signature and merely *re-bound* (a cheap
+slot-table build) for each new elaboration, so pairing one driver with
+many DUT designs compiles it once; the bound program is then cached on
+the ``ProcSpec`` so re-simulating the same elaborated design skips the
+bind too.  The test suite keeps a statement-walking interpreter
+(``tests/oracles/``) as the behavioural reference the compiled
+programs are checked against.
 
-``compiled`` (the default)
-    process bodies are lowered once by :mod:`repro.hdl.compile` into
-    slot-indexed closure programs that only yield at real suspension
-    points.  Programs are scope-polymorphic: they are cached globally by
-    AST identity + structural signature and merely *re-bound* (a cheap
-    slot-table build) for each new elaboration, so pairing one driver
-    with many DUT designs compiles it once; the bound program is then
-    cached on the ``ProcSpec`` so re-simulating the same elaborated
-    design skips the bind too.
-``interpret``
-    the original recursive-generator statement walker
-    (:meth:`Simulator._exec`), kept as the behavioural reference — the
-    golden-equivalence suite checks the engines produce identical
-    results.
-
-**Periodic-state fast-forward** (compiled engine only).  A candidate
+**Periodic-state fast-forward**.  A candidate
 that forgets ``clk = 0`` ticks an ``x`` clock until ``max_time`` while
 its stimulus waits for an edge that never comes.  Every
 ``FF_SAMPLE_EVERY`` time advances, between time slots, the kernel
@@ -56,24 +50,14 @@ statement count and output as a full run.
 from __future__ import annotations
 
 import heapq
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from . import ast
 from .compile import compile_spec
-# The canonical engine names live in repro.hdl.context (alongside
-# SimContext); re-exported here (redundant-alias form) for the many
-# callers that import them from the simulator.
-from .context import ENGINE_COMPILED as ENGINE_COMPILED
-from .context import ENGINE_INTERPRET as ENGINE_INTERPRET
-from .context import ENGINES as ENGINES
-from .context import (active_context, current_context, root_context,
-                      set_root_context)
-from .elaborate import Design, Memory, ProcSpec, Scope, Signal, elaborate
+from .context import current_context
+from .elaborate import Design, Memory, ProcSpec, Signal, elaborate
 from .errors import FinishRequest, SimulationError, SimulationLimit
-from .eval import case_match, eval_expr, signed_of
 from .logic import Logic
 from .parser import parse_source_cached
 
@@ -82,39 +66,6 @@ MAX_DELTAS_PER_SLOT = 20_000
 # distinct heap shapes remembered between them (see _fast_forward).
 FF_SAMPLE_EVERY = 1024
 _FF_MAX_SHAPES = 16
-
-
-def set_default_engine(engine: str) -> None:
-    """Deprecated: steer the root :class:`~repro.hdl.context.SimContext`.
-
-    Prefer ``use_context(engine=...)`` for request-scoped selection or
-    ``set_root_context`` for process setup; this shim remains so legacy
-    callers keep working.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; "
-                         f"expected one of {ENGINES}")
-    message = ("set_default_engine() is deprecated; use "
-               "repro.hdl.use_context(engine=...) or set_root_context()")
-    if active_context() is not None:
-        # The getter resolves through the activation, so a legacy
-        # pin-and-restore around this call would read the ACTIVE value
-        # and write it into the ROOT — warn loudly instead of letting
-        # the set appear to work.
-        message += (" — an activated SimContext is in effect and keeps "
-                    "winning over this root-context change until it "
-                    "exits")
-    warnings.warn(message, DeprecationWarning, stacklevel=2)
-    set_root_context(root_context().evolve(engine=engine))
-
-
-def get_default_engine() -> str:
-    """The engine the current context resolves to (legacy accessor)."""
-    return current_context().engine
-
-# Backwards-compatible alias; the class moved to ``repro.hdl.errors`` so
-# the compile pass can raise it without importing this module.
-_Finish = FinishRequest
 
 
 class WaitToken:
@@ -133,7 +84,7 @@ class Process:
         self.gen = gen
         self.tokens: list[WaitToken] = []
         self.done = False
-        # See CompiledProc.memoryless; always False under the interpreter.
+        # See CompiledProc.memoryless.
         self.memoryless = memoryless
 
 
@@ -169,17 +120,10 @@ class Simulator:
     """Runs an elaborated :class:`Design`."""
 
     def __init__(self, design: Design, max_time: int | None = None,
-                 max_stmts: int | None = None, seed: int = 0,
-                 engine: str | None = None):
+                 max_stmts: int | None = None, seed: int = 0):
         # Resolution order for every knob: explicit argument > active
         # context > env-seeded root context.
         context = current_context()
-        if engine is None:
-            engine = context.engine
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; "
-                             f"expected one of {ENGINES}")
-        self.engine = engine
         self.design = design
         self.max_time = context.max_time if max_time is None else max_time
         self.max_stmts = (context.max_stmts if max_stmts is None
@@ -203,11 +147,10 @@ class Simulator:
 
         self._comb_procs: list[CombProcess] = []
         self._processes: list[Process] = []
-        # Periodic-state fast-forward (compiled engine only): cleared by
-        # any comb process that is not memoryless.  ``_ff_marks`` maps a
-        # sampled heap shape to the last ``(time, stmt_count, state)``
-        # seen with it.
-        self._ff_enabled = engine == ENGINE_COMPILED
+        # Periodic-state fast-forward: cleared by any comb process that
+        # is not memoryless.  ``_ff_marks`` maps a sampled heap shape to
+        # the last ``(time, stmt_count, state)`` seen with it.
+        self._ff_enabled = True
         self._ff_marks: dict[tuple, tuple] = {}
         # The combinational process currently executing; its own writes do
         # not re-trigger it (a process cannot observe events while it runs).
@@ -231,49 +174,17 @@ class Simulator:
     # Setup
     # ------------------------------------------------------------------
     def _instantiate(self, specs: Iterable[ProcSpec]) -> None:
-        compiled = self.engine == ENGINE_COMPILED
         for spec in specs:
+            program = compile_spec(spec)
             if spec.kind == "comb":
-                if compiled:
-                    program = compile_spec(spec)
-                    runner = program.run
-                    if not program.memoryless:
-                        self._ff_enabled = False
-                else:
-                    runner = self._interp_comb_runner(spec)
-                self._add_comb(spec, runner)
-            elif spec.kind == "initial":
-                assert spec.body is not None
-                gen = (compile_spec(spec).run(self) if compiled
-                       else self._exec(spec.body, spec.scope))
-                proc = Process(spec.label, gen)
+                if not program.memoryless:
+                    self._ff_enabled = False
+                self._add_comb(spec, program.run)
+            else:  # initial / always (compile_spec rejects other kinds)
+                proc = Process(spec.label, program.run(self),
+                               program.memoryless)
                 self._processes.append(proc)
                 self.active.append(proc)
-            elif spec.kind == "always":
-                if compiled:
-                    program = compile_spec(spec)
-                    proc = Process(spec.label, program.run(self),
-                                   program.memoryless)
-                else:
-                    proc = Process(spec.label, self._always_gen(spec))
-                self._processes.append(proc)
-                self.active.append(proc)
-            else:  # pragma: no cover - elaborator invariant
-                raise SimulationError(f"unknown process kind {spec.kind!r}")
-
-    def _interp_comb_runner(self, spec: ProcSpec):
-        if spec.pyfunc is not None:
-            return spec.pyfunc
-        body, scope = spec.body, spec.scope
-        assert body is not None
-
-        def runner(sim, _body=body, _scope=scope):
-            gen = sim._exec(_body, _scope)
-            for _ in gen:
-                raise SimulationError(
-                    "delay/event control inside combinational block "
-                    f"{spec.label!r}")
-        return runner
 
     def _add_comb(self, spec: ProcSpec, runner) -> None:
         comb = CombProcess(spec.label, runner)
@@ -285,29 +196,6 @@ class Simulator:
         # Every combinational process evaluates once at time zero.
         comb.pending = True
         self.active.append(comb)
-
-    def _always_gen(self, spec: ProcSpec):
-        assert spec.body is not None
-        events = spec.events or ()
-        resolved = self._resolve_events(events, spec.scope) if events else ()
-        while True:
-            if resolved:
-                yield ("wait", resolved)
-            yield from self._exec(spec.body, spec.scope)
-
-    def _resolve_events(self, events: tuple[ast.EventExpr, ...],
-                        scope: Scope) -> tuple[tuple[str, Signal], ...]:
-        resolved = []
-        for ev in events:
-            if not isinstance(ev.signal, ast.Identifier):
-                raise SimulationError(
-                    "event controls must reference simple signals")
-            obj = scope.lookup(ev.signal.name)
-            if not isinstance(obj, Signal):
-                raise SimulationError(
-                    f"cannot wait on {ev.signal.name!r}")
-            resolved.append((ev.edge, obj))
-        return tuple(resolved)
 
     # ------------------------------------------------------------------
     # Runtime services
@@ -386,106 +274,6 @@ class Simulator:
                     self.active.append(token.process)
             mem.waiters[:] = keep
 
-    # ------------------------------------------------------------------
-    # Assignment helpers
-    # ------------------------------------------------------------------
-    def _assign(self, target: ast.LValue, value: Logic, scope: Scope) -> None:
-        if isinstance(target, ast.LvIdent):
-            obj = scope.lookup(target.name)
-            if isinstance(obj, Signal):
-                self.set_signal(obj, value.resize(obj.width))
-                return
-            raise SimulationError(f"cannot assign to {target.name!r}")
-        if isinstance(target, ast.LvIndex):
-            obj = scope.lookup(target.name)
-            index = eval_expr(target.index, scope).to_uint()
-            if index is None:
-                return  # write to unknown index is discarded
-            if isinstance(obj, Memory):
-                self.write_memory(obj, index, value)
-                return
-            if isinstance(obj, Signal):
-                if index >= obj.width:
-                    return
-                self.set_signal(
-                    obj, obj.value.set_part(index, index, value.resize(1)))
-                return
-            raise SimulationError(f"cannot assign to {target.name!r}")
-        if isinstance(target, ast.LvPart):
-            obj = scope.lookup(target.name)
-            if not isinstance(obj, Signal):
-                raise SimulationError(f"cannot assign to {target.name!r}")
-            msb = scope.const_int(target.msb)
-            lsb = scope.const_int(target.lsb)
-            self.set_signal(obj, obj.value.set_part(msb, lsb, value))
-            return
-        if isinstance(target, ast.LvConcat):
-            offset = 0
-            for part in reversed(target.parts):
-                w = self._lvalue_width(part, scope)
-                self._assign(part, value.part(offset + w - 1, offset), scope)
-                offset += w
-            return
-        raise SimulationError(f"unsupported lvalue {target!r}")
-
-    def _lvalue_width(self, target: ast.LValue, scope: Scope) -> int:
-        if isinstance(target, ast.LvIdent):
-            obj = scope.lookup(target.name)
-            if isinstance(obj, Signal):
-                return obj.width
-            raise SimulationError(f"cannot size lvalue {target.name!r}")
-        if isinstance(target, ast.LvIndex):
-            obj = scope.lookup(target.name)
-            if isinstance(obj, Memory):
-                return obj.width
-            return 1
-        if isinstance(target, ast.LvPart):
-            msb = scope.const_int(target.msb)
-            lsb = scope.const_int(target.lsb)
-            return msb - lsb + 1
-        if isinstance(target, ast.LvConcat):
-            return sum(self._lvalue_width(p, scope) for p in target.parts)
-        raise SimulationError(f"unsupported lvalue {target!r}")
-
-    def _schedule_nba(self, target: ast.LValue, value: Logic,
-                      scope: Scope) -> None:
-        """Resolve the lvalue address now, apply the value in the NBA region."""
-        if isinstance(target, ast.LvIdent):
-            obj = scope.lookup(target.name)
-            if isinstance(obj, Signal):
-                self.nba.append(("sig", obj, value.resize(obj.width)))
-                return
-            raise SimulationError(f"cannot assign to {target.name!r}")
-        if isinstance(target, ast.LvIndex):
-            obj = scope.lookup(target.name)
-            index = eval_expr(target.index, scope).to_uint()
-            if index is None:
-                return
-            if isinstance(obj, Memory):
-                self.nba.append(("mem", obj, index, value))
-                return
-            if isinstance(obj, Signal):
-                self.nba.append(("part", obj, index, index, value.resize(1)))
-                return
-            raise SimulationError(f"cannot assign to {target.name!r}")
-        if isinstance(target, ast.LvPart):
-            obj = scope.lookup(target.name)
-            if not isinstance(obj, Signal):
-                raise SimulationError(f"cannot assign to {target.name!r}")
-            msb = scope.const_int(target.msb)
-            lsb = scope.const_int(target.lsb)
-            self.nba.append(("part", obj, msb, lsb, value))
-            return
-        if isinstance(target, ast.LvConcat):
-            offset = 0
-            for part in reversed(target.parts):
-                w = self._lvalue_width(part, scope)
-                self._schedule_nba(part, value.part(offset + w - 1, offset),
-                                   scope)
-                offset += w
-            return
-        raise SimulationError(f"unsupported lvalue {target!r}")
-
     def _apply_nba(self) -> None:
         # Drain in place: the list object stays stable so the scheduler
         # loop can hold a local reference to it.
@@ -504,7 +292,7 @@ class Simulator:
                 self.write_memory(mem, addr, value)
 
     # ------------------------------------------------------------------
-    # Statement execution (generator)
+    # Statement budget (charged by compiled programs)
     # ------------------------------------------------------------------
     def _tick(self) -> None:
         self.stmt_count += 1
@@ -512,203 +300,6 @@ class Simulator:
             raise SimulationLimit(
                 f"statement budget of {self.max_stmts} exhausted at "
                 f"t={self.time} (runaway loop or missing $finish?)")
-
-    def _exec(self, stmt: ast.Stmt, scope: Scope):
-        self._tick()
-
-        if isinstance(stmt, ast.Block):
-            for s in stmt.stmts:
-                yield from self._exec(s, scope)
-            return
-
-        if isinstance(stmt, ast.BlockingAssign):
-            width = self._lvalue_width(stmt.target, scope)
-            value = eval_expr(stmt.value, scope, width)
-            value = value.resize(width, signed_of(stmt.value, scope))
-            self._assign(stmt.target, value, scope)
-            return
-
-        if isinstance(stmt, ast.NonblockingAssign):
-            width = self._lvalue_width(stmt.target, scope)
-            value = eval_expr(stmt.value, scope, width)
-            value = value.resize(width, signed_of(stmt.value, scope))
-            self._schedule_nba(stmt.target, value, scope)
-            return
-
-        if isinstance(stmt, ast.If):
-            if eval_expr(stmt.cond, scope).truth() is True:
-                yield from self._exec(stmt.then, scope)
-            elif stmt.other is not None:
-                yield from self._exec(stmt.other, scope)
-            return
-
-        if isinstance(stmt, ast.Case):
-            yield from self._exec_case(stmt, scope)
-            return
-
-        if isinstance(stmt, ast.For):
-            yield from self._exec(stmt.init, scope)
-            while eval_expr(stmt.cond, scope).truth() is True:
-                yield from self._exec(stmt.body, scope)
-                yield from self._exec(stmt.step, scope)
-            return
-
-        if isinstance(stmt, ast.While):
-            while eval_expr(stmt.cond, scope).truth() is True:
-                self._tick()
-                yield from self._exec(stmt.body, scope)
-            return
-
-        if isinstance(stmt, ast.Repeat):
-            count = eval_expr(stmt.count, scope).to_uint() or 0
-            for _ in range(count):
-                yield from self._exec(stmt.body, scope)
-            return
-
-        if isinstance(stmt, ast.Forever):
-            while True:
-                self._tick()
-                yield from self._exec(stmt.body, scope)
-
-        if isinstance(stmt, ast.DelayStmt):
-            amount = eval_expr(stmt.amount, scope).to_uint()
-            if amount is None:
-                raise SimulationError("delay amount is unknown (x)")
-            yield ("delay", amount)
-            if stmt.stmt is not None:
-                yield from self._exec(stmt.stmt, scope)
-            return
-
-        if isinstance(stmt, ast.EventControl):
-            if stmt.events is None:
-                raise SimulationError(
-                    "@(*) is not supported as a procedural statement")
-            yield ("wait", self._resolve_events(stmt.events, scope))
-            if stmt.stmt is not None:
-                yield from self._exec(stmt.stmt, scope)
-            return
-
-        if isinstance(stmt, ast.SysTaskCall):
-            self._sys_task(stmt, scope)
-            return
-
-        if isinstance(stmt, ast.NullStmt):
-            return
-
-        raise SimulationError(f"cannot execute statement {stmt!r}")
-
-    def _exec_case(self, stmt: ast.Case, scope: Scope):
-        subject = eval_expr(stmt.subject, scope)
-        default: ast.Stmt | None = None
-        for item in stmt.items:
-            if not item.labels:
-                default = item.body
-                continue
-            for label_expr in item.labels:
-                label = eval_expr(label_expr, scope)
-                if self._case_match(stmt.kind, subject, label):
-                    yield from self._exec(item.body, scope)
-                    return
-        if default is not None:
-            yield from self._exec(default, scope)
-
-    # Shared with the compiled engine (repro.hdl.eval.case_match).
-    _case_match = staticmethod(case_match)
-
-    # ------------------------------------------------------------------
-    # System tasks
-    # ------------------------------------------------------------------
-    def _sys_task(self, stmt: ast.SysTaskCall, scope: Scope) -> None:
-        name = stmt.name
-        if name in ("$finish", "$stop"):
-            raise _Finish()
-        if name == "$display":
-            self.stdout.append(self._format_args(stmt.args, scope))
-            return
-        if name == "$write":
-            # Collapsed into stdout lines; sufficient for testbench logs.
-            self.stdout.append(self._format_args(stmt.args, scope))
-            return
-        if name in ("$fdisplay", "$fwrite"):
-            if not stmt.args:
-                raise SimulationError(f"{name} requires a descriptor")
-            fd = eval_expr(stmt.args[0], scope).to_uint()
-            if fd is None or fd not in self._fd_lines:
-                raise SimulationError(f"{name}: invalid file descriptor")
-            text = self._format_args(stmt.args[1:], scope)
-            if name == "$fdisplay":
-                line = self._fd_partial[fd] + text
-                self._fd_partial[fd] = ""
-                self._fd_lines[fd].append(line)
-            else:
-                self._fd_partial[fd] += text
-            return
-        if name == "$fclose":
-            return
-        if name in ("$dumpfile", "$dumpvars", "$timeformat", "$monitor",
-                    "$fflush"):
-            return
-        raise SimulationError(f"unsupported system task {name!r}")
-
-    def _format_args(self, args: tuple[ast.Expr, ...], scope: Scope) -> str:
-        if not args:
-            return ""
-        first = args[0]
-        if isinstance(first, ast.StringLit):
-            return self._format(first.text, args[1:], scope)
-        return " ".join(
-            eval_expr(a, scope).format_decimal() for a in args)
-
-    def _format(self, fmt: str, args: tuple[ast.Expr, ...],
-                scope: Scope) -> str:
-        out: list[str] = []
-        arg_iter = iter(args)
-        i = 0
-        while i < len(fmt):
-            ch = fmt[i]
-            if ch != "%":
-                out.append(ch)
-                i += 1
-                continue
-            i += 1
-            # Skip width/zero-pad modifiers: %0d, %2d, ...
-            while i < len(fmt) and fmt[i].isdigit():
-                i += 1
-            if i >= len(fmt):
-                raise SimulationError("dangling % in format string")
-            spec = fmt[i]
-            i += 1
-            if spec == "%":
-                out.append("%")
-                continue
-            try:
-                arg = next(arg_iter)
-            except StopIteration:
-                raise SimulationError(
-                    f"missing argument for %{spec} in {fmt!r}") from None
-            value = eval_expr(arg, scope)
-            if spec in ("d", "D"):
-                out.append(value.format_decimal(
-                    signed=signed_of(arg, scope)))
-            elif spec in ("b", "B"):
-                out.append(value.format_binary())
-            elif spec in ("h", "H", "x", "X"):
-                out.append(value.format_hex())
-            elif spec in ("t", "T"):
-                out.append(value.format_decimal())
-            elif spec in ("c",):
-                u = value.to_uint()
-                out.append(chr(u & 0xFF) if u is not None else "x")
-            elif spec in ("s", "S"):
-                if isinstance(arg, ast.StringLit):
-                    out.append(arg.text)
-                else:
-                    u = value.to_uint() or 0
-                    raw = u.to_bytes((value.width + 7) // 8, "big")
-                    out.append(raw.decode("latin-1").lstrip("\x00"))
-            else:
-                raise SimulationError(f"unsupported format %{spec}")
-        return "".join(out)
 
     # ------------------------------------------------------------------
     # Scheduler
@@ -719,7 +310,7 @@ class Simulator:
         except StopIteration:
             proc.done = True
             return
-        except _Finish:
+        except FinishRequest:
             proc.done = True
             self.finish_requested = True
             return
@@ -751,7 +342,7 @@ class Simulator:
         self._current_comb = comb
         try:
             comb.run(self)
-        except _Finish:
+        except FinishRequest:
             # $finish inside a combinational block must end the run, not
             # escape Simulator.run() as an internal exception.
             self.finish_requested = True
@@ -918,15 +509,13 @@ def compile_design(sources: str | Iterable[str], top: str) -> Design:
 def simulate(sources: str | Iterable[str], top: str,
              max_time: int | None = None,
              max_stmts: int | None = None,
-             seed: int = 0, engine: str | None = None) -> SimulationResult:
+             seed: int = 0) -> SimulationResult:
     """Compile and run a design; the testbench must call ``$finish``.
 
-    ``engine`` selects the execution strategy: ``"compiled"`` (closure
-    trees) or ``"interpret"`` (the reference AST walker).  ``engine``,
     ``max_time`` and ``max_stmts`` left as ``None`` resolve through the
     active :class:`~repro.hdl.context.SimContext`
     (:func:`~repro.hdl.context.current_context`).
     """
     design = compile_design(sources, top)
     return Simulator(design, max_time=max_time, max_stmts=max_stmts,
-                     seed=seed, engine=engine).run()
+                     seed=seed).run()

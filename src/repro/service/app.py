@@ -309,8 +309,7 @@ class TestbenchService:
     # -- request decoding ----------------------------------------------
     def _request_context(self, request: Request, body: dict) -> SimContext:
         overrides: dict = {}
-        for name in ("engine", "lexer", "mutant-engine", "max-time",
-                     "max-stmts"):
+        for name in ("max-time", "max-stmts"):
             value = request.header(f"x-repro-{name}")
             if value:
                 overrides[name.replace("-", "_")] = value

@@ -2,9 +2,9 @@
 
 Pins the PR-4 configuration API: explicit argument > active context >
 env-seeded root; nested activations restore; contexts neither leak
-across threads nor into pool workers (work items carry their own);
-the deprecated ``set_default_*`` shims steer the root context; and the
-``CacheRegistry`` facade fronts every cache layer.
+across threads nor into pool workers (work items carry their own); an
+activation beats a steered root; and the ``CacheRegistry`` facade
+fronts every cache layer.
 """
 
 import threading
@@ -16,12 +16,9 @@ from repro.core.simulation import (RUNTIME, run_driver, run_driver_batch,
                                    simulation_cache_stats)
 from repro.eval.campaign import campaign_jobs_from_env
 from repro.hdl import simulate
-from repro.hdl.context import (ENGINE_COMPILED, ENGINE_INTERPRET,
-                               LEXER_REFERENCE, MUTANT_LOCKSTEP,
-                               MUTANT_PER_MUTANT, SimContext,
+from repro.hdl.context import (DEFAULT_MAX_STMTS, SimContext,
                                _context_from_env, current_context,
                                root_context, set_root_context, use_context)
-from repro.hdl.simulator import set_default_engine
 from repro.codegen import render_driver
 from repro.problems import get_task
 
@@ -45,36 +42,38 @@ endmodule
 class TestSimContext:
     def test_defaults(self):
         context = SimContext()
-        assert context.engine == ENGINE_COMPILED
-        assert context.lexer == "master"
+        assert context.max_stmts == DEFAULT_MAX_STMTS
         assert context.jobs == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SimContext(engine="quantum")
-        with pytest.raises(ValueError):
-            SimContext(lexer="treebank")
         with pytest.raises(ValueError):
             SimContext(max_time=0)
         with pytest.raises(ValueError):
             SimContext(jobs=-2)
         with pytest.raises(ValueError):
             SimContext(fuzz_seed="abc")
+        # bool is an int subclass: True would pass as a limit of 1 and
+        # fingerprint as ``true``, a different store key from 1.
+        for name in ("max_time", "max_stmts", "jobs", "fuzz_programs",
+                     "fuzz_seed", "template_cache_size",
+                     "template_cache_budget"):
+            for value in (True, False):
+                with pytest.raises(ValueError, match=name):
+                    SimContext(**{name: value})
 
     def test_evolve_revalidates(self):
         context = SimContext()
-        assert context.evolve(engine=ENGINE_INTERPRET).engine == \
-            ENGINE_INTERPRET
+        assert context.evolve(max_stmts=7).max_stmts == 7
         with pytest.raises(ValueError):
-            context.evolve(engine="quantum")
+            context.evolve(max_stmts=0)
         # evolve returns a new value; the original is untouched.
-        assert context.engine == ENGINE_COMPILED
+        assert context.max_stmts == DEFAULT_MAX_STMTS
 
     def test_value_object(self):
         assert SimContext() == SimContext()
         assert hash(SimContext()) == hash(SimContext())
         import pickle
-        context = SimContext(engine=ENGINE_INTERPRET, max_stmts=7)
+        context = SimContext(max_time=9, max_stmts=7)
         assert pickle.loads(pickle.dumps(context)) == context
 
     def test_warm_start_knobs(self):
@@ -97,11 +96,11 @@ class TestSimContext:
 class TestResolution:
     def test_nested_use_context_restores(self):
         base = current_context()
-        with use_context(engine=ENGINE_INTERPRET) as outer:
+        with use_context(max_time=77) as outer:
             assert current_context() is outer
             with use_context(max_stmts=99) as inner:
                 assert current_context() is inner
-                assert inner.engine == ENGINE_INTERPRET  # inherited
+                assert inner.max_time == 77  # inherited
                 assert inner.max_stmts == 99
             assert current_context() is outer
         assert current_context() == base
@@ -109,7 +108,7 @@ class TestResolution:
     def test_use_context_restores_on_exception(self):
         base = current_context()
         with pytest.raises(RuntimeError):
-            with use_context(engine=ENGINE_INTERPRET):
+            with use_context(max_stmts=99):
                 raise RuntimeError("boom")
         assert current_context() == base
 
@@ -129,26 +128,23 @@ class TestResolution:
         seen = {}
 
         def probe():
-            seen["engine"] = current_context().engine
+            seen["max_stmts"] = current_context().max_stmts
 
-        with use_context(engine=ENGINE_INTERPRET):
+        with use_context(max_stmts=99):
             thread = threading.Thread(target=probe)
             thread.start()
             thread.join()
         # A fresh thread starts without an activation: it resolves to
         # the root, not to another thread's request context.
-        assert seen["engine"] == root_context().engine
+        assert seen["max_stmts"] == root_context().max_stmts
 
-    def test_shims_steer_root_context(self):
+    def test_activation_beats_steered_root(self):
         original = root_context()
         try:
-            with pytest.deprecated_call():
-                set_default_engine(ENGINE_INTERPRET)
-            assert root_context().engine == ENGINE_INTERPRET
-            assert current_context().engine == ENGINE_INTERPRET
-            # An activation still beats the steered root.
-            with use_context(engine=ENGINE_COMPILED):
-                assert current_context().engine == ENGINE_COMPILED
+            set_root_context(original.evolve(max_stmts=99))
+            assert current_context().max_stmts == 99
+            with use_context(max_stmts=7):
+                assert current_context().max_stmts == 7
         finally:
             set_root_context(original)
 
@@ -161,30 +157,27 @@ class TestResolution:
 # Environment seeding (the root context)
 # ----------------------------------------------------------------------
 class TestEnvSeeding:
-    def test_full_seed(self):
+    def test_full_seed(self, capsys):
         context, seeded = _context_from_env({
-            "REPRO_SIM_ENGINE": "interpret",
-            "REPRO_LEXER": "reference",
             "REPRO_JOBS": "3",
             "REPRO_FUZZ_PROGRAMS": "17",
             "REPRO_FUZZ_SEED": "42",
+            # Retired selectors: no longer read, not even to warn.
+            "REPRO_SIM_ENGINE": "interpret",
+            "REPRO_LEXER": "reference",
+            "REPRO_MUTANT_ENGINE": "per-mutant",
         })
-        assert context == SimContext(
-            engine=ENGINE_INTERPRET, lexer=LEXER_REFERENCE, jobs=3,
-            fuzz_programs=17, fuzz_seed=42)
-        assert seeded == {"engine", "lexer", "jobs", "fuzz_programs",
-                          "fuzz_seed"}
-
-    def test_invalid_lexer_warns_and_falls_back(self, capsys):
-        context, seeded = _context_from_env({"REPRO_LEXER": "treebank"})
-        assert context.lexer == "master"
-        assert "lexer" not in seeded
-        assert "REPRO_LEXER" in capsys.readouterr().err
+        assert context == SimContext(jobs=3, fuzz_programs=17,
+                                     fuzz_seed=42)
+        assert seeded == {"jobs", "fuzz_programs", "fuzz_seed"}
+        assert capsys.readouterr().err == ""
+        assert _context_from_env({"REPRO_SIM_ENGINE": "interpret"}) == \
+            (SimContext(), frozenset())
 
     def test_malformed_jobs_warns_and_falls_back(self, capsys):
         # Satellite fix: a malformed REPRO_JOBS used to raise ValueError
-        # out of campaign_jobs_from_env; now it degrades like
-        # REPRO_SIM_ENGINE does.
+        # out of campaign_jobs_from_env; now it degrades like every
+        # other malformed knob.
         context, seeded = _context_from_env({"REPRO_JOBS": "four"})
         assert context.jobs == 1
         assert "jobs" not in seeded
@@ -234,25 +227,11 @@ class TestEnvSeeding:
         # Unset means campaigns run store-less.
         assert _context_from_env({})[0].store_dir == ""
 
-    def test_mutant_engine_seeds(self):
-        context, seeded = _context_from_env(
-            {"REPRO_MUTANT_ENGINE": "per-mutant"})
-        assert context.mutant_engine == MUTANT_PER_MUTANT
-        assert seeded == {"mutant_engine"}
-        # Unset means lockstep.
-        assert _context_from_env({})[0].mutant_engine == MUTANT_LOCKSTEP
-
-    def test_malformed_mutant_engine_warns_and_falls_back(self, capsys):
-        context, seeded = _context_from_env(
-            {"REPRO_MUTANT_ENGINE": "icarus"})
-        assert context.mutant_engine == MUTANT_LOCKSTEP
-        assert "mutant_engine" not in seeded
-        err = capsys.readouterr().err
-        assert "REPRO_MUTANT_ENGINE" in err and "icarus" in err
-
     def test_mutant_engine_validated(self):
-        with pytest.raises(ValueError):
-            SimContext(mutant_engine="schemata")
+        # Lockstep-first is the only sweep strategy: a caller still
+        # naming one fails loudly.
+        with pytest.raises(TypeError):
+            SimContext(mutant_engine="per-mutant")
 
     def test_trace_and_budget_validated(self):
         with pytest.raises(ValueError):

@@ -1,20 +1,19 @@
 """Explicit regression tests for the engine's defensive paths.
 
-PR 1 fixed ``$finish`` escaping ``_run_comb``, added ``RecursionError``
-handling to the run_* wrappers and a fallback for an invalid
-``REPRO_SIM_ENGINE`` — previously these were only exercised incidentally
-(via the corpus fixture / one monolithic test).  This file pins each
-path directly, on both engines where applicable.
+PR 1 fixed ``$finish`` escaping ``_run_comb`` and added
+``RecursionError`` handling to the run_* wrappers — previously these
+were only exercised incidentally (via the corpus fixture / one
+monolithic test).  This file pins each path directly, on the compiled
+simulator and its interpreter oracle where applicable.
 """
 
 import pytest
 
 import repro.core.simulation as sim
+from oracles import SIMULATORS
 from repro.core.simulation import RUNTIME, run_driver, run_monolithic
-from repro.hdl import simulate
-from repro.hdl.context import _context_from_env
-from repro.hdl.simulator import (ENGINE_COMPILED, ENGINE_INTERPRET,
-                                 get_default_engine, set_default_engine)
+from repro.hdl import Simulator, compile_design, simulate
+from repro.hdl.context import SimContext, _context_from_env
 
 FINISH_IN_COMB = """
 module tb;
@@ -39,19 +38,19 @@ endmodule
 
 
 class TestFinishInsideCombProcess:
-    @pytest.mark.parametrize("engine", [ENGINE_COMPILED, ENGINE_INTERPRET])
+    @pytest.mark.parametrize("engine", SIMULATORS)
     def test_finish_ends_run_cleanly(self, engine):
         # $finish raised inside a combinational process must terminate
         # the run via finish_requested — not escape Simulator.run() as
         # an internal exception, and not execute later events.
-        result = simulate(FINISH_IN_COMB, "tb", engine=engine)
+        result = SIMULATORS[engine](FINISH_IN_COMB, "tb")
         assert result.finished
         assert result.sim_time == 5
         assert result.stdout == []
 
-    @pytest.mark.parametrize("engine", [ENGINE_COMPILED, ENGINE_INTERPRET])
+    @pytest.mark.parametrize("engine", SIMULATORS)
     def test_finish_at_time_zero(self, engine):
-        result = simulate(FINISH_IN_COMB_AT_T0, "tb", engine=engine)
+        result = SIMULATORS[engine](FINISH_IN_COMB_AT_T0, "tb")
         assert result.finished
         assert result.sim_time == 0
 
@@ -82,45 +81,22 @@ class TestRecursionErrorHandling:
 
 
 class TestEngineSelectionFallback:
-    def test_invalid_env_value_falls_back_with_warning(self, capsys):
-        context, seeded = _context_from_env(
-            {"REPRO_SIM_ENGINE": "warp-drive"})
-        assert context.engine == ENGINE_COMPILED
-        assert "engine" not in seeded
-        err = capsys.readouterr().err
-        assert "REPRO_SIM_ENGINE" in err
-        assert "warp-drive" in err
-
-    def test_valid_env_values_accepted(self, capsys):
-        for engine in (ENGINE_COMPILED, ENGINE_INTERPRET):
-            context, seeded = _context_from_env(
-                {"REPRO_SIM_ENGINE": engine})
-            assert context.engine == engine
-            assert "engine" in seeded
-        assert capsys.readouterr().err == ""
+    """One engine: nothing selects it, so nothing can misselect it."""
 
     def test_unset_env_defaults_to_compiled(self):
         context, seeded = _context_from_env({})
-        assert context.engine == ENGINE_COMPILED
+        assert context == SimContext()
         assert not seeded
+        design = compile_design(self_checking_src(), "tb")
+        assert Simulator(design).run().finished
+        # Every process ran as a bound compiled program.
+        assert all(spec.compiled is not None for spec in design.processes)
 
     def test_simulator_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
+        # The engine argument is gone: a caller still passing one fails
+        # loudly instead of silently running something else.
+        with pytest.raises(TypeError):
             simulate(self_checking_src(), "tb", engine="quantum")
-        with pytest.raises(ValueError):
-            set_default_engine("quantum")
-
-    def test_default_engine_roundtrip_after_fallback(self):
-        # The legacy shim pair still works, warning on the setter.
-        original = get_default_engine()
-        try:
-            with pytest.deprecated_call():
-                set_default_engine(ENGINE_INTERPRET)
-            result = simulate(self_checking_src(), "tb")
-            assert result.finished
-        finally:
-            with pytest.deprecated_call():
-                set_default_engine(original)
 
 
 def self_checking_src() -> str:

@@ -1,14 +1,10 @@
 """Simulation glue: statuses, record parsing, caching, batching."""
 
-import pytest
-
 from repro.core.simulation import (ELABORATION, OK, RUNTIME, SYNTAX,
                                    design_template, dut_compiles,
-                                   get_default_engine, parse_cached,
-                                   parse_dump, run_driver,
+                                   parse_cached, parse_dump, run_driver,
                                    run_driver_batch, run_monolithic,
                                    run_monolithic_batch,
-                                   set_default_engine,
                                    simulation_cache_stats, syntax_ok)
 from repro.codegen import render_driver
 from repro.problems import get_task
@@ -145,20 +141,6 @@ endmodule
         assert second.stdout == first.stdout
         assert second.sim_time == first.sim_time
 
-    def test_engine_default_roundtrip(self):
-        # Legacy shims: the setter warns and steers the root context;
-        # the getter resolves through the active context.
-        original = get_default_engine()
-        try:
-            with pytest.deprecated_call():
-                set_default_engine("interpret")
-            assert get_default_engine() == "interpret"
-            with pytest.raises(ValueError):
-                set_default_engine("quantum")
-        finally:
-            with pytest.deprecated_call():
-                set_default_engine(original)
-
 
 class TestBatchApis:
     def _driver_and_duts(self):
@@ -186,14 +168,6 @@ class TestBatchApis:
         assert all(run.ok for run in runs)
         # Only one unique (driver, dut) elaboration can have been added.
         assert after["misses"] - before["misses"] <= 1
-
-    def test_batch_engine_override(self):
-        driver, golden, _ = self._driver_and_duts()
-        interp = run_driver_batch(driver, [golden], engine="interpret")
-        compiled = run_driver_batch(driver, [golden], engine="compiled")
-        assert interp[0].ok and compiled[0].ok
-        assert [rec.values for rec in interp[0].records] \
-            == [rec.values for rec in compiled[0].records]
 
     def test_monolithic_batch(self):
         task = get_task("cmb_eq4")

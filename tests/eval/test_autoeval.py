@@ -11,8 +11,8 @@ from repro.eval import (EvalLevel, N_MUTANTS, evaluate, golden_artifacts,
                         hybrid_verdict)
 from repro.eval.autoeval import evaluate_hybrid, evaluate_monolithic
 from repro.eval.golden import hybrid_verdicts_batch
-from repro.hdl import (MUTANT_ENGINES, MUTANT_LOCKSTEP, MUTANT_PER_MUTANT,
-                       use_context)
+import repro.core.simulation as simulation
+from repro.hdl.lockstep import LockstepUnsupported
 from repro.mutation import Mutant, inject_verilog_syntax_fault
 from repro.problems import get_task
 
@@ -123,16 +123,25 @@ class TestEvalLevels:
 
 
 # ----------------------------------------------------------------------
-# Edge cases, pinned under both mutant-sweep engines
+# Edge cases, pinned under both mutant-sweep paths
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", MUTANT_ENGINES)
+@pytest.fixture(params=["lockstep", "per-mutant"])
+def engine(request, monkeypatch):
+    """Run the sweeps lockstep, or refuse lockstep so every sweep takes
+    its per-mutant fallback."""
+    if request.param == "per-mutant":
+        def refuse(*args):
+            raise LockstepUnsupported("per-mutant leg")
+        monkeypatch.setattr(simulation, "_lockstep_sweep", refuse)
+    return request.param
+
+
 class TestEvalEdgeCases:
     def test_zero_mutant_task_reaches_eval2(self, engine):
         task = get_task("cmb_eq4")
         golden = dataclasses.replace(golden_artifacts(task.task_id),
                                      mutants=(), mutant_verdicts=())
-        with use_context(mutant_engine=engine):
-            result = evaluate_hybrid(golden_tb(task), golden=golden)
+        result = evaluate_hybrid(golden_tb(task), golden=golden)
         # No mutants to disagree with: vacuous 100% agreement.
         assert result.level == EvalLevel.EVAL2
         assert result.agreement == 1.0
@@ -148,8 +157,7 @@ class TestEvalEdgeCases:
             golden_artifacts(task.task_id),
             mutants=(Mutant(oscillating, "oscillator", 0),),
             mutant_verdicts=(False,))
-        with use_context(mutant_engine=engine):
-            result = evaluate_hybrid(golden_tb(task), golden=golden)
+        result = evaluate_hybrid(golden_tb(task), golden=golden)
         assert result.level == EvalLevel.EVAL1
         assert result.agreement == 0.0
 
@@ -171,10 +179,8 @@ class TestEvalEdgeCases:
             return dataclasses.replace(
                 golden, mutant_verdicts=tuple(flipped))
 
-        with use_context(mutant_engine=engine):
-            at_boundary = evaluate_hybrid(
-                tb, golden=reference_with_flips(2))
-            below = evaluate_hybrid(tb, golden=reference_with_flips(3))
+        at_boundary = evaluate_hybrid(tb, golden=reference_with_flips(2))
+        below = evaluate_hybrid(tb, golden=reference_with_flips(3))
         assert at_boundary.level == EvalLevel.EVAL2
         assert at_boundary.agreement == pytest.approx(0.8)
         assert below.level == EvalLevel.EVAL1
@@ -183,10 +189,9 @@ class TestEvalEdgeCases:
     def test_sim_jobs_serial_vs_pool_parity(self, engine):
         task = get_task("cmb_kmap3_a")
         tb = golden_tb(task)
-        with use_context(mutant_engine=engine):
-            default = evaluate_hybrid(tb)
-            serial = evaluate_hybrid(tb, sim_jobs=1)
-            pooled = evaluate_hybrid(tb, sim_jobs=2)
+        default = evaluate_hybrid(tb)
+        serial = evaluate_hybrid(tb, sim_jobs=1)
+        pooled = evaluate_hybrid(tb, sim_jobs=2)
         assert default == serial == pooled
 
 

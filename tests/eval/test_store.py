@@ -44,7 +44,7 @@ class TestKeying:
 
     def test_result_relevant_fields_change_fingerprint(self):
         base = SimContext()
-        for evolved in (base.evolve(engine="interpret"),
+        for evolved in (base.evolve(max_stmts=7),
                         base.evolve(max_time=7),
                         base.evolve(llm_backend="fixture")):
             assert context_fingerprint(evolved) != context_fingerprint(base)
@@ -219,10 +219,13 @@ class TestManifest:
         CampaignStore(tmp_path).put(make_key(), make_run())
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads(manifest_path.read_bytes())
-        manifest["version"] = STORE_VERSION + 1
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(StoreError, match="version"):
-            CampaignStore(tmp_path)
+        # A newer build's store, and a version-1 store (its keys still
+        # fingerprint the retired engine / lexer / mutant_engine fields).
+        for version in (STORE_VERSION + 1, 1):
+            manifest["version"] = version
+            manifest_path.write_text(json.dumps(manifest))
+            with pytest.raises(StoreError, match="version"):
+                CampaignStore(tmp_path)
 
     def test_torn_manifest_recovers_from_entries(self, tmp_path, capsys):
         # The entry files are the durable truth: garbage in the

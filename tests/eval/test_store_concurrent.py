@@ -11,7 +11,7 @@ import json
 import multiprocessing
 
 from repro.eval import CampaignStore, EvalLevel, TaskRun, store_key
-from repro.eval.store import key_digest
+from repro.eval.store import STORE_VERSION, key_digest
 from repro.hdl.context import SimContext
 from repro.llm.base import Usage
 
@@ -67,7 +67,7 @@ def test_two_writers_share_one_store(tmp_path):
     # late entries, but it must parse, carry the right version, and
     # only reference entries that exist on disk.
     manifest = json.loads((tmp_path / "manifest.json").read_bytes())
-    assert manifest["version"] == 1
+    assert manifest["version"] == STORE_VERSION
     on_disk = set(store.export_keys())
     assert set(manifest["entries"]) <= on_disk
     # Dropping the advisory manifest forces a rebuild from the entry

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from repro.eval import (CampaignStore, EvalLevel, StoreError,
                         StoreIntegrityError, TaskRun, store_key)
-from repro.eval.store import key_digest
+from repro.eval.store import STORE_VERSION, key_digest
 from repro.hdl.context import SimContext
 from repro.llm.base import Usage
 
@@ -125,7 +125,8 @@ def test_torn_manifest_recovered_or_rejected_loudly(garbage, n_entries):
             reopened = CampaignStore(root)
         except StoreError:
             manifest = json.loads(garbage)
-            assert manifest["version"] != 1  # only a version skew throws
+            # Only a version skew throws.
+            assert manifest["version"] != STORE_VERSION
             return
         # The durable truth is always intact regardless of what the
         # manifest said...

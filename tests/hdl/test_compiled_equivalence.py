@@ -1,14 +1,16 @@
-"""Golden equivalence: the compiled engine must match the interpreter.
+"""Golden equivalence: the compiled simulator must match the interpreter.
 
 Every fixture (a corpus covering the supported statement/expression
 surface) plus every benchmark problem's golden RTL + rendered driver is
-run through both execution engines; the observable outcome — stdout,
+run through the compiled simulator and the reference interpreter
+(``tests/oracles/``); the observable outcome — stdout,
 emitted files, final simulation time, finish flag and the final value of
 every signal and memory word — must be identical.
 """
 
 import pytest
 
+from oracles import simulate_interpreted
 from repro.codegen import render_driver
 from repro.hdl import simulate
 from repro.hdl.compile import clear_program_cache, program_cache_stats
@@ -40,17 +42,14 @@ def engine_snapshots(src, top="tb", seed=0):
     *rebind* — the path every production re-pairing of a driver with a
     new DUT takes — and must behave identically to the first compile.
     """
-    interp = snapshot(simulate(src, top, max_time=MAX_TIME,
-                               max_stmts=MAX_STMTS, seed=seed,
-                               engine="interpret"))
+    interp = snapshot(simulate_interpreted(src, top, max_time=MAX_TIME,
+                                           max_stmts=MAX_STMTS, seed=seed))
     clear_program_cache()
     compiled = snapshot(simulate(src, top, max_time=MAX_TIME,
-                                 max_stmts=MAX_STMTS, seed=seed,
-                                 engine="compiled"))
+                                 max_stmts=MAX_STMTS, seed=seed))
     before = program_cache_stats()
     rebound = snapshot(simulate(src, top, max_time=MAX_TIME,
-                                max_stmts=MAX_STMTS, seed=seed,
-                                engine="compiled"))
+                                max_stmts=MAX_STMTS, seed=seed))
     after = program_cache_stats()
     assert after["programs_shared"] > before["programs_shared"], \
         "rebound run did not exercise the shared-program cache"

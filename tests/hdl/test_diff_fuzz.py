@@ -1,4 +1,4 @@
-"""Differential fuzzing: random HDL programs through every engine path.
+"""Differential fuzzing: random HDL programs through every execution path.
 
 A seeded generator produces small valid-by-construction programs
 covering the supported surface — procedural blocks (delays, event
@@ -6,15 +6,15 @@ controls, loops, case/ternary), combinational logic (continuous
 assigns, ``always @(*)`` case blocks), hierarchy (a child module
 instance, both net-aliased and expression-bound ports), 4-state
 ``x``/``z`` literals, memories and ``$display`` formatting.  Each
-program is executed three ways:
+program is executed four ways:
 
-1. the ``interpret`` reference engine,
-2. the ``compiled`` engine with a cold program cache (first compile of
+1. the reference interpreter (``tests/oracles/``),
+2. the compiled simulator with a cold program cache (first compile of
    the slot-indexed programs),
-3. the ``compiled`` engine again on a fresh elaboration, which must hit
+3. the compiled simulator again on a fresh elaboration, which must hit
    the shared-program cache and only *rebind* the slot tables — the
    path every production driver/DUT re-pairing takes,
-4. the ``compiled`` engine on the program instantiated inside a
+4. the compiled simulator on the program instantiated inside a
    differently named wrapper module — another source text, so another
    parsed AST, at another scope prefix — once straight after (3), where
    its processes share programs by structural key, and once cold.
@@ -22,7 +22,7 @@ program is executed three ways:
 All runs must produce identical observable traces: stdout, emitted
 files, finish flag, final simulation time and the final (VCD-visible)
 value of every signal and memory word (the wrapped run's names lose
-their instance prefix).  When a program errors, all engines must raise
+their instance prefix).  When a program errors, all runs must raise
 the same error class.
 
 The corpus is deterministic under a fixed seed.  Budget knobs:
@@ -36,7 +36,8 @@ import random
 
 import pytest
 
-from repro.hdl import current_context, simulate
+from oracles import SIMULATORS
+from repro.hdl import current_context
 from repro.hdl.compile import clear_program_cache, program_cache_stats
 from repro.hdl.errors import HdlError
 
@@ -280,8 +281,8 @@ def unwrap(outcome):
 
 def run_engine(src: str, engine: str, top: str = "tb"):
     try:
-        return snapshot(simulate(src, top, max_time=MAX_TIME,
-                                 max_stmts=MAX_STMTS, engine=engine))
+        return snapshot(SIMULATORS[engine](src, top, max_time=MAX_TIME,
+                                           max_stmts=MAX_STMTS))
     except HdlError as exc:
         return ("error", type(exc).__name__)
 
@@ -346,11 +347,12 @@ def test_corpus_not_vacuous():
 # ----------------------------------------------------------------------
 # Lockstep-vs-per-mutant sweep battery
 # ----------------------------------------------------------------------
-# The lockstep union engine must be observationally identical to N
-# separate per-mutant runs: per-lane statuses, dump records and retire
-# rounds.  A seeded generator produces codegen-style drivers (dump
-# ``$fdisplay`` check-points) paired with small DUTs; mutants come from
-# the real mutation operators, so every sweep compares the engines on
+# The lockstep union sweep must be observationally identical to N
+# separate per-mutant runs (``_per_mutant_sweep``, lockstep's fallback
+# path): per-lane statuses, dump records and retire rounds.  A seeded
+# generator produces codegen-style drivers (dump ``$fdisplay``
+# check-points) paired with small DUTs; mutants come from the real
+# mutation operators, so every sweep compares the two paths on
 # the shapes production sweeps actually take.  The budget scales with
 # REPRO_FUZZ_PROGRAMS (each sweep simulates ~7 lanes twice).
 _N_SWEEPS = max(8, N_PROGRAMS // 10)
@@ -436,7 +438,7 @@ def sweep_seed_for(index: int) -> int:
 
 @pytest.mark.parametrize("index", range(_N_SWEEPS))
 def test_lockstep_sweep_matches_per_mutant(index):
-    from repro.core.simulation import run_mutant_sweep
+    from repro.core.simulation import _per_mutant_sweep, run_mutant_sweep
     from repro.mutation import generate_mutants
 
     seed = sweep_seed_for(index)
@@ -444,10 +446,9 @@ def test_lockstep_sweep_matches_per_mutant(index):
     mutants = [mutant.source
                for mutant in generate_mutants(dut, _N_MUTANTS, seed)]
 
-    lockstep = run_mutant_sweep(driver, mutants, golden_src=dut,
-                                mutant_engine="lockstep")
-    per_mutant = run_mutant_sweep(driver, mutants, golden_src=dut,
-                                  mutant_engine="per-mutant")
+    lockstep = run_mutant_sweep(driver, mutants, golden_src=dut)
+    per_mutant = _per_mutant_sweep(driver, mutants, dut, None,
+                                   current_context())
 
     assert per_mutant.engine == "per-mutant"
     for k, (ls_run, pm_run) in enumerate(zip(lockstep.runs,
@@ -469,8 +470,8 @@ def test_sweep_generator_is_deterministic():
 
 
 def test_sweep_corpus_not_vacuous():
-    """Most sweeps must genuinely exercise the lockstep engine — a
-    battery that always falls back to per-mutant proves nothing."""
+    """Most sweeps must genuinely run lockstep — a battery that always
+    falls back to per-mutant proves nothing."""
     if len(_sweep_engines) < _N_SWEEPS:
         pytest.skip("sweep corpus did not run in full")
     locksteps = sum(1 for engine in _sweep_engines.values()

@@ -1,12 +1,12 @@
 """Periodic-state fast-forward in the compiled kernel is exact.
 
-Every program runs under the compiled engine twice, with and without
+Every program runs under the compiled kernel twice, with and without
 fast-forward (disabled by patching ``Simulator._fast_forward`` out), and
 both runs must agree on everything observable: the exception class and
 message, or the finish flag, final time, statement count, output and
 final values — plus the kernel time, statement count and buffered output
-at the point a limit fired.  The interpreter, which never fast-forwards,
-must end the same way.  Each shape also pins whether a skip happened, so
+at the point a limit fired.  The reference interpreter
+(``tests/oracles/``), which never fast-forwards, must end the same way.  Each shape also pins whether a skip happened, so
 a fixed point that stops being detected (or a non-periodic run that gets
 skipped) fails loudly.
 """
@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from oracles import InterpretedSimulator
 from repro.codegen import render_driver
 from repro.codegen.driver import DriverFaults
 from repro.core.simulation import RUNTIME, run_driver
@@ -65,7 +66,9 @@ def _run(src: str, engine: str, fast_forward: bool = True,
     """Simulate ``src``; returns ``(outcome, skipped)``."""
     limits.setdefault("max_time", MAX_TIME)
     limits.setdefault("max_stmts", MAX_STMTS)
-    sim = Simulator(compile_design(src, "tb"), engine=engine, **limits)
+    simulator = {"compiled": Simulator,
+                 "interpret": InterpretedSimulator}[engine]
+    sim = simulator(compile_design(src, "tb"), **limits)
     jumps = []
     original = Simulator._fast_forward
 

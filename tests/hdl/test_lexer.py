@@ -1,24 +1,21 @@
 """Unit tests for the Verilog lexer.
 
-Every test runs against both implementations (the master-regex
-tokenizer and the character-at-a-time reference) via the ``tokenize``
-fixture; cross-implementation equivalence at scale lives in
-``test_lexer_diff_fuzz.py``.
+Every test runs against both the master-regex tokenizer and the
+character-at-a-time reference oracle (``tests/oracles/``) via the
+``tokenize`` fixture; cross-implementation equivalence at scale lives
+in ``test_lexer_diff_fuzz.py``.
 """
 
 import pytest
 
+from oracles import LEXERS
 from repro.hdl.errors import VerilogSyntaxError
-from repro.hdl.lexer import LEXERS
-from repro.hdl.lexer import tokenize as lexer_tokenize
 from repro.hdl.tokens import TokenKind
 
 
 @pytest.fixture(params=LEXERS)
 def tokenize(request):
-    def run(source):
-        return lexer_tokenize(source, request.param)
-    return run
+    return LEXERS[request.param]
 
 
 @pytest.fixture

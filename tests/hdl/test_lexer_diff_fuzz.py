@@ -1,7 +1,8 @@
 """Differential fuzzing for the lexer pair: master regex vs reference.
 
-The master-regex tokenizer (the production default) and the
-character-at-a-time reference lexer must be observationally identical:
+The master-regex tokenizer (the runtime lexer) and the
+character-at-a-time reference lexer (the oracle in ``tests/oracles/``)
+must be observationally identical:
 same token streams (kind, text, line, column, decoded number payloads)
 and, for malformed input, the same ``VerilogSyntaxError`` line, column
 and message.  Three corpora drive the comparison:
@@ -26,12 +27,11 @@ import random
 
 import pytest
 
-from repro.hdl.context import current_context, use_context
+from oracles import LEXERS
+from repro.hdl.context import current_context
 from repro.hdl.errors import VerilogSyntaxError
-from repro.hdl.lexer import (LEXER_MASTER, LEXER_REFERENCE, LEXERS,
-                             clear_tokenize_cache, get_default_lexer,
-                             set_default_lexer, tokenize, tokenize_cache_stats,
-                             tokenize_cached)
+from repro.hdl.lexer import (clear_tokenize_cache, tokenize,
+                             tokenize_cache_stats, tokenize_cached)
 from repro.hdl.tokens import KEYWORDS, PUNCTUATIONS, TokenKind
 from repro.problems import load_dataset
 
@@ -44,7 +44,7 @@ BASE_SEED = current_context().fuzz_seed
 def lex_outcome(source: str, lexer: str):
     """Full observable behaviour of one lexer run, comparable with ==."""
     try:
-        stream = tokenize(source, lexer)
+        stream = LEXERS[lexer](source)
     except VerilogSyntaxError as exc:
         return ("error", exc.bare_message, exc.line, exc.column)
     return ("ok", tuple((t.kind, t.text, t.line, t.column, t.value)
@@ -52,8 +52,8 @@ def lex_outcome(source: str, lexer: str):
 
 
 def assert_lexers_agree(source: str):
-    master = lex_outcome(source, LEXER_MASTER)
-    reference = lex_outcome(source, LEXER_REFERENCE)
+    master = lex_outcome(source, "master")
+    reference = lex_outcome(source, "reference")
     assert master == reference, (
         f"lexer divergence on {source!r}:\n"
         f"  master:    {master[:2]}\n  reference: {reference[:2]}")
@@ -171,7 +171,7 @@ def test_soup_generator_is_deterministic():
 
 def test_soup_corpus_not_vacuous():
     """The soup corpus must exercise both clean and error paths."""
-    outcomes = [lex_outcome(soup_for(i), LEXER_MASTER)[0]
+    outcomes = [lex_outcome(soup_for(i), "master")[0]
                 for i in range(min(N_SOUPS, 200))]
     assert outcomes.count("ok") >= 0.2 * len(outcomes)
     assert outcomes.count("error") >= 0.2 * len(outcomes)
@@ -232,7 +232,7 @@ _PINNED_ERRORS = (
 @pytest.mark.parametrize("source,message,line,column", _PINNED_ERRORS)
 def test_pinned_error_positions(lexer, source, message, line, column):
     with pytest.raises(VerilogSyntaxError) as info:
-        tokenize(source, lexer)
+        LEXERS[lexer](source)
     exc = info.value
     assert (exc.bare_message, exc.line, exc.column) == (message, line, column)
 
@@ -240,7 +240,7 @@ def test_pinned_error_positions(lexer, source, message, line, column):
 @pytest.mark.parametrize("lexer", LEXERS)
 def test_signed_unsized_literal_accepted(lexer):
     """``'sd12`` — no width, signed — is a legal unsized literal."""
-    tok = tokenize("'sd12", lexer)[0]
+    tok = LEXERS[lexer]("'sd12")[0]
     assert tok.kind is TokenKind.NUMBER
     assert tok.value == (32, 12, 0, True)
 
@@ -248,9 +248,9 @@ def test_signed_unsized_literal_accepted(lexer):
 @pytest.mark.parametrize("lexer", LEXERS)
 def test_unsized_decimal_text_excludes_probe_spaces(lexer):
     """``#5 clk``: the spaces probed for a ``'`` are not literal text."""
-    toks = tokenize("#5 clk", lexer)
+    toks = LEXERS[lexer]("#5 clk")
     assert [t.text for t in toks[:-1]] == ["#", "5", "clk"]
-    toks = tokenize("4  x", lexer)
+    toks = LEXERS[lexer]("4  x")
     assert toks[0].text == "4"
     assert (toks[1].text, toks[1].column) == ("x", 4)
 
@@ -258,70 +258,34 @@ def test_unsized_decimal_text_excludes_probe_spaces(lexer):
 @pytest.mark.parametrize("lexer", LEXERS)
 def test_based_literal_giveback(lexer):
     """Digits invalid for the base are returned to the stream."""
-    toks = tokenize("4'b12", lexer)
+    toks = LEXERS[lexer]("4'b12")
     assert [(t.text, t.value) for t in toks[:-1]] == [
         ("4'b1", (4, 1, 0, False)), ("2", (None, 2, 0, True))]
-    toks = tokenize("8'hxy_q", lexer)
+    toks = LEXERS[lexer]("8'hxy_q")
     assert toks[0].value == (8, 0, 15, False)
     assert toks[1].text == "y_q"
 
 
 # ----------------------------------------------------------------------
-# Knob + cache behaviour
+# Entry point + cache behaviour
 # ----------------------------------------------------------------------
-def test_default_lexer_knob_roundtrip():
-    # Legacy shim: the setter warns and steers the root context; the
-    # getter resolves through the active context.
-    previous = get_default_lexer()
-    try:
-        with pytest.deprecated_call():
-            set_default_lexer(LEXER_REFERENCE)
-        assert get_default_lexer() == LEXER_REFERENCE
-        assert tokenize("a b")[0].text == "a"
-        with pytest.deprecated_call():
-            set_default_lexer(LEXER_MASTER)
-        assert get_default_lexer() == LEXER_MASTER
-    finally:
-        with pytest.deprecated_call():
-            set_default_lexer(previous)
-
-
-def test_use_context_selects_lexer():
-    # The context-native path: no global mutation, no warning.
-    assert get_default_lexer() == current_context().lexer
-    with use_context(lexer=LEXER_REFERENCE):
-        assert get_default_lexer() == LEXER_REFERENCE
-        assert tokenize("a b")[0].text == "a"
-    assert get_default_lexer() == current_context().lexer
-
-
-def test_set_default_lexer_rejects_unknown():
-    with pytest.raises(ValueError):
-        set_default_lexer("treebank")
-
-
 def test_tokenize_rejects_unknown_explicit_lexer():
-    """A mistyped explicit lexer must not silently become master."""
-    with pytest.raises(ValueError):
+    """There is one runtime lexer: naming another fails loudly instead
+    of silently lexing with the master."""
+    with pytest.raises(TypeError):
         tokenize("a", "refrence")
 
 
-def test_tokenize_cache_shares_streams_per_lexer():
+def test_tokenize_cache_shares_streams():
     clear_tokenize_cache()
     try:
-        with use_context(lexer=LEXER_MASTER):
-            first = tokenize_cached("assign y = a + b;")
-            again = tokenize_cached("assign y = a + b;")
-            assert first is again  # same stream object on a hit
-            stats = tokenize_cache_stats()
-            assert stats["hits"] >= 1 and stats["misses"] >= 1
-
-        # Flipping the lexer must not serve the other lexer's stream.
-        with use_context(lexer=LEXER_REFERENCE):
-            reference = tokenize_cached("assign y = a + b;")
-        assert reference is not first
-        assert [(t.kind, t.text) for t in reference] == \
-            [(t.kind, t.text) for t in first]
+        first = tokenize_cached("assign y = a + b;")
+        again = tokenize_cached("assign y = a + b;")
+        assert first is again  # same stream object on a hit
+        stats = tokenize_cache_stats()
+        assert stats["hits"] >= 1 and stats["misses"] >= 1
+        assert [(t.kind, t.text) for t in first] == \
+            [(t.kind, t.text) for t in tokenize("assign y = a + b;")]
     finally:
         clear_tokenize_cache()
 

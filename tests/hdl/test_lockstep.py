@@ -14,9 +14,9 @@ import pytest
 
 from repro.codegen.driver import DUMP_FILE
 from repro.core.caches import caches
-from repro.core.simulation import (MUTANT_LOCKSTEP, MUTANT_PER_MUTANT,
-                                   run_driver, run_mutant_sweep)
-from repro.hdl import simulate, use_context
+from repro.core.simulation import (_per_mutant_sweep, run_driver,
+                                   run_mutant_sweep)
+from repro.hdl import current_context
 from repro.hdl.lockstep import (GROUP_DELIM, LANE_DELIM,
                                 LockstepUnsupported, build_union,
                                 demux_lines, lane_suffix)
@@ -168,13 +168,12 @@ class TestDemuxLines:
 class TestRunMutantSweep:
     def test_engines_agree(self):
         mutants = [MUT_XOR, MUT_AND, MUT_SAME]
-        lockstep = run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN,
-                                    mutant_engine=MUTANT_LOCKSTEP)
-        per_mutant = run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN,
-                                      mutant_engine=MUTANT_PER_MUTANT)
-        assert lockstep.engine == MUTANT_LOCKSTEP
+        lockstep = run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN)
+        per_mutant = _per_mutant_sweep(DRIVER, mutants, GOLDEN, None,
+                                       current_context())
+        assert lockstep.engine == "lockstep"
         assert not lockstep.fallback_reason
-        assert per_mutant.engine == MUTANT_PER_MUTANT
+        assert per_mutant.engine == "per-mutant"
         for ls_run, pm_run in zip(lockstep.runs, per_mutant.runs):
             assert ls_run.status == pm_run.status
             assert ls_run.records == pm_run.records
@@ -188,9 +187,8 @@ class TestRunMutantSweep:
 
     def test_duplicate_lanes_share_one_simulation(self):
         sweep = run_mutant_sweep(DRIVER, [MUT_XOR, MUT_XOR, GOLDEN],
-                                 golden_src=GOLDEN,
-                                 mutant_engine=MUTANT_LOCKSTEP)
-        assert sweep.engine == MUTANT_LOCKSTEP
+                                 golden_src=GOLDEN)
+        assert sweep.engine == "lockstep"
         assert sweep.runs[0].records == sweep.runs[1].records
         assert sweep.runs[2].records == sweep.golden.records
         assert sweep.retire_rounds == [1, 1, None]
@@ -198,32 +196,23 @@ class TestRunMutantSweep:
     def test_fallback_on_unsupported_driver(self):
         driver = DRIVER.replace("$finish;",
                                 '$display("done"); $finish;')
-        sweep = run_mutant_sweep(driver, [MUT_XOR], golden_src=GOLDEN,
-                                 mutant_engine=MUTANT_LOCKSTEP)
-        assert sweep.engine == MUTANT_PER_MUTANT
+        sweep = run_mutant_sweep(driver, [MUT_XOR], golden_src=GOLDEN)
+        assert sweep.engine == "per-mutant"
         assert "LockstepUnsupported" in sweep.fallback_reason
         assert "$display" in sweep.fallback_reason
         assert sweep.runs[0].ok
         assert sweep.retire_rounds == [1]
 
     def test_fallback_reason_empty_when_requested(self):
-        sweep = run_mutant_sweep(DRIVER, [MUT_XOR],
-                                 mutant_engine=MUTANT_PER_MUTANT)
-        assert sweep.engine == MUTANT_PER_MUTANT
+        sweep = _per_mutant_sweep(DRIVER, [MUT_XOR], None, None,
+                                  current_context())
+        assert sweep.engine == "per-mutant"
         assert not sweep.fallback_reason
 
-    def test_context_knob_steers_engine(self):
-        with use_context(mutant_engine=MUTANT_PER_MUTANT):
-            sweep = run_mutant_sweep(DRIVER, [MUT_XOR])
-        assert sweep.engine == MUTANT_PER_MUTANT
-        # The explicit argument beats the active context.
-        with use_context(mutant_engine=MUTANT_PER_MUTANT):
-            sweep = run_mutant_sweep(DRIVER, [MUT_XOR],
-                                     mutant_engine=MUTANT_LOCKSTEP)
-        assert sweep.engine == MUTANT_LOCKSTEP
-
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="mutant_engine"):
+        # Lockstep-first is the only strategy: a caller still naming
+        # one fails loudly.
+        with pytest.raises(TypeError):
             run_mutant_sweep(DRIVER, [MUT_XOR], mutant_engine="schemata")
 
     def test_monolithic_always_per_mutant(self):
@@ -242,9 +231,8 @@ module tb();
 endmodule
 """
         sweep = run_mutant_sweep(tb, [GOLDEN, MUT_XOR],
-                                 kind="monolithic",
-                                 mutant_engine=MUTANT_LOCKSTEP)
-        assert sweep.engine == MUTANT_PER_MUTANT
+                                 kind="monolithic")
+        assert sweep.engine == "per-mutant"
         assert "stdout" in sweep.fallback_reason
         assert [run.verdict for run in sweep.runs] == [True, False]
 
@@ -260,20 +248,17 @@ endmodule
 
     def test_union_template_cached(self):
         mutants = [MUT_XOR, MUT_AND]
-        run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN,
-                         mutant_engine=MUTANT_LOCKSTEP)
+        run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN)
         before = caches.stats()["union"]
-        run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN,
-                         mutant_engine=MUTANT_LOCKSTEP)
+        run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN)
         after = caches.stats()["union"]
         assert after["hits"] > before["hits"]
 
     def test_syntax_broken_mutant_falls_back(self):
         broken = GOLDEN.replace("endmodule", "")
         sweep = run_mutant_sweep(DRIVER, [MUT_XOR, broken],
-                                 golden_src=GOLDEN,
-                                 mutant_engine=MUTANT_LOCKSTEP)
-        assert sweep.engine == MUTANT_PER_MUTANT
+                                 golden_src=GOLDEN)
+        assert sweep.engine == "per-mutant"
         assert sweep.fallback_reason
         assert sweep.runs[0].ok
         assert not sweep.runs[1].ok

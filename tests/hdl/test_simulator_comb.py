@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import SIMULATORS
 from repro.hdl import SimulationError, compile_design, simulate
 from repro.hdl.errors import SimulationLimit
 
@@ -290,9 +291,9 @@ module tb;
 endmodule
 """
 
-    @pytest.mark.parametrize("engine", ["interpret", "compiled"])
+    @pytest.mark.parametrize("engine", SIMULATORS)
     def test_finish_requested_cleanly(self, engine):
-        result = simulate(self.SRC, "tb", engine=engine)
+        result = SIMULATORS[engine](self.SRC, "tb")
         assert result.finished
         assert result.sim_time == 5
         assert result.stdout == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import SIMULATORS
 from repro.hdl import simulate
 
 
@@ -188,7 +189,7 @@ endmodule
     assert result.files["out.txt"] == ["first", "second"]
 
 
-@pytest.mark.parametrize("engine", ["compiled", "interpret"])
+@pytest.mark.parametrize("engine", SIMULATORS)
 def test_trailing_fwrite_text_is_the_last_line(engine):
     src = """
 module tb;
@@ -203,7 +204,7 @@ module tb;
     end
 endmodule
 """
-    result = simulate(src, "tb", engine=engine)
+    result = SIMULATORS[engine](src, "tb")
     assert result.files["out.txt"] == ["ab", "tail 7"]
 
 

@@ -8,8 +8,8 @@ after the first — asserted here via the compile counters exposed by
 
 import pytest
 
+from oracles import SIMULATORS
 from repro.hdl import ast as hdl_ast
-from repro.hdl import simulate
 from repro.hdl.compile import (clear_program_cache, compile_spec,
                                program_cache_stats)
 from repro.hdl.elaborate import elaborate
@@ -107,8 +107,8 @@ class TestSameDesignReElaboration:
         clear_program_cache()
         design1 = _elaborate_pair(DUT_COUNT_UP, DRIVER)
         design2 = _elaborate_pair(DUT_COUNT_UP, DRIVER)
-        result1 = Simulator(design1, engine="compiled").run()
-        result2 = Simulator(design2, engine="compiled").run()
+        result1 = Simulator(design1).run()
+        result2 = Simulator(design2).run()
         assert result1.stdout == result2.stdout
         assert result1.stdout[-1] == "i=5 q=6"
         assert result1.sim_time == result2.sim_time
@@ -159,7 +159,7 @@ class TestCrossDesignDriverReuse:
                            ("two", DUT_COUNT_BY_TWO),
                            ("down", DUT_COUNT_DOWN)):
             design = _elaborate_pair(dut, DRIVER)
-            outputs[label] = Simulator(design, engine="compiled").run().stdout[-1]
+            outputs[label] = Simulator(design).run().stdout[-1]
         assert outputs["up"] == "i=5 q=6"
         assert outputs["two"] == "i=5 q=12"
         assert outputs["down"] == "i=5 q=194"
@@ -179,10 +179,8 @@ class TestSignatureGuards:
         assert added > 0
 
         # Both still simulate correctly despite sharing a module name.
-        narrow = Simulator(_elaborate_pair(DUT_COUNT_UP, DRIVER),
-                           engine="compiled").run()
-        wide = Simulator(_elaborate_pair(wide_dut, wide_driver),
-                         engine="compiled").run()
+        narrow = Simulator(_elaborate_pair(DUT_COUNT_UP, DRIVER)).run()
+        wide = Simulator(_elaborate_pair(wide_dut, wide_driver)).run()
         assert narrow.stdout[-1] == "i=5 q=6"
         assert wide.stdout[-1] == "i=5 q=6"
 
@@ -209,7 +207,7 @@ endmodule
         clear_program_cache()
         design = elaborate(parse_source_cached(src), "tb")
         _compile_all(design)
-        result = Simulator(design, engine="compiled").run()
+        result = Simulator(design).run()
         assert result.stdout == ["y1=6 y2=8"]
         # Re-elaboration still shares both parameterisations.
         added, _ = _compiles_during(lambda: _compile_all(
@@ -237,7 +235,7 @@ endmodule
 
 def _outcome(src: str, engine: str = "compiled"):
     try:
-        result = simulate(src, "tb", engine=engine)
+        result = SIMULATORS[engine](src, "tb")
     except SimulationError as exc:
         return ("error", str(exc))
     return (result.stdout, result.sim_time,
@@ -264,7 +262,7 @@ class TestStructuralKeys:
         assert shared == _outcome(other)
         assert shared[0] == ["q=2"]
 
-    @pytest.mark.parametrize("engine", ["interpret", "compiled"])
+    @pytest.mark.parametrize("engine", SIMULATORS)
     def test_equal_comb_bodies_keep_their_own_labels(self, engine):
         """``always @(*)`` and ``always @(a)`` elaborate to the same comb
         body in the same (top) scope; the compiled guard bakes in the

@@ -126,17 +126,21 @@ class TestEndpoints:
             status, data, _ = _request(
                 service, "POST", "/v1/simulate",
                 {"driver": driver, "dut": dut},
-                headers={"X-Repro-Engine": "interpret",
-                         "X-Repro-Max-Time": "200000"})
+                headers={"X-Repro-Max-Time": "200000",
+                         "X-Repro-Max-Stmts": "4000000"})
+            starved = _request(
+                service, "POST", "/v1/simulate",
+                {"driver": driver, "dut": dut},
+                headers={"X-Repro-Max-Time": "1"})
             body_override = _request(
                 service, "POST", "/v1/simulate",
                 {"driver": driver, "dut": dut,
-                 "context": {"engine": "compiled"}})
+                 "context": {"max_time": 1}})
         assert status == 200 and data["status"] == "ok"
+        # A starved time budget reaches the run from either source.
+        assert starved[0] == 200 and starved[1]["status"] == "runtime"
         assert body_override[0] == 200
-        # Identical sweeps agree across engines.
-        assert [record["values"] for record in data["records"]] \
-            == [record["values"] for record in body_override[1]["records"]]
+        assert body_override[1]["status"] == "runtime"
 
 
 class TestErrorSurface:
@@ -179,14 +183,28 @@ class TestErrorSurface:
         assert "jobs" in data["error"]["detail"]
 
     def test_bad_engine_value_400(self):
+        # There is one engine: naming any is an unknown request field.
         driver, dut = _fixture()
         with running_service() as service:
             status, data, _ = _request(
                 service, "POST", "/v1/simulate",
                 {"driver": driver, "dut": dut,
-                 "context": {"engine": "quantum"}})
+                 "context": {"engine": "compiled"}})
         assert status == 400
         assert data["error"]["code"] == "bad-context"
+        assert "('max_time', 'max_stmts')" in data["error"]["detail"]
+
+    def test_bool_limit_400(self):
+        # JSON true is not a one-unit limit.
+        driver, dut = _fixture()
+        with running_service() as service:
+            for name in ("max_time", "max_stmts"):
+                status, data, _ = _request(
+                    service, "POST", "/v1/simulate",
+                    {"driver": driver, "dut": dut, "context": {name: True}})
+                assert status == 400
+                assert data["error"]["code"] == "bad-context"
+                assert name in data["error"]["detail"]
 
     def test_bad_kind_400(self):
         driver, dut = _fixture()

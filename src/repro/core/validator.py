@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from ..llm.base import LLMClient, MeteredClient
 from ..problems.model import TaskSpec
-from ..util import stable_hash
 from .artifacts import HybridTestbench
 from .checker_runtime import run_checker
 from .rs_matrix import RSMatrix, RSRow, build_matrix
@@ -133,8 +132,9 @@ class ScenarioValidator:
 
     # ------------------------------------------------------------------
     def _judge_key(self, driver_src: str, judge: JudgeRtl):
-        return (stable_hash(driver_src), judge.sample_index,
-                stable_hash(judge.source))
+        # The caches are per-instance dicts, so the texts themselves
+        # make an exact key; ``str`` caches its own hash.
+        return (driver_src, judge.sample_index, judge.source)
 
     def _sweep_judges(self, driver_src: str, judges) -> None:
         """Sweep the driver across ``judges`` and cache runs + retire

@@ -27,7 +27,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from ..core.caches import caches, use_task_scope
+from ..core.caches import caches, pace_full_collections, use_task_scope
 from ..core.simulation import (design_template, get_sim_pool,
                                shutdown_sim_pool, _pair_template,
                                _resolve_start_method)
@@ -124,7 +124,14 @@ def run_one(method: str, task_id: str, seed: int,
     ``llm_backend`` selects the synthetic tier (the default), a live
     adapter stack, or fixture record/replay — campaigns, the CLI, and
     the service all inherit the choice through this one point.
+
+    Every work item passes through here — serial campaigns, sim-pool
+    workers, the live-backend thread fan-out, ``repro run`` and the
+    service — so this is where the process's full garbage collections
+    are paced (:func:`repro.core.caches.pace_full_collections`).  The
+    process keeps that setting after the item returns.
     """
+    pace_full_collections()
     runner = get_method(method)
     if context is None:
         context = current_context()

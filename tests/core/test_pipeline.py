@@ -1,5 +1,6 @@
 """Generator, validator, corrector: pipeline-stage behaviour."""
 
+import repro.core.validator as validator_mod
 from repro.codegen import render_checker_core, render_driver
 from repro.core import (AutoBenchGenerator, CRITERION_70, Corrector,
                         DirectBaseline, HybridTestbench, ScenarioValidator,
@@ -147,6 +148,42 @@ class TestValidator:
                 task, task.variant_params(task.variants[0])),
             scenarios=tb.scenarios))
         assert len(validator._sim_cache) == cache_size
+
+    def test_judge_cache_keys_on_driver_text(self, monkeypatch):
+        sweeps = []
+        real_sweep = validator_mod.run_mutant_sweep
+
+        def counting_sweep(driver_src, *args, **kwargs):
+            sweeps.append(driver_src)
+            return real_sweep(driver_src, *args, **kwargs)
+
+        monkeypatch.setattr(validator_mod, "run_mutant_sweep",
+                            counting_sweep)
+        task = get_task("cmb_dec2to4")
+        plan = task.canonical_scenarios()
+        validator = ScenarioValidator(client_for(), task, CRITERION_70)
+        tb = HybridTestbench(
+            task_id=task.task_id,
+            driver_src=render_driver(task, plan),
+            checker_src=render_checker_core(task),
+            scenarios=tuple((s.index, s.description) for s in plan))
+        first = validator.validate(tb)
+        assert len(sweeps) == 1
+
+        # Equal text in a different string object: every judge hits.
+        copy = "".join(list(tb.driver_src))
+        assert copy is not tb.driver_src
+        again = validator.validate(HybridTestbench(
+            task_id=tb.task_id, driver_src=copy,
+            checker_src=tb.checker_src, scenarios=tb.scenarios))
+        assert len(sweeps) == 1
+        assert again.verdict == first.verdict
+
+        # A one-character edit is a different driver: the judges re-run.
+        validator.validate(HybridTestbench(
+            task_id=tb.task_id, driver_src=tb.driver_src + " ",
+            checker_src=tb.checker_src, scenarios=tb.scenarios))
+        assert sweeps[1:] == [tb.driver_src + " "]
 
 
 class TestCorrector:

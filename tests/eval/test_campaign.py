@@ -2,11 +2,14 @@
 the pluggable method registry, attempt-aware progress and store-backed
 resume/shard semantics."""
 
+import gc
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 import repro.eval.campaign as campaign_mod
+from repro.core.caches import FULL_COLLECTION_THRESHOLD
 from repro.eval import (CampaignStore, EvalLevel, StoreError,
                         campaign_items, default_config, register_method,
                         registered_methods, render_store_summary,
@@ -90,6 +93,65 @@ class TestCampaign:
         healthy = run_campaign(config).runs[0]
         assert starved.level < healthy.level
         assert current_context().max_time != 1
+
+
+# ----------------------------------------------------------------------
+# Collector pacing
+# ----------------------------------------------------------------------
+@pytest.fixture
+def default_gc_thresholds():
+    """Start from CPython's default generation-2 threshold and restore
+    the caller's thresholds afterwards, so other tests see them."""
+    saved = gc.get_threshold()
+    gc.set_threshold(saved[0], saved[1], 10)
+    try:
+        yield gc.get_threshold()
+    finally:
+        gc.set_threshold(*saved)
+
+
+class _Cycle:
+    def __init__(self):
+        self.me = self
+
+
+class TestCollectorPacing:
+    def test_serial_campaign_runs_no_full_collection(
+            self, default_gc_thresholds):
+        full_passes = []
+
+        def probe(phase, info):
+            if phase == "start" and info["generation"] == 2:
+                full_passes.append(info)
+
+        config = default_config(task_ids=("cmb_alu8", "cmb_eq4"),
+                                seeds=(0,), n_jobs=1)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(probe)
+        try:
+            result = run_campaign(config)
+        finally:
+            gc.callbacks.remove(probe)
+        assert len(result.runs) == 6
+        assert full_passes == []
+        assert gc.get_threshold()[2] >= FULL_COLLECTION_THRESHOLD
+        assert gc.get_threshold()[:2] == default_gc_thresholds[:2]
+        assert gc.isenabled() == enabled
+
+    def test_caller_threshold_is_not_lowered(self, default_gc_thresholds):
+        gen0, gen1, _ = default_gc_thresholds
+        gc.set_threshold(gen0, gen1, 5000)
+        run_one(METHOD_BASELINE, EASY_TASK, seed=0)
+        assert gc.get_threshold() == (gen0, gen1, 5000)
+
+    def test_cycles_are_still_reclaimed(self, default_gc_thresholds):
+        run_one(METHOD_BASELINE, EASY_TASK, seed=0)
+        cycle = _Cycle()
+        ref = weakref.ref(cycle)
+        del cycle
+        gc.collect()
+        assert ref() is None
 
 
 # ----------------------------------------------------------------------

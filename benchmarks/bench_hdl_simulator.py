@@ -456,83 +456,21 @@ def bench_mutant_sweep(seconds: float, task_id: str = "seq_count8_en",
     return out
 
 
-def _pid_after_hold(delay: float = 0.05) -> int:
-    """Pool-worker probe for the warm-start bench's boot barrier: hold
-    the worker briefly (so a sibling gets scheduled too), then report
-    which process ran.  Module-level so spawn workers can unpickle it."""
-    time.sleep(delay)
-    return os.getpid()
-
-
 def bench_pool_warm_start(seconds: float, task_id: str = "seq_count8_en",
                           n_variants: int = 20, jobs: int = 2) -> dict:
-    """Warm-start value on spawn-started pools, parity on fork.
+    """Fork-pool parity with the ``warm_start`` flag on and off.
 
-    A spawn-started worker begins as a blank interpreter; its first
-    batch historically paid the full front end (parse + elaborate +
-    compile) for every unique (driver, DUT) pair.  With warm start, pool
-    creation ships a CacheSnapshot and workers rebuild the templates in
-    their initializer — so the timed first batch runs at template-hit
-    steady state.  Worker boot (interpreter + imports + initializer) is
-    deliberately excluded from the timing via a sleep barrier that
-    forces every worker up first: the boot cost is paid once per pool,
-    the cold-cache cost otherwise recurs on every fresh/healed worker.
-
-    ``fork_parity`` guards the other direction: forked workers inherit
-    caches through memory, so the warm-start machinery must not tax the
-    default path (no snapshot is shipped to fork pools).
+    Forked workers inherit the parent's caches through memory, so the
+    flag ships nothing to them: steady-state batches with it on and off
+    must run at parity (``fork_parity``).
     """
-    from repro.core.simulation import get_sim_pool, shutdown_sim_pool
+    from repro.core.simulation import shutdown_sim_pool
 
     task = get_task(task_id)
     driver = render_driver(task, task.canonical_scenarios())
     variants = [m.source for m in generate_mutants(
         task.golden_rtl(), n_variants, task.task_id)]
 
-    # Warm the parent once: this is what the snapshot will carry.
-    run_driver_batch(driver, variants, jobs=1)
-
-    def boot_barrier(pool) -> None:
-        # Wait until every worker has *checked in* (returned its PID):
-        # a worker only runs tasks after its initializer completes, so
-        # N distinct PIDs proves all N workers are booted and warmed.
-        # Submitting plain sleeps is not enough — an already-booted
-        # worker can drain the whole queue while a slow sibling is
-        # still importing, which would push that sibling's boot (and
-        # snapshot import) into the timed window.
-        seen: set = set()
-        for _ in range(200):  # bound the wait (~10 s worst case)
-            futures = [pool.submit(_pid_after_hold)
-                       for _ in range(jobs * 2)]
-            seen |= {future.result() for future in futures}
-            if len(seen) >= jobs:
-                return
-        raise RuntimeError(f"pool workers never all booted ({seen})")
-
-    def first_batch_ms(warm: bool) -> float:
-        with use_context(start_method="spawn", warm_start=warm):
-            shutdown_sim_pool()
-            pool = get_sim_pool(jobs)
-            boot_barrier(pool)
-            t0 = time.perf_counter()
-            runs = run_driver_batch(driver, variants, jobs=jobs)
-            elapsed = time.perf_counter() - t0
-            assert all(run.ok for run in runs)
-            shutdown_sim_pool()
-            return elapsed * 1000
-
-    rounds = max(2, int(seconds / 0.3))
-    out = {
-        "spawn_cold_first_batch_ms": min(first_batch_ms(False)
-                                         for _ in range(rounds)),
-        "spawn_warm_first_batch_ms": min(first_batch_ms(True)
-                                         for _ in range(rounds)),
-    }
-    out["warm_start_speedup"] = (out["spawn_cold_first_batch_ms"]
-                                 / out["spawn_warm_first_batch_ms"])
-
-    # Fork path: steady-state batches with warm start on vs off must be
-    # at parity (the flag ships nothing to fork pools).
     def fork_steady_ms(warm: bool) -> float:
         with use_context(warm_start=warm):
             shutdown_sim_pool()
@@ -541,8 +479,8 @@ def bench_pool_warm_start(seconds: float, task_id: str = "seq_count8_en",
                 lambda: run_driver_batch(driver, variants, jobs=jobs),
                 seconds) * 1000
 
-    out["fork_steady_warm_ms"] = fork_steady_ms(True)
-    out["fork_steady_cold_flag_ms"] = fork_steady_ms(False)
+    out = {"fork_steady_warm_ms": fork_steady_ms(True),
+           "fork_steady_cold_flag_ms": fork_steady_ms(False)}
     out["fork_parity"] = (out["fork_steady_warm_ms"]
                           / out["fork_steady_cold_flag_ms"])
     shutdown_sim_pool()
@@ -672,10 +610,9 @@ def bench_campaign_resume(seconds: float, n_tasks: int = 6) -> dict:
     into a fresh store — the cost an interrupted campaign pays if it has
     to restart from scratch.  ``resume_ms`` replays the crash-recovery
     path: a store pre-populated with the first half of the items (the
-    CorrectBench-heavy half, methods-major order) plus the co-located
-    cache snapshot, caches cleared, then ``run_campaign(resume=True)``
-    answers the stored half without simulating and boots warm for the
-    rest.  ``resume_speedup`` is the same-run ratio CI gates on (>= 2x):
+    CorrectBench-heavy half, methods-major order), caches cleared, then
+    ``run_campaign(resume=True)`` answers the stored half without
+    simulating and computes the rest.  ``resume_speedup`` is the same-run ratio CI gates on (>= 2x):
     if resuming ever gets within 2x of recomputing, the store has
     stopped paying for itself.
     """
@@ -694,15 +631,13 @@ def bench_campaign_resume(seconds: float, n_tasks: int = 6) -> dict:
     items = campaign_items(config)
     half = len(items) // 2
 
-    # One full run provides the stored half and the co-located snapshot
-    # a killed campaign leaves behind (run_campaign saves it at prewarm
-    # time, before any item computes).
+    # One full run provides the stored half a killed campaign leaves
+    # behind.
     seed_root = tempfile.mkdtemp(prefix="bench-resume-seed-")
     try:
         seed_store = CampaignStore(seed_root)
         clear_simulation_caches()
         full = run_campaign(config, store=seed_store)
-        snapshot = seed_store.load_snapshot()
     finally:
         shutil.rmtree(seed_root, ignore_errors=True)
 
@@ -725,8 +660,6 @@ def bench_campaign_resume(seconds: float, n_tasks: int = 6) -> dict:
             store = CampaignStore(root)
             for item, run in zip(items[:half], full.runs[:half]):
                 store.put(store_key(*item), run)
-            if snapshot is not None:
-                store.save_snapshot(snapshot)
             clear_simulation_caches()
             t0 = time.perf_counter()
             result = run_campaign(config, store=store, resume=True)
@@ -835,17 +768,8 @@ def main(argv) -> int:
               f"{sweep['lockstep_speedup']:.2f}x the per-mutant path "
               f"(< {lockstep_floor}x)", file=sys.stderr)
         ok = False
-    # Warm-started spawn pools must beat unwarmed ones on the first
-    # batch (the whole point of shipping the snapshot), and the fork
-    # path — which ships nothing — must stay at parity.  Spawn timing on
-    # shared runners is noisy, so the quick floor carries headroom below
-    # the measured ~2x.
-    warm_floor = 1.1 if quick else 1.15
-    if warm["warm_start_speedup"] < warm_floor:
-        print("WARNING: warm spawn-pool first batch only "
-              f"{warm['warm_start_speedup']:.2f}x the cold one "
-              f"(< {warm_floor}x)", file=sys.stderr)
-        ok = False
+    # The warm_start flag ships nothing to fork pools, so their steady
+    # state must stay at parity with the flag off.
     if warm["fork_parity"] > 1.3:
         print("WARNING: fork steady state with warm_start on is "
               f"{warm['fork_parity']:.2f}x the off path (> 1.3x)",

@@ -14,7 +14,7 @@ Subcommands:
 ``run``/``validate``/``campaign`` accept ``--trace-dir`` and the LLM
 backend flags, and ``campaign`` additionally ``--start-method`` and
 ``--warm-start/--no-warm-start`` (worker-pool start method and
-cache-snapshot warm-up) plus ``--store DIR`` / ``--resume`` /
+pre-warming the parent before workers fork) plus ``--store DIR`` / ``--resume`` /
 ``--shards N`` (persistent artifact store, kill-resume, and the shard
 coordinator); the selections feed a
 :class:`~repro.hdl.context.SimContext` activated around the command
@@ -397,8 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: active context / platform)")
     p_camp.add_argument("--warm-start", action=argparse.BooleanOptionalAction,
                         default=None, dest="warm_start",
-                        help="pre-warm pool workers with a cache snapshot "
-                             "built from the task list "
+                        help="pre-warm this process's caches from the "
+                             "task list before pool or shard workers "
+                             "fork, so they inherit them "
                              "(default: active context, on)")
     p_camp.add_argument("--store", default=None,
                         help="persist every completed item into this "
@@ -406,8 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: REPRO_STORE_DIR / off)")
     p_camp.add_argument("--resume", action="store_true",
                         help="answer already-stored items from --store "
-                             "without resimulating, booting caches from "
-                             "its snapshot")
+                             "without resimulating")
     p_camp.add_argument("--shards", type=int, default=1,
                         help="fan task slices out to this many worker "
                              "processes sharing the --store (1 = in-"

@@ -1,5 +1,4 @@
-"""One facade over the process's caching layers, plus the warm-start
-snapshot machinery built on top of it.
+"""One facade over the process's caching layers.
 
 The execution stack accumulates caches at every level — token streams
 (:mod:`repro.hdl.lexer`), parsed ASTs (:mod:`repro.hdl.parser`), shared
@@ -11,8 +10,6 @@ behind a few verbs::
     caches.clear()                  # cold start: drop every layer
     caches.clear("design", "pair")  # drop selected layers
     caches.stats()                  # {name: counters} telemetry
-    caches.export_snapshot()        # picklable warm-start artifact
-    caches.import_snapshot(snap)    # warm a fresh process from it
 
 The legacy ``clear_simulation_caches`` / ``simulation_cache_stats`` /
 ``clear_template_caches`` helpers in :mod:`repro.core.simulation`
@@ -20,16 +17,9 @@ delegate here, so existing callers and recorded stats shapes are
 unchanged.  New caching layers self-register at import time via
 :meth:`CacheRegistry.register` instead of growing the helper functions.
 
-**Warm-start snapshots.**  Compiled-closure programs cannot cross a
-process boundary (closures do not pickle), but everything *below* the
-closure layer can: token streams, ASTs, the ``(source, top)`` signatures
-of elaborated templates, and recorded elaboration failures.
-:class:`CacheSnapshot` bundles exactly those payloads.  A layer opts in
-by registering ``export`` / ``import_`` callables; layers without them
-(the program cache) are simply absent from snapshots.  Importing a
-snapshot *re-derives* the closure-bearing layers — template signatures
-are re-elaborated and re-compiled locally — so a spawn-started pool
-worker reaches the same steady state a forked worker inherits for free.
+Caches warm up in one of two ways: the work builds them lazily, or a
+forked pool / shard worker inherits a pre-warmed parent's caches
+through copy-on-write memory.  Nothing is serialized.
 
 **Task scoping.**  Campaign sweeps interleave many tasks; one task's
 mutant flood used to evict another task's warm templates from the shared
@@ -48,94 +38,37 @@ rare for the rest of the process.
 from __future__ import annotations
 
 import gc
-import hashlib
-import os
-import pickle
-import tempfile
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable
 
 from ..util import LruCache as LruCache  # re-export: public cache API
-
-#: Snapshot schema version; bumped when payload shapes change so a
-#: stale pickled artifact fails loudly instead of half-importing.
-SNAPSHOT_VERSION = 2
-
-
-@dataclass(frozen=True)
-class CacheSnapshot:
-    """A picklable bundle of warm cache state (everything below the
-    closure layer).
-
-    ``payloads`` maps registered layer names to layer-defined payloads;
-    the shapes are owned by each layer's ``export`` / ``import_`` pair
-    and are opaque here.  Snapshots travel to pool workers through a
-    :class:`~concurrent.futures.ProcessPoolExecutor` initializer (see
-    :func:`repro.core.simulation.get_sim_pool`), but they are plain
-    values — pickling one to disk and importing it in tomorrow's
-    process works just as well.
-
-    >>> snap = CacheSnapshot(payloads={"parse": {"module m; endmodule": 1}})
-    >>> snap.layers()
-    ('parse',)
-    >>> snap.counts()
-    {'parse': 1}
-    >>> bool(CacheSnapshot(payloads={}))
-    False
-    """
-
-    payloads: dict = field(default_factory=dict)
-    version: int = SNAPSHOT_VERSION
-
-    def layers(self) -> tuple[str, ...]:
-        """Names of the layers this snapshot carries."""
-        return tuple(self.payloads)
-
-    def counts(self) -> dict:
-        """Entry count per layer (snapshot telemetry)."""
-        return {name: len(payload)
-                for name, payload in self.payloads.items()}
-
-    def __bool__(self) -> bool:
-        """A snapshot is truthy when any layer has entries."""
-        return any(self.counts().values())
 
 
 @dataclass(frozen=True)
 class _Layer:
     clear: Callable[[], None]
     stats: Callable[[], dict] | None = None
-    export: Callable[[], object] | None = None
-    import_: Callable[[object], object] | None = None
 
 
 class CacheRegistry:
     """Named cache layers with bulk and selective access.
 
-    Each layer registers a ``clear`` callable, and optionally ``stats``
-    (counter telemetry), ``export`` (produce a picklable payload for
-    :class:`CacheSnapshot`) and ``import_`` (absorb such a payload).
+    Each layer registers a ``clear`` callable and, optionally, a
+    ``stats`` callable (counter telemetry).
 
     >>> registry = CacheRegistry()
-    >>> store = {}
+    >>> store = {"k": "v"}
     >>> registry.register("demo", clear=store.clear,
-    ...                   stats=lambda: {"size": len(store)},
-    ...                   export=lambda: dict(store),
-    ...                   import_=store.update)
-    >>> store["k"] = "v"
-    >>> snap = registry.export_snapshot()
+    ...                   stats=lambda: {"size": len(store)})
+    >>> registry.stats()
+    {'demo': {'size': 1}}
     >>> registry.clear("demo")
     >>> registry.stats()
     {'demo': {'size': 0}}
-    >>> registry.import_snapshot(snap)
-    {'demo': 1}
-    >>> store
-    {'k': 'v'}
     """
 
     def __init__(self):
@@ -143,16 +76,13 @@ class CacheRegistry:
         self._entries: dict[str, _Layer] = {}
 
     def register(self, name: str, clear: Callable[[], None],
-                 stats: Callable[[], dict] | None = None,
-                 export: Callable[[], object] | None = None,
-                 import_: Callable[[object], object] | None = None) -> None:
+                 stats: Callable[[], dict] | None = None) -> None:
         """Register a cache layer.  ``clear`` drops it; ``stats`` (if
-        any) reports its counters; ``export`` / ``import_`` (if any)
-        plug the layer into :class:`CacheSnapshot`.  Names are unique."""
+        any) reports its counters.  Names are unique."""
         with self._lock:
             if name in self._entries:
                 raise ValueError(f"cache {name!r} is already registered")
-            self._entries[name] = _Layer(clear, stats, export, import_)
+            self._entries[name] = _Layer(clear, stats)
 
     def names(self) -> tuple[str, ...]:
         with self._lock:
@@ -183,42 +113,6 @@ class CacheRegistry:
                 out[name] = stats_fn()
         return out
 
-    def export_snapshot(self, *names: str) -> CacheSnapshot:
-        """Snapshot the named layers (all export-capable ones when
-        called bare) into one picklable :class:`CacheSnapshot`."""
-        payloads = {}
-        for name in self._select(names):
-            export = self._entries[name].export
-            if export is not None:
-                payloads[name] = export()
-        return CacheSnapshot(payloads=payloads)
-
-    def import_snapshot(self, snapshot: CacheSnapshot) -> dict:
-        """Absorb ``snapshot`` into this process's caches.
-
-        Returns ``{layer: imported_count}``.  Layers the snapshot
-        carries but this process does not know (or that lack an
-        ``import_`` hook) are skipped — a snapshot is a warm-up hint,
-        never a correctness requirement.  A version mismatch raises:
-        silently importing a stale schema could poison every worker.
-        """
-        if not isinstance(snapshot, CacheSnapshot):
-            raise TypeError(f"expected a CacheSnapshot, got {snapshot!r}")
-        if snapshot.version != SNAPSHOT_VERSION:
-            raise ValueError(
-                f"snapshot version {snapshot.version} does not match "
-                f"this build's {SNAPSHOT_VERSION}")
-        imported = {}
-        for name, payload in snapshot.payloads.items():
-            with self._lock:
-                layer = self._entries.get(name)
-            if layer is None or layer.import_ is None:
-                continue
-            count = layer.import_(payload)
-            imported[name] = int(count) if isinstance(count, int) \
-                else len(payload)
-        return imported
-
 
 #: The process-wide registry; layers register themselves at import.
 caches = CacheRegistry()
@@ -243,81 +137,6 @@ def pace_full_collections() -> None:
     gen0, gen1, gen2 = gc.get_threshold()
     if gen2 < FULL_COLLECTION_THRESHOLD:
         gc.set_threshold(gen0, gen1, FULL_COLLECTION_THRESHOLD)
-
-
-# ----------------------------------------------------------------------
-# Snapshot files (warm-start artifacts on disk)
-# ----------------------------------------------------------------------
-#: File magic for persisted snapshots; bumped with the on-disk format.
-_SNAPSHOT_MAGIC = b"repro-cachesnap-1\n"
-
-
-class SnapshotIntegrityError(RuntimeError):
-    """A persisted snapshot file failed verification (bad magic,
-    truncated payload, or a SHA-256 mismatch).  Raised instead of ever
-    importing suspect cache state."""
-
-
-def write_snapshot_file(snapshot: CacheSnapshot, path) -> int:
-    """Persist ``snapshot`` to ``path``; returns the bytes written.
-
-    The file carries a magic line, the SHA-256 of the pickled payload,
-    and the payload itself, and is written via tmp file + atomic
-    rename — a crash mid-write leaves the previous snapshot (or no
-    file), never a torn one.  :func:`read_snapshot_file` verifies the
-    digest before unpickling.
-    """
-    if not isinstance(snapshot, CacheSnapshot):
-        raise TypeError(f"expected a CacheSnapshot, got {snapshot!r}")
-    path = Path(path)
-    payload = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-    data = _SNAPSHOT_MAGIC + digest + b"\n" + payload
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                               prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return len(data)
-
-
-def read_snapshot_file(path) -> CacheSnapshot:
-    """Load and verify a snapshot persisted by
-    :func:`write_snapshot_file`.
-
-    Raises :class:`FileNotFoundError` when ``path`` does not exist and
-    :class:`SnapshotIntegrityError` when the file fails verification —
-    a warm-start artifact is a hint, but a *corrupt* one must fail
-    loudly rather than silently poison every cache layer.
-    """
-    data = Path(path).read_bytes()
-    if not data.startswith(_SNAPSHOT_MAGIC):
-        raise SnapshotIntegrityError(
-            f"{path} is not a snapshot file (bad magic)")
-    rest = data[len(_SNAPSHOT_MAGIC):]
-    digest, sep, payload = rest.partition(b"\n")
-    if not sep:
-        raise SnapshotIntegrityError(f"{path} is truncated")
-    if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
-        raise SnapshotIntegrityError(
-            f"{path} failed its SHA-256 check (tampered or truncated)")
-    try:
-        snapshot = pickle.loads(payload)
-    except Exception as exc:
-        raise SnapshotIntegrityError(
-            f"{path} payload does not unpickle: {exc}") from exc
-    if not isinstance(snapshot, CacheSnapshot):
-        raise SnapshotIntegrityError(
-            f"{path} does not contain a CacheSnapshot "
-            f"(got {type(snapshot).__name__})")
-    return snapshot
 
 
 # ----------------------------------------------------------------------
@@ -502,9 +321,7 @@ class ScopedLruCache:
 
     def export_keys(self) -> tuple:
         """``(scope, key)`` pairs for every live entry, least recently
-        used first.  Values (elaborated templates) hold compiled
-        closures and deliberately never cross a process boundary — the
-        importer re-derives them from the keys."""
+        used first."""
         with self._lock:
             return tuple((scope, key)
                          for scope, bucket in self._scopes.items()

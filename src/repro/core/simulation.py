@@ -38,24 +38,19 @@ worker never falls back to its own process defaults.  All cache layers register 
 :data:`repro.core.caches.caches`; the ``clear_*`` / ``*_stats``
 helpers below delegate to that facade.
 
-Pool workers start *warm*: forked workers inherit the parent's caches
-through memory, and spawn/forkserver workers (where compiled closures
-cannot be pickled across) import a
-:class:`~repro.core.caches.CacheSnapshot` — token streams, ASTs,
-template signatures, cached failures — shipped through the executor
-initializer, re-deriving the closure layers locally before their first
-work item.  ``SimContext.start_method`` / ``warm_start`` select the
-behaviour; :func:`sim_pool_info` reports the live pool's state, and the
-``pool_warm_start`` bench gates the win.
+Forked pool workers start *warm*: they inherit the parent's caches
+through memory, so campaigns pre-warm the parent before creating the
+pool.  Spawn / forkserver workers (where compiled closures cannot be
+pickled across) start cold and build their caches lazily.
+``SimContext.start_method`` / ``warm_start`` select the behaviour, and
+:func:`sim_pool_info` reports the live pool's state.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
-import pickle
 import re
-import sys
 import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
@@ -63,24 +58,21 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from ..hdl import ast as hdl_ast
-from ..hdl.compile import (begin_warm_start, clear_program_cache,
-                           end_warm_start, program_cache_stats)
+from ..hdl.compile import clear_program_cache, program_cache_stats
 from ..hdl.context import (START_METHOD_DEFAULT, SimContext,
                            current_context, use_context)
 from ..hdl.elaborate import Design, elaborate
 from ..hdl.errors import (ElaborationError, HdlError, SimulationError,
                           SimulationLimit, VerilogSyntaxError)
-from ..hdl.lexer import (clear_tokenize_cache, export_tokenize_cache,
-                         import_tokenize_cache, tokenize_cache_stats)
-from ..hdl.parser import (clear_parse_cache, export_parse_cache,
-                          import_parse_cache, parse_cache_stats,
+from ..hdl.lexer import clear_tokenize_cache, tokenize_cache_stats
+from ..hdl.parser import (clear_parse_cache, parse_cache_stats,
                           parse_source_cached)
 from ..hdl.simulator import SimulationResult, Simulator
 from ..hdl import lockstep as lockstep_mod
 from ..hdl.lockstep import (LockstepUnsupported, build_union,
                             clear_lockstep_caches, lockstep_cache_stats)
 from ..codegen.driver import DUMP_FILE
-from .caches import CacheSnapshot, ScopedLruCache, caches, use_task_scope
+from .caches import ScopedLruCache, caches
 
 # Failure taxonomy used throughout evaluation:
 SYNTAX = "syntax"          # does not parse (Eval0 fails)
@@ -317,100 +309,20 @@ def _failure_cache_stats() -> dict:
                 "size": len(_failure_cache)}
 
 
-def _export_failure_cache() -> dict:
-    """Snapshot payload: ``{key: (exc_type, args, attrs)}`` — already
-    shape-only (no live exception instances), so directly picklable."""
-    with _failure_lock:
-        return dict(_failure_cache)
-
-
-def _import_failure_cache(entries: dict) -> int:
-    added = 0
-    with _failure_lock:
-        for key, info in entries.items():
-            if key not in _failure_cache:
-                while len(_failure_cache) >= _FAILURE_CACHE_SIZE:
-                    _failure_cache.popitem(last=False)
-                _failure_cache[key] = info
-                added += 1
-    return added
-
-
-# ----------------------------------------------------------------------
-# Template warm-start (snapshot export/import)
-# ----------------------------------------------------------------------
-# A DesignTemplate owns compiled closures, which cannot pickle — so the
-# template layers export only their *keys* (scope + source signature)
-# and the importer re-elaborates each one locally, against the (already
-# imported, hence warm) token and AST caches.  That front-loads the
-# parse/elaborate/compile cost into pool-worker initialization, which
-# is exactly the point: a spawn-started worker's first batch then runs
-# at fork-path steady state.
-def _import_design_keys(keys) -> int:
-    return _rebuild_templates(keys, lambda key: design_template(*key))
-
-
-def _import_pair_keys(keys) -> int:
-    return _rebuild_templates(keys, lambda key: _pair_template(*key))
-
-
-def _rebuild_templates(keys, build) -> int:
-    from ..hdl.compile import compile_spec
-
-    rebuilt = 0
-    begin_warm_start()
-    try:
-        for scope, key in keys:
-            with use_task_scope(scope):
-                try:
-                    template = build(key)
-                    # Programs normally compile lazily on first run;
-                    # force them now so the warm-up, not the worker's
-                    # first batch, pays the lowering cost.
-                    for spec in template.design.processes:
-                        compile_spec(spec)
-                except (VerilogSyntaxError, ElaborationError):
-                    # The failure is (re-)recorded; the entry still
-                    # warms the failure path.
-                    pass
-                except HdlError:  # pragma: no cover - defensive
-                    # Late (run-time-class) lowering errors surface on
-                    # the executed path instead; never kill a warm-up.
-                    pass
-                else:
-                    rebuilt += 1
-    finally:
-        end_warm_start()
-    return rebuilt
-
-
 # Every caching layer registers with the shared facade; registration
 # order fixes the key order of ``caches.stats()`` (and therefore of
 # ``simulation_cache_stats()``, whose recorded shape predates the
-# registry).  Layers whose contents are picklable plain data register
-# export/import hooks and so participate in warm-start snapshots; the
-# program cache holds closures and is deliberately snapshot-blind (its
-# contents are re-derived by the template import above).
+# registry).
 caches.register("tokenize", clear=clear_tokenize_cache,
-                stats=tokenize_cache_stats,
-                export=export_tokenize_cache,
-                import_=import_tokenize_cache)
+                stats=tokenize_cache_stats)
 caches.register("parse", clear=clear_parse_cache,
-                stats=parse_cache_stats,
-                export=export_parse_cache,
-                import_=import_parse_cache)
+                stats=parse_cache_stats)
 caches.register("design", clear=_design_templates.clear,
-                stats=_design_templates.stats,
-                export=_design_templates.export_keys,
-                import_=_import_design_keys)
+                stats=_design_templates.stats)
 caches.register("pair", clear=_pair_templates.clear,
-                stats=_pair_templates.stats,
-                export=_pair_templates.export_keys,
-                import_=_import_pair_keys)
+                stats=_pair_templates.stats)
 caches.register("failure", clear=_clear_failure_cache,
-                stats=_failure_cache_stats,
-                export=_export_failure_cache,
-                import_=_import_failure_cache)
+                stats=_failure_cache_stats)
 caches.register("programs", clear=clear_program_cache,
                 stats=program_cache_stats)
 
@@ -426,8 +338,7 @@ def _union_layer_stats() -> dict:
     return stats
 
 
-# Union templates hold compiled closures (snapshot-blind, like the
-# program cache); the lockstep rename cache rides on the same layer.
+# The lockstep rename cache rides on the union layer.
 caches.register("union", clear=_clear_union_layer,
                 stats=_union_layer_stats)
 
@@ -681,43 +592,31 @@ def dut_compiles(dut_src: str) -> tuple[bool, str]:
 
 
 # ----------------------------------------------------------------------
-# Persistent worker pool (with warm-start)
+# Persistent worker pool
 # ----------------------------------------------------------------------
 # One ProcessPoolExecutor is shared by every batch and campaign call in
 # the process: created lazily on first use, grown monotonically to the
 # largest worker count requested, recreated with the same configuration
 # if a worker dies (see _pool_map), and torn down atexit.
 #
-# How workers get warm depends on the start method, resolved through
-# ``SimContext.start_method``:
-#
-# - **fork** (the Linux default): workers inherit the parent's token /
-#   AST / template / program caches through copy-on-write memory — no
-#   transfer needed, so no snapshot is shipped.
-# - **spawn / forkserver**: workers begin as blank interpreters, and
-#   compiled-closure programs cannot be pickled across.  When the
-#   active context's ``warm_start`` flag is set (the default), pool
-#   creation exports a CacheSnapshot (token streams, ASTs, template
-#   signatures, cached failures) from this process and ships it to each
-#   worker through the executor's ``initializer``; the worker imports
-#   it — re-elaborating and re-compiling the template signatures
-#   locally — before it sees its first work item.  A freshly *healed*
-#   pool re-snapshots the by-then-warm parent, so recovery from a
-#   killed worker also starts warm.
+# Workers get warm one way: under **fork** (the Linux default) they
+# inherit the parent's token / AST / template / program caches through
+# copy-on-write memory, so campaigns pre-warm the parent before the
+# pool is created.  **spawn / forkserver** workers begin as blank
+# interpreters and build their caches lazily.
 _pool_lock = threading.Lock()
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
 _pool_start_method = ""
-_pool_warm_layers: dict = {}
 _pool_created_warm = False
 
-#: The layers a snapshot can carry (and fork can meaningfully inherit);
-#: used to decide whether this process has any warmth to give workers.
-_SNAPSHOT_LAYERS = ("tokenize", "parse", "design", "pair", "failure")
+#: The layers a forked worker inherits from the parent; used to decide
+#: whether this process has any warmth to give workers.
+_INHERITED_LAYERS = ("tokenize", "parse", "design", "pair", "failure")
 
 
 def _caches_have_content() -> bool:
-    stats = caches.stats(*_SNAPSHOT_LAYERS)
+    stats = caches.stats(*_INHERITED_LAYERS)
     return any(layer.get("size", 0) > 0 for layer in stats.values())
 
 
@@ -733,28 +632,6 @@ def _resolve_start_method(name: str | None) -> str:
     return name
 
 
-def _warm_start_initializer(payload: bytes) -> None:
-    """Run once in each fresh worker: import the shipped snapshot.
-
-    Any failure degrades the worker to a cold start instead of raising:
-    an initializer exception would break the entire pool, and a warm
-    start is an optimization, never a correctness requirement.
-    """
-    try:
-        caches.import_snapshot(pickle.loads(payload))
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"warning: pool warm-start import failed ({exc}); "
-              f"worker starts cold", file=sys.stderr)
-
-
-def export_warm_start_snapshot() -> CacheSnapshot:
-    """Snapshot this process's picklable cache layers (the warm-start
-    artifact shipped to pool workers; also usable standalone — pickle
-    it to disk and import it in a later process via
-    :meth:`~repro.core.caches.CacheRegistry.import_snapshot`)."""
-    return caches.export_snapshot()
-
-
 def get_sim_pool(jobs: int, start_method: str | None = None,
                  warm_start: bool | None = None) -> ProcessPoolExecutor:
     """Return the shared persistent process pool.
@@ -762,53 +639,39 @@ def get_sim_pool(jobs: int, start_method: str | None = None,
     The pool grows if ``jobs`` exceeds its current worker count (it
     never shrinks) and is recreated if ``start_method`` (explicit
     argument, else the active context's) differs from the live pool's.
-    ``warm_start=None`` resolves through the active context; snapshots
-    are only shipped to non-fork pools (forked workers inherit warm
-    caches through process memory).
 
-    A pool created while this process was still *cold* (nothing cached
-    — e.g. a batch ran before any warm-up) is recreated once, the first
-    time warmth is requested and the parent actually has cached state:
-    worker warm-up only happens at creation (snapshot initializer /
-    fork memory image), so without the recreate such a pool would stay
-    cold forever — campaigns that pre-warm after an early batch would
-    silently get cold workers.  A pool created warm is never churned:
-    later cache growth does not trigger recreation.
+    ``warm_start`` (``None`` resolves through the active context) asks
+    for workers that inherit this process's caches.  A fork pool
+    created while this process was still *cold* (nothing cached — e.g.
+    a batch ran before any warm-up) is recreated once, the first time
+    warmth is requested and the parent actually has cached state:
+    forked workers copy the parent only at creation, so without the
+    recreate such a pool would stay cold forever.  A pool created warm
+    is never churned: later cache growth does not trigger recreation.
+    Spawn / forkserver pools inherit nothing and are never recreated
+    for warmth.
     """
-    global _pool, _pool_workers, _pool_start_method, _pool_warm_layers
-    global _pool_created_warm
+    global _pool, _pool_workers, _pool_start_method, _pool_created_warm
     jobs = max(1, int(jobs))
     context = current_context()
     method = _resolve_start_method(start_method or context.start_method)
     warm = context.warm_start if warm_start is None else warm_start
+    inherits = warm and method == "fork"
     with _pool_lock:
         if _pool is not None:
-            stale_cold = (warm and not _pool_created_warm
+            stale_cold = (inherits and not _pool_created_warm
                           and _caches_have_content())
             if (_pool_workers < jobs or _pool_start_method != method
                     or stale_cold):
                 _pool.shutdown(wait=False)
                 _pool = None
         if _pool is None:
-            initializer = None
-            initargs = ()
-            warm_layers: dict = {}
-            content = _caches_have_content()
-            if warm and content and method != "fork":
-                snapshot = caches.export_snapshot()
-                if snapshot:
-                    initializer = _warm_start_initializer
-                    initargs = (pickle.dumps(
-                        snapshot, protocol=pickle.HIGHEST_PROTOCOL),)
-                    warm_layers = snapshot.counts()
             _pool = ProcessPoolExecutor(
                 max_workers=jobs,
-                mp_context=multiprocessing.get_context(method),
-                initializer=initializer, initargs=initargs)
+                mp_context=multiprocessing.get_context(method))
             _pool_workers = jobs
             _pool_start_method = method
-            _pool_warm_layers = warm_layers
-            _pool_created_warm = warm and content
+            _pool_created_warm = inherits and _caches_have_content()
         return _pool
 
 
@@ -840,45 +703,36 @@ def sim_pool_info() -> dict:
 
     ``warm`` reports how workers acquired caches *at pool creation*:
     ``"inherited"`` for fork pools forked from a warm parent
-    (copy-on-write memory), ``"snapshot"`` when a warm-start artifact
-    was shipped through the initializer (``warm_layers`` then counts
-    the entries per layer), and ``"cold"`` when neither applies
-    (warm-start disabled, or nothing was cached at creation time —
-    though such a pool is recreated warm on the next warm-requesting
-    call once the parent has cached state; see :func:`get_sim_pool`).
+    (copy-on-write memory), and ``"cold"`` otherwise (warm-start
+    disabled, a spawn / forkserver pool, or nothing cached at creation
+    time — though such a fork pool is recreated warm on the next
+    warm-requesting call once the parent has cached state; see
+    :func:`get_sim_pool`).
     """
     with _pool_lock:
         if _pool is None:
             return {"alive": False, "workers": 0, "pids": (),
                     "start_method": "", "warm": "cold",
-                    "warm_layers": {}, "queue_depth": 0, "in_flight": 0}
+                    "queue_depth": 0, "in_flight": 0}
         processes = getattr(_pool, "_processes", None) or {}
-        if _pool_start_method == "fork":
-            warm = "inherited" if _pool_created_warm else "cold"
-        elif _pool_warm_layers:
-            warm = "snapshot"
-        else:
-            warm = "cold"
         queue_depth, in_flight = _pool_load(_pool)
         return {"alive": True, "workers": _pool_workers,
                 "pids": tuple(sorted(processes.keys())),
-                "start_method": _pool_start_method, "warm": warm,
-                "warm_layers": dict(_pool_warm_layers),
+                "start_method": _pool_start_method,
+                "warm": "inherited" if _pool_created_warm else "cold",
                 "queue_depth": queue_depth, "in_flight": in_flight}
 
 
 def shutdown_sim_pool(wait: bool = True) -> None:
     """Tear down the shared pool.  Registered atexit so worker processes
     never outlive the interpreter; safe to call repeatedly."""
-    global _pool, _pool_workers, _pool_start_method, _pool_warm_layers
-    global _pool_created_warm
+    global _pool, _pool_workers, _pool_start_method, _pool_created_warm
     with _pool_lock:
         if _pool is not None:
             _pool.shutdown(wait=wait)
             _pool = None
             _pool_workers = 0
             _pool_start_method = ""
-            _pool_warm_layers = {}
             _pool_created_warm = False
 
 

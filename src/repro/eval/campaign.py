@@ -27,7 +27,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from ..core.caches import caches, pace_full_collections, use_task_scope
+from ..core.caches import pace_full_collections, use_task_scope
 from ..core.simulation import (design_template, get_sim_pool,
                                shutdown_sim_pool, _pair_template,
                                _resolve_start_method)
@@ -172,12 +172,11 @@ def prewarm_campaign_caches(task_ids: Iterable[str]) -> int:
     AutoEval sweep of that task re-simulates.  Each task warms its own
     cache scope.  Returns the number of tasks warmed.
 
-    Campaigns call this before creating a parallel pool (when the
-    resolved context's ``warm_start`` flag is set), so pool creation
-    snapshots a warm parent and spawn-started workers import the
-    templates instead of rebuilding them per item; fork-started workers
-    simply inherit them.  A task whose golden artifacts fail to build
-    is skipped — the campaign item itself will surface the error.
+    Campaigns and the shard coordinator call this before creating
+    their worker processes (when the resolved context's ``warm_start``
+    flag is set), so fork-started workers inherit the templates instead
+    of rebuilding them per item.  A task whose golden artifacts fail to
+    build is skipped — the campaign item itself will surface the error.
     """
     from ..codegen import render_driver
 
@@ -306,9 +305,8 @@ def run_campaign(config: CampaignConfig, progress=None, *,
     With a ``store`` (explicit argument, or opened from the resolved
     context's ``store_dir`` / ``REPRO_STORE_DIR``), every completed item
     is persisted immediately — a killed campaign loses at most the item
-    in flight.  ``resume=True`` additionally boots the caches from the
-    store's co-located snapshot (if one was saved) and answers
-    already-stored items without resimulating them; hits are reported
+    in flight.  ``resume=True`` additionally answers already-stored
+    items without resimulating them; hits are reported
     through ``progress`` first (with ``skipped=True``) and counted in
     ``CampaignResult.store_hits``.  A healed-pool retry with a store
     keeps completed items instead of replaying the whole campaign.
@@ -329,13 +327,6 @@ def run_campaign(config: CampaignConfig, progress=None, *,
                 runs[index] = hit
                 completed += 1
                 reporter.report(completed, hit, attempt=0, skipped=True)
-        if completed < len(items):
-            # Boot warm for the outstanding work; a fully
-            # store-satisfied resume skips the import entirely.
-            snapshot = store.load_snapshot()
-            if snapshot is not None:
-                with use_context(context):
-                    caches.import_snapshot(snapshot)
     if store is not None:
         result.store_hits = completed
         result.store_misses = len(items) - completed
@@ -350,15 +341,6 @@ def run_campaign(config: CampaignConfig, progress=None, *,
 
     pending = [index for index in range(len(items)) if runs[index] is None]
     n_jobs = config.n_jobs or 1
-    if store is not None and pending and context.warm_start:
-        # Leave the co-located warm-boot artifact *before* computing:
-        # a campaign killed mid-flight resumes from golden templates,
-        # not from nothing.  Saved post-prewarm, the snapshot carries
-        # only the goldens — small to load, everything a resumed run
-        # can actually reuse.
-        with use_context(context):
-            prewarm_campaign_caches(config.task_ids)
-            store.save_snapshot(caches.export_snapshot())
     if not pending:
         pass  # fully store-satisfied: nothing to simulate
     elif n_jobs > 1 and is_live_backend(context.llm_backend):
@@ -373,10 +355,10 @@ def run_campaign(config: CampaignConfig, progress=None, *,
                              max_workers=n_jobs)):
             record(pending[offset], run)
     elif n_jobs > 1:
-        # Pre-warm the parent's caches from the task list, so the pool
-        # created below ships (spawn) or forks (fork) warm state to its
-        # workers instead of every worker rebuilding the same golden
-        # templates per item.
+        # Pre-warm the parent's caches from the task list, so the
+        # forked workers of the pool created below inherit warm state
+        # instead of every worker rebuilding the same golden templates
+        # per item.
         if context.warm_start:
             with use_context(context):
                 prewarm_campaign_caches(config.task_ids)
@@ -427,10 +409,10 @@ def run_campaign(config: CampaignConfig, progress=None, *,
 # Shard coordinator
 # ----------------------------------------------------------------------
 def _shard_worker(payload: tuple) -> tuple[int, int]:
-    """One shard: open the shared store, boot warm from its snapshot
-    (``resume=True`` imports it before the first item), run the task
-    slice serially, persist every completed item.  Returns the shard's
-    (store_hits, store_misses) pair for the coordinator's totals."""
+    """One shard: open the shared store, skip its already-stored items
+    (``resume=True``), run the rest of the task slice serially, persist
+    every completed item.  Returns the shard's (store_hits,
+    store_misses) pair for the coordinator's totals."""
     config, store_dir = payload
     store = CampaignStore(store_dir)
     result = run_campaign(config, store=store, resume=True)
@@ -444,12 +426,11 @@ def run_sharded_campaign(config: CampaignConfig, shards: int,
     processes sharing one persistent store.
 
     The coordinator pre-warms its caches (when the resolved context's
-    ``warm_start`` flag is set), saves a
-    :class:`~repro.core.caches.CacheSnapshot` into the store, and
+    ``warm_start`` flag is set), so forked workers inherit them, and
     round-robins task slices to fresh worker processes; each worker
-    imports the snapshot before its first item (via
-    ``run_campaign(..., resume=True)``), runs its slice serially, and
-    persists every completed item.  The final
+    skips already-stored items (via ``run_campaign(..., resume=True)``),
+    runs the rest of its slice serially, and persists every completed
+    item.  The final
     :class:`CampaignResult` is assembled from the store in canonical
     item order, so reports are identical to an unsharded run.
     ``store_hits`` / ``store_misses`` aggregate the workers' counters —
@@ -472,10 +453,9 @@ def run_sharded_campaign(config: CampaignConfig, shards: int,
     if shards == 1:
         return run_campaign(config, progress, store=store, resume=True)
 
-    with use_context(context):
-        if context.warm_start:
+    if context.warm_start:
+        with use_context(context):
             prewarm_campaign_caches(config.task_ids)
-        store.save_snapshot(caches.export_snapshot())
 
     slices = [config.task_ids[shard::shards] for shard in range(shards)]
     payloads = [(replace(config, task_ids=chunk, n_jobs=1,

@@ -4,7 +4,7 @@ Campaigns used to be all-or-nothing: a crash at task 155 of 156 threw
 away every completed simulation, and repeated CLI runs started from a
 blank process.  :class:`CampaignStore` makes campaign results durable
 on disk so a killed campaign resumes without resimulating, repeated
-runs start warm, and shard workers can share one result set:
+runs skip finished items, and shard workers can share one result set:
 
 - **Keying.**  A result is addressed by a :func:`store_key` — the
   (task, method, seed, profile, criterion, group size) coordinates of
@@ -20,9 +20,9 @@ runs start warm, and shard workers can share one result set:
   bytes, verified on every read.  ``entries/<key-digest>.json`` maps a
   key digest to its blob (the durable truth — one file per entry, so
   concurrent writers never contend on shared state).  ``manifest.json``
-  is a versioned index rebuilt from the entry files when torn, and
-  ``snapshot.bin`` co-locates a :class:`~repro.core.caches.CacheSnapshot`
-  so resumed runs and shard workers boot with warm front-end caches.
+  is a versioned index rebuilt from the entry files when torn.  The
+  store holds results only: caches are never written to it, and any
+  other file in the root is ignored.
 
 - **Writes** go through tmp-file + :func:`os.replace` rename, so a
   SIGKILL at any point leaves either the old state or the new state on
@@ -50,8 +50,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-from ..core.caches import (CacheSnapshot, SnapshotIntegrityError,
-                           read_snapshot_file, write_snapshot_file)
 from ..hdl.context import SimContext
 from .methods import TaskRun
 
@@ -181,7 +179,6 @@ class CampaignStore:
         self._blobs = self.root / "blobs"
         self._entries = self.root / "entries"
         self._manifest_path = self.root / "manifest.json"
-        self._snapshot_path = self.root / "snapshot.bin"
         self._blobs.mkdir(parents=True, exist_ok=True)
         self._entries.mkdir(parents=True, exist_ok=True)
         self._hits = 0
@@ -381,21 +378,3 @@ class CampaignStore:
         return {"hits": self._hits, "misses": self._misses,
                 "puts": self._puts, "evictions": self._evictions,
                 "entries": len(self)}
-
-    # -- co-located warm-start snapshot --------------------------------
-    def save_snapshot(self, snapshot: CacheSnapshot) -> Path:
-        """Persist a warm-start snapshot next to the results, so
-        resumed runs and shard workers boot with warm caches."""
-        write_snapshot_file(snapshot, self._snapshot_path)
-        return self._snapshot_path
-
-    def load_snapshot(self) -> CacheSnapshot | None:
-        """The co-located snapshot, or ``None`` when absent.  A
-        tampered snapshot raises :class:`StoreIntegrityError` — a
-        warm-up artifact must fail loudly, not poison every cache."""
-        try:
-            return read_snapshot_file(self._snapshot_path)
-        except FileNotFoundError:
-            return None
-        except SnapshotIntegrityError as exc:
-            raise StoreIntegrityError(str(exc)) from exc

@@ -101,24 +101,11 @@ _MAX_VARIANTS_PER_KEY = 8
 # runs in threads reach compile_spec concurrently.
 _program_cache: "OrderedDict[tuple, list]" = OrderedDict()
 _program_lock = threading.Lock()
-_stats = {"programs_compiled": 0, "programs_shared": 0, "specs_bound": 0,
-          "warm_start_compiled": 0}
-
-# Compiled closures cannot travel inside a CacheSnapshot, so warm-start
-# imports *re-derive* them by re-elaborating the snapshot's template
-# signatures locally.  This flag marks that phase so the stats separate
-# "compiled because a request needed it" from "compiled ahead of time
-# by a warm-start import" — the latter is the work a warmed worker no
-# longer pays at first-batch time.
-_warm_start_depth = 0
+_stats = {"programs_compiled": 0, "programs_shared": 0, "specs_bound": 0}
 
 
 def program_cache_stats() -> dict:
-    """Counters for the shared-program layer (telemetry and tests).
-
-    ``warm_start_compiled`` counts the subset of ``programs_compiled``
-    lowered during a snapshot import (ahead of any simulation request).
-    """
+    """Counters for the shared-program layer (telemetry and tests)."""
     with _program_lock:
         return {"size": len(_program_cache), **_stats}
 
@@ -127,21 +114,6 @@ def clear_program_cache() -> None:
     """Drop all shared programs (benchmark cold starts)."""
     with _program_lock:
         _program_cache.clear()
-
-
-def begin_warm_start() -> None:
-    """Mark the start of a snapshot import (nests; see module note)."""
-    global _warm_start_depth
-    with _program_lock:
-        _warm_start_depth += 1
-
-
-def end_warm_start() -> None:
-    """Unmark a snapshot import begun with :func:`begin_warm_start`."""
-    global _warm_start_depth
-    with _program_lock:
-        _warm_start_depth = max(0, _warm_start_depth - 1)
-
 
 class SharedProgram:
     """A scope-polymorphic compiled process program.
@@ -257,8 +229,6 @@ def _shared_program(spec: ProcSpec) -> SharedProgram:
     program = _lower_spec(spec)
     with _program_lock:
         _stats["programs_compiled"] += 1
-        if _warm_start_depth:
-            _stats["warm_start_compiled"] += 1
         if key is not None and program.shareable:
             variants = _program_cache.get(key)
             if variants is None:

@@ -8,11 +8,10 @@ configurations never reconfigure each other:
 
 :class:`SimContext`
     a frozen dataclass carrying the simulation limits (``max_time`` /
-    ``max_stmts``), the differential-fuzz budget knobs and the
-    worker-pool configuration (job count, start method, warm-start
-    flag, template-cache capacity).  Being immutable and made of
-    primitives it is hashable, comparable and picklable — campaign
-    work items ship the context to pool workers as plain data.
+    ``max_stmts``) and the worker-pool configuration (job count, start
+    method, warm-start flag, template-cache capacity).  Being immutable
+    and made of primitives it is hashable, comparable and picklable —
+    campaign work items ship the context to pool workers as plain data.
 
 :func:`current_context`
     the single resolution point.  Selection follows a strict order:
@@ -80,8 +79,6 @@ def valid_llm_backend(spec: str) -> bool:
 DEFAULT_MAX_TIME = 2_000_000
 DEFAULT_MAX_STMTS = 4_000_000
 DEFAULT_JOBS = 1
-DEFAULT_FUZZ_PROGRAMS = 200
-DEFAULT_FUZZ_SEED = 1729
 DEFAULT_TEMPLATE_CACHE_SIZE = 256
 #: Global template-entry budget across all task scopes.  Per-scope LRUs
 #: are bounded by ``template_cache_size``, but a worst-case workload
@@ -117,9 +114,10 @@ class SimContext:
     max_time: int = DEFAULT_MAX_TIME
     max_stmts: int = DEFAULT_MAX_STMTS
     jobs: int = DEFAULT_JOBS
-    fuzz_programs: int = DEFAULT_FUZZ_PROGRAMS
-    fuzz_seed: int = DEFAULT_FUZZ_SEED
     start_method: str = START_METHOD_DEFAULT
+    #: Pre-warm the parent's caches before a campaign pool or its shard
+    #: workers fork, so forked workers inherit them (see
+    #: :func:`repro.core.simulation.get_sim_pool`).
     warm_start: bool = True
     template_cache_size: int = DEFAULT_TEMPLATE_CACHE_SIZE
     template_cache_budget: int = DEFAULT_TEMPLATE_CACHE_BUDGET
@@ -128,9 +126,9 @@ class SimContext:
     #: pool workers resolve the same sink their parent configured.
     trace_dir: str = ""
     #: Directory of the persistent campaign artifact store ("" = no
-    #: store).  Campaigns write completed results (and a warm-start
-    #: cache snapshot) here, and ``--resume`` / shard workers read them
-    #: back instead of resimulating (see :mod:`repro.eval.store`).
+    #: store).  Campaigns write completed results here, and
+    #: ``--resume`` / shard workers read them back instead of
+    #: resimulating (see :mod:`repro.eval.store`).
     #: A plain string, like ``trace_dir``, so contexts stay picklable.
     store_dir: str = ""
     #: Which model tier answers LLM requests ("" = the synthetic
@@ -152,15 +150,12 @@ class SimContext:
                              f"{self.start_method!r}; "
                              f"expected one of {START_METHODS}")
         # bool is an int subclass, but True is not a one-unit limit.
-        for name in ("max_time", "max_stmts", "jobs", "fuzz_programs",
+        for name in ("max_time", "max_stmts", "jobs",
                      "template_cache_size", "template_cache_budget"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be a positive integer, "
                                  f"got {value!r}")
-        if type(self.fuzz_seed) is not int:
-            raise ValueError(f"fuzz_seed must be an integer, "
-                             f"got {self.fuzz_seed!r}")
         if not isinstance(self.warm_start, bool):
             raise ValueError(f"warm_start must be a bool, "
                              f"got {self.warm_start!r}")
@@ -279,8 +274,6 @@ def _context_from_env(environ=None) -> tuple[SimContext, frozenset]:
             seeded.add(field_name)
 
     for env_name, field_name in (
-            ("REPRO_FUZZ_PROGRAMS", "fuzz_programs"),
-            ("REPRO_FUZZ_SEED", "fuzz_seed"),
             ("REPRO_TEMPLATE_CACHE_SIZE", "template_cache_size"),
             ("REPRO_TEMPLATE_CACHE_BUDGET", "template_cache_budget")):
         raw = environ.get(env_name)
@@ -292,7 +285,7 @@ def _context_from_env(environ=None) -> tuple[SimContext, frozenset]:
             _warn_env(f"{env_name}={raw!r} is not an integer; "
                       f"using the default")
             continue
-        if field_name != "fuzz_seed" and value < 1:
+        if value < 1:
             _warn_env(f"{env_name}={raw!r} must be >= 1; "
                       f"using the default")
             continue

@@ -304,8 +304,6 @@ def tokenize(source: str) -> list[Token]:
     return _master_tokenize(source)
 
 
-#: Token streams are picklable plain data, so this cache participates
-#: in warm-start snapshots (see :mod:`repro.core.caches`).
 _tokenize_cache = LruCache(capacity=512)
 
 
@@ -332,13 +330,3 @@ def clear_tokenize_cache() -> None:
 
 def tokenize_cache_stats() -> dict:
     return _tokenize_cache.stats()
-
-
-def export_tokenize_cache() -> dict:
-    """Snapshot payload: ``{source: token_stream}``."""
-    return _tokenize_cache.export()
-
-
-def import_tokenize_cache(entries: dict) -> int:
-    """Absorb a snapshot payload; returns the number of streams added."""
-    return _tokenize_cache.import_entries(entries)

@@ -636,8 +636,6 @@ def parse_source(source: str) -> ast.SourceFile:
     return parser.parse_source()
 
 
-#: ASTs are immutable picklable dataclass trees, so this cache
-#: participates in warm-start snapshots (see :mod:`repro.core.caches`).
 _parse_cache = LruCache(capacity=4096)
 
 
@@ -663,16 +661,6 @@ def clear_parse_cache() -> None:
 
 def parse_cache_stats() -> dict:
     return _parse_cache.stats()
-
-
-def export_parse_cache() -> dict:
-    """Snapshot payload: ``{source_text: SourceFile}``."""
-    return _parse_cache.export()
-
-
-def import_parse_cache(entries: dict) -> int:
-    """Absorb a snapshot payload; returns the number of ASTs added."""
-    return _parse_cache.import_entries(entries)
 
 
 def parse_module(source: str) -> ast.Module:

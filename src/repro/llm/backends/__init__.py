@@ -24,9 +24,8 @@ from .errors import (BackendConnectionError, BackendError,
                      MalformedResponseError)
 from .fanout import fan_out, iter_fan_out
 from .fixtures import FixtureBackend, FixtureError, FixtureStore
-from .hf_router import HFRouterBackend
 from .ollama import OllamaBackend
-from .openai_compat import OpenAICompatBackend
+from .openai_compat import HFRouterBackend, OpenAICompatBackend
 from .registry import (ADAPTERS, backend_names, create_backend,
                        is_live_backend, live_stack, resolve_llm_client)
 from .resilience import (DEFAULT_MAX_IN_FLIGHT, GLOBAL_IN_FLIGHT,

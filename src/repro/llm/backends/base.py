@@ -2,8 +2,8 @@
 
 :class:`LLMBackend` is the abstract base every wire-attached adapter
 (:mod:`~repro.llm.backends.ollama`,
-:mod:`~repro.llm.backends.openai_compat`,
-:mod:`~repro.llm.backends.hf_router`) extends.  It conforms to the
+:mod:`~repro.llm.backends.openai_compat`, which also holds the Hugging
+Face router preset) extends.  It conforms to the
 pipeline's :class:`~repro.llm.base.LLMClient` protocol —
 ``complete(ChatRequest) -> ChatResponse`` with real
 :class:`~repro.llm.base.Usage` accounting — so a live adapter drops

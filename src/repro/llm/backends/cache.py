@@ -4,10 +4,7 @@ Live completions are the most expensive artifact this codebase
 produces; identical requests (same backend, model, prompt, and sampling
 parameters) are answered from memory.  The layer registers as
 ``llm_responses`` in :data:`repro.core.caches.caches`, so the standard
-verbs apply — ``caches.clear("llm_responses")``, ``caches.stats()`` —
-and entries travel inside :class:`~repro.core.caches.CacheSnapshot`
-warm-start artifacts as plain ``(text, input_tokens, output_tokens,
-model_name)`` tuples.
+verbs apply: ``caches.clear("llm_responses")``, ``caches.stats()``.
 
 A cache hit replays the recorded response *including its usage*,
 mirroring :class:`~repro.llm.replay.ReplayClient`: metering reports
@@ -26,7 +23,7 @@ from __future__ import annotations
 
 from ...core.caches import caches
 from ...util import LruCache
-from ..base import ChatRequest, ChatResponse, LLMClient, Usage
+from ..base import ChatRequest, ChatResponse, LLMClient
 from ..replay import prompt_sha
 
 #: Bounded well above one campaign's exchange count (156 tasks x a few
@@ -41,22 +38,6 @@ def response_key(backend_id: str, model: str, prompt: str,
     return (backend_id, model, prompt_sha(prompt), params_fingerprint)
 
 
-def _export(cache: LruCache) -> dict:
-    return {key: (response.text, response.usage.input_tokens,
-                  response.usage.output_tokens, response.model_name)
-            for key, response in cache.export().items()}
-
-
-def _import(cache: LruCache, payload: dict) -> int:
-    entries = {
-        key: ChatResponse(text=text,
-                          usage=Usage(input_tokens, output_tokens),
-                          model_name=model_name)
-        for key, (text, input_tokens, output_tokens, model_name)
-        in payload.items()}
-    return cache.import_entries(entries)
-
-
 #: The process-wide response store (one per process, like every other
 #: registered layer; the *key* carries backend identity).
 _responses = LruCache(capacity=DEFAULT_RESPONSE_CACHE_SIZE)
@@ -64,9 +45,7 @@ _responses = LruCache(capacity=DEFAULT_RESPONSE_CACHE_SIZE)
 caches.register(
     "llm_responses",
     clear=_responses.clear,
-    stats=_responses.stats,
-    export=lambda: _export(_responses),
-    import_=lambda payload: _import(_responses, payload))
+    stats=_responses.stats)
 
 
 def response_cache() -> LruCache:

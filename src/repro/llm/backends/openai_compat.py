@@ -3,9 +3,9 @@
 This wire shape is the de-facto standard: OpenAI itself, vLLM, llama
 .cpp's server, LM Studio, OpenRouter and Ollama's compatibility layer
 all speak it.  One adapter therefore covers a whole family of
-endpoints; the Hugging Face router adapter
-(:mod:`repro.llm.backends.hf_router`) only changes the default base
-URL.
+endpoints.  The Hugging Face router is one of them, so
+:class:`HFRouterBackend` is this adapter with a different default
+endpoint and its own ``backend_id``.
 """
 
 from __future__ import annotations
@@ -68,6 +68,18 @@ class OpenAICompatBackend(LLMBackend):
                 output_tokens=_count(usage.get("completion_tokens"),
                                      text)),
             model_name=str(reply.get("model", self.model)))
+
+
+class HFRouterBackend(OpenAICompatBackend):
+    """Talk to router.huggingface.co, which speaks the same dialect with
+    a Hugging Face token as the bearer key.  Its own ``backend_id``
+    keeps cached responses from the two services from aliasing."""
+
+    backend_id = "hf"
+
+    @classmethod
+    def default_base_url(cls) -> str:
+        return "https://router.huggingface.co"
 
 
 def _count(value, fallback_text: str) -> int:

@@ -36,9 +36,8 @@ from ..base import LLMClient
 from .base import LLMBackend, SamplingParams
 from .cache import CachingBackend
 from .fixtures import FixtureBackend, FixtureStore
-from .hf_router import HFRouterBackend
 from .ollama import OllamaBackend
-from .openai_compat import OpenAICompatBackend
+from .openai_compat import HFRouterBackend, OpenAICompatBackend
 from .resilience import ResilientBackend
 
 ADAPTERS: dict[str, type[LLMBackend]] = {

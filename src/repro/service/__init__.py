@@ -1,8 +1,8 @@
 """``repro.service`` — the asyncio testbench-generation service.
 
 The context / registry / warm-pool stack (``SimContext`` resolution,
-per-task cache scopes, spawn-safe warm workers) was shaped for a
-long-lived server; this package is that server.  A handwritten
+per-task cache scopes, workers forked from a warm parent) was shaped
+for a long-lived server; this package is that server.  A handwritten
 HTTP/1.1 layer (:mod:`repro.service.protocol`, stdlib-only) fronts a
 bounded admission queue with explicit backpressure, a cross-request
 micro-batcher that coalesces compatible simulate jobs into

@@ -221,16 +221,13 @@ def format_ratio(value: float) -> str:
 
 
 class LruCache:
-    """A thread-safe LRU mapping with hit/miss telemetry and a
-    snapshot-friendly export/import pair.
+    """A thread-safe LRU mapping with hit/miss telemetry.
 
-    :func:`functools.lru_cache` served the caching layers well until the
-    warm-start work needed two things it cannot do: *insert* entries
-    computed elsewhere (importing a :class:`~repro.core.caches.CacheSnapshot`
-    into a fresh worker process) and vary capacity per call site.  This
-    class keeps ``lru_cache``'s observable policy — move-to-front on
-    hit, evict the least recently used entry on overflow — behind an
-    explicit mapping the snapshot machinery can walk.
+    Unlike :func:`functools.lru_cache`, it can *insert* entries computed
+    elsewhere (a probe, a fallible call, then :meth:`insert`) and vary
+    capacity per call site, while keeping ``lru_cache``'s observable
+    policy: move-to-front on hit, evict the least recently used entry
+    on overflow.
 
     ``capacity`` may be an ``int`` or a zero-argument callable returning
     one, so a cache can follow a live configuration knob (the template
@@ -333,16 +330,6 @@ class LruCache:
                     "size": len(self._data)}
 
     def export(self) -> dict:
-        """The current entries, least recently used first (insertion
-        into a fresh cache in this order reproduces the LRU order)."""
+        """The current entries, least recently used first."""
         with self._lock:
             return dict(self._data)
-
-    def import_entries(self, entries: dict) -> int:
-        """Insert ``entries`` (skipping keys already present); returns
-        the number actually added."""
-        added = 0
-        for key, value in entries.items():
-            if self.insert(key, value) is value:
-                added += 1
-        return added

@@ -11,6 +11,8 @@ import threading
 
 import pytest
 
+from fuzz_budget import (DEFAULT_FUZZ_PROGRAMS, DEFAULT_FUZZ_SEED,
+                         fuzz_budget)
 from repro.core.caches import CacheRegistry, caches
 from repro.core.simulation import (RUNTIME, run_driver, run_driver_batch,
                                    simulation_cache_stats)
@@ -50,13 +52,10 @@ class TestSimContext:
             SimContext(max_time=0)
         with pytest.raises(ValueError):
             SimContext(jobs=-2)
-        with pytest.raises(ValueError):
-            SimContext(fuzz_seed="abc")
         # bool is an int subclass: True would pass as a limit of 1 and
         # fingerprint as ``true``, a different store key from 1.
-        for name in ("max_time", "max_stmts", "jobs", "fuzz_programs",
-                     "fuzz_seed", "template_cache_size",
-                     "template_cache_budget"):
+        for name in ("max_time", "max_stmts", "jobs",
+                     "template_cache_size", "template_cache_budget"):
             for value in (True, False):
                 with pytest.raises(ValueError, match=name):
                     SimContext(**{name: value})
@@ -160,16 +159,16 @@ class TestEnvSeeding:
     def test_full_seed(self, capsys):
         context, seeded = _context_from_env({
             "REPRO_JOBS": "3",
-            "REPRO_FUZZ_PROGRAMS": "17",
+            # Read only by the fuzz suites (tests/fuzz_budget.py).
+            "REPRO_FUZZ_PROGRAMS": "lots",
             "REPRO_FUZZ_SEED": "42",
             # Retired selectors: no longer read, not even to warn.
             "REPRO_SIM_ENGINE": "interpret",
             "REPRO_LEXER": "reference",
             "REPRO_MUTANT_ENGINE": "per-mutant",
         })
-        assert context == SimContext(jobs=3, fuzz_programs=17,
-                                     fuzz_seed=42)
-        assert seeded == {"jobs", "fuzz_programs", "fuzz_seed"}
+        assert context == SimContext(jobs=3)
+        assert seeded == {"jobs"}
         assert capsys.readouterr().err == ""
         assert _context_from_env({"REPRO_SIM_ENGINE": "interpret"}) == \
             (SimContext(), frozenset())
@@ -190,12 +189,22 @@ class TestEnvSeeding:
         assert context.jobs == (os.cpu_count() or 1)
         assert "jobs" in seeded
 
+    def test_fuzz_budget_seeds(self, capsys):
+        assert fuzz_budget({}) == (DEFAULT_FUZZ_PROGRAMS,
+                                   DEFAULT_FUZZ_SEED)
+        assert fuzz_budget({"REPRO_FUZZ_PROGRAMS": "17",
+                            "REPRO_FUZZ_SEED": "42"}) == (17, 42)
+        assert capsys.readouterr().err == ""
+
     def test_malformed_fuzz_budget_warns(self, capsys):
-        context, seeded = _context_from_env(
-            {"REPRO_FUZZ_PROGRAMS": "lots"})
-        assert context.fuzz_programs == SimContext().fuzz_programs
-        assert not seeded
+        assert fuzz_budget({"REPRO_FUZZ_PROGRAMS": "lots"}) \
+            == (DEFAULT_FUZZ_PROGRAMS, DEFAULT_FUZZ_SEED)
         assert "REPRO_FUZZ_PROGRAMS" in capsys.readouterr().err
+        assert fuzz_budget({"REPRO_FUZZ_PROGRAMS": "0",
+                            "REPRO_FUZZ_SEED": "x"}) \
+            == (DEFAULT_FUZZ_PROGRAMS, DEFAULT_FUZZ_SEED)
+        err = capsys.readouterr().err
+        assert "REPRO_FUZZ_PROGRAMS" in err and "REPRO_FUZZ_SEED" in err
 
     def test_warm_start_knobs_seed(self):
         context, seeded = _context_from_env({

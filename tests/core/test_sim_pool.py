@@ -1,5 +1,5 @@
 """Persistent simulation worker pool: reuse, growth, clean shutdown,
-explicit start methods and warm-started workers."""
+explicit start methods and workers that inherit a warm parent."""
 
 import multiprocessing
 import os
@@ -107,20 +107,20 @@ class TestStartMethodAndWarmStart:
         driver, duts = _driver_and_duts()
         clear_simulation_caches()
         shutdown_sim_pool()
-        with use_context(start_method="spawn"):
+        with use_context(start_method="fork"):
             cold_pool = get_sim_pool(2)
             assert sim_pool_info()["warm"] == "cold"
             # Parent warms up after the pool exists (e.g. a serial run
             # or a campaign pre-warm)...
             run_driver_batch(driver, duts, jobs=1)
-            # ...so the next warm-requesting lookup recreates the pool
-            # with the snapshot on board — exactly once.
+            # ...so the next warm-requesting lookup recreates the pool,
+            # forking workers from the warm parent — exactly once.
             warm_pool = get_sim_pool(2)
             assert warm_pool is not cold_pool
-            info = sim_pool_info()
-            assert info["warm"] == "snapshot"
-            assert info["warm_layers"]["pair"] >= 2
+            assert sim_pool_info()["warm"] == "inherited"
             assert get_sim_pool(2) is warm_pool  # no churn afterwards
+            runs = run_driver_batch(driver, duts, jobs=2)
+        assert all(run.ok for run in runs)
         shutdown_sim_pool()
 
     def test_unavailable_start_method_raises(self, monkeypatch):
@@ -150,22 +150,26 @@ class TestStartMethodAndWarmStart:
             spawned = run_driver_batch(driver, duts, jobs=2)
             info = sim_pool_info()
         assert info["start_method"] == "spawn"
+        assert info["warm"] == "cold"
         assert [r.status for r in spawned] == [r.status for r in serial]
         assert [[rec.values for rec in r.records] for r in spawned] \
             == [[rec.values for rec in r.records] for r in serial]
         shutdown_sim_pool()
 
-    def test_spawn_pool_ships_snapshot_when_parent_is_warm(self):
+    def test_spawn_pool_starts_cold_on_warm_parent(self):
+        """Spawned workers inherit nothing: the pool reports cold, is
+        never recreated for warmth, and still matches serial results."""
         driver, duts = _driver_and_duts()
         shutdown_sim_pool()
-        # Warm the parent first so there is something to snapshot.
-        run_driver_batch(driver, duts, jobs=1)
+        serial = run_driver_batch(driver, duts, jobs=1)  # warms the parent
         with use_context(start_method="spawn"):
-            get_sim_pool(2)
+            pool = get_sim_pool(2)
+            spawned = run_driver_batch(driver, duts, jobs=2)
+            assert get_sim_pool(2) is pool  # no warmth-driven churn
             info = sim_pool_info()
-        assert info["warm"] == "snapshot"
-        assert info["warm_layers"]["pair"] >= 2
-        assert info["warm_layers"]["parse"] >= 3
+        assert info["warm"] == "cold"
+        assert [[rec.values for rec in r.records] for r in spawned] \
+            == [[rec.values for rec in r.records] for r in serial]
         shutdown_sim_pool()
 
     def test_warm_start_off_means_cold_spawn_pool(self):
@@ -176,7 +180,7 @@ class TestStartMethodAndWarmStart:
             runs = run_driver_batch(driver, duts, jobs=2)
             info = sim_pool_info()
         assert all(run.ok for run in runs)
-        assert info["warm"] == "cold" and info["warm_layers"] == {}
+        assert info["warm"] == "cold"
         shutdown_sim_pool()
 
     def test_cold_parent_spawn_pool_reports_cold(self):

@@ -385,12 +385,6 @@ class TestStoreResume:
         assert resumed.store_hits == 4
         assert len(CampaignStore(tmp_path)) == 4
 
-    def test_resume_leaves_warm_boot_snapshot(self, tmp_path):
-        run_campaign(self._config(), store=CampaignStore(tmp_path))
-        snapshot = CampaignStore(tmp_path).load_snapshot()
-        assert snapshot is not None and snapshot
-        assert {"design", "pair"} <= set(snapshot.layers())
-
 
 class _ItemAwareFlakyPool:
     """Like :class:`_FlakyPool`, but honours the ``items`` it is mapped

@@ -1,15 +1,15 @@
 """Campaign artifact store: keying, round trips, atomic durability,
-manifest recovery, snapshot co-location and the integrity battery."""
+manifest recovery, the results-only layout and the integrity battery."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.core.caches import (CacheSnapshot, SnapshotIntegrityError,
-                               read_snapshot_file, write_snapshot_file)
 from repro.eval import (CampaignStore, EvalLevel, StoreError,
                         StoreIntegrityError, TaskRun, context_fingerprint,
-                        llm_tier, store_key)
+                        default_config, llm_tier, run_campaign, store_key)
+from repro.eval.campaign import METHOD_BASELINE
 from repro.eval.store import STORE_VERSION, key_digest
 from repro.hdl.context import SimContext
 from repro.llm.base import Usage
@@ -263,50 +263,33 @@ class TestManifest:
         assert ours.get(make_key(seed=1)).seed == 1
 
 
-class TestSnapshotColocation:
-    def test_absent_snapshot_is_none(self, tmp_path):
-        assert CampaignStore(tmp_path).load_snapshot() is None
+class TestResultsOnly:
+    """The store holds results, never cache state: campaigns write only
+    the results layout, and the cache-snapshot file older builds left
+    in the root is ignored."""
 
-    def test_snapshot_round_trip(self, tmp_path):
-        store = CampaignStore(tmp_path)
-        snapshot = CacheSnapshot(payloads={"parse": {("k",): b"v"}})
-        store.save_snapshot(snapshot)
-        loaded = store.load_snapshot()
-        assert isinstance(loaded, CacheSnapshot)
-        assert loaded.payloads == snapshot.payloads
+    TASKS = ("cmb_and2", "cmb_eq4")
+    #: Where older builds co-located their pickled cache snapshot.
+    LEGACY_SNAPSHOT = Path("snapshot").with_suffix(".bin")
 
-    def test_tampered_snapshot_raises_store_error(self, tmp_path):
-        store = CampaignStore(tmp_path)
-        store.save_snapshot(CacheSnapshot(payloads={"parse": {}}))
-        path = tmp_path / "snapshot.bin"
-        path.write_bytes(path.read_bytes()[:-3] + b"zzz")
-        with pytest.raises(StoreIntegrityError):
-            store.load_snapshot()
+    def _config(self):
+        return default_config(task_ids=self.TASKS, seeds=(0,), n_jobs=1,
+                              methods=(METHOD_BASELINE,))
 
+    def test_stored_campaign_writes_no_snapshot(self, tmp_path):
+        run_campaign(self._config(), store=CampaignStore(tmp_path))
+        assert not (tmp_path / self.LEGACY_SNAPSHOT).exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) \
+            == ["blobs", "entries", "manifest.json"]
 
-class TestSnapshotFileFormat:
-    """The framed snapshot file the store co-locates (magic + digest +
-    pickle) — unit coverage for repro.core.caches' read/write pair."""
-
-    def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "snap.bin"
-        snapshot = CacheSnapshot(payloads={"design": {("a",): b"t"}})
-        write_snapshot_file(snapshot, path)
-        assert read_snapshot_file(path).payloads == snapshot.payloads
-
-    def test_missing_file_raises_file_not_found(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            read_snapshot_file(tmp_path / "absent.bin")
-
-    def test_bad_magic_raises(self, tmp_path):
-        path = tmp_path / "snap.bin"
-        path.write_bytes(b"not-a-snapshot\n" + b"0" * 64 + b"\n")
-        with pytest.raises(SnapshotIntegrityError):
-            read_snapshot_file(path)
-
-    def test_truncated_payload_raises(self, tmp_path):
-        path = tmp_path / "snap.bin"
-        write_snapshot_file(CacheSnapshot(payloads={"parse": {}}), path)
-        path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(SnapshotIntegrityError):
-            read_snapshot_file(path)
+    def test_garbage_snapshot_file_is_ignored_on_resume(self, tmp_path):
+        cold = run_campaign(self._config())
+        partial = default_config(task_ids=self.TASKS[:1], seeds=(0,),
+                                 n_jobs=1, methods=(METHOD_BASELINE,))
+        run_campaign(partial, store=CampaignStore(tmp_path))
+        (tmp_path / self.LEGACY_SNAPSHOT).write_bytes(b"garbage\x00")
+        resumed = run_campaign(self._config(),
+                               store=CampaignStore(tmp_path), resume=True)
+        assert (resumed.store_hits, resumed.store_misses) == (1, 1)
+        assert [run.to_payload() for run in resumed.runs] \
+            == [run.to_payload() for run in cold.runs]

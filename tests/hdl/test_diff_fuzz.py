@@ -30,21 +30,21 @@ The corpus is deterministic under a fixed seed.  Budget knobs:
 - ``REPRO_FUZZ_PROGRAMS`` — corpus size (default 200; CI smoke uses a
   smaller budget, long fuzz runs a larger one),
 - ``REPRO_FUZZ_SEED`` — base seed.
+
+Both are read by ``tests/fuzz_budget.py``.
 """
 
 import random
 
 import pytest
 
+from fuzz_budget import fuzz_budget
 from oracles import SIMULATORS
 from repro.hdl import current_context
 from repro.hdl.compile import clear_program_cache, program_cache_stats
 from repro.hdl.errors import HdlError
 
-# Budget knobs ride on the root SimContext (seeded from
-# REPRO_FUZZ_PROGRAMS / REPRO_FUZZ_SEED at import).
-N_PROGRAMS = current_context().fuzz_programs
-BASE_SEED = current_context().fuzz_seed
+N_PROGRAMS, BASE_SEED = fuzz_budget()
 MAX_TIME = 100_000
 MAX_STMTS = 400_000
 

@@ -20,25 +20,23 @@ and message.  Three corpora drive the comparison:
 
 Budget knobs follow the simulator fuzz suite: ``REPRO_FUZZ_PROGRAMS``
 sizes the soup corpus (default 200; the nightly long-fuzz job raises
-it), ``REPRO_FUZZ_SEED`` fixes the base seed so failures reproduce.
+it), ``REPRO_FUZZ_SEED`` fixes the base seed so failures reproduce
+(both read by ``tests/fuzz_budget.py``).
 """
 
 import random
 
 import pytest
 
+from fuzz_budget import fuzz_budget
 from oracles import LEXERS
-from repro.hdl.context import current_context
 from repro.hdl.errors import VerilogSyntaxError
 from repro.hdl.lexer import (clear_tokenize_cache, tokenize,
                              tokenize_cache_stats, tokenize_cached)
 from repro.hdl.tokens import KEYWORDS, PUNCTUATIONS, TokenKind
 from repro.problems import load_dataset
 
-# Budget knobs ride on the root SimContext (seeded from
-# REPRO_FUZZ_PROGRAMS / REPRO_FUZZ_SEED at import).
-N_SOUPS = current_context().fuzz_programs
-BASE_SEED = current_context().fuzz_seed
+N_SOUPS, BASE_SEED = fuzz_budget()
 
 
 def lex_outcome(source: str, lexer: str):

@@ -141,7 +141,7 @@ class TestOpenAIAdapter:
         with pytest.raises(MalformedResponseError, match="content"):
             _openai(stub).complete(_request())
 
-    def test_hf_router_speaks_the_same_dialect(self, stub):
+    def test_hf_preset_speaks_the_same_dialect(self, stub):
         stub.script([ok("routed", 2, 2)])
         backend = HFRouterBackend("m1", base_url=stub.base_url,
                                   timeout=10.0)

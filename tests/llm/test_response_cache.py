@@ -119,24 +119,3 @@ class TestRegistryIntegration:
         assert len(response_cache()) == 1
         caches.clear("llm_responses")
         assert len(response_cache()) == 0
-
-    def test_snapshot_export_import_round_trip(self,
-                                               clean_response_cache):
-        backend = CachingBackend(_Counting())
-        response = backend.complete(_request("warm me"))
-        snapshot = caches.export_snapshot("llm_responses")
-        assert "llm_responses" in snapshot.layers()
-        payload = snapshot.payloads["llm_responses"]
-        key = response_key("counting", "count-model",
-                           _request("warm me").prompt_text, "")
-        assert payload[key] == ("answer #1", 3, 4, "count-model")
-
-        caches.clear("llm_responses")
-        added = caches.import_snapshot(snapshot)
-        assert added.get("llm_responses") == 1
-        warmed = response_cache().get(key)
-        assert warmed == response
-        inner = _Counting()
-        assert CachingBackend(inner).complete(
-            _request("warm me")).text == "answer #1"
-        assert inner.calls == 0  # answered from the imported snapshot

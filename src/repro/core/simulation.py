@@ -72,7 +72,7 @@ from ..hdl import lockstep as lockstep_mod
 from ..hdl.lockstep import (LockstepUnsupported, build_union,
                             clear_lockstep_caches, lockstep_cache_stats)
 from ..codegen.driver import DUMP_FILE
-from .caches import ScopedLruCache, caches
+from .caches import LruCache, caches
 
 # Failure taxonomy used throughout evaluation:
 SYNTAX = "syntax"          # does not parse (Eval0 fails)
@@ -218,32 +218,18 @@ def _record_failure(key: tuple, exc: Exception) -> None:
             _failure_cache[key] = (type(exc), exc.args, attrs)
 
 
-# Template caches: per-task scoped LRUs (see repro.core.caches).  Under
-# campaign churn — 156 tasks x mutants x judges — a single shared LRU
-# let one task's mutant flood evict another task's warm goldens;
-# campaign items now run under ``use_task_scope(task_id)``, giving each
-# task its own eviction domain.  Capacity follows the active context's
-# ``template_cache_size`` knob (read at insertion time); the global
-# ``template_cache_budget`` knob bounds total resident entries across
-# all scopes by shedding least-recently-used scope buckets.
-def _template_capacity() -> int:
-    return current_context().template_cache_size
+#: Entries per template layer.  A full seed-0 Table-I campaign, with
+#: its pre-warm, holds about 1,000 pair templates, so no measured run
+#: evicts; the bound only caps a process that runs far longer.
+TEMPLATE_CACHE_SIZE = 4096
 
-
-def _template_budget() -> int:
-    return current_context().template_cache_budget
-
-
-_design_templates = ScopedLruCache(_template_capacity,
-                                   total_budget=_template_budget)
-_pair_templates = ScopedLruCache(_template_capacity,
-                                 total_budget=_template_budget)
+_design_templates = LruCache(TEMPLATE_CACHE_SIZE)
+_pair_templates = LruCache(TEMPLATE_CACHE_SIZE)
 # Lockstep union templates: (driver, lane sources) -> compiled union
 # design.  Keys are large (they embed every lane's text) but few — one
 # per (driver, mutant-set) pairing — and repeated sweeps of the same
 # pairing (R/S matrix reruns, benches) hit it.
-_union_templates = ScopedLruCache(_template_capacity,
-                                  total_budget=_template_budget)
+_union_templates = LruCache(TEMPLATE_CACHE_SIZE)
 
 
 def design_template(source_text: str, top: str) -> DesignTemplate:

@@ -27,7 +27,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from ..core.caches import pace_full_collections, use_task_scope
+from ..core.caches import pace_full_collections
 from ..core.simulation import (design_template, get_sim_pool,
                                shutdown_sim_pool, _pair_template,
                                _resolve_start_method)
@@ -135,10 +135,7 @@ def run_one(method: str, task_id: str, seed: int,
     runner = get_method(method)
     if context is None:
         context = current_context()
-    # The task scope gives this item its own template-cache bucket, so
-    # one task's mutant churn cannot evict another's warm templates
-    # (see repro.core.caches.ScopedLruCache).
-    with use_context(context), use_task_scope(task_id):
+    with use_context(context):
         task = get_task(task_id)
         criterion = CRITERIA[criterion_name]
         meter = UsageMeter()
@@ -169,8 +166,8 @@ def prewarm_campaign_caches(task_ids: Iterable[str]) -> int:
     For every task id the golden RTL is parsed and elaborated into a
     design template, and the canonical (golden driver, golden RTL)
     pairing is elaborated too — the sources every validator matrix and
-    AutoEval sweep of that task re-simulates.  Each task warms its own
-    cache scope.  Returns the number of tasks warmed.
+    AutoEval sweep of that task re-simulates.  Returns the number of
+    tasks warmed.
 
     Campaigns and the shard coordinator call this before creating
     their worker processes (when the resolved context's ``warm_start``
@@ -182,16 +179,15 @@ def prewarm_campaign_caches(task_ids: Iterable[str]) -> int:
 
     warmed = 0
     for task_id in task_ids:
-        with use_task_scope(task_id):
-            try:
-                task = get_task(task_id)
-                golden = task.golden_rtl()
-                driver = render_driver(task, task.canonical_scenarios())
-                design_template(golden, "top_module")
-                _pair_template(golden, driver, "tb")
-            except (KeyError, HdlError):  # pragma: no cover - defensive
-                continue
-            warmed += 1
+        try:
+            task = get_task(task_id)
+            golden = task.golden_rtl()
+            driver = render_driver(task, task.canonical_scenarios())
+            design_template(golden, "top_module")
+            _pair_template(golden, driver, "tb")
+        except (KeyError, HdlError):  # pragma: no cover - defensive
+            continue
+        warmed += 1
     return warmed
 
 

@@ -366,8 +366,7 @@ class CampaignStore:
                      for path in sorted(self._entries.glob("*.json")))
 
     def export_keys(self) -> tuple[str, ...]:
-        """Key digests on disk (cheap introspection; mirrors
-        :meth:`repro.core.caches.ScopedLruCache.export_keys`)."""
+        """Key digests on disk, sorted (cheap introspection)."""
         return tuple(sorted(path.stem
                             for path in self._entries.glob("*.json")))
 

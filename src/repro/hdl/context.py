@@ -1,15 +1,15 @@
 """Explicit, request-scoped simulation configuration.
 
 Every execution knob — simulation limits, the campaign worker count,
-the pool start method, cache capacities, trace/store directories and
-the LLM tier — lives in one immutable value object instead of
-process-wide mutable state, so concurrent workloads with different
-configurations never reconfigure each other:
+the pool start method, trace/store directories and the LLM tier —
+lives in one immutable value object instead of process-wide mutable
+state, so concurrent workloads with different configurations never
+reconfigure each other:
 
 :class:`SimContext`
     a frozen dataclass carrying the simulation limits (``max_time`` /
     ``max_stmts``) and the worker-pool configuration (job count, start
-    method, warm-start flag, template-cache capacity).  Being immutable
+    method, warm-start flag).  Being immutable
     and made of primitives it is hashable, comparable and picklable —
     campaign work items ship the context to pool workers as plain data.
 
@@ -79,14 +79,6 @@ def valid_llm_backend(spec: str) -> bool:
 DEFAULT_MAX_TIME = 2_000_000
 DEFAULT_MAX_STMTS = 4_000_000
 DEFAULT_JOBS = 1
-DEFAULT_TEMPLATE_CACHE_SIZE = 256
-#: Global template-entry budget across all task scopes.  Per-scope LRUs
-#: are bounded by ``template_cache_size``, but a worst-case workload
-#: could hold ``capacity × max_scopes`` entries; the budget sheds whole
-#: least-recently-used scopes once the total crosses it.  Sized so a
-#: full-dataset campaign prewarm (156 tasks × a handful of templates)
-#: never triggers shedding.
-DEFAULT_TEMPLATE_CACHE_BUDGET = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,8 +111,6 @@ class SimContext:
     #: workers fork, so forked workers inherit them (see
     #: :func:`repro.core.simulation.get_sim_pool`).
     warm_start: bool = True
-    template_cache_size: int = DEFAULT_TEMPLATE_CACHE_SIZE
-    template_cache_budget: int = DEFAULT_TEMPLATE_CACHE_BUDGET
     #: Directory correction-session traces are recorded into ("" = trace
     #: recording off).  A plain string so the context stays picklable and
     #: pool workers resolve the same sink their parent configured.
@@ -150,8 +140,7 @@ class SimContext:
                              f"{self.start_method!r}; "
                              f"expected one of {START_METHODS}")
         # bool is an int subclass, but True is not a one-unit limit.
-        for name in ("max_time", "max_stmts", "jobs",
-                     "template_cache_size", "template_cache_budget"):
+        for name in ("max_time", "max_stmts", "jobs"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be a positive integer, "
@@ -273,25 +262,6 @@ def _context_from_env(environ=None) -> tuple[SimContext, frozenset]:
             overrides[field_name] = raw
             seeded.add(field_name)
 
-    for env_name, field_name in (
-            ("REPRO_TEMPLATE_CACHE_SIZE", "template_cache_size"),
-            ("REPRO_TEMPLATE_CACHE_BUDGET", "template_cache_budget")):
-        raw = environ.get(env_name)
-        if raw is None:
-            continue
-        try:
-            value = int(raw)
-        except ValueError:
-            _warn_env(f"{env_name}={raw!r} is not an integer; "
-                      f"using the default")
-            continue
-        if value < 1:
-            _warn_env(f"{env_name}={raw!r} must be >= 1; "
-                      f"using the default")
-            continue
-        overrides[field_name] = value
-        seeded.add(field_name)
-
     return SimContext(**overrides), frozenset(seeded)
 
 
@@ -361,8 +331,8 @@ def use_context(context: SimContext | None = None, **overrides):
 #: SimContext fields a *request* may override (service ``X-Repro-*``
 #: headers / body ``"context"`` objects).  Deliberately excludes the
 #: operator-owned knobs — ``jobs``, ``start_method``, ``warm_start``,
-#: cache capacities, ``trace_dir`` — which shape shared process state a
-#: single request must not reconfigure.
+#: ``trace_dir`` — which shape shared process state a single request
+#: must not reconfigure.
 REQUEST_CONTEXT_FIELDS = ("max_time", "max_stmts")
 
 

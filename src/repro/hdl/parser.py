@@ -36,6 +36,16 @@ _MAX_BINARY_LEVEL = len(_BINARY_LEVELS)
 _UNARY_OPS = frozenset(
     ("!", "~", "&", "~&", "|", "~|", "^", "~^", "^~", "+", "-"))
 
+#: Deepest nesting the parser accepts, counting nested expressions
+#: (parentheses, concatenations, selects, call arguments, ternary
+#: branches), unary operators, tighter-binding operands and statements.
+#: Each level costs at most six Python frames, so a deeper source fails
+#: with a positioned :class:`VerilogSyntaxError` long before it could
+#: exhaust the interpreter's recursion limit.  No source parsed by the
+#: digest-pinned campaign items (seed-0 Table I, CMB at seeds 0-9)
+#: nests deeper than 16.
+MAX_NESTING_DEPTH = 64
+
 # Bound once: TokenKind attribute lookups add up in the token helpers,
 # which run once or more per token on the cold-parse path.
 _PUNCT = TokenKind.PUNCT
@@ -48,6 +58,7 @@ class Parser:
     def __init__(self, tokens: Sequence[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     # ------------------------------------------------------------------
     # Token helpers
@@ -105,6 +116,15 @@ class Parser:
             self.pos += 1
             return True
         return False
+
+    # A nesting level is entered with ``_enter()`` and left with
+    # ``self.depth -= 1``; a raised error abandons the parser, so the
+    # count needs no unwinding.
+    def _enter(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING_DEPTH:
+            raise self._error(f"nesting deeper than {MAX_NESTING_DEPTH} "
+                              f"levels")
 
     # ------------------------------------------------------------------
     # Top level
@@ -356,6 +376,12 @@ class Parser:
     # Statements
     # ------------------------------------------------------------------
     def parse_statement(self) -> ast.Stmt:
+        self._enter()
+        stmt = self._parse_statement()
+        self.depth -= 1
+        return stmt
+
+    def _parse_statement(self) -> ast.Stmt:
         tok = self._peek()
 
         if tok.is_keyword("begin"):
@@ -514,10 +540,12 @@ class Parser:
     # ------------------------------------------------------------------
     def parse_lvalue(self) -> ast.LValue:
         if self._accept_punct("{"):
+            self._enter()
             parts = [self.parse_lvalue()]
             while self._accept_punct(","):
                 parts.append(self.parse_lvalue())
             self._expect_punct("}")
+            self.depth -= 1
             return ast.LvConcat(tuple(parts))
         name = self._expect_ident()
         if self._accept_punct("["):
@@ -534,16 +562,25 @@ class Parser:
     # Expressions
     # ------------------------------------------------------------------
     def parse_expression(self) -> ast.Expr:
-        return self._parse_ternary()
+        """Parse one expression; the expression itself is one nesting
+        level (see :data:`MAX_NESTING_DEPTH`).
 
-    def _parse_ternary(self) -> ast.Expr:
-        cond = self._parse_binary(0)
+        >>> Parser(tokenize("(a + b) * c")).parse_expression().op
+        '*'
+        >>> too_deep = "(" * MAX_NESTING_DEPTH + "a"
+        >>> Parser(tokenize(too_deep)).parse_expression()
+        Traceback (most recent call last):
+            ...
+        repro.hdl.errors.VerilogSyntaxError: line 1:65: nesting deeper than 64 levels
+        """
+        self._enter()
+        expr = self._parse_binary(0)
         if self._accept_punct("?"):
-            then = self._parse_ternary()
+            then = self.parse_expression()
             self._expect_punct(":")
-            other = self._parse_ternary()
-            return ast.Ternary(cond, then, other)
-        return cond
+            expr = ast.Ternary(expr, then, self.parse_expression())
+        self.depth -= 1
+        return expr
 
     def _parse_binary(self, min_level: int) -> ast.Expr:
         # Precedence climbing: equivalent tree shape to the classic
@@ -561,14 +598,19 @@ class Parser:
             if level is None or level < min_level:
                 return left
             self.pos += 1
+            self._enter()
             right = self._parse_binary(level + 1)
+            self.depth -= 1
             left = ast.Binary(tok.text, left, right)
 
     def _parse_unary(self) -> ast.Expr:
         tok = self._peek()
         if tok.kind is TokenKind.PUNCT and tok.text in _UNARY_OPS:
             self._advance()
-            return ast.Unary(tok.text, self._parse_unary())
+            self._enter()
+            operand = self._parse_unary()
+            self.depth -= 1
+            return ast.Unary(tok.text, operand)
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expr:

@@ -12,20 +12,18 @@ from __future__ import annotations
 
 import re
 
-_WORD_RE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
-
-# Average characters per BPE token inside an alphanumeric word.
-_CHARS_PER_TOKEN = 4
+# One match per token: a run of up to four word characters (greedy
+# matching splits a word of length L into ceil(L / 4) pieces) or a
+# single symbol.  Whitespace counts nothing.
+_PIECE_RE = re.compile(r"[A-Za-z0-9_]{1,4}|[^\sA-Za-z0-9_]")
 
 
 def approx_token_count(text: str) -> int:
-    """Approximate number of BPE tokens in ``text``."""
-    if not text:
-        return 0
-    count = 0
-    for piece in _WORD_RE.findall(text):
-        if piece[0].isalnum() or piece[0] == "_":
-            count += max(1, -(-len(piece) // _CHARS_PER_TOKEN))
-        else:
-            count += 1
-    return count
+    """Approximate number of BPE tokens in ``text``.
+
+    >>> approx_token_count("internationalization")   # 20 chars: 5 pieces
+    5
+    >>> approx_token_count("assign out = a + b;")   # "assi" "gn" ...
+    8
+    """
+    return len(_PIECE_RE.findall(text))

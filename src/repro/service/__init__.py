@@ -1,14 +1,14 @@
 """``repro.service`` — the asyncio testbench-generation service.
 
 The context / registry / warm-pool stack (``SimContext`` resolution,
-per-task cache scopes, workers forked from a warm parent) was shaped
+shared process caches, workers forked from a warm parent) was shaped
 for a long-lived server; this package is that server.  A handwritten
 HTTP/1.1 layer (:mod:`repro.service.protocol`, stdlib-only) fronts a
 bounded admission queue with explicit backpressure, a cross-request
 micro-batcher that coalesces compatible simulate jobs into
 :func:`repro.core.simulation.run_driver_batch` windows
-(:mod:`repro.service.batcher`), per-tenant task-scoped caches and
-per-request ``SimContext`` resolution (:mod:`repro.service.app`).
+(:mod:`repro.service.batcher`), and per-request ``SimContext``
+resolution (:mod:`repro.service.app`).
 
 Entry points:
 

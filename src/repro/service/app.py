@@ -10,9 +10,9 @@ One :class:`TestbenchService` owns four moving parts:
   the observed service rate — callers get an explicit backpressure
   signal instead of unbounded queueing;
 - a **micro-batcher** (:mod:`repro.service.batcher`): simulate jobs
-  that share a driver, sweep kind, resolved
-  :class:`~repro.hdl.context.SimContext` and tenant scope coalesce into
-  one :func:`~repro.core.simulation.run_driver_batch` /
+  that share a driver, sweep kind and resolved
+  :class:`~repro.hdl.context.SimContext` coalesce into one
+  :func:`~repro.core.simulation.run_driver_batch` /
   :func:`~repro.core.simulation.run_monolithic_batch` call inside a
   short batch window;
 - a **thread executor** running the batches (each batch may further fan
@@ -25,9 +25,9 @@ One :class:`TestbenchService` owns four moving parts:
 Per-request configuration resolves through
 :func:`repro.hdl.context.context_from_request`: ``X-Repro-*`` headers
 first, then the body's ``"context"`` object, layered over the context
-the service was started with.  Tenants (``X-Repro-Tenant`` header or
-``"tenant"`` body field) get isolated template-cache scopes via
-:func:`repro.core.caches.tenant_scope`.
+the service was started with.  All requests share the process's
+template caches; a body field the service does not read, ``"tenant"``
+included, is ignored.
 
 Shutdown drains: the listener closes first (new connections are
 refused), open batch windows flush, and in-flight work finishes —
@@ -42,7 +42,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from ..core.caches import tenant_scope, use_task_scope
 from ..core.simulation import (run_driver_batch, run_monolithic_batch,
                                shutdown_sim_pool, sim_pool_info,
                                simulation_cache_stats)
@@ -83,10 +82,10 @@ def _run_simulate_batch(key, duts: list[str]) -> list:
     queued service requests are unaffected either way — they are parked
     in the admission gate and the batcher, not in the dead pool.
     """
-    kind, driver_src, context, scope = key
+    kind, driver_src, context = key
     batch = (run_monolithic_batch if kind == "monolithic"
              else run_driver_batch)
-    with use_context(context), use_task_scope(scope):
+    with use_context(context):
         try:
             return batch(driver_src, duts, context=context)
         except BrokenProcessPool:
@@ -103,10 +102,9 @@ def _run_generate(item: tuple):
     """Execute one testbench-generation job (a full method pipeline)."""
     from ..eval.campaign import run_one
 
-    method, task_id, seed, model, criterion, context, scope = item
-    with use_task_scope(scope):
-        return run_one(method, task_id, seed=seed, profile_name=model,
-                       criterion_name=criterion, context=context)
+    method, task_id, seed, model, criterion, context = item
+    return run_one(method, task_id, seed=seed, profile_name=model,
+                   criterion_name=criterion, context=context)
 
 
 # ----------------------------------------------------------------------
@@ -326,14 +324,6 @@ class TestbenchService:
             raise RequestError(400, "bad-context", str(exc)) from None
 
     @staticmethod
-    def _tenant(request: Request, body: dict) -> str:
-        tenant = body.get("tenant", request.header("x-repro-tenant"))
-        if not isinstance(tenant, str):
-            raise RequestError(400, "bad-tenant",
-                               '"tenant" must be a string')
-        return tenant
-
-    @staticmethod
     def _required_str(body: dict, name: str) -> str:
         value = body.get(name)
         if not isinstance(value, str) or not value:
@@ -403,11 +393,10 @@ class TestbenchService:
                                f'"kind" must be one of {SIMULATE_KINDS}, '
                                f"got {kind!r}")
         context = self._request_context(request, body)
-        scope = tenant_scope(self._tenant(request, body))
         self._admit()
         started = time.monotonic()
         try:
-            key = (kind, driver, context, scope)
+            key = (kind, driver, context)
             run = await self._batcher.submit(key, dut)
         finally:
             self._release(started)
@@ -463,14 +452,13 @@ class TestbenchService:
             except (KeyError, AttributeError):
                 raise RequestError(400, "bad-request",
                                    f"unknown model {model!r}") from None
-        scope = tenant_scope(self._tenant(request, body), task_id)
         self._admit()
         started = time.monotonic()
         try:
             loop = asyncio.get_running_loop()
             run = await loop.run_in_executor(
                 self._executor, _run_generate,
-                (method, task_id, seed, model, criterion, context, scope))
+                (method, task_id, seed, model, criterion, context))
         finally:
             self._release(started)
         return 200, {

@@ -9,9 +9,9 @@ against the same driver would each pay a full serial run.
 
 :class:`MicroBatcher` recovers the batch shape across requests.  Jobs
 are submitted with a *compatibility key* (for simulate jobs: the driver
-source, the sweep kind, the resolved ``SimContext`` and the tenant
-scope — everything that must be identical for the jobs to share one
-``run_driver_batch`` call).  The first job of a key opens a *window*:
+source, the sweep kind and the resolved ``SimContext`` — everything
+that must be identical for the jobs to share one ``run_driver_batch``
+call).  The first job of a key opens a *window*:
 a timer of ``window_s`` seconds during which later compatible jobs pile
 into the same batch.  The window flushes early when ``max_batch`` jobs
 have coalesced, or immediately when ``window_s`` is zero.  Flushing
@@ -21,7 +21,7 @@ future.
 
 The batcher is deliberately generic — it knows nothing about HTTP or
 simulation; the service wires in a runner that activates the context
-and tenant scope and calls the batch API.
+and calls the batch API.
 """
 
 from __future__ import annotations

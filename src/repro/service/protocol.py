@@ -98,11 +98,11 @@ def parse_request_head(head: bytes) -> Request:
 
     >>> req = parse_request_head(
     ...     b"GET /v1/status?verbose=1 HTTP/1.1\\r\\n"
-    ...     b"Host: localhost\\r\\nX-Repro-Tenant: acme\\r\\n")
+    ...     b"Host: localhost\\r\\nX-Repro-Max-Stmts: 5000\\r\\n")
     >>> req.method, req.path, req.query
     ('GET', '/v1/status', 'verbose=1')
-    >>> req.header("x-repro-tenant")
-    'acme'
+    >>> req.header("x-repro-max-stmts")
+    '5000'
     >>> parse_request_head(b"BROKEN\\r\\n")
     Traceback (most recent call last):
         ...

@@ -229,11 +229,6 @@ class LruCache:
     policy: move-to-front on hit, evict the least recently used entry
     on overflow.
 
-    ``capacity`` may be an ``int`` or a zero-argument callable returning
-    one, so a cache can follow a live configuration knob (the template
-    caches read ``SimContext.template_cache_size``).  A capacity change
-    only takes effect at the next insertion.
-
     >>> cache = LruCache(capacity=2)
     >>> cache.get_or_create("a", lambda: 1)
     1
@@ -249,17 +244,12 @@ class LruCache:
     True
     """
 
-    def __init__(self, capacity: int | Callable[[], int]):
-        self._capacity = capacity
+    def __init__(self, capacity: int):
+        self.capacity = capacity
         self._lock = threading.Lock()
         self._data: OrderedDict = OrderedDict()
         self._hits = 0
         self._misses = 0
-
-    def capacity(self) -> int:
-        value = self._capacity() if callable(self._capacity) \
-            else self._capacity
-        return max(1, int(value))
 
     def get_or_create(self, key, factory: Callable[[], object]):
         """Return the cached value for ``key``, computing it on a miss.
@@ -305,8 +295,7 @@ class LruCache:
             if existing is not None:
                 self._data.move_to_end(key)
                 return existing
-            capacity = self.capacity()
-            while len(self._data) >= capacity:
+            while len(self._data) >= self.capacity:
                 self._data.popitem(last=False)
             self._data[key] = value
             return value

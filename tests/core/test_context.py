@@ -54,8 +54,7 @@ class TestSimContext:
             SimContext(jobs=-2)
         # bool is an int subclass: True would pass as a limit of 1 and
         # fingerprint as ``true``, a different store key from 1.
-        for name in ("max_time", "max_stmts", "jobs",
-                     "template_cache_size", "template_cache_budget"):
+        for name in ("max_time", "max_stmts", "jobs"):
             for value in (True, False):
                 with pytest.raises(ValueError, match=name):
                     SimContext(**{name: value})
@@ -79,14 +78,17 @@ class TestSimContext:
         context = SimContext()
         assert context.start_method == "default"
         assert context.warm_start is True
-        assert context.template_cache_size == 256
         assert context.evolve(start_method="spawn").start_method == "spawn"
         with pytest.raises(ValueError):
             SimContext(start_method="teleport")
         with pytest.raises(ValueError):
             SimContext(warm_start="yes")
-        with pytest.raises(ValueError):
-            SimContext(template_cache_size=0)
+
+    def test_template_cache_knobs_retired(self):
+        # The template caches are fixed-size LRUs; a caller still
+        # sizing them fails loudly.
+        with pytest.raises(TypeError):
+            SimContext(template_cache_size=1)
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +175,14 @@ class TestEnvSeeding:
         assert _context_from_env({"REPRO_SIM_ENGINE": "interpret"}) == \
             (SimContext(), frozenset())
 
+    def test_template_cache_env_ignored(self, capsys):
+        # The template caches have a fixed size; the retired knobs are
+        # not read, not even to warn.
+        assert _context_from_env({"REPRO_TEMPLATE_CACHE_SIZE": "1",
+                                  "REPRO_TEMPLATE_CACHE_BUDGET": "1"}) \
+            == (SimContext(), frozenset())
+        assert capsys.readouterr().err == ""
+
     def test_malformed_jobs_warns_and_falls_back(self, capsys):
         # Satellite fix: a malformed REPRO_JOBS used to raise ValueError
         # out of campaign_jobs_from_env; now it degrades like every
@@ -210,15 +220,10 @@ class TestEnvSeeding:
         context, seeded = _context_from_env({
             "REPRO_START_METHOD": "spawn",
             "REPRO_WARM_START": "0",
-            "REPRO_TEMPLATE_CACHE_SIZE": "64",
-            "REPRO_TEMPLATE_CACHE_BUDGET": "512",
         })
         assert context.start_method == "spawn"
         assert context.warm_start is False
-        assert context.template_cache_size == 64
-        assert context.template_cache_budget == 512
-        assert {"start_method", "warm_start", "template_cache_size",
-                "template_cache_budget"} <= seeded
+        assert seeded == {"start_method", "warm_start"}
 
     def test_trace_dir_seeds(self, tmp_path):
         context, seeded = _context_from_env(
@@ -247,8 +252,6 @@ class TestEnvSeeding:
             SimContext(trace_dir=123)
         with pytest.raises(ValueError):
             SimContext(store_dir=123)
-        with pytest.raises(ValueError):
-            SimContext(template_cache_budget=0)
 
     def test_llm_backend_validated(self):
         for spec in ("", "synthetic", "ollama", "openai", "hf",
@@ -293,16 +296,12 @@ class TestEnvSeeding:
         context, seeded = _context_from_env({
             "REPRO_START_METHOD": "teleport",
             "REPRO_WARM_START": "maybe",
-            "REPRO_TEMPLATE_CACHE_SIZE": "0",
-            "REPRO_TEMPLATE_CACHE_BUDGET": "none",
         })
         assert context == SimContext()
         assert not seeded
         err = capsys.readouterr().err
         assert "REPRO_START_METHOD" in err
         assert "REPRO_WARM_START" in err
-        assert "REPRO_TEMPLATE_CACHE_SIZE" in err
-        assert "REPRO_TEMPLATE_CACHE_BUDGET" in err
 
     def test_campaign_jobs_prefers_active_context(self):
         with use_context(jobs=5):

@@ -1,6 +1,6 @@
 """DesignTemplate caching layers: failure caching, LRU behavior under
-campaign-scale churn, per-task scoping, the capacity knob, and
-stamped-state isolation between concurrent checkouts."""
+campaign-scale churn, and stamped-state isolation between concurrent
+checkouts."""
 
 import threading
 from collections import OrderedDict
@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.simulation as sim
-from repro.core.caches import use_task_scope
-from repro.core.simulation import (ELABORATION, clear_simulation_caches,
+from repro.core.simulation import (ELABORATION, TEMPLATE_CACHE_SIZE,
+                                   clear_simulation_caches,
                                    design_template, run_driver,
                                    simulation_cache_stats)
 from repro.codegen import render_driver
-from repro.hdl import use_context
 from repro.hdl.errors import ElaborationError, VerilogSyntaxError
 from repro.problems import get_task
 
@@ -120,9 +119,6 @@ class TestFailureCaching:
 # ----------------------------------------------------------------------
 # LRU behavior under churn
 # ----------------------------------------------------------------------
-LRU_SIZE = 256
-
-
 def _tiny_src(index: int) -> str:
     return ("module m;\n"
             f"    localparam V = {index};\n"
@@ -133,13 +129,18 @@ def _tiny_src(index: int) -> str:
 def test_eviction_order_is_lru():
     clear_simulation_caches()
     first = design_template(_tiny_src(0), "m")
-    for index in range(1, LRU_SIZE + 1):
+    for index in range(1, TEMPLATE_CACHE_SIZE + 1):
         design_template(_tiny_src(index), "m")
-    # 257 distinct keys through a 256-entry LRU: the oldest fell out...
+    # One key past capacity: the oldest fell out...
     assert design_template(_tiny_src(0), "m") is not first
     # ...and a recently-inserted key survived (identity preserved).
-    recent = design_template(_tiny_src(LRU_SIZE), "m")
-    assert design_template(_tiny_src(LRU_SIZE), "m") is recent
+    recent = design_template(_tiny_src(TEMPLATE_CACHE_SIZE), "m")
+    assert design_template(_tiny_src(TEMPLATE_CACHE_SIZE), "m") is recent
+
+
+#: Random accesses touch keys 0..299; filler keys start above them and
+#: leave this much headroom, so an access sequence crosses capacity.
+_FILL_HEADROOM = 64
 
 
 @settings(max_examples=5, deadline=None)
@@ -148,9 +149,13 @@ def test_eviction_order_is_lru():
 def test_lru_agrees_with_model(accesses):
     """Random access sequences against an explicit LRU model: a key the
     model still holds must return the identical template object; the
-    model mirrors lru_cache's move-to-front-on-hit policy exactly."""
+    model mirrors lru_cache's move-to-front-on-hit policy exactly.  The
+    cache is pre-filled to near ``TEMPLATE_CACHE_SIZE`` so the sequence
+    evicts."""
     clear_simulation_caches()
     model: OrderedDict = OrderedDict()
+    for index in range(1000, 1000 + TEMPLATE_CACHE_SIZE - _FILL_HEADROOM):
+        model[index] = design_template(_tiny_src(index), "m")
     for index in accesses:
         expected = model.get(index)
         template = design_template(_tiny_src(index), "m")
@@ -160,167 +165,9 @@ def test_lru_agrees_with_model(accesses):
             model.move_to_end(index)
         else:
             model[index] = template
-            if len(model) > LRU_SIZE:
+            if len(model) > TEMPLATE_CACHE_SIZE:
                 model.popitem(last=False)
-    assert simulation_cache_stats()["design"]["size"] <= LRU_SIZE
-
-
-# ----------------------------------------------------------------------
-# Capacity knob + per-task scoping
-# ----------------------------------------------------------------------
-class TestCapacityKnob:
-    def test_template_cache_size_applies(self):
-        """``SimContext.template_cache_size`` bounds the active scope's
-        bucket: a tiny capacity evicts at the knob, not at 256."""
-        clear_simulation_caches()
-        with use_context(template_cache_size=2):
-            first = design_template(_tiny_src(0), "m")
-            design_template(_tiny_src(1), "m")
-            design_template(_tiny_src(2), "m")  # evicts index 0 (LRU)
-            survivor = design_template(_tiny_src(2), "m")
-            assert design_template(_tiny_src(2), "m") is survivor
-            assert design_template(_tiny_src(0), "m") is not first
-
-    def test_capacity_validated_on_context(self):
-        with pytest.raises(ValueError):
-            use_context(template_cache_size=0).__enter__()
-
-
-class TestTaskScoping:
-    def test_scopes_isolate_eviction(self):
-        """A mutant flood in one task's scope must not evict another
-        task's warm templates — the open-item scenario (156 tasks x
-        mutants x judges interleaved by a campaign)."""
-        clear_simulation_caches()
-        with use_context(template_cache_size=2):
-            with use_task_scope("task-a"):
-                kept0 = design_template(_tiny_src(0), "m")
-                kept1 = design_template(_tiny_src(1), "m")
-            with use_task_scope("task-b"):  # churn far past capacity
-                for index in range(2, 10):
-                    design_template(_tiny_src(index), "m")
-            with use_task_scope("task-a"):
-                assert design_template(_tiny_src(0), "m") is kept0
-                assert design_template(_tiny_src(1), "m") is kept1
-
-    def test_same_key_distinct_per_scope(self):
-        clear_simulation_caches()
-        with use_task_scope("task-a"):
-            in_a = design_template(_tiny_src(0), "m")
-        with use_task_scope("task-b"):
-            in_b = design_template(_tiny_src(0), "m")
-        assert in_a is not in_b
-        assert simulation_cache_stats()["design"]["scopes"] == 2
-
-    def test_scope_bound_covers_full_dataset(self):
-        """The outer scope LRU must hold at least the 156-task benchmark
-        population, or a full-dataset campaign prewarm would evict its
-        own earliest tasks before the pool ever snapshots them."""
-        from repro.core.caches import DEFAULT_MAX_SCOPES
-        clear_simulation_caches()
-        assert DEFAULT_MAX_SCOPES >= 156
-        for index in range(200):
-            with use_task_scope(f"task-{index}"):
-                design_template(_tiny_src(index % 4), "m")
-        stats = simulation_cache_stats()["design"]
-        assert stats["scopes"] == min(200, DEFAULT_MAX_SCOPES)
-        # Churn past the bound retires whole scopes, oldest first.
-        with use_task_scope("task-0"):
-            fresh = design_template(_tiny_src(0), "m")
-        with use_task_scope("task-199"):
-            survivor = design_template(_tiny_src(199 % 4), "m")
-            assert design_template(_tiny_src(199 % 4), "m") is survivor
-        assert fresh is not None
-
-    def test_default_scope_is_shared(self):
-        clear_simulation_caches()
-        template = design_template(_tiny_src(0), "m")
-        with use_task_scope(None):
-            assert design_template(_tiny_src(0), "m") is template
-
-
-class TestGlobalBudget:
-    """``SimContext.template_cache_budget`` bounds total resident
-    entries across all scopes (the ROADMAP open item: per-scope LRUs
-    alone admit ``capacity * max_scopes`` entries)."""
-
-    def test_budget_sheds_cold_scopes(self):
-        clear_simulation_caches()
-        with use_context(template_cache_size=4,
-                         template_cache_budget=5):
-            with use_task_scope("cold"):
-                cold = design_template(_tiny_src(0), "m")
-                design_template(_tiny_src(1), "m")
-            with use_task_scope("warm"):
-                for index in range(2, 7):  # 4 resident + 2 cold > 5
-                    design_template(_tiny_src(index), "m")
-            stats = simulation_cache_stats()["design"]
-            assert stats["size"] <= 5
-            assert stats["shed_scopes"] >= 1
-            # The cold scope paid the cost; revisiting re-elaborates.
-            with use_task_scope("cold"):
-                assert design_template(_tiny_src(0), "m") is not cold
-
-    def test_inserting_scope_survives_shedding(self):
-        clear_simulation_caches()
-        with use_context(template_cache_size=8,
-                         template_cache_budget=4):
-            with use_task_scope("other"):
-                design_template(_tiny_src(0), "m")
-            with use_task_scope("active"):
-                kept = [design_template(_tiny_src(index), "m")
-                        for index in range(1, 7)]
-                # Over budget with a single remaining scope: the active
-                # bucket is never shed out from under its own insertion.
-                for index, template in enumerate(kept, start=1):
-                    assert design_template(_tiny_src(index), "m") \
-                        is template
-        stats = simulation_cache_stats()["design"]
-        assert stats["scopes"] == 1
-        assert stats["shed_scopes"] == 1
-
-    def test_default_budget_covers_campaign_working_set(self):
-        from repro.hdl.context import (DEFAULT_TEMPLATE_CACHE_BUDGET,
-                                       SimContext)
-        # A full-dataset prewarm (156 tasks, a handful of templates
-        # each) must fit without shedding.
-        assert DEFAULT_TEMPLATE_CACHE_BUDGET >= 156 * 8
-        assert SimContext().template_cache_budget \
-            == DEFAULT_TEMPLATE_CACHE_BUDGET
-
-    def test_clear_resets_shed_counter(self):
-        clear_simulation_caches()
-        assert simulation_cache_stats()["design"]["shed_scopes"] == 0
-
-
-@settings(max_examples=5, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["task-a", "task-b", None]),
-                          st.integers(min_value=0, max_value=9)),
-                min_size=1, max_size=120))
-def test_scoped_lru_agrees_with_model(accesses):
-    """The per-task scoping extension of ``test_lru_agrees_with_model``:
-    each scope behaves as its own move-to-front LRU at the context's
-    capacity, and accesses in one scope never disturb another's."""
-    capacity = 4
-    clear_simulation_caches()
-    model: dict = {}
-    with use_context(template_cache_size=capacity):
-        for scope, index in accesses:
-            bucket = model.setdefault(scope, OrderedDict())
-            expected = bucket.get(index)
-            with use_task_scope(scope):
-                template = design_template(_tiny_src(index), "m")
-            if expected is not None:
-                assert template is expected, \
-                    "cache dropped or replaced a live entry"
-                bucket.move_to_end(index)
-            else:
-                bucket[index] = template
-                if len(bucket) > capacity:
-                    bucket.popitem(last=False)
-    stats = simulation_cache_stats()["design"]
-    assert stats["size"] == sum(len(b) for b in model.values())
-    assert stats["scopes"] == len(model)
+    assert simulation_cache_stats()["design"]["size"] == len(model)
 
 
 # ----------------------------------------------------------------------

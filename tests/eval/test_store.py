@@ -37,7 +37,6 @@ class TestKeying:
         for evolved in (base.evolve(jobs=8),
                         base.evolve(start_method="spawn"),
                         base.evolve(warm_start=False),
-                        base.evolve(template_cache_size=7),
                         base.evolve(trace_dir="/tmp/t"),
                         base.evolve(store_dir="/tmp/s")):
             assert context_fingerprint(evolved) == context_fingerprint(base)

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.core.simulation import SYNTAX, run_driver, syntax_ok
 from repro.hdl import ast
 from repro.hdl.errors import VerilogSyntaxError
-from repro.hdl.parser import parse_module, parse_source
+from repro.hdl.parser import MAX_NESTING_DEPTH, parse_module, parse_source
 from repro.hdl.unparse import unparse_module
 
 
@@ -319,3 +320,52 @@ class TestUnparseRoundTrip:
         first = unparse_module(parse_module(source))
         second = unparse_module(parse_module(first))
         assert first == second
+
+
+class TestNestingDepth:
+    """Hostile nesting fails with a positioned syntax error, never a
+    ``RecursionError`` out of the parser or the simulation API."""
+
+    DUT = "module top_module(input a, output y);\nassign y = a;\nendmodule"
+
+    @staticmethod
+    def _driver(expr: str, stmt: str = "") -> str:
+        return ("module tb;\nreg a;\nreg [7:0] b;\n"
+                "initial begin\n"
+                f"a = 1'b1; {stmt}\n"
+                f'$display("%d", {expr});\n'
+                "$finish;\nend\nendmodule")
+
+    def test_deep_parentheses_fail_typed(self):
+        driver = self._driver("(" * 200 + "a" + ")" * 200)
+        assert syntax_ok(driver) is False
+        run = run_driver(driver, self.DUT)
+        assert run.status == SYNTAX
+        assert run.detail.startswith("driver: line 6:")
+        assert f"nesting deeper than {MAX_NESTING_DEPTH} levels" \
+            in run.detail
+
+    @pytest.mark.parametrize("expr, stmt", [
+        ("~" * 300 + "a", ""),
+        ("a ? 1 : " * 300 + "0", ""),
+        ("a", "if (a) " * 300 + "b = 1;"),
+        ("a", "begin " * 300 + "b = 1;" + " end" * 300),
+        ("a", "{" * 300 + "b" + "}" * 300 + " = 1;"),
+        ("a || a && a | a ^ a & a == a < a << a + a * a ** (" * 30
+         + "a" + ")" * 30, ""),
+    ], ids=["unary", "ternary", "if", "begin", "lvalue", "ladder"])
+    def test_every_recursive_form_is_bounded(self, expr, stmt):
+        with pytest.raises(VerilogSyntaxError) as info:
+            parse_source(self._driver(expr, stmt))
+        assert info.value.line in (5, 6)
+        assert "nesting deeper than" in str(info.value)
+
+    def test_nesting_up_to_the_bound_parses(self):
+        # The $display argument sits three levels down (initial body,
+        # begin block, system task), so this many parentheses reach the
+        # bound exactly.
+        depth = MAX_NESTING_DEPTH - 3
+        driver = self._driver("(" * depth + "a" + ")" * depth)
+        assert syntax_ok(driver)
+        run = run_driver(driver, self.DUT)
+        assert run.status != SYNTAX

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles.token_counter import reference_token_count
 from repro.llm import (ChatMessage, ChatRequest, GenerationIntent,
                        MeteredClient, Usage, UsageMeter, approx_token_count,
                        usage_for)
@@ -75,6 +76,37 @@ class TestTokenCounting:
         combined = approx_token_count(a + " " + b)
         assert combined >= max(approx_token_count(a) // 2,
                                approx_token_count(b) // 2)
+
+
+class TestTokenCounterOracle:
+    """The one-regex counter against the word-loop reference."""
+
+    # Word runs of every length, separators (Unicode space and letters
+    # included) and arbitrary characters, joined in any order.
+    @given(st.lists(st.one_of(
+        st.from_regex(r"[A-Za-z0-9_]{1,12}", fullmatch=True),
+        st.sampled_from([" ", "\t", "\n", "\u00a0", ";", "({", "é", "ß9"]),
+        st.characters()), max_size=60).map("".join))
+    def test_matches_reference_on_random_text(self, text):
+        assert approx_token_count(text) == reference_token_count(text)
+
+    def test_matches_reference_on_dataset_texts(self):
+        from repro.codegen import render_driver
+        from repro.problems import load_dataset
+
+        checked = 0
+        for task in load_dataset():
+            texts = [task.spec_text, task.golden_rtl(),
+                     task.golden_model_source(),
+                     render_driver(task, task.canonical_scenarios())]
+            for variant in task.variants:
+                texts += [task.variant_rtl(variant),
+                          task.variant_model_source(variant)]
+            for text in texts:
+                assert approx_token_count(text) \
+                    == reference_token_count(text)
+                checked += 1
+        assert checked >= 4 * 156
 
 
 class TestUsageFor:

@@ -5,7 +5,8 @@ simpler implementations the differential suites and the microbench
 floors compare it with:
 
 - :mod:`oracles.interpreter` — the statement-walking simulator;
-- :mod:`oracles.reference_lexer` — the character-at-a-time lexer.
+- :mod:`oracles.reference_lexer` — the character-at-a-time lexer;
+- :mod:`oracles.token_counter` — the word-loop token counter.
 
 :data:`SIMULATORS` and :data:`LEXERS` pair each runtime entry point
 with its oracle under a stable name, for tests parametrized over both.

@@ -3,8 +3,8 @@
 Every documented endpoint, error code and operational behaviour from
 docs/service.md is exercised here: the happy paths, the 4xx surface,
 queue-full backpressure (429 + Retry-After), pool break-and-heal
-without request loss, drain-on-shutdown, and per-tenant cache
-isolation.
+without request loss, drain-on-shutdown, and one shared template cache
+whatever tenant a request names.
 """
 
 import http.client
@@ -18,8 +18,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro.codegen import render_driver
-from repro.core.simulation import (_pair_templates,
-                                   clear_simulation_caches, get_sim_pool,
+from repro.core.caches import caches
+from repro.core.simulation import (clear_simulation_caches, get_sim_pool,
                                    run_driver_batch, shutdown_sim_pool,
                                    sim_pool_info)
 from repro.hdl import current_context
@@ -403,27 +403,26 @@ class TestPoolHealing:
         shutdown_sim_pool()
 
 
-class TestTenantIsolation:
-    def test_tenants_get_disjoint_cache_scopes(self):
+class TestTenantIgnored:
+    def test_tenant_field_and_header_are_ignored(self):
+        """Every caller shares one template cache: a ``"tenant"`` field
+        and an ``X-Repro-Tenant`` header change nothing."""
         driver, dut = _fixture()
+        body = {"driver": driver, "dut": dut}
         clear_simulation_caches()
         with running_service() as service:
-            for tenant in ("alpha", "beta"):
-                status, data, _ = _request(
-                    service, "POST", "/v1/simulate",
-                    {"driver": driver, "dut": dut, "tenant": tenant})
-                assert status == 200 and data["status"] == "ok"
-            anonymous = _request(service, "POST", "/v1/simulate",
-                                 {"driver": driver, "dut": dut})
-            header_tenant = _request(
-                service, "POST", "/v1/simulate",
-                {"driver": driver, "dut": dut},
-                headers={"X-Repro-Tenant": "gamma"})
-        assert anonymous[0] == 200 and header_tenant[0] == 200
-
-        scopes = {scope for scope, _ in _pair_templates.export_keys()}
-        assert {"tenant/alpha", "tenant/beta", "tenant/gamma"} <= scopes
-        assert None in scopes  # anonymous requests share the base scope
+            responses = [
+                _request(service, "POST", "/v1/simulate",
+                         dict(body, tenant="alpha")),
+                _request(service, "POST", "/v1/simulate", body,
+                         headers={"X-Repro-Tenant": "gamma"}),
+                _request(service, "POST", "/v1/simulate", body),
+            ]
+        assert [status for status, _, _ in responses] == [200] * 3
+        payloads = [data for _, data, _ in responses]
+        assert payloads[0]["status"] == "ok"
+        assert payloads[1] == payloads[0] and payloads[2] == payloads[0]
+        assert caches.stats()["pair"]["size"] == 1
         clear_simulation_caches()
 
 

@@ -1,9 +1,9 @@
 """One facade over the process's caching layers.
 
-The execution stack accumulates caches at every level — token streams
-(:mod:`repro.hdl.lexer`), parsed ASTs (:mod:`repro.hdl.parser`), shared
-slot programs (:mod:`repro.hdl.compile`), elaboration templates and
-cached failures (:mod:`repro.core.simulation`) — each with its own
+The execution stack accumulates caches at every level — parsed ASTs
+and syntax failures (:mod:`repro.hdl.parser`), shared slot programs
+(:mod:`repro.hdl.compile`), elaboration templates and cached
+failures (:mod:`repro.core.simulation`) — each with its own
 ``clear_*`` / ``*_stats`` pair.  :data:`caches` registers them all
 behind a few verbs::
 

@@ -6,11 +6,11 @@ reuse on top of it:
 
 - **parse cache** — text-keyed (:func:`parse_cached`); the validator
   simulates the same driver against 20 RTL samples and AutoEval runs the
-  same testbench against 10 mutants.  A text-keyed *tokenize* cache sits
-  underneath (:func:`repro.hdl.lexer.tokenize_cached`): mutants that
-  only perturb a few tokens still re-lex (quickly, through the
-  master-regex tokenizer), but repeated sources — including sources
-  that lex and then fail to *parse* — skip the lexer entirely.
+  same testbench against 10 mutants.  A text that fails to lex or parse
+  is held as its error's shape, so a broken driver (the synthetic LLM's
+  Eval0 faults) is lexed and parsed once, by the fault injector's own
+  check, and every later ``syntax_ok`` / ``run_driver`` re-raises the
+  same :class:`~repro.hdl.errors.VerilogSyntaxError`.
 - **elaboration cache** — :func:`design_template` keys a fully
   elaborated + compiled design by ``(source_text, top)``.  The cached
   :class:`DesignTemplate` owns the design *structure* (signals, process
@@ -62,8 +62,9 @@ from ..hdl.compile import clear_program_cache, program_cache_stats
 from ..hdl.context import (START_METHOD_DEFAULT, SimContext,
                            current_context, use_context)
 from ..hdl.elaborate import Design, elaborate
-from ..hdl.errors import (ElaborationError, HdlError, SimulationError,
-                          SimulationLimit, VerilogSyntaxError)
+from ..hdl.errors import (ElaborationError, FailureShape, HdlError,
+                          SimulationError, SimulationLimit,
+                          VerilogSyntaxError)
 from ..hdl.lexer import clear_tokenize_cache, tokenize_cache_stats
 from ..hdl.parser import (clear_parse_cache, parse_cache_stats,
                           parse_source_cached)
@@ -176,46 +177,35 @@ class DesignTemplate:
 # Mutation sweeps generate many variants that fail to parse or
 # elaborate; lru_cache does not memoise exceptions, so without this
 # layer every sweep re-lexes, re-parses and re-elaborates each broken
-# variant on every call.  Only the exception's *shape* (type, args, and
-# position attributes) is recorded — never the live instance — so no
-# traceback frames are pinned, the original propagation is untouched,
-# and every cache hit raises a fresh, identically-rendered instance
-# (safe under concurrent hits).  A changed source text is a different
-# key, so edits invalidate naturally.
+# variant on every call.  Only the exception's
+# :class:`~repro.hdl.errors.FailureShape` is recorded — never the live
+# instance — so the original propagation is untouched and every cache
+# hit raises a fresh, identically-rendered instance.  A changed source
+# text is a different key, so edits invalidate naturally.
 _FAILURE_CACHE_SIZE = 1024
-_failure_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
+_failure_cache: "OrderedDict[tuple, FailureShape]" = OrderedDict()
 _failure_lock = threading.Lock()
 _failure_stats = {"hits": 0, "recorded": 0}
-
-_FAILURE_ATTRS = ("line", "column", "bare_message")
 
 
 def _raise_cached_failure(key: tuple) -> None:
     with _failure_lock:
-        info = _failure_cache.get(key)
-        if info is None:
+        shape = _failure_cache.get(key)
+        if shape is None:
             return
         _failure_cache.move_to_end(key)
         _failure_stats["hits"] += 1
-    exc_type, args, attrs = info
-    # Bypass __init__ (VerilogSyntaxError's would re-prefix "line L:C:"
-    # onto the already-rendered message) and restore the stored shape.
-    exc = exc_type.__new__(exc_type)
-    exc.args = args
-    for name, value in attrs:
-        setattr(exc, name, value)
-    raise exc
+    shape.reraise()
 
 
 def _record_failure(key: tuple, exc: Exception) -> None:
-    attrs = tuple((name, getattr(exc, name)) for name in _FAILURE_ATTRS
-                  if hasattr(exc, name))
+    shape = FailureShape(exc)
     with _failure_lock:
         if key not in _failure_cache:
             _failure_stats["recorded"] += 1
             while len(_failure_cache) >= _FAILURE_CACHE_SIZE:
                 _failure_cache.popitem(last=False)
-            _failure_cache[key] = (type(exc), exc.args, attrs)
+            _failure_cache[key] = shape
 
 
 #: Entries per template layer.  A full seed-0 Table-I campaign, with
@@ -337,8 +327,7 @@ def clear_template_caches() -> None:
 
 def clear_simulation_caches() -> None:
     """Drop every caching layer (benchmark cold starts): templates,
-    cached failures, parsed ASTs, token streams and shared compiled
-    programs."""
+    cached failures, parsed ASTs and shared compiled programs."""
     caches.clear()
 
 

@@ -14,8 +14,9 @@ CorrectBench system.  Execution is a four-stage pipeline::
     positions.  :func:`parse_source_cached` is the
     text-keyed parse cache: identical source text is parsed once
     process-wide, and the shared AST is safe because nodes are
-    immutable.  A token-stream cache sits underneath it, so sources
-    that lex but fail to parse skip the lexer on re-entry.
+    immutable.  A text that fails to lex or parse is held as its
+    error's shape, so it is lexed once too and every later call
+    re-raises an identical :class:`VerilogSyntaxError`.
 
 **elaborate** (:mod:`repro.hdl.elaborate`)
     Resolves parameters, flattens the instance hierarchy and produces a
@@ -29,7 +30,9 @@ CorrectBench system.  Execution is a four-stage pipeline::
 **compile** (:mod:`repro.hdl.compile`)
     Lowers each process body once into *slot-indexed* Python closures:
     expressions through :mod:`repro.hdl.eval` (widths, signedness and
-    constant indices resolved at compile time, no-op resizes elided),
+    constant indices resolved at compile time, no-op resizes elided,
+    one closure per signal read or constant value in a program, and
+    left-deep operator runs lowered in a loop),
     statement sequences into flat op lists whose generators only yield
     at real suspension points, format strings into pre-parsed segments.
     Closures reference runtime objects through integer slots into a

@@ -14,10 +14,10 @@ from typing import Callable, Optional
 
 from . import ast
 from .errors import ElaborationError
-from .eval import collect_expr_reads, collect_stmt_reads, eval_expr
+from .eval import (MAX_SIGNAL_WIDTH, collect_expr_reads, collect_stmt_reads,
+                   eval_expr)
 from .logic import Logic
 
-MAX_SIGNAL_WIDTH = 4096
 MAX_MEMORY_WORDS = 1 << 20
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NoReturn
+
 
 class HdlError(Exception):
     """Base class for all HDL subsystem errors."""
@@ -55,3 +57,39 @@ class SimulationLimit(SimulationError):
     Runaway testbenches (e.g. a driver that never calls ``$finish``) are
     reported through this exception instead of hanging the host process.
     """
+
+
+class FailureShape:
+    """What a cache keeps of a raised error: its type, ``args`` and
+    position attributes, never the live instance.
+
+    No traceback frames are pinned, and every :meth:`reraise` raises a
+    fresh instance that renders identically, so concurrent cache hits
+    share nothing mutable.
+
+    >>> shape = FailureShape(VerilogSyntaxError("unexpected ';'", 3, 7))
+    >>> try:
+    ...     shape.reraise()
+    ... except VerilogSyntaxError as exc:
+    ...     print(exc, (exc.line, exc.column, exc.bare_message))
+    line 3:7: unexpected ';' (3, 7, "unexpected ';'")
+    """
+
+    __slots__ = ("exc_type", "args", "attrs")
+
+    _ATTRS = ("line", "column", "bare_message")
+
+    def __init__(self, exc: BaseException):
+        self.exc_type = type(exc)
+        self.args = exc.args
+        self.attrs = tuple((name, getattr(exc, name))
+                           for name in self._ATTRS if hasattr(exc, name))
+
+    def reraise(self) -> NoReturn:
+        # Bypass __init__ (VerilogSyntaxError's would re-prefix
+        # "line L:C:" onto the already-rendered message).
+        exc = self.exc_type.__new__(self.exc_type)
+        exc.args = self.args
+        for name, value in self.attrs:
+            setattr(exc, name, value)
+        raise exc

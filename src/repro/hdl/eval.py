@@ -18,12 +18,13 @@ Two execution strategies share these semantics:
   is scope-polymorphic: one program is shared by every elaboration whose
   structural signature matches (see :mod:`repro.hdl.compile`).  Closures
   are memoised per lowering context, so shared subtrees and repeated
-  compilations of the same node are free.
+  compilations of the same node are free, and leaves are shared by
+  value: one read closure per name, one closure per constant.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import ast
 from .errors import ElaborationError, HdlError, SimulationError
@@ -36,10 +37,49 @@ if TYPE_CHECKING:  # pragma: no cover
 # ----------------------------------------------------------------------
 # Width and sign inference
 # ----------------------------------------------------------------------
+#: Widest declared signal, concatenation or replication.  String
+#: literals are exempt: a lockstep-widened dump format is one literal
+#: far wider than this.  Over the digest-pinned campaign items the
+#: widest concatenation or replication is 16 bits.
+MAX_SIGNAL_WIDTH = 4096
+
+
+def check_width(width: int, what: str) -> None:
+    """Raise the typed "unsupported width" error past the cap.
+
+    >>> check_width(20_000_000, "replication")
+    Traceback (most recent call last):
+    ...
+    repro.hdl.errors.ElaborationError: replication has unsupported width 20000000
+    """
+    if width > MAX_SIGNAL_WIDTH:
+        raise ElaborationError(f"{what} has unsupported width {width}")
+
+
 _CTX_ARITH = frozenset({"+", "-", "*", "/", "%", "&", "|", "^", "^~", "~^"})
 _COMPARE = frozenset({"==", "!=", "===", "!==", "<", "<=", ">", ">="})
 _LOGICAL = frozenset({"&&", "||"})
 _SHIFTS = frozenset({"<<", ">>", "<<<", ">>>"})
+
+
+def _arith_chain(expr: ast.Binary) -> Sequence[ast.Binary]:
+    """The left-deep run of context-determined operators that ``expr``
+    tops, innermost node first.
+
+    The parser builds ``a + b - c + d`` as one such run, so the
+    functions that size, sign, evaluate and lower it walk the run in a
+    loop instead of recursing once per operator: at several frames per
+    operator, a 250-term sum used to exhaust the recursion limit.
+    """
+    left = expr.left
+    if not (isinstance(left, ast.Binary) and left.op in _CTX_ARITH):
+        return (expr,)  # the common case: one operator
+    chain = [expr]
+    while isinstance(left, ast.Binary) and left.op in _CTX_ARITH:
+        chain.append(left)
+        left = left.left
+    chain.reverse()
+    return chain
 
 
 def width_of(expr: ast.Expr, scope: "Scope") -> int:
@@ -59,7 +99,11 @@ def width_of(expr: ast.Expr, scope: "Scope") -> int:
             return 1
         if expr.op in _SHIFTS or expr.op == "**":
             return width_of(expr.left, scope)
-        return max(width_of(expr.left, scope), width_of(expr.right, scope))
+        chain = _arith_chain(expr)
+        width = width_of(chain[0].left, scope)
+        for node in chain:
+            width = max(width, width_of(node.right, scope))
+        return width
     if isinstance(expr, ast.Ternary):
         return max(width_of(expr.then, scope), width_of(expr.other, scope))
     if isinstance(expr, ast.Concat):
@@ -101,7 +145,9 @@ def signed_of(expr: ast.Expr, scope: "Scope") -> bool:
         return False
     if isinstance(expr, ast.Binary):
         if expr.op in _CTX_ARITH:
-            return signed_of(expr.left, scope) and signed_of(expr.right, scope)
+            chain = _arith_chain(expr)
+            return (signed_of(chain[0].left, scope)
+                    and all(signed_of(node.right, scope) for node in chain))
         if expr.op in _SHIFTS or expr.op == "**":
             return signed_of(expr.left, scope)
         return False
@@ -159,13 +205,17 @@ def eval_expr(expr: ast.Expr, scope: "Scope",
         return Logic(w, a.val & agree, ((1 << w) - 1) & ~agree)
 
     if isinstance(expr, ast.Concat):
-        return Logic.concat([eval_expr(p, scope) for p in expr.parts])
+        parts = [eval_expr(p, scope) for p in expr.parts]
+        check_width(sum(p.width for p in parts), "concatenation")
+        return Logic.concat(parts)
 
     if isinstance(expr, ast.Replicate):
         count = scope.const_int(expr.count)
         if count < 1:
             raise SimulationError(f"replication count {count} must be >= 1")
-        return eval_expr(expr.value, scope).replicate(count)
+        value = eval_expr(expr.value, scope)
+        check_width(count * value.width, "replication")
+        return value.replicate(count)
 
     if isinstance(expr, ast.Index):
         index = eval_expr(expr.index, scope)
@@ -266,34 +316,67 @@ def _eval_binary(expr: ast.Binary, scope: "Scope",
         return left.ashr(amount, w) if signed else left.shr(amount, w)
 
     # Context-determined arithmetic / bitwise operators.
+    if op in _CTX_ARITH:
+        return _eval_arith_chain(_arith_chain(expr), scope, ctx_width)
     w = max(width_of(expr.left, scope), width_of(expr.right, scope),
             ctx_width or 0)
-    l_signed = signed_of(expr.left, scope)
-    r_signed = signed_of(expr.right, scope)
-    both_signed = l_signed and r_signed
+    both_signed = signed_of(expr.left, scope) and signed_of(expr.right,
+                                                            scope)
     left = eval_expr(expr.left, scope, w).resize(w, both_signed)
     right = eval_expr(expr.right, scope, w).resize(w, both_signed)
-    if op == "+":
-        return left.add(right, w)
-    if op == "-":
-        return left.sub(right, w)
-    if op == "*":
-        return left.mul(right, w)
-    if op == "/":
-        return left.div(right, w, both_signed)
-    if op == "%":
-        return left.mod(right, w, both_signed)
-    if op == "&":
-        return left.band(right)
-    if op == "|":
-        return left.bor(right)
-    if op == "^":
-        return left.bxor(right)
-    if op in ("^~", "~^"):
-        return left.bxnor(right)
     if op == "**":
         return left.pow(right, w)
     raise SimulationError(f"unsupported binary operator {op!r}")
+
+
+def _chain_shape(chain: Sequence[ast.Binary], scope: "Scope",
+                 ctx_width: int | None) -> tuple[int, list[bool]]:
+    """``(width, boths)`` of a left-deep operator run: every node has
+    the run's width (the widest operand or the context), and node ``i``
+    takes its operands as signed iff every operand up to and including
+    its right one is signed.  Operands are sized and signed left to
+    right, so a broken operand raises the same error as node-by-node
+    recursion would."""
+    first = chain[0].left
+    width = max(width_of(first, scope),
+                *(width_of(node.right, scope) for node in chain),
+                ctx_width or 0)
+    signed = signed_of(first, scope)
+    boths = []
+    for node in chain:
+        signed = signed and signed_of(node.right, scope)
+        boths.append(signed)
+    return width, boths
+
+
+def _eval_arith_chain(chain: Sequence[ast.Binary], scope: "Scope",
+                      ctx_width: int | None) -> Logic:
+    """Evaluate a left-deep run of context-determined operators (see
+    :func:`_arith_chain`; one operator is a run of one) in a loop."""
+    w, boths = _chain_shape(chain, scope, ctx_width)
+    value = eval_expr(chain[0].left, scope, w).resize(w, boths[0])
+    for node, both in zip(chain, boths):
+        right = eval_expr(node.right, scope, w).resize(w, both)
+        op = node.op
+        if op == "+":
+            value = value.add(right, w)
+        elif op == "-":
+            value = value.sub(right, w)
+        elif op == "*":
+            value = value.mul(right, w)
+        elif op == "/":
+            value = value.div(right, w, both)
+        elif op == "%":
+            value = value.mod(right, w, both)
+        elif op == "&":
+            value = value.band(right)
+        elif op == "|":
+            value = value.bor(right)
+        elif op == "^":
+            value = value.bxor(right)
+        else:  # "^~" / "~^"
+            value = value.bxnor(right)
+    return value
 
 
 def _eval_system_call(expr: ast.SystemCall, scope: "Scope") -> Logic:
@@ -407,7 +490,10 @@ class LowerCtx:
     - recording a structural fact for every name it resolves.  The facts
       form the program's signature: a different elaboration reuses the
       program iff each recorded name resolves to a structurally
-      identical object there (see :func:`structural_fact`).
+      identical object there (see :func:`structural_fact`);
+    - holding one closure per leaf value: every read of a name shares
+      one read closure and every occurrence of a constant one constant
+      closure, however many times the program's source repeats them.
     """
 
     def __init__(self, scope: "Scope"):
@@ -431,6 +517,8 @@ class LowerCtx:
         self._design_slot: int | None = None
         self._sink_slot: int | None = None
         self._expr_cache: dict = {}
+        self._read_fns: dict[str, Callable] = {}
+        self._const_fns: dict[tuple, Callable] = {}
 
     # -- slot allocation ------------------------------------------------
     def _new_slot(self, spec: tuple) -> int:
@@ -468,6 +556,15 @@ class LowerCtx:
         if self._sink_slot is None:
             self._sink_slot = self._new_slot((SLOT_SINK,))
         return self._sink_slot
+
+    def const_fn(self, width: int, val: int, xmask: int = 0) -> Callable:
+        """The program's one closure returning ``Logic(width, val, xmask)``."""
+        key = (width, val, xmask)
+        fn = self._const_fns.get(key)
+        if fn is None:
+            const = Logic(width, val, xmask)
+            fn = self._const_fns[key] = lambda frame: const
+        return fn
 
     def note_deferred(self) -> None:
         """Record that a compile error was deferred into the program."""
@@ -564,7 +661,12 @@ def compile_expr(expr: ast.Expr, ctx: LowerCtx,
     elaboration whose frame it is bound to.  Results are memoised per
     lowering context, keyed by ``(id(expr), ctx_width)`` (valid because
     AST nodes are pinned by the program cache for the program's
-    lifetime).
+    lifetime).  Leaves are shared by value within the context: equal
+    identifiers parsed from different lines get one read closure, and
+    equal constants one constant closure (:meth:`LowerCtx.const_fn`).
+    A left-deep run of context-determined operators such as a long sum
+    lowers in a loop (:func:`_compile_arith_chain`), so lowering it
+    does not recurse once per operator.
     """
     cache = ctx._expr_cache
     key = (id(expr), ctx_width)
@@ -576,14 +678,26 @@ def compile_expr(expr: ast.Expr, ctx: LowerCtx,
 
 
 def _read_closure(name: str, ctx: LowerCtx):
-    """Compiled counterpart of ``scope.read_name``."""
-    obj = ctx.lookup(name)
-    if isinstance(obj, Logic):
-        return lambda frame: obj
-    if isinstance(obj, _signal_type()):
-        i = ctx.obj_slot(name)
-        return lambda frame: frame[i].value
-    raise ElaborationError(f"cannot read {name!r} as a value")
+    """Compiled counterpart of ``scope.read_name``, one per name per
+    program.
+
+    Skipping the lookup on a repeat read loses no fact: the first read
+    recorded it, and facts are never dropped.
+    """
+    fn = ctx._read_fns.get(name)
+    if fn is None:
+        obj = ctx.lookup(name)
+        if isinstance(obj, Logic):
+            fn = ctx.const_fn(obj.width, obj.val, obj.xmask)
+        elif isinstance(obj, _signal_type()):
+            i = ctx.obj_slot(name)
+
+            def fn(frame):
+                return frame[i].value
+        else:
+            raise ElaborationError(f"cannot read {name!r} as a value")
+        ctx._read_fns[name] = fn
+    return fn
 
 
 _REDUCTIONS = frozenset({"!", "&", "~&", "|", "~|", "^", "~^", "^~"})
@@ -669,8 +783,7 @@ def _coerced_deferred(expr: ast.Expr, ctx: LowerCtx, width: int,
 def _compile_expr(expr: ast.Expr, ctx: LowerCtx, ctx_width: int | None):
     if isinstance(expr, ast.Number):
         width = expr.width if expr.width is not None else 32
-        const = Logic(width, expr.val, expr.xmask)
-        return lambda frame: const
+        return ctx.const_fn(width, expr.val, expr.xmask)
 
     if isinstance(expr, ast.Identifier):
         return _read_closure(expr.name, ctx)
@@ -678,8 +791,7 @@ def _compile_expr(expr: ast.Expr, ctx: LowerCtx, ctx_width: int | None):
     if isinstance(expr, ast.StringLit):
         data = expr.text.encode("latin-1", "replace")
         val = int.from_bytes(data, "big") if data else 0
-        const = Logic(max(8 * len(data), 8), val, 0)
-        return lambda frame: const
+        return ctx.const_fn(max(8 * len(data), 8), val)
 
     if isinstance(expr, ast.Unary):
         return _compile_unary(expr, ctx, ctx_width)
@@ -711,8 +823,12 @@ def _compile_expr(expr: ast.Expr, ctx: LowerCtx, ctx_width: int | None):
             return Logic(w, a.val & agree, full & ~agree)
         return ternary
 
+    # Widths are checked after the operands compile, so a broken operand
+    # still reports its own error first.
     if isinstance(expr, ast.Concat):
         fns = tuple(compile_expr(p, ctx) for p in expr.parts)
+        check_width(sum(width_of(p, ctx) for p in expr.parts),
+                    "concatenation")
         return lambda frame: Logic.concat([f(frame) for f in fns])
 
     if isinstance(expr, ast.Replicate):
@@ -720,6 +836,7 @@ def _compile_expr(expr: ast.Expr, ctx: LowerCtx, ctx_width: int | None):
         if count < 1:
             raise SimulationError(f"replication count {count} must be >= 1")
         value = compile_expr(expr.value, ctx)
+        check_width(count * width_of(expr.value, ctx), "replication")
         return lambda frame: value(frame).replicate(count)
 
     if isinstance(expr, ast.Index):
@@ -825,11 +942,37 @@ def _compile_binary(expr: ast.Binary, ctx: LowerCtx, ctx_width: int | None):
         return lambda frame: left(frame).shr(amount(frame), w)
 
     # Context-determined arithmetic / bitwise operators.
+    if op in _CTX_ARITH:
+        return _compile_arith_chain(_arith_chain(expr), ctx, ctx_width)
     w = max(width_of(expr.left, ctx), width_of(expr.right, ctx),
             ctx_width or 0)
     both = (signed_of(expr.left, ctx) and signed_of(expr.right, ctx))
     left = compile_coerced(expr.left, ctx, w, both)
     right = compile_coerced(expr.right, ctx, w, both)
+    if op == "**":
+        return lambda frame: left(frame).pow(right(frame), w)
+    raise SimulationError(f"unsupported binary operator {op!r}")
+
+
+def _compile_arith_chain(chain: Sequence[ast.Binary], ctx: LowerCtx,
+                         ctx_width: int | None):
+    """Lower a left-deep run of context-determined operators (see
+    :func:`_arith_chain`; one operator is a run of one) in a loop, as
+    :func:`_eval_arith_chain` evaluates it.
+
+    The closures nest one per operator, so evaluating the run still
+    takes one Python frame per operator.
+    """
+    width, boths = _chain_shape(chain, ctx, ctx_width)
+    fn = compile_coerced(chain[0].left, ctx, width, boths[0])
+    for node, both in zip(chain, boths):
+        fn = _arith_closure(node.op, fn,
+                            compile_coerced(node.right, ctx, width, both),
+                            width, both)
+    return fn
+
+
+def _arith_closure(op: str, left, right, w: int, both: bool):
     if op == "+":
         return lambda frame: left(frame).add(right(frame), w)
     if op == "-":
@@ -846,11 +989,7 @@ def _compile_binary(expr: ast.Binary, ctx: LowerCtx, ctx_width: int | None):
         return lambda frame: left(frame).bor(right(frame))
     if op == "^":
         return lambda frame: left(frame).bxor(right(frame))
-    if op in ("^~", "~^"):
-        return lambda frame: left(frame).bxnor(right(frame))
-    if op == "**":
-        return lambda frame: left(frame).pow(right(frame), w)
-    raise SimulationError(f"unsupported binary operator {op!r}")
+    return lambda frame: left(frame).bxnor(right(frame))  # ^~ / ~^
 
 
 def _compile_system_call(expr: ast.SystemCall, ctx: LowerCtx):
@@ -888,15 +1027,15 @@ def _compile_system_call(expr: ast.SystemCall, ctx: LowerCtx):
 # Static read-set collection (for @(*) and continuous assignments)
 # ----------------------------------------------------------------------
 def collect_expr_reads(expr: ast.Expr, out: set[str]) -> None:
+    while isinstance(expr, ast.Binary):  # left operand chains: loop
+        collect_expr_reads(expr.right, out)
+        expr = expr.left
     if isinstance(expr, ast.Identifier):
         out.add(expr.name)
     elif isinstance(expr, (ast.Number, ast.StringLit)):
         pass
     elif isinstance(expr, ast.Unary):
         collect_expr_reads(expr.operand, out)
-    elif isinstance(expr, ast.Binary):
-        collect_expr_reads(expr.left, out)
-        collect_expr_reads(expr.right, out)
     elif isinstance(expr, ast.Ternary):
         collect_expr_reads(expr.cond, out)
         collect_expr_reads(expr.then, out)

@@ -14,9 +14,11 @@ reference: the lexer differential fuzz suite holds both to identical
 token streams and identical :class:`VerilogSyntaxError` positions over
 random token soups and the full golden corpus.
 
-:func:`tokenize_cached` adds a text-keyed token-stream cache: sources
-whose *parse* failed, or whose parse-cache entry was evicted, skip the
-lexer entirely on re-entry.
+:func:`tokenize_cached` is a text-keyed token-stream cache that no
+runtime path calls any more: the parse cache above it holds failing
+texts as well as ASTs, and lexes a miss with :func:`tokenize`.  It
+stays registered (as the ``tokenize`` cache layer, always empty)
+because the campaign benchmark reports ``tokenize.*`` metrics.
 """
 
 from __future__ import annotations
@@ -308,17 +310,12 @@ _tokenize_cache = LruCache(capacity=512)
 
 
 def tokenize_cached(source: str) -> tuple[Token, ...]:
-    """Text-keyed token-stream cache.
+    """Text-keyed token-stream cache (unused by the runtime; see the
+    module docstring).
 
     Token objects are immutable by convention, so sharing one stream is
-    safe.  The main beneficiaries are sources that lex but fail to
-    *parse* (the parse cache cannot memoise those, so every
-    ``syntax_ok`` retry re-enters here) — hence the cache is kept much
-    smaller than the parse cache: a successfully parsed source is
-    served from its cached AST and never reads its token stream again.
-    Lexing *errors* are not cached — a failing text re-raises on every
-    call (the elaboration-failure cache in :mod:`repro.core.simulation`
-    sits above this and absorbs those).
+    safe.  Lexing *errors* are not cached: a failing text re-raises on
+    every call.
     """
     return _tokenize_cache.get_or_create(
         source, lambda: tuple(tokenize(source)))

@@ -77,10 +77,11 @@ def lane_suffix(k: int) -> str:
 # Expression helpers
 # ----------------------------------------------------------------------
 def _subst_expr(expr, mapping: dict):
-    """Rewrite identifier references per ``mapping`` (name -> name)."""
+    """Rewrite identifier references per ``mapping``: name -> the one
+    renamed :class:`~repro.hdl.ast.Identifier` that every rewritten
+    reference in a union build shares."""
     if isinstance(expr, ast.Identifier):
-        name = mapping.get(expr.name)
-        return ast.Identifier(name) if name is not None else expr
+        return mapping.get(expr.name, expr)
     if isinstance(expr, ast.Unary):
         return ast.Unary(expr.op, _subst_expr(expr.operand, mapping))
     if isinstance(expr, ast.Binary):
@@ -97,12 +98,17 @@ def _subst_expr(expr, mapping: dict):
         return ast.Replicate(_subst_expr(expr.count, mapping),
                              _subst_expr(expr.value, mapping))
     if isinstance(expr, ast.Index):
-        return ast.Index(mapping.get(expr.base, expr.base),
+        return ast.Index(_renamed(expr.base, mapping),
                          _subst_expr(expr.index, mapping))
     if isinstance(expr, ast.PartSelect):
-        return ast.PartSelect(mapping.get(expr.base, expr.base),
+        return ast.PartSelect(_renamed(expr.base, mapping),
                               expr.msb, expr.lsb)
     return expr
+
+
+def _renamed(name: str, mapping: dict) -> str:
+    ident = mapping.get(name)
+    return ident.name if ident is not None else name
 
 
 def _expr_refs(expr, names: frozenset) -> bool:
@@ -433,7 +439,8 @@ def build_union(driver_src: str, lane_srcs: list[str],
             out_wires.add(expr.name)
     out_names = frozenset(out_wires)
     out_maps: list[dict] = [
-        {} if k == 0 else {w: w + lane_suffix(k) for w in out_names}
+        {} if k == 0 else {w: ast.Identifier(w + lane_suffix(k))
+                           for w in out_names}
         for k in range(n_lanes)]
 
     # Per-lane output wire declarations mirror the driver's originals.

@@ -6,8 +6,8 @@ from typing import Sequence
 
 from ..util import LruCache
 from . import ast
-from .errors import VerilogSyntaxError
-from .lexer import tokenize, tokenize_cached
+from .errors import FailureShape, VerilogSyntaxError
+from .lexer import tokenize
 from .tokens import Token, TokenKind
 
 # Binary operator precedence, lowest first.  The ternary operator is handled
@@ -687,14 +687,32 @@ def parse_source_cached(source: str) -> ast.SourceFile:
     The AST is immutable (frozen dataclasses), so sharing one tree
     between callers is safe.  Evaluation pipelines re-parse the same
     driver/DUT text thousands of times (validator R/S matrices, AutoEval
-    mutant runs); this cache makes re-parsing free.  Parse *errors* are
-    not cached — a failing text re-raises on every call — but the
-    token-stream cache underneath (:func:`~repro.hdl.lexer.tokenize_cached`)
-    still absorbs the lexing half of those retries, so a source that
-    *lexes* but does not parse skips the tokenizer on re-entry.
+    mutant runs); this cache makes re-parsing free.  A text that fails
+    to lex or parse is held too, as its error's
+    :class:`~repro.hdl.errors.FailureShape`: later calls re-raise an
+    identically rendered :class:`VerilogSyntaxError` without lexing
+    again, so a broken driver costs one front-end pass however many
+    checks look at it.
+
+    >>> try:
+    ...     parse_source_cached("module m(; endmodule")
+    ... except VerilogSyntaxError as exc:
+    ...     print(exc)
+    line 1:10: expected identifier, found ';'
+    >>> parse_cache_stats()["failures"] >= 1
+    True
     """
-    return _parse_cache.get_or_create(
-        source, lambda: Parser(tokenize_cached(source)).parse_source())
+    entry = _parse_cache.get(source)
+    if entry is None:
+        try:
+            entry = Parser(tokenize(source)).parse_source()
+        except VerilogSyntaxError as exc:
+            _parse_cache.insert(source, FailureShape(exc))
+            raise
+        entry = _parse_cache.insert(source, entry)
+    if isinstance(entry, FailureShape):
+        entry.reraise()
+    return entry
 
 
 def clear_parse_cache() -> None:
@@ -702,7 +720,12 @@ def clear_parse_cache() -> None:
 
 
 def parse_cache_stats() -> dict:
-    return _parse_cache.stats()
+    """``hits`` / ``misses`` / ``size`` (ASTs and failures together),
+    plus ``failures``: how many held entries are failures."""
+    stats = _parse_cache.stats()
+    stats["failures"] = sum(isinstance(entry, FailureShape)
+                            for entry in _parse_cache.export().values())
+    return stats
 
 
 def parse_module(source: str) -> ast.Module:

@@ -11,7 +11,7 @@ import random
 import re
 
 from ..hdl.errors import VerilogSyntaxError
-from ..hdl.parser import parse_source
+from ..hdl.parser import parse_source_cached
 from ..util import derive_rng
 
 
@@ -53,8 +53,10 @@ _STRATEGIES = (_drop_semicolon, _typo_keyword, _unbalance_paren, _drop_end)
 
 
 def _parses(src: str) -> bool:
+    # Through the parse memo: the broken text this check rejects is the
+    # one every later syntax check of the faulty reply looks up.
     try:
-        parse_source(src)
+        parse_source_cached(src)
     except VerilogSyntaxError:
         return False
     except RecursionError:  # pragma: no cover - defensive

@@ -7,12 +7,14 @@ monolithic test).  This file pins each path directly, on the compiled
 simulator and its interpreter oracle where applicable.
 """
 
+import time
+
 import pytest
 
 import repro.core.simulation as sim
 from oracles import SIMULATORS
-from repro.core.simulation import RUNTIME, run_driver, run_monolithic
-from repro.hdl import Simulator, compile_design, simulate
+from repro.core.simulation import OK, RUNTIME, run_driver, run_monolithic
+from repro.hdl import ElaborationError, Simulator, compile_design, simulate
 from repro.hdl.context import SimContext, _context_from_env
 
 FINISH_IN_COMB = """
@@ -97,6 +99,90 @@ class TestEngineSelectionFallback:
         # loudly instead of silently running something else.
         with pytest.raises(TypeError):
             simulate(self_checking_src(), "tb", engine="quantum")
+
+
+HOSTILE_DUT = "module top_module(input a, output y); assign y = a; endmodule"
+
+
+def _hostile_driver(expr: str) -> str:
+    """A dump-style driver that prints ``expr`` to stdout and the dump."""
+    return ("module tb;\n    reg [15:0] a;\n    wire y;\n"
+            "    integer f;\n"
+            "    top_module dut(.a(a[0]), .y(y));\n"
+            "    initial begin\n"
+            '        a = 16\'d3; f = $fopen("results.txt");\n'
+            f'        $fdisplay(f, "scenario: 1, s = %d", {expr});\n'
+            f'        $display("%d", {expr});\n'
+            "        $finish;\n    end\nendmodule")
+
+
+class TestLongOperatorChains:
+    """A left-deep run of operators lowers in a loop, not by recursion:
+    sums of 250 terms and more used to hit the recursion limit."""
+
+    def test_300_term_sum_simulates(self):
+        run = run_driver(_hostile_driver(" + ".join(["a"] * 300)),
+                         HOSTILE_DUT)
+        assert run.status == OK, run.detail
+        assert run.stdout == ["900"]
+        assert run.records[0].values == {"s": "900"}
+
+    @pytest.mark.parametrize("engine", ["compiled", "interpret"])
+    def test_600_term_constant_sum_elaborates(self, engine):
+        """Constant evaluation (a parameter here) loops over the run as
+        well; 600 terms used to raise ``RecursionError`` out of
+        elaboration, past ``run_driver``'s typed statuses."""
+        src = ("module tb;\n"
+               f"    parameter P = {' + '.join(['1'] * 600)};\n"
+               '    initial $display("%0d", P);\nendmodule')
+        assert SIMULATORS[engine](src, "tb").stdout == ["600"]
+
+    def test_mixed_signed_chain_matches_the_interpreter(self):
+        """Per-node signedness survives the loop: in ``n + n + u`` the
+        inner sum sign-extends ``n``, and in ``s / t / u`` the first
+        division is signed; only the node that meets ``u`` is not."""
+        src = ("module tb;\n"
+               "    reg signed [3:0] n; reg signed [7:0] s, t;"
+               " reg [7:0] u;\n"
+               "    initial begin\n"
+               "        n = -4'sd2; s = -8'sd6; t = 8'sd3; u = 8'd1;\n"
+               '        $display("%d %d %d", n + n + u, s / t / u, '
+               "s + s - s * s % t + u);\n"
+               "    end\nendmodule")
+        outputs = {engine: SIMULATORS[engine](src, "tb").stdout
+                   for engine in ("compiled", "interpret")}
+        assert outputs["compiled"] == outputs["interpret"] \
+            == ["253 254 245"]
+
+
+class TestExpressionWidthCap:
+    """Concatenations and replications wider than a signal may be fail
+    typed, before any value that wide is built."""
+
+    @pytest.mark.parametrize("expr, what", [
+        ("{20000000{1'b1}}", "replication"),
+        ("{" + ", ".join(["a"] * 300) + "}", "concatenation"),
+        ("a + {5000{1'b0}}", "replication"),
+    ], ids=["replication", "concatenation", "operand"])
+    def test_oversized_expression_is_typed_and_quick(self, expr, what):
+        start = time.perf_counter()
+        run = run_driver(_hostile_driver(expr), HOSTILE_DUT)
+        assert time.perf_counter() - start < 1.0
+        assert run.status == RUNTIME
+        assert f"{what} has unsupported width" in run.detail
+
+    def test_constant_replication_is_capped(self):
+        src = ("module tb;\n    parameter P = {8192{1'b1}};\n"
+               "    initial $display(\"%d\", P);\nendmodule")
+        with pytest.raises(ElaborationError,
+                           match="replication has unsupported width 8192"):
+            compile_design(src, "tb")
+
+    def test_widths_at_the_cap_still_simulate(self):
+        run = run_driver(_hostile_driver("{4096{1'b1}} == {4096{1'b1}}"),
+                         HOSTILE_DUT)
+        assert run.status == OK, run.detail
+        assert run.stdout == ["1"]
 
 
 def self_checking_src() -> str:

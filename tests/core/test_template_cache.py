@@ -9,12 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.simulation as sim
-from repro.core.simulation import (ELABORATION, TEMPLATE_CACHE_SIZE,
+from repro.core.caches import caches
+from repro.core.simulation import (ELABORATION, SYNTAX, TEMPLATE_CACHE_SIZE,
                                    clear_simulation_caches,
                                    design_template, run_driver,
-                                   simulation_cache_stats)
+                                   simulation_cache_stats, syntax_ok)
 from repro.codegen import render_driver
+from repro.hdl import lexer
 from repro.hdl.errors import ElaborationError, VerilogSyntaxError
+from repro.hdl.parser import parse_cache_stats, parse_source_cached
+from repro.mutation import inject_verilog_syntax_fault
 from repro.problems import get_task
 
 BAD_ELAB = ("module m(output o);\n"
@@ -114,6 +118,62 @@ class TestFailureCaching:
         assert second.status == ELABORATION
         assert second.detail == first.detail
         assert simulation_cache_stats()["failure"]["hits"] > hits_before
+
+
+class TestParseFailureMemo:
+    """The parse cache holds a failing text's error shape, so a broken
+    source is lexed once however many checks look at it."""
+
+    @pytest.fixture
+    def lexes(self, monkeypatch):
+        """Count every lexer pass from here on."""
+        calls = []
+        original = lexer._master_tokenize
+
+        def counting(source):
+            calls.append(source)
+            return original(source)
+        monkeypatch.setattr(lexer, "_master_tokenize", counting)
+        return calls
+
+    def test_memo_hit_raises_an_equal_exception(self, lexes):
+        caches.clear("parse")
+        raised = []
+        for _ in range(2):
+            with pytest.raises(VerilogSyntaxError) as info:
+                parse_source_cached(BAD_SYNTAX)
+            raised.append(info.value)
+        first, second = raised
+        assert second is not first
+        assert type(second) is type(first)
+        assert (str(second), second.line, second.column,
+                second.bare_message) == (str(first), first.line,
+                                         first.column, first.bare_message)
+        assert len(lexes) == 1
+        assert parse_cache_stats()["hits"] == 1
+
+    def test_injected_fault_is_lexed_once(self, lexes):
+        caches.clear("parse")
+        task = get_task("cmb_eq4")
+        driver = render_driver(task, task.canonical_scenarios())
+        broken = inject_verilog_syntax_fault(driver, "lex-once")
+        assert syntax_ok(broken) is False
+        assert run_driver(broken, task.golden_rtl()).status == SYNTAX
+        # The injector's own check was the broken text's one lex.
+        assert lexes.count(broken) == 1
+
+    def test_clear_drops_recorded_failures(self, lexes):
+        caches.clear("parse")
+        with pytest.raises(VerilogSyntaxError):
+            parse_source_cached(BAD_SYNTAX)
+        stats = parse_cache_stats()
+        assert (stats["size"], stats["failures"]) == (1, 1)
+        caches.clear("parse")
+        stats = parse_cache_stats()
+        assert (stats["size"], stats["failures"]) == (0, 0)
+        with pytest.raises(VerilogSyntaxError):
+            parse_source_cached(BAD_SYNTAX)
+        assert len(lexes) == 2
 
 
 # ----------------------------------------------------------------------

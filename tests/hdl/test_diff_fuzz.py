@@ -5,8 +5,11 @@ covering the supported surface — procedural blocks (delays, event
 controls, loops, case/ternary), combinational logic (continuous
 assigns, ``always @(*)`` case blocks), hierarchy (a child module
 instance, both net-aliased and expression-bound ports), 4-state
-``x``/``z`` literals, memories and ``$display`` formatting.  Each
-program is executed four ways:
+``x``/``z`` literals, memories and ``$display`` formatting.  Every
+program also prints one line twice that reads a net and a constant
+many times, partly in a left-deep operator run, so leaf sharing and
+the looped lowering of such runs are checked too.  Each program is
+executed four ways:
 
 1. the reference interpreter (``tests/oracles/``),
 2. the compiled simulator with a cold program cache (first compile of
@@ -62,6 +65,9 @@ class ProgramGen:
     BINOPS = ("+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>",
               "==", "!=", "<", "<=", ">", ">=", "&&", "||", "===", "!==")
     WIDTHS = (1, 2, 3, 4, 8)
+    # Context-determined operators, which lower a left-deep run of them
+    # in one loop.
+    CHAIN_OPS = ("+", "-", "*", "/", "%", "&", "|", "^", "^~")
 
     def __init__(self, rng: random.Random):
         self.rng = rng
@@ -234,6 +240,17 @@ def generate_program(seed: int) -> str:
                      f" {target} = {g.expr(sampled, 1)};")
     if use_mem:
         lines.append('        $display("mem %b %b", mem[2], mem[5]);')
+    # Leaf sharing: one line reading a net and a constant many times,
+    # partly in a left-deep operator run, printed twice.
+    name, width = rng.choice(sampled)
+    const = g.literal(width)
+    terms = [rng.choice((name, const, g.expr(sampled, 0)))
+             for _ in range(rng.randrange(3, 9))]
+    chain = terms[0] + "".join(
+        f" {rng.choice(g.CHAIN_OPS)} {term}" for term in terms[1:])
+    repeated = (f'        $display("rep: %d %b %d", {chain},'
+                f" {{{name}, {const}, {name}}}, {name} + {const});")
+    lines += [repeated, repeated]
     lines.append(f'        #1 $display("end: {fmt} t=%0t", {args}, $time);')
     lines.append("        $finish;")
     lines.append("    end")
@@ -396,16 +413,19 @@ def generate_sweep_case(seed: int) -> tuple[str, str]:
 
     # Driver: codegen-style stimulus + dump $fdisplay check-points.
     spec = rng.choice(("%d", "%d", "%d", "%b", "%h"))
-    fields = [("a", "%d"), ("b", "%d"), ("y", spec)]
+    # (label, format, argument); ``s`` reads a DUT output twice beside
+    # a constant, so every lane's rename is shared within the line.
+    fields = [("a", "%d", "a"), ("b", "%d", "b"), ("y", spec, "y"),
+              ("s", "%d", "y + y + 1")]
     conns = [".clk(clk)", ".a(a)", ".b(b)", ".y(y)"]
     extra_decl = ""
     if two_outputs:
-        fields.append(("z", "%d"))
+        fields.append(("z", "%d", "z"))
         conns.append(".z(z)")
         extra_decl = "    wire z;\n"
     fmt = "scenario: %d, " + ", ".join(
-        f"{name} = {fs}" for name, fs in fields)
-    args = ", ".join(name for name, _ in fields)
+        f"{name} = {fs}" for name, fs, _ in fields)
+    args = ", ".join(arg for _, _, arg in fields)
     lines = [
         "module tb();",
         "    reg clk;",

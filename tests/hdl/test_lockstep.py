@@ -10,12 +10,15 @@ recorded reason.  The randomized end of the same contract lives in the
 differential fuzz battery (``test_diff_fuzz.py``).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.codegen.driver import DUMP_FILE
 from repro.core.caches import caches
 from repro.core.simulation import (_per_mutant_sweep, run_driver,
                                    run_mutant_sweep)
+from repro.hdl import ast as hdl_ast
 from repro.hdl import current_context
 from repro.hdl.lockstep import (GROUP_DELIM, LANE_DELIM,
                                 LockstepUnsupported, build_union,
@@ -147,6 +150,28 @@ class TestBuildUnion:
     def test_no_lanes_rejected(self):
         with pytest.raises(LockstepUnsupported, match="no lanes"):
             build_union(DRIVER, [])
+
+    def test_one_build_shares_each_renamed_identifier(self):
+        def renamed(union) -> list:
+            found, stack = [], [union.module("tb")]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, tuple):
+                    stack.extend(node)
+                elif isinstance(node, hdl_ast.Identifier):
+                    if node.name == "y" + lane_suffix(1):
+                        found.append(node)
+                elif dataclasses.is_dataclass(node):
+                    stack.extend(getattr(node, f.name)
+                                 for f in dataclasses.fields(node))
+            return found
+
+        first = renamed(build_union(DRIVER, [GOLDEN, MUT_XOR]))
+        second = renamed(build_union(DRIVER, [GOLDEN, MUT_XOR]))
+        # Lane 1's port connection and its field in both dump lines.
+        assert len(first) == len(second) == 3
+        assert len({id(node) for node in first}) == 1
+        assert first[0] is not second[0]
 
 
 class TestDemuxLines:

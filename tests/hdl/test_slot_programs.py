@@ -10,10 +10,11 @@ import pytest
 
 from oracles import SIMULATORS
 from repro.hdl import ast as hdl_ast
-from repro.hdl.compile import (clear_program_cache, compile_spec,
-                               program_cache_stats)
+from repro.hdl.compile import (_lower_spec, clear_program_cache,
+                               compile_spec, program_cache_stats)
 from repro.hdl.elaborate import elaborate
 from repro.hdl.errors import SimulationError
+from repro.hdl.eval import LowerCtx, compile_expr
 from repro.hdl.parser import parse_source_cached
 from repro.hdl.simulator import Simulator
 
@@ -294,3 +295,69 @@ endmodule
         assert added > 0
         assert _outcome(wide)[0] == ["q=18"]
         assert _outcome(COUNTER_TB)[0] == ["q=2"]
+
+
+# ----------------------------------------------------------------------
+# Leaf sharing within one program
+# ----------------------------------------------------------------------
+def _reachable_functions(root) -> list:
+    """Every function reachable from ``root`` through closure cells,
+    defaults and the tuples/lists they hold."""
+    seen: set[int] = set()
+    stack, found = [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif hasattr(obj, "__code__"):
+            found.append(obj)
+            for cell in obj.__closure__ or ():
+                stack.append(cell.cell_contents)
+            stack.extend(obj.__defaults__ or ())
+    return found
+
+
+class TestLeafSharing:
+    REPEATS = 100
+
+    def _program(self, src: str):
+        design = elaborate(parse_source_cached(src), "tb")
+        (spec,) = [s for s in design.processes if s.kind == "initial"]
+        return _lower_spec(spec)
+
+    def test_repeated_reads_share_one_read_closure(self):
+        args = ", ".join(["a"] * self.REPEATS)
+        program = self._program(
+            "module tb;\n    reg [3:0] a;\n"
+            f'    initial $display("{"%b " * self.REPEATS}", {args});\n'
+            "endmodule")
+        reads = [fn for fn in _reachable_functions(program.run)
+                 if fn.__qualname__.startswith("_read_closure.")]
+        assert len(reads) == 1
+        assert program.slot_specs == (("obj", "a"),)
+
+    def test_repeated_constants_share_one_closure(self):
+        design = elaborate(parse_source_cached(COUNTER_TB), "tb")
+        ctx = LowerCtx(design.processes[0].scope)
+        # Distinct nodes kept alive: the per-node memo keys on identity.
+        nodes = [hdl_ast.Number(4, 3, 0, False) for _ in range(self.REPEATS)]
+        assert len({id(compile_expr(node, ctx)) for node in nodes}) == 1
+
+    def test_shared_leaves_keep_results_and_signature(self):
+        """Sharing changes what the program holds, not what it prints."""
+        src = ("module tb;\n    reg [3:0] a;\n    parameter P = 4'd9;\n"
+               "    initial begin\n        a = 4'd6;\n"
+               '        $display("%d %d %d", a + a + P, a + 4\'d1, '
+               "{a, a, 4'd1});\n"
+               '        $display("%d %d %d", a + a + P, a + 4\'d1, '
+               "{a, a, 4'd1});\n"
+               "    end\nendmodule")
+        program = self._program(src)
+        assert program.signature == (("P", ("const", 4, 9, 0)),
+                                     ("a", ("sig", 4, False)))
+        assert program.shareable
+        for engine in ("compiled", "interpret"):
+            assert _outcome(src, engine)[0] == ["5 7 1633"] * 2

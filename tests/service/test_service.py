@@ -119,6 +119,8 @@ class TestEndpoints:
         # The sim_pool block carries the PR-8 load fields.
         assert {"queue_depth", "in_flight"} <= set(data["sim_pool"])
         assert "pair" in data["caches"]
+        assert {"hits", "misses", "size", "failures"} \
+            <= set(data["caches"]["parse"])
 
     def test_context_headers_reach_the_simulation(self):
         driver, dut = _fixture()

@@ -24,7 +24,9 @@ reuse on top of it:
   variants, deduplicating identical sources and optionally spreading
   the work across the *persistent* worker pool (:func:`get_sim_pool`):
   created lazily, reused by every batch and campaign in the process,
-  torn down atexit.
+  torn down atexit.  Batches and campaigns map over it through
+  :func:`pool_imap`, the one place a broken pool heals (once, re-running
+  only the items not yet returned).
 
 One layer below, :mod:`repro.hdl.compile` shares slot-indexed compiled
 programs across elaborations, so even a *fresh* (driver, DUT) pairing
@@ -63,7 +65,6 @@ from ..hdl.context import (START_METHOD_DEFAULT, SimContext,
                            current_context, use_context)
 from ..hdl.elaborate import Design, elaborate
 from ..hdl.errors import (ElaborationError, FailureShape, HdlError,
-                          SimulationError, SimulationLimit,
                           VerilogSyntaxError)
 from ..hdl.lexer import clear_tokenize_cache, tokenize_cache_stats
 from ..hdl.parser import (clear_parse_cache, parse_cache_stats,
@@ -467,32 +468,38 @@ def _demux_records(lines: list[str],
     return lanes
 
 
+def _simulate_pair(tb_src: str, dut_src: str, tb_label: str):
+    """Parse both sources, elaborate the pair and simulate it.
+
+    Returns ``(status, detail, result)``; ``result`` is the
+    :class:`SimulationResult` when ``status`` is ``OK``, else ``None``.
+    This is the one place a front-end or simulation failure becomes a
+    typed status for :func:`run_driver` and :func:`run_monolithic`.
+    """
+    for label, source in ((tb_label, tb_src), ("dut", dut_src)):
+        try:
+            parse_cached(source)
+        except VerilogSyntaxError as exc:
+            return SYNTAX, f"{label}: {exc}", None
+    try:
+        template = _pair_template(dut_src, tb_src, "tb")
+    except VerilogSyntaxError as exc:  # pragma: no cover - defensive
+        return SYNTAX, str(exc), None
+    except ElaborationError as exc:
+        return ELABORATION, str(exc), None
+    try:
+        return OK, "", template.run()
+    except HdlError as exc:  # late elaboration-class errors: still runtime
+        return RUNTIME, str(exc), None
+    except RecursionError:
+        return RUNTIME, "recursion limit", None
+
+
 def run_driver(driver_src: str, dut_src: str) -> DriverRun:
     """Simulate the hybrid-TB driver against a DUT, collect the dump."""
-    try:
-        parse_cached(driver_src)
-    except VerilogSyntaxError as exc:
-        return DriverRun(SYNTAX, detail=f"driver: {exc}")
-    try:
-        parse_cached(dut_src)
-    except VerilogSyntaxError as exc:
-        return DriverRun(SYNTAX, detail=f"dut: {exc}")
-
-    try:
-        template = _pair_template(dut_src, driver_src, "tb")
-    except VerilogSyntaxError as exc:  # pragma: no cover - defensive
-        return DriverRun(SYNTAX, detail=str(exc))
-    except ElaborationError as exc:
-        return DriverRun(ELABORATION, detail=str(exc))
-    try:
-        result = template.run()
-    except (SimulationError, SimulationLimit) as exc:
-        return DriverRun(RUNTIME, detail=str(exc))
-    except HdlError as exc:  # late elaboration-class errors: still runtime
-        return DriverRun(RUNTIME, detail=str(exc))
-    except RecursionError:  # pragma: no cover - defensive
-        return DriverRun(RUNTIME, detail="recursion limit")
-
+    status, detail, result = _simulate_pair(driver_src, dut_src, "driver")
+    if result is None:
+        return DriverRun(status, detail=detail)
     if not result.finished:
         return DriverRun(RUNTIME, detail="simulation ended without $finish")
     lines = result.files.get(DUMP_FILE, [])
@@ -516,28 +523,9 @@ def run_monolithic(tb_src: str, dut_src: str) -> MonolithicRun:
     """Simulate a baseline testbench; parse its printed verdict."""
     from ..codegen.baseline import baseline_verdict
 
-    try:
-        parse_cached(tb_src)
-    except VerilogSyntaxError as exc:
-        return MonolithicRun(SYNTAX, detail=f"tb: {exc}")
-    try:
-        parse_cached(dut_src)
-    except VerilogSyntaxError as exc:
-        return MonolithicRun(SYNTAX, detail=f"dut: {exc}")
-    try:
-        template = _pair_template(dut_src, tb_src, "tb")
-    except VerilogSyntaxError as exc:  # pragma: no cover - defensive
-        return MonolithicRun(SYNTAX, detail=str(exc))
-    except ElaborationError as exc:
-        return MonolithicRun(ELABORATION, detail=str(exc))
-    try:
-        result = template.run()
-    except (SimulationError, SimulationLimit) as exc:
-        return MonolithicRun(RUNTIME, detail=str(exc))
-    except HdlError as exc:
-        return MonolithicRun(RUNTIME, detail=str(exc))
-    except RecursionError:  # pragma: no cover - defensive
-        return MonolithicRun(RUNTIME, detail="recursion limit")
+    status, detail, result = _simulate_pair(tb_src, dut_src, "tb")
+    if result is None:
+        return MonolithicRun(status, detail=detail)
     if not result.finished:
         return MonolithicRun(RUNTIME, detail="no $finish")
     verdict = baseline_verdict(result.stdout)
@@ -572,7 +560,7 @@ def dut_compiles(dut_src: str) -> tuple[bool, str]:
 # One ProcessPoolExecutor is shared by every batch and campaign call in
 # the process: created lazily on first use, grown monotonically to the
 # largest worker count requested, recreated with the same configuration
-# if a worker dies (see _pool_map), and torn down atexit.
+# if a worker dies (see pool_imap), and torn down atexit.
 #
 # Workers get warm one way: under **fork** (the Linux default) they
 # inherit the parent's token / AST / template / program caches through
@@ -714,21 +702,31 @@ def shutdown_sim_pool(wait: bool = True) -> None:
 atexit.register(shutdown_sim_pool)
 
 
-def _pool_map(worker, items: list, jobs: int) -> list:
-    """Map over the persistent pool; a broken pool (killed worker) is
-    discarded and recreated once before giving up.
+def pool_imap(worker, items, jobs: int, *, start_method: str | None = None,
+              warm_start: bool | None = None, chunksize: int = 1):
+    """Map ``worker`` over ``items`` on the persistent pool, yielding
+    results in item order.
 
-    RuntimeError is retried alongside BrokenProcessPool: a concurrent
-    ``get_sim_pool`` grow request shuts the executor down between our
-    lookup and ``map``, which surfaces as ``RuntimeError: cannot
-    schedule new futures after shutdown``.  A genuine worker-raised
-    RuntimeError simply re-raises from the retry.
+    A killed worker breaks the executor (``BrokenProcessPool``), and a
+    concurrent :func:`get_sim_pool` grow request can shut it down
+    mid-map (``RuntimeError: cannot schedule new futures after
+    shutdown``).  Both heal the same way, once: the pool is shut down
+    and only the items not yet yielded are mapped again on a fresh one.
+    A second failure re-raises, so a genuine worker-raised
+    ``RuntimeError`` surfaces after one retry.  ``start_method`` /
+    ``warm_start`` reach :func:`get_sim_pool` on both attempts.
     """
+    items = list(items)
+    done = 0
     try:
-        return list(get_sim_pool(jobs).map(worker, items))
+        for result in get_sim_pool(jobs, start_method, warm_start).map(
+                worker, items, chunksize=chunksize):
+            done += 1
+            yield result
     except (BrokenProcessPool, RuntimeError):
         shutdown_sim_pool(wait=False)
-        return list(get_sim_pool(jobs).map(worker, items))
+        yield from get_sim_pool(jobs, start_method, warm_start).map(
+            worker, items[done:], chunksize=chunksize)
 
 
 # ----------------------------------------------------------------------
@@ -776,7 +774,7 @@ def _run_batch(worker, shared_src: str, dut_srcs, jobs: int | None,
 
     items = [(shared_src, dut, context) for dut in order]
     if jobs > 1 and len(order) > 1:
-        unique_results = _pool_map(worker, items, jobs)
+        unique_results = list(pool_imap(worker, items, jobs))
     else:
         unique_results = [worker(item) for item in items]
 

@@ -20,20 +20,16 @@ pool workers' own defaults nor leak between serial items.
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from ..core.caches import pace_full_collections
-from ..core.simulation import (design_template, get_sim_pool,
-                               shutdown_sim_pool, _pair_template,
+from ..core.simulation import (design_template, pool_imap, _pair_template,
                                _resolve_start_method)
 from ..core.validator import CRITERIA, DEFAULT_CRITERION
-from ..hdl.context import (SimContext, current_context, resolve_jobs,
-                           use_context)
+from ..hdl.context import SimContext, current_context, use_context
 from ..hdl.errors import HdlError
 from ..llm.backends import is_live_backend, iter_fan_out, resolve_llm_client
 from ..llm.base import MeteredClient, UsageMeter
@@ -191,65 +187,6 @@ def prewarm_campaign_caches(task_ids: Iterable[str]) -> int:
     return warmed
 
 
-# ----------------------------------------------------------------------
-# Progress reporting
-# ----------------------------------------------------------------------
-def _accepts_keyword(progress, name: str) -> bool:
-    """Does ``progress`` accept keyword ``name``?"""
-    try:
-        signature = inspect.signature(progress)
-    except (TypeError, ValueError):  # builtins, odd callables
-        return False
-    for parameter in signature.parameters.values():
-        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
-            return True
-        if (parameter.name == name
-                and parameter.kind is not inspect.Parameter.VAR_POSITIONAL):
-            return True
-    return False
-
-
-class _ProgressReporter:
-    """Attempt- and skip-aware progress fan-out.
-
-    A healed-pool retry reruns outstanding items, which used to replay
-    indices from 1 into the caller's callback — a monotonicity break
-    across attempts.  Callbacks that accept an ``attempt`` keyword get
-    every replay labelled with the attempt number; legacy
-    three-argument callbacks see each index at most once (a high-water
-    mark across attempts), keeping their view strictly monotonic.
-
-    Store-satisfied items (a resumed campaign's skipped work) count as
-    completed work: they are reported through the same callback, in
-    item order, before any computation starts, so ``index``/``total``
-    always measure real campaign progress.  Callbacks additionally
-    accepting a ``skipped`` keyword can tell a store hit from a
-    computed result.
-    """
-
-    def __init__(self, progress, total: int):
-        self._progress = progress
-        self._total = total
-        self._attempt_aware = (progress is not None
-                               and _accepts_keyword(progress, "attempt"))
-        self._skip_aware = (progress is not None
-                            and _accepts_keyword(progress, "skipped"))
-        self._high_water = 0
-
-    def report(self, index: int, run: TaskRun, attempt: int,
-               skipped: bool = False) -> None:
-        if self._progress is None:
-            return
-        if self._attempt_aware:
-            kwargs = {"attempt": attempt}
-            if self._skip_aware:
-                kwargs["skipped"] = skipped
-            self._progress(index, self._total, run, **kwargs)
-        elif index > self._high_water:
-            self._high_water = index
-            self._progress(index, self._total, run)
-
-
 def campaign_items(config: CampaignConfig,
                    context: SimContext | None = None) -> list[tuple]:
     """The campaign's work items, in canonical (reporting) order.
@@ -285,72 +222,58 @@ def run_campaign(config: CampaignConfig, progress=None, *,
     """Run the full campaign, optionally over the shared process pool.
 
     Parallel campaigns draw workers from the persistent simulation pool
-    (:func:`repro.core.simulation.get_sim_pool`), so consecutive
-    campaigns — and interleaved batch simulation calls — reuse the same
-    worker processes and their warm caches instead of paying a pool
-    spin-up per run.  Every work item carries the campaign's resolved
+    (:func:`repro.core.simulation.pool_imap`), so consecutive campaigns
+    — and interleaved batch simulation calls — reuse the same worker
+    processes and their warm caches instead of paying a pool spin-up
+    per run.  A broken pool heals once there, re-running only the items
+    not yet returned.  Every work item carries the campaign's resolved
     :class:`SimContext`; its ``start_method`` / ``warm_start`` knobs
     select how the pool spawns workers and whether the campaign
     pre-warms them (see :func:`prewarm_campaign_caches`).
 
-    ``progress`` is called as ``progress(index, total, run)`` after each
-    completed item; pass a callback accepting an ``attempt`` keyword to
-    also observe healed-pool retries, and a ``skipped`` keyword to tell
-    store hits from computed results (see :class:`_ProgressReporter`).
+    ``progress`` is called as ``progress(index, total, run)`` exactly
+    once per item, with ``index`` running 1..``total``.
 
     With a ``store`` (explicit argument, or opened from the resolved
     context's ``store_dir`` / ``REPRO_STORE_DIR``), every completed item
     is persisted immediately — a killed campaign loses at most the item
     in flight.  ``resume=True`` additionally answers already-stored
-    items without resimulating them; hits are reported
-    through ``progress`` first (with ``skipped=True``) and counted in
-    ``CampaignResult.store_hits``.  A healed-pool retry with a store
-    keeps completed items instead of replaying the whole campaign.
+    items without resimulating them; hits are reported through
+    ``progress`` first, in item order, and counted in
+    ``CampaignResult.store_hits``.
     """
     context = config.resolved_context()
     items = campaign_items(config, context)
     store = _resolve_store(context, store)
+    total = len(items)
 
     result = CampaignResult(config)
-    reporter = _ProgressReporter(progress, len(items))
-    runs: list[TaskRun | None] = [None] * len(items)
-    completed = 0
-
+    runs: list[TaskRun | None] = [None] * total
     if store is not None and resume:
-        for index, item in enumerate(items):
-            hit = store.get(store_key(*item))
-            if hit is not None:
-                runs[index] = hit
-                completed += 1
-                reporter.report(completed, hit, attempt=0, skipped=True)
+        runs = [store.get(store_key(*item)) for item in items]
+    pending = [index for index, run in enumerate(runs) if run is None]
+    done = total - len(pending)
     if store is not None:
-        result.store_hits = completed
-        result.store_misses = len(items) - completed
+        result.store_hits = done
+        result.store_misses = len(pending)
+    if progress is not None:
+        hits = [run for run in runs if run is not None]
+        for index, run in enumerate(hits, 1):
+            progress(index, total, run)
 
-    def record(index: int, run: TaskRun, attempt: int = 0) -> None:
-        nonlocal completed
-        runs[index] = run
-        if store is not None:
-            store.put(store_key(*items[index]), run)
-        completed += 1
-        reporter.report(completed, run, attempt)
-
-    pending = [index for index in range(len(items)) if runs[index] is None]
-    n_jobs = config.n_jobs or 1
-    if not pending:
-        pass  # fully store-satisfied: nothing to simulate
-    elif n_jobs > 1 and is_live_backend(context.llm_backend):
+    todo = [items[index] for index in pending]
+    n_jobs = config.n_jobs
+    if n_jobs <= 1 or not todo:
+        results = map(_worker, todo)
+    elif is_live_backend(context.llm_backend):
         # Live-backend items are I/O-bound (the process waits on
         # sockets, not simulations) and their clients hold locks and
         # connections that cannot cross a process boundary: fan out on
         # threads instead of the sim pool.  Wire concurrency stays
         # bounded by the backends' global in-flight cap regardless of
         # n_jobs.
-        for offset, run in enumerate(
-                iter_fan_out(_worker, [items[index] for index in pending],
-                             max_workers=n_jobs)):
-            record(pending[offset], run)
-    elif n_jobs > 1:
+        results = iter_fan_out(_worker, todo, max_workers=n_jobs)
+    else:
         # Pre-warm the parent's caches from the task list, so the
         # forked workers of the pool created below inherit warm state
         # instead of every worker rebuilding the same golden templates
@@ -358,46 +281,19 @@ def run_campaign(config: CampaignConfig, progress=None, *,
         if context.warm_start:
             with use_context(context):
                 prewarm_campaign_caches(config.task_ids)
-        # A killed worker breaks the shared executor, and a concurrent
-        # get_sim_pool grow request can shut it down mid-map (surfacing
-        # as RuntimeError) — the same pair _pool_map recovers from.
-        # Heal the pool and rerun once; a genuine worker error simply
-        # re-raises from the retry.
-        for attempt in (0, 1):
-            try:
-                pool = get_sim_pool(n_jobs,
-                                    start_method=context.start_method,
-                                    warm_start=context.warm_start)
-                if store is None:
-                    # Store-less semantics (unchanged): a healed pool
-                    # replays the whole campaign, each attempt
-                    # reporting indices from 1.
-                    for index, run in enumerate(pool.map(_worker, items,
-                                                         chunksize=4)):
-                        runs[index] = run
-                        reporter.report(index + 1, run, attempt)
-                else:
-                    # With a store, completed items survived the break
-                    # (they were persisted as they finished): only
-                    # outstanding items replay, and the completed count
-                    # stays monotonic across the heal.
-                    todo = [index for index in pending
-                            if runs[index] is None]
-                    for offset, run in enumerate(
-                            pool.map(_worker,
-                                     [items[index] for index in todo],
-                                     chunksize=4)):
-                        record(todo[offset], run, attempt)
-                break
-            except (BrokenProcessPool, RuntimeError):
-                shutdown_sim_pool(wait=False)
-                if attempt:
-                    raise
-    else:
-        for index in pending:
-            record(index, _worker(items[index]))
+        results = pool_imap(_worker, todo, n_jobs,
+                            start_method=context.start_method,
+                            warm_start=context.warm_start, chunksize=4)
 
-    result.runs = [run for run in runs if run is not None]
+    for index, (item_index, run) in enumerate(zip(pending, results),
+                                              done + 1):
+        runs[item_index] = run
+        if store is not None:
+            store.put(store_key(*items[item_index]), run)
+        if progress is not None:
+            progress(index, total, run)
+
+    result.runs = runs
     return result
 
 
@@ -469,24 +365,14 @@ def run_sharded_campaign(config: CampaignConfig, shards: int,
 
     items = campaign_items(config, context)
     result = CampaignResult(config, store_hits=hits, store_misses=misses)
-    reporter = _ProgressReporter(progress, len(items))
-    for index, item in enumerate(items):
+    for index, item in enumerate(items, 1):
         run = store.get(store_key(*item))
         if run is None:
             raise StoreError(
                 f"shard workers left item unwritten: method={item[0]!r} "
                 f"task={item[1]!r} seed={item[2]!r}")
         result.runs.append(run)
-        reporter.report(index + 1, run, attempt=0)
+        if progress is not None:
+            progress(index, len(items), run)
     return result
 
-
-def campaign_jobs_from_env(default: int = 1) -> int:
-    """Resolve worker count from the active context / ``REPRO_JOBS``.
-
-    Delegates to :func:`repro.hdl.context.resolve_jobs`: an active
-    context's ``jobs`` wins; otherwise ``REPRO_JOBS`` (``0`` = all
-    cores, malformed values warn at seeding time and fall back) applies
-    when set, else ``default``.
-    """
-    return resolve_jobs(default)

@@ -520,5 +520,14 @@ class Elaborator:
 
 
 def elaborate(source: ast.SourceFile, top: str) -> Design:
-    """Elaborate ``source`` with ``top`` as the root module."""
-    return Elaborator(source).elaborate(top)
+    """Elaborate ``source`` with ``top`` as the root module.
+
+    Constant evaluation and width inference recurse on some operator
+    runs (a ``parameter P = 1 << 0 << 0 ...`` of 600 terms), so a
+    ``RecursionError`` raised here is reported as the design's
+    elaboration failure, like any other construct it cannot build.
+    """
+    try:
+        return Elaborator(source).elaborate(top)
+    except RecursionError:
+        raise ElaborationError("recursion limit") from None

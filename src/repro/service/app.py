@@ -17,10 +17,10 @@ One :class:`TestbenchService` owns four moving parts:
   short batch window;
 - a **thread executor** running the batches (each batch may further fan
   out across the persistent sim *process* pool, per the context's
-  ``jobs``).  A batch that trips over a broken pool retries once after
-  :func:`~repro.core.simulation.shutdown_sim_pool` — a fork pool
-  heals warm, forking from this process's caches, and no admitted
-  request is dropped.
+  ``jobs``).  A broken pool heals once inside the batch call
+  (:func:`~repro.core.simulation.pool_imap`) — a fork pool heals warm,
+  forking from this process's caches, and no admitted request is
+  dropped.
 
 Per-request configuration resolves through
 :func:`repro.hdl.context.context_from_request`: ``X-Repro-*`` headers
@@ -40,11 +40,9 @@ import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from ..core.simulation import (run_driver_batch, run_monolithic_batch,
-                               shutdown_sim_pool, sim_pool_info,
-                               simulation_cache_stats)
+                               sim_pool_info, simulation_cache_stats)
 from ..hdl.context import (SimContext, context_from_request,
                            current_context, use_context)
 from .batcher import MicroBatcher
@@ -78,24 +76,16 @@ def _run_simulate_batch(key, duts: list[str]) -> list:
 
     ``key`` is the batcher compatibility key: everything that must be
     identical for jobs to share one batch call.  A broken worker pool
-    is healed once (shutdown + lazy recreate inside the batch API);
-    queued service requests are unaffected either way — they are parked
-    in the admission gate and the batcher, not in the dead pool.
+    heals once inside the batch API (``pool_imap``); a second break
+    surfaces as a 500 on this batch only.  Queued service requests are
+    unaffected either way — they are parked in the admission gate and
+    the batcher, not in the dead pool.
     """
     kind, driver_src, context = key
     batch = (run_monolithic_batch if kind == "monolithic"
              else run_driver_batch)
     with use_context(context):
-        try:
-            return batch(driver_src, duts, context=context)
-        except BrokenProcessPool:
-            # _pool_map already healed once; a second break lands here.
-            # Recreate once more (a fork pool inherits this process's
-            # caches) —
-            # persistent failure then surfaces as a 500 on this batch
-            # only.
-            shutdown_sim_pool(wait=False)
-            return batch(driver_src, duts, context=context)
+        return batch(driver_src, duts, context=context)
 
 
 def _run_generate(item: tuple):

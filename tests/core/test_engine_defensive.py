@@ -13,7 +13,9 @@ import pytest
 
 import repro.core.simulation as sim
 from oracles import SIMULATORS
-from repro.core.simulation import OK, RUNTIME, run_driver, run_monolithic
+from repro.core.simulation import (ELABORATION, OK, RUNTIME, dut_compiles,
+                                   run_driver, run_monolithic,
+                                   run_mutant_sweep)
 from repro.hdl import ElaborationError, Simulator, compile_design, simulate
 from repro.hdl.context import SimContext, _context_from_env
 
@@ -136,6 +138,33 @@ class TestLongOperatorChains:
                f"    parameter P = {' + '.join(['1'] * 600)};\n"
                '    initial $display("%0d", P);\nendmodule')
         assert SIMULATORS[engine](src, "tb").stdout == ["600"]
+
+    @pytest.mark.parametrize("term", ["<< 0", "&& 1", "== 1"],
+                             ids=["shift", "logical", "equality"])
+    def test_600_term_parameter_chain_fails_typed(self, term):
+        """Shift, logical and equality runs still recurse once per
+        operator; past the recursion limit in a ``parameter`` they fail
+        as an elaboration error instead of raising ``RecursionError``
+        out of every entry point."""
+        chain = "1 " + " ".join([term] * 599)
+        driver = ("module tb;\n"
+                  f"    parameter P = {chain};\n"
+                  '    initial begin $display("%0d", P); $finish; end\n'
+                  "endmodule")
+        dut = HOSTILE_DUT.replace(
+            "assign", f"parameter P = {chain};\n    assign")
+        expected = (ELABORATION, "recursion limit")
+        run = run_driver(driver, HOSTILE_DUT)
+        assert (run.status, run.detail) == expected
+        mono = run_monolithic(driver, HOSTILE_DUT)
+        assert (mono.status, mono.detail) == expected
+        assert dut_compiles(dut) == (False, "elaboration: recursion limit")
+        variant = HOSTILE_DUT.replace("endmodule", "// v\nendmodule")
+        sweep = run_mutant_sweep(driver, [HOSTILE_DUT, variant],
+                                 golden_src=HOSTILE_DUT)
+        assert [(r.status, r.detail) for r in sweep.runs] \
+            == [expected] * 2
+        assert (sweep.golden.status, sweep.golden.detail) == expected
 
     def test_mixed_signed_chain_matches_the_interpreter(self):
         """Per-node signedness survives the loop: in ``n + n + u`` the

@@ -1,5 +1,6 @@
 """Persistent simulation worker pool: reuse, growth, clean shutdown,
-explicit start methods and workers that inherit a warm parent."""
+explicit start methods, workers that inherit a warm parent, and the
+one-shot heal of ``pool_imap``."""
 
 import multiprocessing
 import os
@@ -7,12 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
+import repro.core.simulation as simulation_mod
 from repro.codegen import render_driver
 from repro.core.simulation import (clear_simulation_caches, get_sim_pool,
-                                   run_driver_batch, shutdown_sim_pool,
-                                   sim_pool_info)
+                                   pool_imap, run_driver_batch,
+                                   shutdown_sim_pool, sim_pool_info)
 from repro.hdl import use_context
 from repro.problems import get_task
 
@@ -191,6 +195,105 @@ class TestStartMethodAndWarmStart:
             info = sim_pool_info()
         assert info["warm"] == "cold"
         shutdown_sim_pool()
+
+
+class _StubPool:
+    """``map`` applies ``fn`` lazily; the first ``len(failures)`` calls
+    raise their failure after ``fail_after`` items."""
+
+    def __init__(self, failures, fail_after=2):
+        self.failures = list(failures)
+        self.fail_after = fail_after
+        self.maps = []
+
+    def map(self, fn, items, chunksize=1):
+        items = list(items)
+        self.maps.append(items)
+        failure = self.failures.pop(0) if self.failures else None
+
+        def generate():
+            for index, item in enumerate(items):
+                if failure is not None and index == self.fail_after:
+                    raise failure
+                yield fn(item)
+        return generate()
+
+
+class TestPoolImapHeal:
+    @pytest.fixture
+    def stub(self, monkeypatch):
+        """Install a stub pool; returns (install, pool requests,
+        shutdown count)."""
+        requests, shutdowns = [], []
+
+        def install(pool):
+            def fake_get_sim_pool(jobs, start_method=None,
+                                  warm_start=None):
+                requests.append((jobs, start_method, warm_start))
+                return pool
+            monkeypatch.setattr(simulation_mod, "get_sim_pool",
+                                fake_get_sim_pool)
+            monkeypatch.setattr(simulation_mod, "shutdown_sim_pool",
+                                lambda wait=True: shutdowns.append(wait))
+        return install, requests, shutdowns
+
+    def test_heal_remaps_only_the_unyielded_suffix(self, stub):
+        install, requests, shutdowns = stub
+        pool = _StubPool([BrokenProcessPool("worker died")])
+        install(pool)
+        results = list(pool_imap(str, range(5), 2, start_method="fork",
+                                 warm_start=True))
+        assert results == ["0", "1", "2", "3", "4"]
+        assert pool.maps == [[0, 1, 2, 3, 4], [2, 3, 4]]
+        assert shutdowns == [False]
+        # Both attempts get the caller's pool configuration.
+        assert requests == [(2, "fork", True)] * 2
+
+    def test_runtime_error_heals_the_same_way(self, stub):
+        install, _, shutdowns = stub
+        pool = _StubPool([RuntimeError(
+            "cannot schedule new futures after shutdown")])
+        install(pool)
+        assert list(pool_imap(str, range(4), 2)) == ["0", "1", "2", "3"]
+        assert pool.maps == [[0, 1, 2, 3], [2, 3]]
+        assert shutdowns == [False]
+
+    def test_second_break_reraises(self, stub):
+        install, _, shutdowns = stub
+        pool = _StubPool([BrokenProcessPool("worker died"),
+                          BrokenProcessPool("still dead")], fail_after=1)
+        install(pool)
+        yielded = []
+        with pytest.raises(BrokenProcessPool, match="still dead"):
+            for result in pool_imap(str, range(4), 2):
+                yielded.append(result)
+        assert yielded == ["0", "1"]
+        assert pool.maps == [[0, 1, 2, 3], [1, 2, 3]]
+        assert shutdowns == [False]
+
+    def test_heals_a_real_killed_worker(self, tmp_path):
+        """End to end on a real executor: one item kills its worker,
+        and every result still arrives, in order, from a new pool."""
+        marker = tmp_path / "die-once"
+        marker.touch()
+        shutdown_sim_pool()
+        broken = get_sim_pool(2)
+        items = [(str(marker), value) for value in range(4)]
+        assert list(pool_imap(_exit_once, items, 2)) == [0, 1, 2, 3]
+        assert not marker.exists()
+        assert get_sim_pool(2) is not broken
+        shutdown_sim_pool()
+
+
+def _exit_once(item):
+    """Return the item's value, except that the first call to find the
+    marker file removes it and kills its own worker process."""
+    marker, value = item
+    try:
+        os.remove(marker)
+    except FileNotFoundError:
+        return value
+    os._exit(1)
 
 
 def test_atexit_shutdown_is_clean():

@@ -1,13 +1,15 @@
 """Campaign runner: per-method work items, determinism, reporting,
-the pluggable method registry, attempt-aware progress and store-backed
-resume/shard semantics."""
+the pluggable method registry, progress across a healed pool and
+store-backed resume/shard semantics."""
 
 import gc
 import weakref
+from dataclasses import replace
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro.core.simulation as simulation_mod
 import repro.eval.campaign as campaign_mod
 from repro.core.caches import FULL_COLLECTION_THRESHOLD
 from repro.eval import (CampaignStore, EvalLevel, StoreError,
@@ -207,83 +209,87 @@ class TestMethodRegistry:
 
 
 # ----------------------------------------------------------------------
-# Attempt-aware progress across healed-pool retries
+# Progress across a healed pool
 # ----------------------------------------------------------------------
 class _FlakyPool:
-    """Yields ``runs`` from map(); breaks after ``fail_after`` items on
-    the first attempt only."""
+    """Stands in for the shared executor: ``map`` calls ``fn`` item by
+    item and, on its first call only, breaks after ``fail_after``
+    items.  ``maps`` records the task ids each call was given."""
 
-    def __init__(self, runs, fail_after):
-        self.runs = runs
+    def __init__(self, fail_after):
         self.fail_after = fail_after
-        self.attempts = 0
+        self.maps = []
 
     def map(self, fn, items, chunksize=1):
-        self.attempts += 1
-        first = self.attempts == 1
+        items = list(items)
+        first = not self.maps
+        self.maps.append([item[1] for item in items])  # item[1] == task_id
 
         def generate():
-            for index, run in enumerate(self.runs):
+            for index, item in enumerate(items):
                 if first and index == self.fail_after:
                     raise BrokenProcessPool("worker died")
-                yield run
+                yield fn(item)
         return generate()
+
+
+def _install_pool(monkeypatch, pool):
+    """Route ``pool_imap`` to ``pool`` and make its heal a no-op."""
+    monkeypatch.setattr(simulation_mod, "get_sim_pool",
+                        lambda jobs, *args, **kwargs: pool)
+    monkeypatch.setattr(simulation_mod, "shutdown_sim_pool",
+                        lambda wait=True: None)
+
+
+def _count_worker_calls(monkeypatch) -> list:
+    """Wrap the campaign's ``_worker``; returns the task ids it ran."""
+    calls = []
+    worker = campaign_mod._worker
+
+    def counted(item):
+        calls.append(item[1])
+        return worker(item)
+
+    monkeypatch.setattr(campaign_mod, "_worker", counted)
+    return calls
 
 
 class TestRetryProgress:
     TASKS = ("cmb_and2", "cmb_eq4", "seq_dff")
 
-    def _run_flaky(self, monkeypatch, progress):
-        config = default_config(task_ids=self.TASKS, seeds=(0,),
-                                methods=(METHOD_BASELINE,), n_jobs=2)
-        runs = [run_one(METHOD_BASELINE, task_id, seed=0)
-                for task_id in self.TASKS]
-        pool = _FlakyPool(runs, fail_after=2)
-        monkeypatch.setattr(campaign_mod, "get_sim_pool",
-                            lambda jobs, **kwargs: pool)
-        monkeypatch.setattr(campaign_mod, "shutdown_sim_pool",
-                            lambda wait=True: None)
-        result = run_campaign(config, progress=progress)
-        assert [r.task_id for r in result.runs] == list(self.TASKS)
-        return result
+    def _config(self):
+        return default_config(task_ids=self.TASKS, seeds=(0,),
+                              methods=(METHOD_BASELINE,), n_jobs=2)
 
     def test_legacy_callback_stays_monotonic(self, monkeypatch):
-        # The first attempt reports items 1..2 and breaks; the healed
-        # retry replays all three.  A three-argument callback must see
-        # each index exactly once, in order — no replay from 1.
+        # The first map breaks after two items; the heal re-maps only
+        # the third.  A store-less campaign computes each item once and
+        # reports each index once, in order.
+        calls = _count_worker_calls(monkeypatch)
+        pool = _FlakyPool(fail_after=2)
+        _install_pool(monkeypatch, pool)
         seen = []
-        self._run_flaky(monkeypatch,
-                        lambda i, n, run: seen.append((i, n)))
+        result = run_campaign(self._config(),
+                              progress=lambda i, n, run: seen.append((i, n)))
+        assert [r.task_id for r in result.runs] == list(self.TASKS)
+        assert calls == list(self.TASKS)  # 3 computations, not 5
+        assert pool.maps == [list(self.TASKS), ["seq_dff"]]
         assert seen == [(1, 3), (2, 3), (3, 3)]
-
-    def test_attempt_aware_callback_sees_replay(self, monkeypatch):
-        seen = []
-
-        def progress(index, total, run, attempt):
-            seen.append((attempt, index, total))
-
-        self._run_flaky(monkeypatch, progress)
-        assert seen == [(0, 1, 3), (0, 2, 3),
-                        (1, 1, 3), (1, 2, 3), (1, 3, 3)]
+        assert result.runs == run_campaign(
+            replace(self._config(), n_jobs=1)).runs
 
     def test_exhausted_retries_reraise(self, monkeypatch):
-        config = default_config(task_ids=(EASY_TASK,), seeds=(0,),
-                                methods=(METHOD_BASELINE,), n_jobs=2)
-
         class DeadPool:
             def map(self, fn, items, chunksize=1):
                 raise BrokenProcessPool("still dead")
 
-        monkeypatch.setattr(campaign_mod, "get_sim_pool",
-                            lambda jobs, **kwargs: DeadPool())
-        monkeypatch.setattr(campaign_mod, "shutdown_sim_pool",
-                            lambda wait=True: None)
+        _install_pool(monkeypatch, DeadPool())
         with pytest.raises(BrokenProcessPool):
-            run_campaign(config)
+            run_campaign(self._config())
 
 
 # ----------------------------------------------------------------------
-# Persistent store: resume, skip-aware progress, heal, shards
+# Persistent store: resume, progress, heal, shards
 # ----------------------------------------------------------------------
 def _never_compute(item):  # pragma: no cover - sentinel
     raise AssertionError(f"resume recomputed a stored item: {item!r}")
@@ -344,20 +350,6 @@ class TestStoreResume:
         assert starved.store_hits == 0  # different result coordinates
         assert len(store) == 4
 
-    def test_skip_aware_progress_reports_hits_first(self, tmp_path):
-        store = CampaignStore(tmp_path)
-        run_campaign(self._config(methods=(METHOD_BASELINE,)),
-                     store=store)
-        seen = []
-
-        def progress(index, total, run, attempt, skipped=False):
-            seen.append((index, total, skipped))
-
-        run_campaign(self._config(), store=store, resume=True,
-                     progress=progress)
-        assert seen == [(1, 4, True), (2, 4, True),
-                        (3, 4, False), (4, 4, False)]
-
     def test_legacy_progress_counts_hits_as_completed_work(self,
                                                            tmp_path):
         store = CampaignStore(tmp_path)
@@ -386,64 +378,27 @@ class TestStoreResume:
         assert len(CampaignStore(tmp_path)) == 4
 
 
-class _ItemAwareFlakyPool:
-    """Like :class:`_FlakyPool`, but honours the ``items`` it is mapped
-    over (the store path remaps only *outstanding* items after a heal,
-    so the replayed slice is shorter than the campaign)."""
-
-    def __init__(self, runs_by_task, fail_after):
-        self.runs_by_task = runs_by_task
-        self.fail_after = fail_after
-        self.attempts = 0
-
-    def map(self, fn, items, chunksize=1):
-        self.attempts += 1
-        first = self.attempts == 1
-        items = list(items)
-
-        def generate():
-            for index, item in enumerate(items):
-                if first and index == self.fail_after:
-                    raise BrokenProcessPool("worker died")
-                yield self.runs_by_task[item[1]]  # item[1] == task_id
-        return generate()
-
-
 class TestStoreHeal:
-    """A healed pool with a store keeps completed items: only
-    outstanding work replays, and progress stays monotonic."""
+    """A healed pool with a store persists every item once: only
+    outstanding work is re-mapped, and progress stays monotonic."""
 
     TASKS = TestRetryProgress.TASKS
 
-    def _run_flaky_with_store(self, monkeypatch, tmp_path, progress):
-        config = default_config(task_ids=self.TASKS, seeds=(0,),
-                                methods=(METHOD_BASELINE,), n_jobs=2)
-        runs_by_task = {task_id: run_one(METHOD_BASELINE, task_id, seed=0)
-                        for task_id in self.TASKS}
-        pool = _ItemAwareFlakyPool(runs_by_task, fail_after=2)
-        monkeypatch.setattr(campaign_mod, "get_sim_pool",
-                            lambda jobs, **kwargs: pool)
-        monkeypatch.setattr(campaign_mod, "shutdown_sim_pool",
-                            lambda wait=True: None)
-        store = CampaignStore(tmp_path)
-        result = run_campaign(config, progress=progress, store=store)
-        assert [r.task_id for r in result.runs] == list(self.TASKS)
-        return result, store, pool
-
     def test_completed_items_survive_the_heal(self, monkeypatch,
                                               tmp_path):
+        calls = _count_worker_calls(monkeypatch)
+        pool = _FlakyPool(fail_after=2)
+        _install_pool(monkeypatch, pool)
+        store = CampaignStore(tmp_path)
         seen = []
-
-        def progress(index, total, run, attempt):
-            seen.append((attempt, index, total))
-
-        result, store, pool = self._run_flaky_with_store(
-            monkeypatch, tmp_path, progress)
-        # Attempt 0 lands items 1..2 and persists them; the healed
-        # retry computes only the third — completed count is monotonic
-        # across the heal, unlike the store-less full replay.
-        assert seen == [(0, 1, 3), (0, 2, 3), (1, 3, 3)]
-        assert pool.attempts == 2
+        config = default_config(task_ids=self.TASKS, seeds=(0,),
+                                methods=(METHOD_BASELINE,), n_jobs=2)
+        result = run_campaign(config, store=store,
+                              progress=lambda i, n, run: seen.append((i, n)))
+        assert [r.task_id for r in result.runs] == list(self.TASKS)
+        assert calls == list(self.TASKS)
+        assert pool.maps == [list(self.TASKS), ["seq_dff"]]
+        assert seen == [(1, 3), (2, 3), (3, 3)]
         assert len(store) == 3
         assert result.store_misses == 3
 

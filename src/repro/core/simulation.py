@@ -52,8 +52,10 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import os
 import re
 import threading
+import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -595,6 +597,20 @@ def _resolve_start_method(name: str | None) -> str:
     return name
 
 
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: a daemon thread ends the worker once it
+    is reparented, since a SIGKILLed parent shuts no pool down and an
+    idle worker would wait on its call queue forever."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+    threading.Thread(target=watch, name="repro-parent-watch",
+                     daemon=True).start()
+
+
 def get_sim_pool(jobs: int, start_method: str | None = None,
                  warm_start: bool | None = None) -> ProcessPoolExecutor:
     """Return the shared persistent process pool.
@@ -631,7 +647,8 @@ def get_sim_pool(jobs: int, start_method: str | None = None,
         if _pool is None:
             _pool = ProcessPoolExecutor(
                 max_workers=jobs,
-                mp_context=multiprocessing.get_context(method))
+                mp_context=multiprocessing.get_context(method),
+                initializer=_exit_with_parent)
             _pool_workers = jobs
             _pool_start_method = method
             _pool_created_warm = inherits and _caches_have_content()

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from ..core.caches import pace_full_collections
-from ..core.simulation import (design_template, pool_imap, _pair_template,
-                               _resolve_start_method)
+from ..core.simulation import (design_template, pool_imap, _exit_with_parent,
+                               _pair_template, _resolve_start_method)
 from ..core.validator import CRITERIA, DEFAULT_CRITERION
 from ..hdl.context import SimContext, current_context, use_context
 from ..hdl.errors import HdlError
@@ -235,9 +235,13 @@ def run_campaign(config: CampaignConfig, progress=None, *,
     once per item, with ``index`` running 1..``total``.
 
     With a ``store`` (explicit argument, or opened from the resolved
-    context's ``store_dir`` / ``REPRO_STORE_DIR``), every completed item
-    is persisted immediately — a killed campaign loses at most the item
-    in flight.  ``resume=True`` additionally answers already-stored
+    context's ``store_dir`` / ``REPRO_STORE_DIR``), every item is
+    persisted as the loop receives it.  A serial campaign receives each
+    item as it completes, so a kill loses at most the item in flight.
+    A parallel campaign receives results in item order, so a kill also
+    loses every item that finished but still waited behind an earlier
+    one (for a pool, behind the rest of its chunk of 4 as well).
+    ``resume=True`` additionally answers already-stored
     items without resimulating them; hits are reported through
     ``progress`` first, in item order, and counted in
     ``CampaignResult.store_hits``.
@@ -357,7 +361,8 @@ def run_sharded_campaign(config: CampaignConfig, shards: int,
         _resolve_start_method(context.start_method))
     hits = misses = 0
     with ProcessPoolExecutor(max_workers=len(payloads),
-                             mp_context=mp_context) as executor:
+                             mp_context=mp_context,
+                             initializer=_exit_with_parent) as executor:
         for shard_hits, shard_misses in executor.map(_shard_worker,
                                                      payloads):
             hits += shard_hits

@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from ..core.generator import AutoBenchGenerator
+from ..core.simulation import _exit_with_parent
 # Criterion is re-exported as part of this module's API.
 from ..core.validator import (CRITERIA, Criterion,  # noqa: F401
                               ScenarioValidator)
@@ -115,7 +116,8 @@ def run_study(task_ids, samples_per_task: int = 10,
              for task_id in task_ids]
     records: list[LabelledValidation] = []
     if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        with ProcessPoolExecutor(max_workers=n_jobs,
+                                 initializer=_exit_with_parent) as pool:
             for chunk in pool.map(_worker, items, chunksize=2):
                 records.extend(chunk)
     else:

@@ -19,7 +19,8 @@ CorrectBench system.  Execution is a four-stage pipeline::
     re-raises an identical :class:`VerilogSyntaxError`.
 
 **elaborate** (:mod:`repro.hdl.elaborate`)
-    Resolves parameters, flattens the instance hierarchy and produces a
+    Resolves parameters (folding constants through the compiled
+    expression closures), flattens the instance hierarchy and produces a
     :class:`Design`: flat ``Signal``/``Memory`` objects plus a list of
     ``ProcSpec`` processes.  Port connections to plain same-width parent
     nets are *aliased* (child and parent share one ``Signal``), so no

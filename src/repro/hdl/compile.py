@@ -56,8 +56,7 @@ from .elaborate import Memory, ProcSpec, Signal
 from .errors import FinishRequest, HdlError, SimulationError
 from .eval import (SLOT_DESIGN, SLOT_LIT, SLOT_OBJ, SLOT_REQ, LowerCtx,
                    case_match, compile_coerced, compile_expr,
-                   compile_expr_deferred, signed_of, structural_fact)
-from .logic import Logic
+                   compile_expr_deferred, fold, signed_of, structural_fact)
 
 # Op codes for flattened suspendable statement sequences.
 _OP_CALL = 0     # (0, fn)      -> fn(sim, frame)
@@ -194,8 +193,6 @@ def _program_key(spec: ProcSpec):
         if direction == "out":
             return None  # a single closure over two signals; see below
         return ("bind_in", spec.port_bind[1])
-    if spec.body is None:
-        return None  # opaque elaborator-provided pyfunc
     return (spec.kind, spec.body, spec.events)
 
 
@@ -246,15 +243,6 @@ def _lower_spec(spec: ProcSpec) -> SharedProgram:
     if spec.kind == "comb":
         if spec.port_bind is not None:
             run = _compile_port_bind(spec, ctx)
-        elif spec.body is None:
-            # Elaborator-provided Python callable with no AST body.
-            assert spec.pyfunc is not None
-            pyfunc = spec.pyfunc
-            ctx.shareable = False
-            memoryless = False
-
-            def run(sim, frame, _fn=pyfunc):
-                _fn(sim)
         else:
             run = _compile_comb_body(spec, ctx)
     elif spec.kind == "initial":
@@ -657,9 +645,11 @@ def _compile_stmt(stmt: ast.Stmt, ctx: LowerCtx):
         inner_ops = ()
         if stmt.stmt is not None:
             _, _, inner_ops = compile_stmt(stmt.stmt, ctx)
-        const = _const_delay_request(stmt.amount)
+        # A defined literal delay yields one prebuilt request.
+        const = (fold(stmt.amount, ctx.scope).to_uint()
+                 if isinstance(stmt.amount, ast.Number) else None)
         if const is not None:
-            ops = ((_OP_YIELD, ctx.lit_slot(const)),) + inner_ops
+            ops = ((_OP_YIELD, ctx.lit_slot(("delay", const))),) + inner_ops
         else:
             amount = compile_expr(stmt.amount, ctx)
             ops = ((_OP_DELAY, amount),) + inner_ops
@@ -683,16 +673,6 @@ def _compile_stmt(stmt: ast.Stmt, ctx: LowerCtx):
         return _pure(lambda sim, frame: None)
 
     raise SimulationError(f"cannot execute statement {stmt!r}")
-
-
-def _const_delay_request(amount: ast.Expr):
-    """``("delay", n)`` when the delay amount is a defined constant."""
-    if isinstance(amount, ast.Number):
-        value = Logic(amount.width if amount.width is not None else 32,
-                      amount.val, amount.xmask).to_uint()
-        if value is not None:
-            return ("delay", value)
-    return None
 
 
 def _compile_block(stmt: ast.Block, ctx: LowerCtx):

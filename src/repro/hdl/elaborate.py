@@ -14,8 +14,8 @@ from typing import Callable, Optional
 
 from . import ast
 from .errors import ElaborationError
-from .eval import (MAX_SIGNAL_WIDTH, collect_expr_reads, collect_stmt_reads,
-                   eval_expr)
+from .eval import (MAX_SIGNAL_WIDTH, LowerCtx, collect_expr_reads,
+                   collect_stmt_reads, fold)
 from .logic import Logic
 
 MAX_MEMORY_WORDS = 1 << 20
@@ -99,17 +99,16 @@ class ProcSpec:
 
     ``port_bind`` carries the structured form of a port-binding process
     (``("in", expr, child_signal)`` / ``("out", child_signal,
-    parent_signal)``) so the compile pass can lower it without the
-    ``pyfunc`` interpreter fallback.  ``compiled`` caches the *bound*
-    :class:`~repro.hdl.compile.CompiledProc` for this spec (the shared
-    slot-indexed program plus this elaboration's frame); it lives on the
-    spec so every simulation of the same elaborated design reuses it.
+    parent_signal)``); every other process has a ``body``.  ``compiled``
+    caches the *bound* :class:`~repro.hdl.compile.CompiledProc` for this
+    spec (the shared slot-indexed program plus this elaboration's
+    frame); it lives on the spec so every simulation of the same
+    elaborated design reuses it.
     """
     kind: str
     scope: "Scope"
     body: Optional[ast.Stmt] = None
     events: Optional[tuple[ast.EventExpr, ...]] = None
-    pyfunc: Optional[Callable] = None
     reads: tuple[object, ...] = ()
     label: str = ""
     port_bind: Optional[tuple] = None
@@ -165,37 +164,15 @@ class Scope:
         assert isinstance(obj, Memory)
         return obj.width
 
-    def read_name(self, name: str) -> Logic:
-        obj = self.lookup(name)
-        if isinstance(obj, Signal):
-            return obj.value
-        if isinstance(obj, Logic):
-            return obj
-        raise ElaborationError(f"cannot read {name!r} as a value")
-
-    def read_memory(self, name: str, addr: int) -> Logic:
-        obj = self.lookup(name)
-        assert isinstance(obj, Memory)
-        return obj.read(addr)
-
-    def const_int(self, expr: ast.Expr) -> int:
-        """Evaluate an elaboration-time constant to a Python int."""
-        value = eval_expr(expr, self)
-        result = value.to_uint()
+    def const_int(self, expr: ast.Expr,
+                  into: LowerCtx | None = None) -> int:
+        """Fold an elaboration-time constant to a Python int (see
+        :func:`~repro.hdl.eval.fold` for ``into``)."""
+        result = fold(expr, self, into).to_uint()
         if result is None:
             raise ElaborationError(
                 f"expression is not a defined constant in {self.prefix or 'top'}")
         return result
-
-    # -- runtime hooks (rebound by the simulator) ------------------------
-    def sim_time(self) -> int:
-        return self.design.runtime_time()
-
-    def sim_random(self) -> int:
-        return self.design.runtime_random()
-
-    def sim_fopen(self, filename: str) -> int:
-        return self.design.runtime_fopen(filename)
 
 
 @dataclass
@@ -248,7 +225,7 @@ class Elaborator:
                 if not item.local and item.name in param_overrides:
                     scope.declare(item.name, param_overrides[item.name])
                 else:
-                    scope.declare(item.name, eval_expr(item.value, scope))
+                    scope.declare(item.name, fold(item.value, scope))
 
         # Ports.  A port whose connection is a plain same-width,
         # same-signedness parent net is *aliased*: the child scope shares
@@ -340,7 +317,7 @@ class Elaborator:
                 if item.kind == "reg":
                     sig.kind = "reg"
                 if init is not None:
-                    sig.value = eval_expr(init, scope).resize(sig.width)
+                    sig.value = fold(init, scope).resize(sig.width)
                 continue
             sig = self._new_signal(design, scope, name, width, signed,
                                    item.kind)
@@ -351,7 +328,7 @@ class Elaborator:
                     self._add_cont_assign(design, scope, ast.ContinuousAssign(
                         ast.LvIdent(name), init))
                 else:
-                    sig.value = eval_expr(init, scope).resize(width)
+                    sig.value = fold(init, scope).resize(width)
 
     # ------------------------------------------------------------------
     def _resolve_reads(self, scope: Scope, names: set[str]) -> tuple:
@@ -423,7 +400,7 @@ class Elaborator:
             raise ElaborationError(
                 f"unknown module {inst.module!r} instantiated as {inst.name!r}")
         child_module = self.modules[inst.module]
-        overrides = {name: eval_expr(expr, parent)
+        overrides = {name: fold(expr, parent)
                      for name, expr in inst.parameters}
         child_prefix = f"{prefix}{inst.name}."
 
@@ -488,13 +465,8 @@ class Elaborator:
                     expr: ast.Expr, inst_name: str) -> None:
         reads: set[str] = set()
         collect_expr_reads(expr, reads)
-
-        def update(sim, _expr=expr, _sig=child_sig, _scope=parent):
-            value = eval_expr(_expr, _scope, _sig.width).resize(_sig.width)
-            sim.set_signal(_sig, value)
-
         design.processes.append(ProcSpec(
-            kind="comb", scope=parent, pyfunc=update,
+            kind="comb", scope=parent,
             reads=self._resolve_reads(parent, reads),
             label=f"{parent.prefix}{inst_name}.{child_sig.name}<=bind",
             port_bind=("in", expr, child_sig)))
@@ -509,12 +481,8 @@ class Elaborator:
         if not isinstance(parent_sig, Signal):
             raise ElaborationError(
                 f"instance {inst_name!r}: {expr.name!r} is not a net")
-
-        def update(sim, _src=child_sig, _dst=parent_sig):
-            sim.set_signal(_dst, _src.value.resize(_dst.width))
-
         design.processes.append(ProcSpec(
-            kind="comb", scope=parent, pyfunc=update, reads=(child_sig,),
+            kind="comb", scope=parent, reads=(child_sig,),
             label=f"{parent.prefix}{inst_name}.{child_sig.name}=>bind",
             port_bind=("out", child_sig, parent_sig)))
 

@@ -1,29 +1,32 @@
-"""Expression evaluation with Verilog width/sign semantics.
+"""Expression lowering with Verilog width/sign semantics.
 
-The evaluator implements the pragmatic core of IEEE 1364 expression
+The lowering implements the pragmatic core of IEEE 1364 expression
 semantics: context-determined widths for arithmetic/bitwise operators,
 self-determined widths for shifts amounts, concatenations and comparisons,
 signedness propagation (an expression is signed only when all of its
 operands are signed), and pessimistic X-propagation via :class:`Logic`.
 
-Two execution strategies share these semantics:
+:func:`compile_expr` lowers an expression *once* into a tree of Python
+closures with all widths, signedness flags and constant indices
+resolved at compile time.  Runtime objects (signals, memories) are
+referenced through integer *slots* into a per-elaboration ``frame``
+tuple, allocated by a :class:`LowerCtx`, so the compiled closure tree is
+scope-polymorphic: one program is shared by every elaboration whose
+structural signature matches (see :mod:`repro.hdl.compile`).  Closures
+are memoised per lowering context, so shared subtrees and repeated
+compilations of the same node are free, and leaves are shared by value:
+one read closure per name, one closure per constant.
 
-- :func:`eval_expr` walks the AST on every evaluation (constant folding
-  during elaboration, and the test suite's reference interpreter);
-- :func:`compile_expr` lowers an expression *once* into a tree of Python
-  closures with all widths, signedness flags and constant indices
-  resolved at compile time.  Runtime objects (signals, memories) are
-  referenced through integer *slots* into a per-elaboration ``frame``
-  tuple, allocated by a :class:`LowerCtx`, so the compiled closure tree
-  is scope-polymorphic: one program is shared by every elaboration whose
-  structural signature matches (see :mod:`repro.hdl.compile`).  Closures
-  are memoised per lowering context, so shared subtrees and repeated
-  compilations of the same node are free, and leaves are shared by
-  value: one read closure per name, one closure per constant.
+:func:`fold` evaluates elaboration-time constants (parameters, ranges,
+initial values, part-select bounds, replication counts) by running such
+a closure once.  The AST-walking reference evaluator the compiled
+closures are held to lives with the test suite's interpreter oracle
+(``tests/oracles/interpreter.py``).
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import ast
@@ -60,6 +63,12 @@ _CTX_ARITH = frozenset({"+", "-", "*", "/", "%", "&", "|", "^", "^~", "~^"})
 _COMPARE = frozenset({"==", "!=", "===", "!==", "<", "<=", ">", ">="})
 _LOGICAL = frozenset({"&&", "||"})
 _SHIFTS = frozenset({"<<", ">>", "<<<", ">>>"})
+#: Reduction operators and ``!``: one-bit, self-determined results.
+_REDUCTIONS = {
+    "!": Logic.lnot, "&": Logic.reduce_and, "~&": Logic.reduce_nand,
+    "|": Logic.reduce_or, "~|": Logic.reduce_nor, "^": Logic.reduce_xor,
+    "~^": Logic.reduce_xnor, "^~": Logic.reduce_xnor,
+}
 
 
 def _arith_chain(expr: ast.Binary) -> Sequence[ast.Binary]:
@@ -91,7 +100,7 @@ def width_of(expr: ast.Expr, scope: "Scope") -> int:
     if isinstance(expr, ast.StringLit):
         return max(8 * len(expr.text), 8)
     if isinstance(expr, ast.Unary):
-        if expr.op in ("!", "&", "~&", "|", "~|", "^", "~^", "^~"):
+        if expr.op in _REDUCTIONS:
             return 1
         return width_of(expr.operand, scope)
     if isinstance(expr, ast.Binary):
@@ -125,11 +134,7 @@ def width_of(expr: ast.Expr, scope: "Scope") -> int:
     if isinstance(expr, ast.SystemCall):
         if expr.name in ("$signed", "$unsigned"):
             return width_of(expr.args[0], scope)
-        if expr.name == "$time":
-            return 64
-        if expr.name == "$clog2":
-            return 32
-        return 32
+        return 64 if expr.name == "$time" else 32
     raise ElaborationError(f"cannot size expression {expr!r}")
 
 
@@ -154,179 +159,8 @@ def signed_of(expr: ast.Expr, scope: "Scope") -> bool:
     if isinstance(expr, ast.Ternary):
         return signed_of(expr.then, scope) and signed_of(expr.other, scope)
     if isinstance(expr, ast.SystemCall):
-        if expr.name == "$signed":
-            return True
-        return False
+        return expr.name == "$signed"
     return False
-
-
-# ----------------------------------------------------------------------
-# Evaluation
-# ----------------------------------------------------------------------
-def eval_expr(expr: ast.Expr, scope: "Scope",
-              ctx_width: int | None = None) -> Logic:
-    """Evaluate ``expr`` in ``scope``.
-
-    ``ctx_width`` is the assignment/expression context width used to widen
-    context-determined operands (e.g. so ``{cout, s} = a + b`` keeps the
-    carry bit).
-    """
-    if isinstance(expr, ast.Number):
-        width = expr.width if expr.width is not None else 32
-        return Logic(width, expr.val, expr.xmask)
-
-    if isinstance(expr, ast.Identifier):
-        return scope.read_name(expr.name)
-
-    if isinstance(expr, ast.StringLit):
-        data = expr.text.encode("latin-1", "replace")
-        val = int.from_bytes(data, "big") if data else 0
-        return Logic(max(8 * len(data), 8), val, 0)
-
-    if isinstance(expr, ast.Unary):
-        return _eval_unary(expr, scope, ctx_width)
-
-    if isinstance(expr, ast.Binary):
-        return _eval_binary(expr, scope, ctx_width)
-
-    if isinstance(expr, ast.Ternary):
-        w = max(width_of(expr, scope), ctx_width or 0)
-        cond = eval_expr(expr.cond, scope).truth()
-        if cond is True:
-            return eval_expr(expr.then, scope, w).resize(
-                w, signed_of(expr.then, scope))
-        if cond is False:
-            return eval_expr(expr.other, scope, w).resize(
-                w, signed_of(expr.other, scope))
-        # Unknown select: bitwise merge; agreeing bits survive.
-        a = eval_expr(expr.then, scope, w).resize(w, signed_of(expr.then, scope))
-        b = eval_expr(expr.other, scope, w).resize(w, signed_of(expr.other, scope))
-        agree = ~(a.val ^ b.val) & ~a.xmask & ~b.xmask
-        return Logic(w, a.val & agree, ((1 << w) - 1) & ~agree)
-
-    if isinstance(expr, ast.Concat):
-        parts = [eval_expr(p, scope) for p in expr.parts]
-        check_width(sum(p.width for p in parts), "concatenation")
-        return Logic.concat(parts)
-
-    if isinstance(expr, ast.Replicate):
-        count = scope.const_int(expr.count)
-        if count < 1:
-            raise SimulationError(f"replication count {count} must be >= 1")
-        value = eval_expr(expr.value, scope)
-        check_width(count * value.width, "replication")
-        return value.replicate(count)
-
-    if isinstance(expr, ast.Index):
-        index = eval_expr(expr.index, scope)
-        if scope.is_memory(expr.base):
-            addr = index.to_uint()
-            if addr is None:
-                return Logic.unknown(scope.memory_width(expr.base))
-            return scope.read_memory(expr.base, addr)
-        base = scope.read_name(expr.base)
-        idx = index.to_uint()
-        if idx is None:
-            return Logic.unknown(1)
-        return base.bit(idx)
-
-    if isinstance(expr, ast.PartSelect):
-        base = scope.read_name(expr.base)
-        msb = scope.const_int(expr.msb)
-        lsb = scope.const_int(expr.lsb)
-        return base.part(msb, lsb)
-
-    if isinstance(expr, ast.SystemCall):
-        return _eval_system_call(expr, scope)
-
-    raise SimulationError(f"cannot evaluate expression {expr!r}")
-
-
-def _eval_unary(expr: ast.Unary, scope: "Scope",
-                ctx_width: int | None) -> Logic:
-    op = expr.op
-    if op == "!":
-        return eval_expr(expr.operand, scope).lnot()
-    if op == "&":
-        return eval_expr(expr.operand, scope).reduce_and()
-    if op == "~&":
-        return eval_expr(expr.operand, scope).reduce_nand()
-    if op == "|":
-        return eval_expr(expr.operand, scope).reduce_or()
-    if op == "~|":
-        return eval_expr(expr.operand, scope).reduce_nor()
-    if op in ("^",):
-        return eval_expr(expr.operand, scope).reduce_xor()
-    if op in ("~^", "^~"):
-        return eval_expr(expr.operand, scope).reduce_xnor()
-
-    w = max(width_of(expr.operand, scope), ctx_width or 0)
-    signed = signed_of(expr.operand, scope)
-    value = eval_expr(expr.operand, scope, w).resize(w, signed)
-    if op == "~":
-        return value.bnot()
-    if op == "-":
-        return value.neg(w)
-    if op == "+":
-        return value
-    raise SimulationError(f"unsupported unary operator {op!r}")
-
-
-def _eval_binary(expr: ast.Binary, scope: "Scope",
-                 ctx_width: int | None) -> Logic:
-    op = expr.op
-
-    if op in _LOGICAL:
-        left = eval_expr(expr.left, scope)
-        right = eval_expr(expr.right, scope)
-        return left.land(right) if op == "&&" else left.lor(right)
-
-    if op in _COMPARE:
-        w = max(width_of(expr.left, scope), width_of(expr.right, scope))
-        signed = (signed_of(expr.left, scope)
-                  and signed_of(expr.right, scope))
-        left = eval_expr(expr.left, scope, w).resize(w, signed)
-        right = eval_expr(expr.right, scope, w).resize(w, signed)
-        if op == "==":
-            return left.eq(right)
-        if op == "!=":
-            return left.neq(right)
-        if op == "===":
-            return left.case_eq(right)
-        if op == "!==":
-            return left.case_neq(right)
-        if op == "<":
-            return left.lt(right, signed)
-        if op == "<=":
-            return left.le(right, signed)
-        if op == ">":
-            return left.gt(right, signed)
-        return left.ge(right, signed)
-
-    if op in _SHIFTS:
-        w = max(width_of(expr.left, scope), ctx_width or 0)
-        signed = signed_of(expr.left, scope)
-        left = eval_expr(expr.left, scope, w).resize(w, signed)
-        amount = eval_expr(expr.right, scope)
-        if op == "<<" or op == "<<<":
-            return left.shl(amount, w)
-        if op == ">>":
-            return left.shr(amount, w)
-        # Arithmetic right shift only fills sign when the value is signed.
-        return left.ashr(amount, w) if signed else left.shr(amount, w)
-
-    # Context-determined arithmetic / bitwise operators.
-    if op in _CTX_ARITH:
-        return _eval_arith_chain(_arith_chain(expr), scope, ctx_width)
-    w = max(width_of(expr.left, scope), width_of(expr.right, scope),
-            ctx_width or 0)
-    both_signed = signed_of(expr.left, scope) and signed_of(expr.right,
-                                                            scope)
-    left = eval_expr(expr.left, scope, w).resize(w, both_signed)
-    right = eval_expr(expr.right, scope, w).resize(w, both_signed)
-    if op == "**":
-        return left.pow(right, w)
-    raise SimulationError(f"unsupported binary operator {op!r}")
 
 
 def _chain_shape(chain: Sequence[ast.Binary], scope: "Scope",
@@ -347,59 +181,6 @@ def _chain_shape(chain: Sequence[ast.Binary], scope: "Scope",
         signed = signed and signed_of(node.right, scope)
         boths.append(signed)
     return width, boths
-
-
-def _eval_arith_chain(chain: Sequence[ast.Binary], scope: "Scope",
-                      ctx_width: int | None) -> Logic:
-    """Evaluate a left-deep run of context-determined operators (see
-    :func:`_arith_chain`; one operator is a run of one) in a loop."""
-    w, boths = _chain_shape(chain, scope, ctx_width)
-    value = eval_expr(chain[0].left, scope, w).resize(w, boths[0])
-    for node, both in zip(chain, boths):
-        right = eval_expr(node.right, scope, w).resize(w, both)
-        op = node.op
-        if op == "+":
-            value = value.add(right, w)
-        elif op == "-":
-            value = value.sub(right, w)
-        elif op == "*":
-            value = value.mul(right, w)
-        elif op == "/":
-            value = value.div(right, w, both)
-        elif op == "%":
-            value = value.mod(right, w, both)
-        elif op == "&":
-            value = value.band(right)
-        elif op == "|":
-            value = value.bor(right)
-        elif op == "^":
-            value = value.bxor(right)
-        else:  # "^~" / "~^"
-            value = value.bxnor(right)
-    return value
-
-
-def _eval_system_call(expr: ast.SystemCall, scope: "Scope") -> Logic:
-    name = expr.name
-    if name == "$time":
-        return Logic.from_int(scope.sim_time(), 64)
-    if name == "$signed":
-        return eval_expr(expr.args[0], scope)
-    if name == "$unsigned":
-        return eval_expr(expr.args[0], scope)
-    if name in ("$random", "$urandom"):
-        return Logic.from_int(scope.sim_random(), 32)
-    if name == "$clog2":
-        value = eval_expr(expr.args[0], scope).to_uint()
-        if value is None:
-            return Logic.unknown(32)
-        return Logic.from_int(max(value - 1, 0).bit_length(), 32)
-    if name == "$fopen":
-        filename = expr.args[0]
-        if not isinstance(filename, ast.StringLit):
-            raise SimulationError("$fopen expects a string literal")
-        return Logic.from_int(scope.sim_fopen(filename.text), 32)
-    raise SimulationError(f"unsupported system function {name!r}")
 
 
 # ----------------------------------------------------------------------
@@ -478,9 +259,8 @@ def structural_fact(scope: "Scope", name: str, tag: str = "") -> tuple:
 class LowerCtx:
     """Compile-time context for lowering one process to a shared program.
 
-    Quacks like :class:`~repro.hdl.elaborate.Scope` for every
-    compile-time query (width/signedness inference, constant
-    evaluation), while additionally:
+    Answers :class:`~repro.hdl.elaborate.Scope`'s compile-time queries
+    (width and signedness inference, constants via :func:`fold`), while:
 
     - allocating *frame slots* for each runtime object the compiled
       closures touch (signals, memories, prebuilt wait/delay requests,
@@ -579,14 +359,6 @@ class LowerCtx:
             self.facts[name] = structural_fact(self.scope, name)
 
     # -- Scope protocol (compile-time queries) --------------------------
-    @property
-    def prefix(self) -> str:
-        return self.scope.prefix
-
-    @property
-    def names(self) -> dict:
-        return self.scope.names
-
     def lookup(self, name: str):
         self._touch(name)
         return self.scope.lookup(name)
@@ -607,43 +379,27 @@ class LowerCtx:
         self._touch(name)
         return self.scope.memory_width(name)
 
-    def read_name(self, name: str) -> Logic:
-        # Constant evaluation reading a signal's elaboration-time value
-        # bakes that value into the program, so record it in the fact.
-        if isinstance(self.scope.names.get(name), _signal_type()):
-            self.facts[name] = structural_fact(self.scope, name, "sigval")
-        else:
-            self._touch(name)
-        return self.scope.read_name(name)
-
-    def read_memory(self, name: str, addr: int) -> Logic:
-        # Elaboration-time memory contents are not part of the
-        # signature; a program whose compilation read them is unsafe to
-        # transfer to another elaboration.
-        self.shareable = False
-        return self.scope.read_memory(name, addr)
-
     def const_int(self, expr: ast.Expr) -> int:
-        value = eval_expr(expr, self)
-        result = value.to_uint()
-        if result is None:
-            raise ElaborationError(
-                "expression is not a defined constant in "
-                f"{self.scope.prefix or 'top'}")
-        return result
+        return self.scope.const_int(expr, self)
 
-    # -- runtime hooks reached during constant evaluation ----------------
-    def sim_time(self) -> int:
-        self.shareable = False
-        return self.scope.sim_time()
-
-    def sim_random(self) -> int:
-        self.shareable = False
-        return self.scope.sim_random()
-
-    def sim_fopen(self, filename: str) -> int:
-        self.shareable = False
-        return self.scope.sim_fopen(filename)
+    def _absorb(self, sub: "LowerCtx", read: set[int]) -> None:
+        """Merge the record of a constant folded into this program;
+        ``read`` holds the slots its closure read.  A signal value read
+        becomes a ``"sigval"`` fact; memory words and runtime hooks are
+        outside any signature, so reading one makes the program
+        unshareable."""
+        for name, fact in sub.facts.items():
+            if fact[0] == "sigval" or name not in self.facts:
+                self.facts[name] = fact
+        self.shareable = self.shareable and sub.shareable
+        for i in read:
+            slot = sub.slot_specs[i]
+            if (slot[0] == SLOT_OBJ and isinstance(
+                    self.scope.names[slot[1]], _signal_type())):
+                self.facts[slot[1]] = structural_fact(self.scope, slot[1],
+                                                      "sigval")
+            else:  # a memory word or the design's runtime hooks
+                self.shareable = False
 
 
 # ----------------------------------------------------------------------
@@ -653,20 +409,21 @@ def compile_expr(expr: ast.Expr, ctx: LowerCtx,
                  ctx_width: int | None = None):
     """Compile ``expr`` to a closure ``fn(frame) -> Logic``.
 
-    The closure is the compiled counterpart of
-    ``eval_expr(expr, scope, ctx_width)``: widths, signedness and
-    elaboration-time constants are resolved now, and every runtime
-    object is referenced through an integer slot into the bind-time
-    ``frame`` tuple — the same compiled program runs against any
-    elaboration whose frame it is bound to.  Results are memoised per
+    ``ctx_width`` is the assignment/expression context width used to
+    widen context-determined operands (so ``{cout, s} = a + b`` keeps
+    the carry bit).  Widths, signedness and elaboration-time constants
+    are resolved now, and every runtime object is referenced through an
+    integer slot into the bind-time ``frame`` tuple — the same compiled
+    program runs against any elaboration whose frame it is bound to.
+    Results are memoised per
     lowering context, keyed by ``(id(expr), ctx_width)`` (valid because
     AST nodes are pinned by the program cache for the program's
     lifetime).  Leaves are shared by value within the context: equal
     identifiers parsed from different lines get one read closure, and
     equal constants one constant closure (:meth:`LowerCtx.const_fn`).
     A left-deep run of context-determined operators such as a long sum
-    lowers in a loop (:func:`_compile_arith_chain`), so lowering it
-    does not recurse once per operator.
+    lowers, and runs, in a loop (:func:`_compile_arith_chain`), so
+    neither recurses once per operator.
     """
     cache = ctx._expr_cache
     key = (id(expr), ctx_width)
@@ -678,12 +435,9 @@ def compile_expr(expr: ast.Expr, ctx: LowerCtx,
 
 
 def _read_closure(name: str, ctx: LowerCtx):
-    """Compiled counterpart of ``scope.read_name``, one per name per
-    program.
-
-    Skipping the lookup on a repeat read loses no fact: the first read
-    recorded it, and facts are never dropped.
-    """
+    """The closure reading ``name`` as a value, one per name per
+    program.  Skipping the lookup on a repeat read loses no fact: the
+    first read recorded it, and facts are never dropped."""
     fn = ctx._read_fns.get(name)
     if fn is None:
         obj = ctx.lookup(name)
@@ -700,17 +454,14 @@ def _read_closure(name: str, ctx: LowerCtx):
     return fn
 
 
-_REDUCTIONS = frozenset({"!", "&", "~&", "|", "~|", "^", "~^", "^~"})
-
-
 def _result_width(expr: ast.Expr, scope: "Scope",
                   ctx_width: int | None) -> int:
-    """Static width of ``compile_expr(expr, scope, ctx_width)()``.
+    """Static width of the values ``compile_expr(expr, scope,
+    ctx_width)`` produces.
 
-    Mirrors what :func:`eval_expr` returns for each node kind: operators
-    with context-determined operands widen to ``max(self, ctx)``, all
-    others are self-determined.  Used to elide no-op ``resize`` calls at
-    compile time.
+    Operators with context-determined operands widen to ``max(self,
+    ctx)``, all others are self-determined.  Used to elide no-op
+    ``resize`` calls at compile time.
     """
     if isinstance(expr, ast.Unary):
         if expr.op in _REDUCTIONS:
@@ -731,7 +482,8 @@ def _result_width(expr: ast.Expr, scope: "Scope",
 
 def compile_coerced(expr: ast.Expr, ctx: LowerCtx, width: int,
                     signed: bool):
-    """Compile ``eval_expr(expr, scope, width).resize(width, signed)``.
+    """Compile ``expr`` in a ``width`` context, resized to ``width``
+    (sign-extended when ``signed``).
 
     The trailing resize is elided when the compiled closure is statically
     known to produce ``width``-bit values already (``resize`` to the same
@@ -744,36 +496,25 @@ def compile_coerced(expr: ast.Expr, ctx: LowerCtx, width: int,
 
 
 def compile_expr_deferred(expr: ast.Expr, ctx: LowerCtx,
-                          ctx_width: int | None = None):
-    """Like :func:`compile_expr`, but a compile-time :class:`HdlError`
-    becomes a closure that re-raises when *evaluated*.
+                          width: int | None = None, signed: bool = False):
+    """:func:`compile_expr` (or :func:`compile_coerced`, given a
+    ``width``), but a compile-time :class:`HdlError` becomes a closure
+    that re-raises when *evaluated*.
 
     Used where the interpreter evaluates an expression conditionally
     (case labels, unselected ternary branches): the compiled engine must
     not fail on a branch the interpreter would never reach.
     """
     try:
-        return compile_expr(expr, ctx, ctx_width)
+        if width is None:
+            return compile_expr(expr, ctx)
+        return compile_coerced(expr, ctx, width, signed)
     except HdlError as exc:
         ctx.note_deferred()
 
         def raise_deferred(frame, _exc=exc):
             # Shared instance: shed the previous raise's traceback so
             # repeated evaluations don't chain frames forever.
-            _exc.__traceback__ = None
-            _exc.__context__ = None
-            raise _exc
-        return raise_deferred
-
-
-def _coerced_deferred(expr: ast.Expr, ctx: LowerCtx, width: int,
-                      signed: bool):
-    try:
-        return compile_coerced(expr, ctx, width, signed)
-    except HdlError as exc:
-        ctx.note_deferred()
-
-        def raise_deferred(frame, _exc=exc):
             _exc.__traceback__ = None
             _exc.__context__ = None
             raise _exc
@@ -805,10 +546,10 @@ def _compile_expr(expr: ast.Expr, ctx: LowerCtx, ctx_width: int | None):
         # Branches compile deferred: the interpreter only evaluates the
         # selected branch, so a broken unselected branch must not fail
         # until (unless) it is actually chosen.
-        then = _coerced_deferred(expr.then, ctx, w,
-                                 signed_of(expr.then, ctx))
-        other = _coerced_deferred(expr.other, ctx, w,
-                                  signed_of(expr.other, ctx))
+        then = compile_expr_deferred(expr.then, ctx, w,
+                                     signed_of(expr.then, ctx))
+        other = compile_expr_deferred(expr.other, ctx, w,
+                                      signed_of(expr.other, ctx))
         full = (1 << w) - 1
 
         def ternary(frame):
@@ -878,14 +619,9 @@ def _compile_expr(expr: ast.Expr, ctx: LowerCtx, ctx_width: int | None):
 
 def _compile_unary(expr: ast.Unary, ctx: LowerCtx, ctx_width: int | None):
     op = expr.op
-    if op in ("!", "&", "~&", "|", "~|", "^", "~^", "^~"):
+    method = _REDUCTIONS.get(op)
+    if method is not None:
         operand = compile_expr(expr.operand, ctx)
-        method = {
-            "!": Logic.lnot, "&": Logic.reduce_and, "~&": Logic.reduce_nand,
-            "|": Logic.reduce_or, "~|": Logic.reduce_nor,
-            "^": Logic.reduce_xor, "~^": Logic.reduce_xnor,
-            "^~": Logic.reduce_xnor,
-        }[op]
         return lambda frame: method(operand(frame))
 
     w = max(width_of(expr.operand, ctx), ctx_width or 0)
@@ -957,19 +693,28 @@ def _compile_binary(expr: ast.Binary, ctx: LowerCtx, ctx_width: int | None):
 def _compile_arith_chain(chain: Sequence[ast.Binary], ctx: LowerCtx,
                          ctx_width: int | None):
     """Lower a left-deep run of context-determined operators (see
-    :func:`_arith_chain`; one operator is a run of one) in a loop, as
-    :func:`_eval_arith_chain` evaluates it.
-
-    The closures nest one per operator, so evaluating the run still
-    takes one Python frame per operator.
-    """
+    :func:`_arith_chain`; one operator is a run of one) in a loop.
+    One operator keeps its direct closure; a longer run evaluates in one
+    loop closure, not one nested closure per operator."""
     width, boths = _chain_shape(chain, ctx, ctx_width)
-    fn = compile_coerced(chain[0].left, ctx, width, boths[0])
-    for node, both in zip(chain, boths):
-        fn = _arith_closure(node.op, fn,
-                            compile_coerced(node.right, ctx, width, both),
-                            width, both)
-    return fn
+    first = compile_coerced(chain[0].left, ctx, width, boths[0])
+    rights = [compile_coerced(node.right, ctx, width, both)
+              for node, both in zip(chain, boths)]
+    if len(chain) == 1:
+        return _arith_closure(chain[0].op, first, rights[0], width, boths[0])
+    # Each step's operator closure runs on a ``(value, right)`` pair.
+    steps = tuple((_arith_closure(node.op, _LEFT, _RIGHT, width, both),
+                   right) for node, right, both in zip(chain, rights, boths))
+
+    def run(frame):
+        value = first(frame)
+        for step, right in steps:
+            value = step((value, right(frame)))
+        return value
+    return run
+
+
+_LEFT, _RIGHT = itemgetter(0), itemgetter(1)
 
 
 def _arith_closure(op: str, left, right, w: int, both: bool):
@@ -1021,6 +766,45 @@ def _compile_system_call(expr: ast.SystemCall, ctx: LowerCtx):
         j = ctx.design_slot()
         return lambda frame: Logic.from_int(frame[j].runtime_fopen(text), 32)
     raise SimulationError(f"unsupported system function {name!r}")
+
+
+# ----------------------------------------------------------------------
+# Constant folding (elaboration-time values)
+# ----------------------------------------------------------------------
+class _FoldFrame:
+    """The frame a folded closure runs against: each slot resolves from
+    the scope when read (objects by name, the design for runtime hooks),
+    and the slots read are noted for :meth:`LowerCtx._absorb`."""
+
+    __slots__ = ("ctx", "read")
+
+    def __init__(self, ctx: LowerCtx):
+        self.ctx = ctx
+        self.read: set[int] = set()
+
+    def __getitem__(self, i: int):
+        self.read.add(i)
+        slot = self.ctx.slot_specs[i]
+        scope = self.ctx.scope
+        return scope.names[slot[1]] if slot[0] == SLOT_OBJ else scope.design
+
+
+def fold(expr: ast.Expr, scope: "Scope",
+         into: LowerCtx | None = None) -> Logic:
+    """Evaluate an elaboration-time constant in ``scope`` by lowering
+    it with a fresh :class:`LowerCtx` and running the closure once.
+    A fold made while ``into`` lowers a program merges its record into
+    ``into`` (:meth:`LowerCtx._absorb`), even when the fold raises."""
+    if isinstance(expr, ast.Number):  # most constants: skip the lowering
+        width = expr.width if expr.width is not None else 32
+        return Logic(width, expr.val, expr.xmask)
+    ctx = LowerCtx(scope)
+    frame = _FoldFrame(ctx)
+    try:
+        return compile_expr(expr, ctx)(frame)
+    finally:
+        if into is not None:
+            into._absorb(ctx, frame.read)
 
 
 # ----------------------------------------------------------------------

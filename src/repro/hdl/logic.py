@@ -309,12 +309,6 @@ class Logic:
     # ------------------------------------------------------------------
     # Arithmetic (pessimistic X semantics)
     # ------------------------------------------------------------------
-    def _arith(self, other: "Logic", width: int | None = None) -> int | None:
-        w = width if width is not None else self._binary_widths(other)
-        if self.xmask or other.xmask:
-            return None
-        return w
-
     def add(self, other: "Logic", width: int | None = None) -> "Logic":
         w = width if width is not None else self._binary_widths(other)
         if self.xmask or other.xmask:

@@ -139,6 +139,23 @@ class TestLongOperatorChains:
                '    initial $display("%0d", P);\nendmodule')
         assert SIMULATORS[engine](src, "tb").stdout == ["600"]
 
+    @pytest.mark.parametrize("engine", ["compiled", "interpret"])
+    @pytest.mark.parametrize("ops, expected", [
+        (["+"], "3000"),
+        # ``&`` binds looser than ``+`` and ``-``: a left-deep ``&`` run
+        # over ``1 + 1 - 1`` groups.
+        (["+", "-", "&"], "1"),
+    ], ids=["sum", "mixed"])
+    def test_3000_term_constant_run_elaborates(self, engine, ops, expected):
+        """Constants fold through compiled closures, and a run of two or
+        more operators evaluates in one loop closure, not one nested
+        closure per operator."""
+        terms = ["1"] + [f"{ops[i % len(ops)]} 1" for i in range(2999)]
+        src = ("module tb;\n"
+               f"    parameter P = {' '.join(terms)};\n"
+               '    initial $display("%0d", P);\nendmodule')
+        assert SIMULATORS[engine](src, "tb").stdout == [expected]
+
     @pytest.mark.parametrize("term", ["<< 0", "&& 1", "== 1"],
                              ids=["shift", "logical", "equality"])
     def test_600_term_parameter_chain_fails_typed(self, term):

@@ -4,8 +4,10 @@ one-shot heal of ``pool_imap``."""
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from concurrent.futures.process import BrokenProcessPool
@@ -318,3 +320,47 @@ def test_atexit_shutdown_is_clean():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "POOL_OK" in proc.stdout
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` runs; an exited but unreaped worker is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_workers_exit_when_their_parent_is_killed():
+    """A SIGKILLed parent runs no atexit hook; its pool workers must
+    still notice and exit instead of living on as orphans."""
+    code = (
+        "import time\n"
+        "from repro.core.simulation import get_sim_pool, sim_pool_info\n"
+        "pool = get_sim_pool(2)\n"
+        "list(pool.map(time.sleep, [0.3, 0.3]))\n"
+        "print(*sim_pool_info()['pids'], flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                            cwd=REPO_ROOT, stdout=subprocess.PIPE, text=True)
+    pids = []
+    try:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        assert len(pids) == 2 and all(_running(pid) for pid in pids)
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(_running(pid) for pid in pids):
+            assert time.monotonic() < deadline, "orphaned pool workers"
+            time.sleep(0.1)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

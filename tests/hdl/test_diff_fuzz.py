@@ -43,9 +43,13 @@ import pytest
 
 from fuzz_budget import fuzz_budget
 from oracles import SIMULATORS
+from oracles.interpreter import eval_expr
 from repro.hdl import current_context
 from repro.hdl.compile import clear_program_cache, program_cache_stats
+from repro.hdl.elaborate import elaborate
 from repro.hdl.errors import HdlError
+from repro.hdl.eval import fold
+from repro.hdl.parser import parse_source_cached
 
 N_PROGRAMS, BASE_SEED = fuzz_budget()
 MAX_TIME = 100_000
@@ -359,6 +363,49 @@ def test_corpus_not_vacuous():
     assert finished >= 0.9 * N_PROGRAMS, \
         f"only {finished}/{N_PROGRAMS} fuzz programs ran cleanly"
     assert printed >= 0.9 * N_PROGRAMS
+
+
+# ----------------------------------------------------------------------
+# Constant folding vs the reference evaluator
+# ----------------------------------------------------------------------
+# The runtime folds elaboration-time constants through compiled closures
+# (``repro.hdl.eval.fold``); the interpreter shares that elaboration, so
+# the programs above never compare a folded value with the reference
+# evaluator.  Here random expressions over regs with initial values are
+# folded and evaluated in the same elaborated scope.
+_N_FOLD_CASES = max(8, N_PROGRAMS // 4)
+
+
+def generate_fold_case(seed: int) -> str:
+    rng = random.Random(seed)
+    g = ProgramGen(rng)
+    regs = [(f"r{index}", rng.choice(g.WIDTHS)) for index in range(3)]
+    lines = ["module tb;"]
+    for name, width in regs:
+        signed = "signed " if rng.random() < 0.25 else ""
+        lines.append(f"    reg {signed}[{width - 1}:0] {name} ="
+                     f" {g.literal(width)};")
+    exprs = ", ".join(g.expr(regs, 3) for _ in range(8))
+    lines += [f'    initial $display("", {exprs});', "endmodule"]
+    return "\n".join(lines)
+
+
+def _value_or_error(evaluate, expr, scope):
+    try:
+        value = evaluate(expr, scope)
+    except HdlError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return (value.width, value.val, value.xmask)
+
+
+@pytest.mark.parametrize("index", range(_N_FOLD_CASES))
+def test_fold_matches_the_reference_evaluator(index):
+    design = elaborate(parse_source_cached(
+        generate_fold_case(seed_for(index))), "tb")
+    (spec,) = design.processes
+    for expr in spec.body.args[1:]:
+        assert (_value_or_error(fold, expr, spec.scope)
+                == _value_or_error(eval_expr, expr, spec.scope)), expr
 
 
 # ----------------------------------------------------------------------

@@ -11,9 +11,10 @@ import pytest
 from oracles import SIMULATORS
 from repro.hdl import ast as hdl_ast
 from repro.hdl.compile import (_lower_spec, clear_program_cache,
-                               compile_spec, program_cache_stats)
+                               compile_spec, compile_stmt,
+                               program_cache_stats)
 from repro.hdl.elaborate import elaborate
-from repro.hdl.errors import SimulationError
+from repro.hdl.errors import HdlError, SimulationError
 from repro.hdl.eval import LowerCtx, compile_expr
 from repro.hdl.parser import parse_source_cached
 from repro.hdl.simulator import Simulator
@@ -361,3 +362,83 @@ class TestLeafSharing:
         assert program.shareable
         for engine in ("compiled", "interpret"):
             assert _outcome(src, engine)[0] == ["5 7 1633"] * 2
+
+
+# ----------------------------------------------------------------------
+# Constants folded while lowering a program
+# ----------------------------------------------------------------------
+def _tb(decls: str, display: str) -> str:
+    return (f"module tb;\n{decls}    reg a;\n    reg [7:0] b;\n"
+            "    initial begin a = 1; b = 8'hA5; "
+            f'$display("%b", {display}); end\nendmodule')
+
+
+A, B = ("a", ("sig", 1, False)), ("b", ("sig", 8, False))
+REG_INIT_TB = _tb("    reg [3:0] r = 4'd2;\n", "b[r + 1:0]")
+
+
+class TestFoldedConstantRecords:
+    """A constant folded while a program lowers (a part-select bound, a
+    replication count) is baked into the program, so what it read joins
+    the program's record: a signal's initial value becomes a
+    ``"sigval"`` fact, and a memory word or ``$random`` makes the
+    program unshareable.  Each record is the one the statement-walking
+    constant evaluator left before constants folded through compiled
+    closures."""
+
+    CASES = {
+        "parameter_bound": (
+            _tb("    parameter P = 3;\n", "b[P + 1:1]"),
+            (("P", ("const", 32, 3, 0)), A, B), True, False),
+        "clog2_count": (
+            _tb("    parameter P = 9;\n", "{$clog2(P){a}}"),
+            (("P", ("const", 32, 9, 0)), A, B), True, False),
+        "reg_initial_value": (
+            REG_INIT_TB,
+            (A, B, ("r", ("sigval", 4, False, 2, 0))), True, False),
+        # An elaboration-time memory word is X: the count is undefined,
+        # and that error is deferred into the program.
+        "memory_word_count": (
+            _tb("    reg [1:0] m [0:3];\n", "{m[0]{a}}"),
+            (A, B, ("m", ("mem", 2, 0, 3, False))), False, True),
+        "random_count": (
+            _tb("", "{($random & 3) + 1{a}}"), (A, B), False, False),
+    }
+
+    @staticmethod
+    def _lowering(src: str) -> LowerCtx:
+        design = elaborate(parse_source_cached(src), "tb")
+        (spec,) = [s for s in design.processes if s.kind == "initial"]
+        ctx = LowerCtx(spec.scope)
+        compile_stmt(spec.body, ctx)
+        return ctx
+
+    @staticmethod
+    def _printed(src: str, engine: str):
+        try:
+            return SIMULATORS[engine](src, "tb").stdout
+        except HdlError as exc:
+            return (type(exc).__name__, str(exc))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_record_and_output(self, case):
+        src, signature, shareable, prefix_sensitive = self.CASES[case]
+        ctx = self._lowering(src)
+        assert ctx.signature() == signature
+        assert ctx.shareable is shareable
+        assert ctx.prefix_sensitive is prefix_sensitive
+        assert ctx.reads_time is False
+        clear_program_cache()
+        assert (self._printed(src, "compiled")
+                == self._printed(src, "interpret"))
+
+    def test_reg_initial_values_do_not_share_a_program(self):
+        other = REG_INIT_TB.replace("4'd2", "4'd1")
+        clear_program_cache()
+        _compile_all(elaborate(parse_source_cached(REG_INIT_TB), "tb"))
+        design = elaborate(parse_source_cached(other), "tb")
+        added, _ = _compiles_during(lambda: _compile_all(design))
+        assert added == 1
+        for engine in SIMULATORS:
+            assert self._printed(REG_INIT_TB, engine) == ["0101"]
+            assert self._printed(other, engine) == ["101"]

@@ -10,6 +10,11 @@ to (``tests/hdl/test_diff_fuzz.py``, ``test_compiled_equivalence.py``,
 ``test_fast_forward.py``), and the slow side of the
 ``counter compiled >= 2x interpret`` microbench floor.
 
+It also owns the reference expression evaluator, :func:`eval_expr`,
+which re-walks the expression AST on every evaluation and shares only
+width and sign inference with the runtime's lowering.  Elaboration
+(and so each ``parameter``) is the runtime's.
+
 It never fast-forwards: with no periodic-state skipping, a runaway run
 ticks every time step, which is what makes it a reference for the
 compiled kernel's fast-forward.
@@ -17,15 +22,268 @@ compiled kernel's fast-forward.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.hdl import ast
 from repro.hdl.elaborate import Memory, ProcSpec, Scope, Signal
-from repro.hdl.errors import FinishRequest, SimulationError
-from repro.hdl.eval import case_match, eval_expr, signed_of
+from repro.hdl.errors import ElaborationError, FinishRequest, SimulationError
+from repro.hdl.eval import (_COMPARE, _CTX_ARITH, _LOGICAL, _SHIFTS,
+                            _arith_chain, _chain_shape, case_match,
+                            check_width, signed_of, width_of)
 from repro.hdl.logic import Logic
 from repro.hdl.simulator import (Process, SimulationResult, Simulator,
                                  compile_design)
+
+
+# ----------------------------------------------------------------------
+# Expression evaluation (the reference for repro.hdl.eval.compile_expr)
+# ----------------------------------------------------------------------
+def _read_name(scope: Scope, name: str) -> Logic:
+    obj = scope.lookup(name)
+    if isinstance(obj, Signal):
+        return obj.value
+    if isinstance(obj, Logic):
+        return obj
+    raise ElaborationError(f"cannot read {name!r} as a value")
+
+
+def const_int(expr: ast.Expr, scope: Scope) -> int:
+    """The reference for :meth:`repro.hdl.elaborate.Scope.const_int`."""
+    result = eval_expr(expr, scope).to_uint()
+    if result is None:
+        raise ElaborationError(
+            f"expression is not a defined constant in {scope.prefix or 'top'}")
+    return result
+
+
+def eval_expr(expr: ast.Expr, scope: Scope,
+              ctx_width: int | None = None) -> Logic:
+    """Evaluate ``expr`` in ``scope``.
+
+    ``ctx_width`` is the assignment/expression context width used to widen
+    context-determined operands (e.g. so ``{cout, s} = a + b`` keeps the
+    carry bit).
+    """
+    if isinstance(expr, ast.Number):
+        width = expr.width if expr.width is not None else 32
+        return Logic(width, expr.val, expr.xmask)
+
+    if isinstance(expr, ast.Identifier):
+        return _read_name(scope, expr.name)
+
+    if isinstance(expr, ast.StringLit):
+        data = expr.text.encode("latin-1", "replace")
+        val = int.from_bytes(data, "big") if data else 0
+        return Logic(max(8 * len(data), 8), val, 0)
+
+    if isinstance(expr, ast.Unary):
+        return _eval_unary(expr, scope, ctx_width)
+
+    if isinstance(expr, ast.Binary):
+        return _eval_binary(expr, scope, ctx_width)
+
+    if isinstance(expr, ast.Ternary):
+        w = max(width_of(expr, scope), ctx_width or 0)
+        cond = eval_expr(expr.cond, scope).truth()
+        if cond is True:
+            return eval_expr(expr.then, scope, w).resize(
+                w, signed_of(expr.then, scope))
+        if cond is False:
+            return eval_expr(expr.other, scope, w).resize(
+                w, signed_of(expr.other, scope))
+        # Unknown select: bitwise merge; agreeing bits survive.
+        a = eval_expr(expr.then, scope, w).resize(w, signed_of(expr.then, scope))
+        b = eval_expr(expr.other, scope, w).resize(w, signed_of(expr.other, scope))
+        agree = ~(a.val ^ b.val) & ~a.xmask & ~b.xmask
+        return Logic(w, a.val & agree, ((1 << w) - 1) & ~agree)
+
+    if isinstance(expr, ast.Concat):
+        parts = [eval_expr(p, scope) for p in expr.parts]
+        check_width(sum(p.width for p in parts), "concatenation")
+        return Logic.concat(parts)
+
+    if isinstance(expr, ast.Replicate):
+        count = const_int(expr.count, scope)
+        if count < 1:
+            raise SimulationError(f"replication count {count} must be >= 1")
+        value = eval_expr(expr.value, scope)
+        check_width(count * value.width, "replication")
+        return value.replicate(count)
+
+    if isinstance(expr, ast.Index):
+        index = eval_expr(expr.index, scope)
+        if scope.is_memory(expr.base):
+            addr = index.to_uint()
+            if addr is None:
+                return Logic.unknown(scope.memory_width(expr.base))
+            return scope.lookup(expr.base).read(addr)
+        base = _read_name(scope, expr.base)
+        idx = index.to_uint()
+        if idx is None:
+            return Logic.unknown(1)
+        return base.bit(idx)
+
+    if isinstance(expr, ast.PartSelect):
+        base = _read_name(scope, expr.base)
+        msb = const_int(expr.msb, scope)
+        lsb = const_int(expr.lsb, scope)
+        return base.part(msb, lsb)
+
+    if isinstance(expr, ast.SystemCall):
+        return _eval_system_call(expr, scope)
+
+    raise SimulationError(f"cannot evaluate expression {expr!r}")
+
+
+def _eval_unary(expr: ast.Unary, scope: Scope,
+                ctx_width: int | None) -> Logic:
+    op = expr.op
+    if op == "!":
+        return eval_expr(expr.operand, scope).lnot()
+    if op == "&":
+        return eval_expr(expr.operand, scope).reduce_and()
+    if op == "~&":
+        return eval_expr(expr.operand, scope).reduce_nand()
+    if op == "|":
+        return eval_expr(expr.operand, scope).reduce_or()
+    if op == "~|":
+        return eval_expr(expr.operand, scope).reduce_nor()
+    if op in ("^",):
+        return eval_expr(expr.operand, scope).reduce_xor()
+    if op in ("~^", "^~"):
+        return eval_expr(expr.operand, scope).reduce_xnor()
+
+    w = max(width_of(expr.operand, scope), ctx_width or 0)
+    signed = signed_of(expr.operand, scope)
+    value = eval_expr(expr.operand, scope, w).resize(w, signed)
+    if op == "~":
+        return value.bnot()
+    if op == "-":
+        return value.neg(w)
+    if op == "+":
+        return value
+    raise SimulationError(f"unsupported unary operator {op!r}")
+
+
+def _eval_binary(expr: ast.Binary, scope: Scope,
+                 ctx_width: int | None) -> Logic:
+    op = expr.op
+
+    if op in _LOGICAL:
+        left = eval_expr(expr.left, scope)
+        right = eval_expr(expr.right, scope)
+        return left.land(right) if op == "&&" else left.lor(right)
+
+    if op in _COMPARE:
+        w = max(width_of(expr.left, scope), width_of(expr.right, scope))
+        signed = (signed_of(expr.left, scope)
+                  and signed_of(expr.right, scope))
+        left = eval_expr(expr.left, scope, w).resize(w, signed)
+        right = eval_expr(expr.right, scope, w).resize(w, signed)
+        if op == "==":
+            return left.eq(right)
+        if op == "!=":
+            return left.neq(right)
+        if op == "===":
+            return left.case_eq(right)
+        if op == "!==":
+            return left.case_neq(right)
+        if op == "<":
+            return left.lt(right, signed)
+        if op == "<=":
+            return left.le(right, signed)
+        if op == ">":
+            return left.gt(right, signed)
+        return left.ge(right, signed)
+
+    if op in _SHIFTS:
+        w = max(width_of(expr.left, scope), ctx_width or 0)
+        signed = signed_of(expr.left, scope)
+        left = eval_expr(expr.left, scope, w).resize(w, signed)
+        amount = eval_expr(expr.right, scope)
+        if op == "<<" or op == "<<<":
+            return left.shl(amount, w)
+        if op == ">>":
+            return left.shr(amount, w)
+        # Arithmetic right shift only fills sign when the value is signed.
+        return left.ashr(amount, w) if signed else left.shr(amount, w)
+
+    # Context-determined arithmetic / bitwise operators.
+    if op in _CTX_ARITH:
+        return _eval_arith_chain(_arith_chain(expr), scope, ctx_width)
+    w = max(width_of(expr.left, scope), width_of(expr.right, scope),
+            ctx_width or 0)
+    both_signed = signed_of(expr.left, scope) and signed_of(expr.right,
+                                                            scope)
+    left = eval_expr(expr.left, scope, w).resize(w, both_signed)
+    right = eval_expr(expr.right, scope, w).resize(w, both_signed)
+    if op == "**":
+        return left.pow(right, w)
+    raise SimulationError(f"unsupported binary operator {op!r}")
+
+
+def _eval_arith_chain(chain: Sequence[ast.Binary], scope: Scope,
+                      ctx_width: int | None) -> Logic:
+    """Evaluate a left-deep run of context-determined operators (see
+    :func:`_arith_chain`; one operator is a run of one) in a loop."""
+    w, boths = _chain_shape(chain, scope, ctx_width)
+    value = eval_expr(chain[0].left, scope, w).resize(w, boths[0])
+    for node, both in zip(chain, boths):
+        right = eval_expr(node.right, scope, w).resize(w, both)
+        op = node.op
+        if op == "+":
+            value = value.add(right, w)
+        elif op == "-":
+            value = value.sub(right, w)
+        elif op == "*":
+            value = value.mul(right, w)
+        elif op == "/":
+            value = value.div(right, w, both)
+        elif op == "%":
+            value = value.mod(right, w, both)
+        elif op == "&":
+            value = value.band(right)
+        elif op == "|":
+            value = value.bor(right)
+        elif op == "^":
+            value = value.bxor(right)
+        else:  # "^~" / "~^"
+            value = value.bxnor(right)
+    return value
+
+
+def _eval_system_call(expr: ast.SystemCall, scope: Scope) -> Logic:
+    name = expr.name
+    if name == "$time":
+        return Logic.from_int(scope.design.runtime_time(), 64)
+    if name == "$signed":
+        return eval_expr(expr.args[0], scope)
+    if name == "$unsigned":
+        return eval_expr(expr.args[0], scope)
+    if name in ("$random", "$urandom"):
+        return Logic.from_int(scope.design.runtime_random(), 32)
+    if name == "$clog2":
+        value = eval_expr(expr.args[0], scope).to_uint()
+        if value is None:
+            return Logic.unknown(32)
+        return Logic.from_int(max(value - 1, 0).bit_length(), 32)
+    if name == "$fopen":
+        filename = expr.args[0]
+        if not isinstance(filename, ast.StringLit):
+            raise SimulationError("$fopen expects a string literal")
+        return Logic.from_int(scope.design.runtime_fopen(filename.text), 32)
+    raise SimulationError(f"unsupported system function {name!r}")
+
+
+
+
+def _port_bind_runner(spec: ProcSpec):
+    """Drive a port-binding process's sink from its source."""
+    direction, source, sink = spec.port_bind
+    if direction == "in":
+        return lambda sim: sim.set_signal(sink, eval_expr(
+            source, spec.scope, sink.width).resize(sink.width))
+    return lambda sim: sim.set_signal(sink, source.value.resize(sink.width))
 
 
 class InterpretedSimulator(Simulator):
@@ -46,8 +304,8 @@ class InterpretedSimulator(Simulator):
             self.active.append(proc)
 
     def _interp_comb_runner(self, spec: ProcSpec):
-        if spec.pyfunc is not None:
-            return spec.pyfunc
+        if spec.port_bind is not None:
+            return _port_bind_runner(spec)
         body, scope = spec.body, spec.scope
         assert body is not None
 
@@ -110,8 +368,8 @@ class InterpretedSimulator(Simulator):
             obj = scope.lookup(target.name)
             if not isinstance(obj, Signal):
                 raise SimulationError(f"cannot assign to {target.name!r}")
-            msb = scope.const_int(target.msb)
-            lsb = scope.const_int(target.lsb)
+            msb = const_int(target.msb, scope)
+            lsb = const_int(target.lsb, scope)
             self.set_signal(obj, obj.value.set_part(msb, lsb, value))
             return
         if isinstance(target, ast.LvConcat):
@@ -135,8 +393,8 @@ class InterpretedSimulator(Simulator):
                 return obj.width
             return 1
         if isinstance(target, ast.LvPart):
-            msb = scope.const_int(target.msb)
-            lsb = scope.const_int(target.lsb)
+            msb = const_int(target.msb, scope)
+            lsb = const_int(target.lsb, scope)
             return msb - lsb + 1
         if isinstance(target, ast.LvConcat):
             return sum(self._lvalue_width(p, scope) for p in target.parts)
@@ -167,8 +425,8 @@ class InterpretedSimulator(Simulator):
             obj = scope.lookup(target.name)
             if not isinstance(obj, Signal):
                 raise SimulationError(f"cannot assign to {target.name!r}")
-            msb = scope.const_int(target.msb)
-            lsb = scope.const_int(target.lsb)
+            msb = const_int(target.msb, scope)
+            lsb = const_int(target.lsb, scope)
             self.nba.append(("part", obj, msb, lsb, value))
             return
         if isinstance(target, ast.LvConcat):

@@ -67,14 +67,13 @@ from ..hdl.context import (START_METHOD_DEFAULT, SimContext,
                            current_context, use_context)
 from ..hdl.elaborate import Design, elaborate
 from ..hdl.errors import (ElaborationError, FailureShape, HdlError,
-                          VerilogSyntaxError)
+                          NotConstantError, VerilogSyntaxError)
 from ..hdl.lexer import clear_tokenize_cache, tokenize_cache_stats
 from ..hdl.parser import (clear_parse_cache, parse_cache_stats,
                           parse_source_cached)
 from ..hdl.simulator import SimulationResult, Simulator
 from ..hdl import lockstep as lockstep_mod
-from ..hdl.lockstep import (LockstepUnsupported, build_union,
-                            clear_lockstep_caches, lockstep_cache_stats)
+from ..hdl.lockstep import LockstepUnsupported, build_union
 from ..codegen.driver import DUMP_FILE
 from .caches import LruCache, caches
 
@@ -304,22 +303,8 @@ caches.register("failure", clear=_clear_failure_cache,
                 stats=_failure_cache_stats)
 caches.register("programs", clear=clear_program_cache,
                 stats=program_cache_stats)
-
-
-def _clear_union_layer() -> None:
-    _union_templates.clear()
-    clear_lockstep_caches()
-
-
-def _union_layer_stats() -> dict:
-    stats = dict(_union_templates.stats())
-    stats["renamed_lanes"] = lockstep_cache_stats()["size"]
-    return stats
-
-
-# The lockstep rename cache rides on the union layer.
-caches.register("union", clear=_clear_union_layer,
-                stats=_union_layer_stats)
+caches.register("union", clear=_union_templates.clear,
+                stats=_union_templates.stats)
 
 
 def clear_template_caches() -> None:
@@ -491,6 +476,8 @@ def _simulate_pair(tb_src: str, dut_src: str, tb_label: str):
         return ELABORATION, str(exc), None
     try:
         return OK, "", template.run()
+    except NotConstantError as exc:  # illegal RTL met while lowering
+        return ELABORATION, str(exc), None
     except HdlError as exc:  # late elaboration-class errors: still runtime
         return RUNTIME, str(exc), None
     except RecursionError:

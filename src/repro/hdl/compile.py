@@ -153,7 +153,7 @@ class SharedProgram:
                 and spec.port_bind[2].width != self.sink_width):
             return False
         for name, fact in self.signature:
-            if structural_fact(scope, name, fact[0]) != fact:
+            if structural_fact(scope, name) != fact:
                 return False
         return True
 

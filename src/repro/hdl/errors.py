@@ -36,6 +36,12 @@ class ElaborationError(HdlError):
     identifiers, port mismatches, unsupported constructs, ...)."""
 
 
+class NotConstantError(ElaborationError):
+    """Raised when an expression Verilog requires to be constant (a
+    parameter, range, bound, count or ``reg`` initialiser) reads a
+    signal, a memory word or a runtime hook such as ``$time``."""
+
+
 class SimulationError(HdlError):
     """Raised for runtime failures inside the simulator."""
 

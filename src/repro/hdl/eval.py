@@ -19,9 +19,11 @@ one read closure per name, one closure per constant.
 
 :func:`fold` evaluates elaboration-time constants (parameters, ranges,
 initial values, part-select bounds, replication counts) by running such
-a closure once.  The AST-walking reference evaluator the compiled
-closures are held to lives with the test suite's interpreter oracle
-(``tests/oracles/interpreter.py``).
+a closure once, against no frame: a constant that reads a signal, a
+memory word or a runtime hook (``$time``, ``$random``, ``$fopen``)
+raises :class:`~repro.hdl.errors.NotConstantError`.  The AST-walking
+reference evaluator the compiled closures are held to lives with the
+test suite's interpreter oracle (``tests/oracles/interpreter.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import ast
-from .errors import ElaborationError, HdlError, SimulationError
+from .errors import (ElaborationError, HdlError, NotConstantError,
+                     SimulationError)
 from .logic import Logic
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -205,7 +208,6 @@ def case_match(kind: str, subject: Logic, label: Logic) -> bool:
 # Lowering context: slot allocation + structural signatures
 # ----------------------------------------------------------------------
 _Signal = None  # resolved lazily; eval <-> elaborate import cycle
-_Memory = None
 
 
 def _signal_type():
@@ -216,44 +218,31 @@ def _signal_type():
     return _Signal
 
 
-def _memory_type():
-    global _Memory
-    if _Memory is None:
-        from .elaborate import Memory
-        _Memory = Memory
-    return _Memory
-
-
 # Slot descriptor tags (the bind-time recipe of a shared program).
 SLOT_OBJ = "obj"        # ("obj", name)    -> scope.names[name]
 SLOT_LIT = "lit"        # ("lit", payload) -> payload verbatim
 SLOT_REQ = "req"        # ("req", ((edge, slot_idx), ...)) -> wait request
-SLOT_DESIGN = "design"  # ("design",)      -> scope.design (runtime hooks)
+SLOT_DESIGN = "design"  # ("design", first hook) -> scope.design
 SLOT_SINK = "sink"      # ("sink",)        -> port-bind sink signal
 
 
-def structural_fact(scope: "Scope", name: str, tag: str = "") -> tuple:
+def structural_fact(scope: "Scope", name: str) -> tuple:
     """The structural fact ``name`` resolves to in ``scope``.
 
     Facts are what a shared program's signature records per referenced
     name; another elaboration may reuse the program iff every recorded
-    fact recomputes identically in its scope.  ``tag`` selects the
-    strength: ``"sigval"`` (a signal whose *elaboration-time value* was
-    baked into the program via constant evaluation) also captures the
-    value, everything else only shape.
+    fact recomputes identically in its scope.  A signal or memory
+    records its shape (a frame slot reads its value), a parameter its
+    value (baked into the program).
     """
     obj = scope.names.get(name)
     if obj is None:
         return ("missing",)
+    if isinstance(obj, Logic):  # parameter / localparam
+        return ("const", obj.width, obj.val, obj.xmask)
     if isinstance(obj, _signal_type()):
-        if tag == "sigval":
-            return ("sigval", obj.width, obj.signed,
-                    obj.value.val, obj.value.xmask)
         return ("sig", obj.width, obj.signed)
-    if isinstance(obj, _memory_type()):
-        return ("mem", obj.width, obj.lo, obj.hi, obj.signed)
-    # Logic constant (parameter / localparam).
-    return ("const", obj.width, obj.val, obj.xmask)
+    return ("mem", obj.width, obj.lo, obj.hi, obj.signed)
 
 
 class LowerCtx:
@@ -281,8 +270,7 @@ class LowerCtx:
         self.slot_specs: list[tuple] = []
         self.facts: dict[str, tuple] = {}
         # Cleared by lowerings that bake non-relocatable state into the
-        # closures (elaboration-time memory contents, runtime hooks
-        # evaluated at compile time, foreign-scope signal objects).
+        # closures (an output port bind's foreign-scope signal objects).
         self.shareable = True
         # Deferred compile errors embed this scope's prefix (or the
         # process label) in their message; such programs only transfer
@@ -327,9 +315,9 @@ class LowerCtx:
             idx = self._lit_slots[key] = self._new_slot(key)
         return idx
 
-    def design_slot(self) -> int:
+    def design_slot(self, hook: str) -> int:
         if self._design_slot is None:
-            self._design_slot = self._new_slot((SLOT_DESIGN,))
+            self._design_slot = self._new_slot((SLOT_DESIGN, hook))
         return self._design_slot
 
     def sink_slot(self) -> int:
@@ -381,25 +369,6 @@ class LowerCtx:
 
     def const_int(self, expr: ast.Expr) -> int:
         return self.scope.const_int(expr, self)
-
-    def _absorb(self, sub: "LowerCtx", read: set[int]) -> None:
-        """Merge the record of a constant folded into this program;
-        ``read`` holds the slots its closure read.  A signal value read
-        becomes a ``"sigval"`` fact; memory words and runtime hooks are
-        outside any signature, so reading one makes the program
-        unshareable."""
-        for name, fact in sub.facts.items():
-            if fact[0] == "sigval" or name not in self.facts:
-                self.facts[name] = fact
-        self.shareable = self.shareable and sub.shareable
-        for i in read:
-            slot = sub.slot_specs[i]
-            if (slot[0] == SLOT_OBJ and isinstance(
-                    self.scope.names[slot[1]], _signal_type())):
-                self.facts[slot[1]] = structural_fact(self.scope, slot[1],
-                                                      "sigval")
-            else:  # a memory word or the design's runtime hooks
-                self.shareable = False
 
 
 # ----------------------------------------------------------------------
@@ -741,12 +710,12 @@ def _compile_system_call(expr: ast.SystemCall, ctx: LowerCtx):
     name = expr.name
     if name == "$time":
         ctx.reads_time = True
-        j = ctx.design_slot()
+        j = ctx.design_slot(name)
         return lambda frame: Logic.from_int(frame[j].runtime_time(), 64)
     if name in ("$signed", "$unsigned"):
         return compile_expr(expr.args[0], ctx)
     if name in ("$random", "$urandom"):
-        j = ctx.design_slot()
+        j = ctx.design_slot(name)
         return lambda frame: Logic.from_int(frame[j].runtime_random(), 32)
     if name == "$clog2":
         arg = compile_expr(expr.args[0], ctx)
@@ -763,7 +732,7 @@ def _compile_system_call(expr: ast.SystemCall, ctx: LowerCtx):
         if not isinstance(filename, ast.StringLit):
             raise SimulationError("$fopen expects a string literal")
         text = filename.text
-        j = ctx.design_slot()
+        j = ctx.design_slot(name)
         return lambda frame: Logic.from_int(frame[j].runtime_fopen(text), 32)
     raise SimulationError(f"unsupported system function {name!r}")
 
@@ -771,40 +740,45 @@ def _compile_system_call(expr: ast.SystemCall, ctx: LowerCtx):
 # ----------------------------------------------------------------------
 # Constant folding (elaboration-time values)
 # ----------------------------------------------------------------------
-class _FoldFrame:
-    """The frame a folded closure runs against: each slot resolves from
-    the scope when read (objects by name, the design for runtime hooks),
-    and the slots read are noted for :meth:`LowerCtx._absorb`."""
-
-    __slots__ = ("ctx", "read")
-
-    def __init__(self, ctx: LowerCtx):
-        self.ctx = ctx
-        self.read: set[int] = set()
-
-    def __getitem__(self, i: int):
-        self.read.add(i)
-        slot = self.ctx.slot_specs[i]
-        scope = self.ctx.scope
-        return scope.names[slot[1]] if slot[0] == SLOT_OBJ else scope.design
-
-
 def fold(expr: ast.Expr, scope: "Scope",
          into: LowerCtx | None = None) -> Logic:
-    """Evaluate an elaboration-time constant in ``scope`` by lowering
-    it with a fresh :class:`LowerCtx` and running the closure once.
-    A fold made while ``into`` lowers a program merges its record into
-    ``into`` (:meth:`LowerCtx._absorb`), even when the fold raises."""
+    """Evaluate an elaboration-time constant in ``scope``.
+
+    A constant (IEEE 1364-2005 5.2) reads only literals, parameters and
+    constant system functions, so its lowering allocates no frame slot;
+    one that does (a signal, a memory word, a runtime hook) raises.  A
+    fold made while ``into`` lowers a program merges its facts into
+    ``into``, also when it raises, so a program that defers the error
+    stays keyed on the names the constant resolved.
+
+    >>> from repro.hdl.elaborate import elaborate
+    >>> from repro.hdl.parser import parse_source
+    >>> (spec,) = elaborate(parse_source(
+    ...     "module m; parameter P = 3; reg [3:0] r = 4'd2;"
+    ...     ' initial $display("%d %d", P + 1, r + 1); endmodule'), "m"
+    ... ).processes
+    >>> p_plus_1, r_plus_1 = spec.body.args[1:]
+    >>> fold(p_plus_1, spec.scope).to_uint()
+    4
+    >>> fold(r_plus_1, spec.scope)
+    Traceback (most recent call last):
+    ...
+    repro.hdl.errors.NotConstantError: 'r' is not a constant
+    """
     if isinstance(expr, ast.Number):  # most constants: skip the lowering
         width = expr.width if expr.width is not None else 32
         return Logic(width, expr.val, expr.xmask)
     ctx = LowerCtx(scope)
-    frame = _FoldFrame(ctx)
     try:
-        return compile_expr(expr, ctx)(frame)
+        fn = compile_expr(expr, ctx)
+        if ctx.slot_specs:
+            raise NotConstantError(
+                f"{ctx.slot_specs[0][1]!r} is not a constant")
     finally:
         if into is not None:
-            into._absorb(ctx, frame.read)
+            for name, fact in ctx.facts.items():
+                into.facts.setdefault(name, fact)
+    return fn(())
 
 
 # ----------------------------------------------------------------------

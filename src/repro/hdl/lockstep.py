@@ -37,9 +37,6 @@ lockstep-vs-per-mutant differential fuzz battery).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from threading import Lock
-
 from . import ast
 from .parser import parse_source_cached
 
@@ -324,28 +321,12 @@ def _transform_stmt(stmt, n_lanes: int, out_maps: list[dict],
 
 
 # ----------------------------------------------------------------------
-# Lane-module renaming (cached: the same mutant set is swept against
-# many fresh drivers, and reusing the renamed Module objects keeps the
-# shared slot-program cache hitting by AST identity)
+# Lane-module renaming
 # ----------------------------------------------------------------------
-_RENAME_CACHE_SIZE = 1024
-_rename_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_rename_lock = Lock()
-
-
 def _rename_lane_modules(src_file: ast.SourceFile,
                          k: int) -> tuple[ast.Module, ...]:
-    # Identity-keyed: parse_source_cached returns one AST object per
-    # source text, and the cached entry pins ``src_file`` so its id
-    # cannot be recycled while the key lives.
-    key = (id(src_file), k)
-    with _rename_lock:
-        cached = _rename_cache.get(key)
-        if cached is not None:
-            _rename_cache.move_to_end(key)
-            return cached[1]
     names = {m.name for m in src_file.modules}
-    renamed = tuple(
+    return tuple(
         ast.Module(
             mod.name + lane_suffix(k), mod.ports,
             tuple(ast.Instance(item.module + lane_suffix(k), item.name,
@@ -355,21 +336,6 @@ def _rename_lane_modules(src_file: ast.SourceFile,
                   else item
                   for item in mod.items))
         for mod in src_file.modules)
-    with _rename_lock:
-        while len(_rename_cache) >= _RENAME_CACHE_SIZE:
-            _rename_cache.popitem(last=False)
-        _rename_cache[key] = (src_file, renamed)
-    return renamed
-
-
-def clear_lockstep_caches() -> None:
-    with _rename_lock:
-        _rename_cache.clear()
-
-
-def lockstep_cache_stats() -> dict:
-    with _rename_lock:
-        return {"size": len(_rename_cache)}
 
 
 # ----------------------------------------------------------------------

@@ -356,8 +356,10 @@ class TestWorkerIsolation:
 # ----------------------------------------------------------------------
 class TestCacheRegistry:
     def test_registered_layers(self):
-        # "llm_responses" registers when repro.llm.backends loads (the
-        # campaign module pulls it in), after the simulation layers.
+        # "llm_responses" registers when repro.llm.backends loads, after
+        # the simulation layers; load it here so the order holds when
+        # this file runs on its own.
+        import repro.llm.backends  # noqa: F401
         assert caches.names() == ("tokenize", "parse", "design", "pair",
                                   "failure", "programs", "union",
                                   "llm_responses")

@@ -43,7 +43,7 @@ import pytest
 
 from fuzz_budget import fuzz_budget
 from oracles import SIMULATORS
-from oracles.interpreter import eval_expr
+from oracles.interpreter import const_value
 from repro.hdl import current_context
 from repro.hdl.compile import clear_program_cache, program_cache_stats
 from repro.hdl.elaborate import elaborate
@@ -366,26 +366,36 @@ def test_corpus_not_vacuous():
 
 
 # ----------------------------------------------------------------------
-# Constant folding vs the reference evaluator
+# Constant folding vs the reference constant evaluator
 # ----------------------------------------------------------------------
 # The runtime folds elaboration-time constants through compiled closures
 # (``repro.hdl.eval.fold``); the interpreter shares that elaboration, so
 # the programs above never compare a folded value with the reference
-# evaluator.  Here random expressions over regs with initial values are
-# folded and evaluated in the same elaborated scope.
+# evaluator.  Here random expressions over three names, each a
+# ``localparam`` or an initialised ``reg``, are folded and evaluated by
+# the oracle's constant evaluator in the same elaborated scope: an
+# expression over parameters must give the same value, one that reads a
+# reg the same "not a constant" error.
 _N_FOLD_CASES = max(8, N_PROGRAMS // 4)
+
+# Per fold case, the kind of each compared outcome; checked by the meta
+# test.
+_fold_outcomes: dict[int, list[str]] = {}
 
 
 def generate_fold_case(seed: int) -> str:
     rng = random.Random(seed)
     g = ProgramGen(rng)
-    regs = [(f"r{index}", rng.choice(g.WIDTHS)) for index in range(3)]
+    names = [(f"r{index}", rng.choice(g.WIDTHS)) for index in range(3)]
     lines = ["module tb;"]
-    for name, width in regs:
+    for name, width in names:
+        if rng.random() < 0.5:
+            lines.append(f"    localparam {name} = {g.literal(width)};")
+            continue
         signed = "signed " if rng.random() < 0.25 else ""
         lines.append(f"    reg {signed}[{width - 1}:0] {name} ="
                      f" {g.literal(width)};")
-    exprs = ", ".join(g.expr(regs, 3) for _ in range(8))
+    exprs = ", ".join(g.expr(names, 3) for _ in range(8))
     lines += [f'    initial $display("", {exprs});', "endmodule"]
     return "\n".join(lines)
 
@@ -403,9 +413,27 @@ def test_fold_matches_the_reference_evaluator(index):
     design = elaborate(parse_source_cached(
         generate_fold_case(seed_for(index))), "tb")
     (spec,) = design.processes
+    kinds = []
     for expr in spec.body.args[1:]:
-        assert (_value_or_error(fold, expr, spec.scope)
-                == _value_or_error(eval_expr, expr, spec.scope)), expr
+        folded = _value_or_error(fold, expr, spec.scope)
+        assert folded == _value_or_error(const_value, expr, spec.scope), expr
+        if folded[0] != "error":
+            kinds.append("value")
+        elif folded[2].endswith("is not a constant"):
+            kinds.append("not_constant")
+        else:
+            kinds.append("other_error")
+    _fold_outcomes[index] = kinds
+
+
+def test_fold_cases_compare_values_and_errors():
+    """Meta-check: values and "not a constant" errors each make up at
+    least a tenth of the compared expressions."""
+    if len(_fold_outcomes) < _N_FOLD_CASES:
+        pytest.skip("fold cases did not run in full")
+    kinds = [kind for case in _fold_outcomes.values() for kind in case]
+    for kind in ("value", "not_constant"):
+        assert kinds.count(kind) >= len(kinds) / 10, (kind, len(kinds))
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.core.simulation import (_per_mutant_sweep, run_driver,
                                    run_mutant_sweep)
 from repro.hdl import ast as hdl_ast
 from repro.hdl import current_context
+from repro.hdl.compile import program_cache_stats
 from repro.hdl.lockstep import (GROUP_DELIM, LANE_DELIM,
                                 LockstepUnsupported, build_union,
                                 demux_lines, lane_suffix)
@@ -278,6 +279,17 @@ endmodule
         run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN)
         after = caches.stats()["union"]
         assert after["hits"] > before["hits"]
+
+    def test_rebuilt_union_reuses_programs(self):
+        # Programs are keyed by AST value, so a union rebuilt from
+        # freshly renamed lane modules compiles nothing new.
+        mutants = [MUT_XOR, MUT_AND]
+        run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN)
+        caches.clear("union")
+        before = program_cache_stats()["programs_compiled"]
+        sweep = run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN)
+        assert sweep.engine == "lockstep"
+        assert program_cache_stats()["programs_compiled"] == before
 
     def test_syntax_broken_mutant_falls_back(self):
         broken = GOLDEN.replace("endmodule", "")

@@ -9,12 +9,13 @@ after the first — asserted here via the compile counters exposed by
 import pytest
 
 from oracles import SIMULATORS
+from repro.core.simulation import ELABORATION, run_driver
 from repro.hdl import ast as hdl_ast
 from repro.hdl.compile import (_lower_spec, clear_program_cache,
                                compile_spec, compile_stmt,
                                program_cache_stats)
 from repro.hdl.elaborate import elaborate
-from repro.hdl.errors import HdlError, SimulationError
+from repro.hdl.errors import HdlError, NotConstantError, SimulationError
 from repro.hdl.eval import LowerCtx, compile_expr
 from repro.hdl.parser import parse_source_cached
 from repro.hdl.simulator import Simulator
@@ -377,68 +378,103 @@ A, B = ("a", ("sig", 1, False)), ("b", ("sig", 8, False))
 REG_INIT_TB = _tb("    reg [3:0] r = 4'd2;\n", "b[r + 1:0]")
 
 
+def _printed(src: str, engine: str):
+    try:
+        return SIMULATORS[engine](src, "tb").stdout
+    except HdlError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _lowering(src: str) -> LowerCtx:
+    design = elaborate(parse_source_cached(src), "tb")
+    (spec,) = [s for s in design.processes if s.kind == "initial"]
+    ctx = LowerCtx(spec.scope)
+    compile_stmt(spec.body, ctx)
+    return ctx
+
+
 class TestFoldedConstantRecords:
     """A constant folded while a program lowers (a part-select bound, a
-    replication count) is baked into the program, so what it read joins
-    the program's record: a signal's initial value becomes a
-    ``"sigval"`` fact, and a memory word or ``$random`` makes the
-    program unshareable.  Each record is the one the statement-walking
-    constant evaluator left before constants folded through compiled
-    closures."""
+    replication count) is baked into the program, so the parameters it
+    read join the program's signature.  A constant reads only literals,
+    parameters and constant system functions (IEEE 1364-2005 5.2): one
+    that reads a signal, a memory word or a runtime hook fails with the
+    same typed error on both engines, and the program that defers the
+    error is still keyed on every name the constant resolved."""
 
+    # case -> (source, signature, name the error reports or None)
     CASES = {
         "parameter_bound": (
             _tb("    parameter P = 3;\n", "b[P + 1:1]"),
-            (("P", ("const", 32, 3, 0)), A, B), True, False),
+            (("P", ("const", 32, 3, 0)), A, B), None),
         "clog2_count": (
             _tb("    parameter P = 9;\n", "{$clog2(P){a}}"),
-            (("P", ("const", 32, 9, 0)), A, B), True, False),
+            (("P", ("const", 32, 9, 0)), A, B), None),
         "reg_initial_value": (
-            REG_INIT_TB,
-            (A, B, ("r", ("sigval", 4, False, 2, 0))), True, False),
-        # An elaboration-time memory word is X: the count is undefined,
-        # and that error is deferred into the program.
+            REG_INIT_TB, (A, B, ("r", ("sig", 4, False))), "r"),
         "memory_word_count": (
             _tb("    reg [1:0] m [0:3];\n", "{m[0]{a}}"),
-            (A, B, ("m", ("mem", 2, 0, 3, False))), False, True),
+            (A, B, ("m", ("mem", 2, 0, 3, False))), "m"),
         "random_count": (
-            _tb("", "{($random & 3) + 1{a}}"), (A, B), False, False),
+            _tb("", "{($random & 3) + 1{a}}"), (A, B), "$random"),
+        "time_bound": (_tb("", "b[$time:0]"), (A, B), "$time"),
     }
-
-    @staticmethod
-    def _lowering(src: str) -> LowerCtx:
-        design = elaborate(parse_source_cached(src), "tb")
-        (spec,) = [s for s in design.processes if s.kind == "initial"]
-        ctx = LowerCtx(spec.scope)
-        compile_stmt(spec.body, ctx)
-        return ctx
-
-    @staticmethod
-    def _printed(src: str, engine: str):
-        try:
-            return SIMULATORS[engine](src, "tb").stdout
-        except HdlError as exc:
-            return (type(exc).__name__, str(exc))
 
     @pytest.mark.parametrize("case", CASES)
     def test_record_and_output(self, case):
-        src, signature, shareable, prefix_sensitive = self.CASES[case]
-        ctx = self._lowering(src)
+        src, signature, name = self.CASES[case]
+        ctx = _lowering(src)
         assert ctx.signature() == signature
-        assert ctx.shareable is shareable
-        assert ctx.prefix_sensitive is prefix_sensitive
+        assert ctx.shareable is True
+        assert ctx.prefix_sensitive is (name is not None)  # deferred
         assert ctx.reads_time is False
         clear_program_cache()
-        assert (self._printed(src, "compiled")
-                == self._printed(src, "interpret"))
+        if name is None:
+            assert _printed(src, "compiled") == _printed(src, "interpret")
+            return
+        for engine in SIMULATORS:
+            assert _printed(src, engine) == (
+                "NotConstantError", f"{name!r} is not a constant")
 
-    def test_reg_initial_values_do_not_share_a_program(self):
-        other = REG_INIT_TB.replace("4'd2", "4'd1")
+    def test_reg_and_parameter_do_not_share_a_program(self):
+        # The same process body, with r a reg (an error) and with r a
+        # parameter (a value): the recorded facts differ.
+        as_param = REG_INIT_TB.replace("reg [3:0] r = 4'd2;",
+                                        "parameter r = 2;")
         clear_program_cache()
         _compile_all(elaborate(parse_source_cached(REG_INIT_TB), "tb"))
-        design = elaborate(parse_source_cached(other), "tb")
+        design = elaborate(parse_source_cached(as_param), "tb")
         added, _ = _compiles_during(lambda: _compile_all(design))
         assert added == 1
         for engine in SIMULATORS:
-            assert self._printed(REG_INIT_TB, engine) == ["0101"]
-            assert self._printed(other, engine) == ["101"]
+            assert _printed(REG_INIT_TB, engine) == (
+                "NotConstantError", "'r' is not a constant")
+            assert _printed(as_param, engine) == ["0101"]
+
+
+class TestNotConstant:
+    def test_bound_read_after_assignment(self):
+        # Folding r's initial value would print 0101, reading r when
+        # the statement runs 101: neither is Verilog, both engines
+        # reject the bound.
+        src = REG_INIT_TB.replace("a = 1;", "a = 1; r = 1;")
+        for engine in SIMULATORS:
+            assert _printed(src, engine) == (
+                "NotConstantError", "'r' is not a constant")
+        run = run_driver(src, "module top_module(); endmodule")
+        assert (run.status, run.detail) == (
+            ELABORATION, "'r' is not a constant")
+
+    @pytest.mark.parametrize("engine", SIMULATORS)
+    def test_reg_initialiser_reads_a_signal(self, engine):
+        src = ("module tb;\n    reg a = 1'b1;\n    reg b = a;\n"
+               '    initial $display("%b", b);\nendmodule')
+        with pytest.raises(NotConstantError, match="'a' is not a constant"):
+            SIMULATORS[engine](src, "tb")
+
+    @pytest.mark.parametrize("engine", SIMULATORS)
+    def test_wire_initialiser_is_a_continuous_assignment(self, engine):
+        src = ("module tb;\n    reg a;\n    wire w = a;\n"
+               '    initial begin a = 0; #1 a = 1; #1 $display("%b", w);'
+               " end\nendmodule")
+        assert SIMULATORS[engine](src, "tb").stdout == ["1"]

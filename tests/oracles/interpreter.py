@@ -12,8 +12,13 @@ to (``tests/hdl/test_diff_fuzz.py``, ``test_compiled_equivalence.py``,
 
 It also owns the reference expression evaluator, :func:`eval_expr`,
 which re-walks the expression AST on every evaluation and shares only
-width and sign inference with the runtime's lowering.  Elaboration
-(and so each ``parameter``) is the runtime's.
+width and sign inference with the runtime's lowering, and the reference
+constant evaluator, :func:`const_value`, which applies the constant
+expression rule (parameters, literals and constant system functions
+only) before it evaluates.  Part-select bounds and replication counts
+go through it, so a bound that reads a ``reg`` raises the runtime's
+``'<name>' is not a constant`` on both engines.  Elaboration (and so
+each ``parameter`` and ``reg`` initialiser) is the runtime's.
 
 It never fast-forwards: with no periodic-state skipping, a runaway run
 ticks every time step, which is what makes it a reference for the
@@ -26,7 +31,8 @@ from typing import Iterable, Sequence
 
 from repro.hdl import ast
 from repro.hdl.elaborate import Memory, ProcSpec, Scope, Signal
-from repro.hdl.errors import ElaborationError, FinishRequest, SimulationError
+from repro.hdl.errors import (ElaborationError, FinishRequest,
+                              NotConstantError, SimulationError)
 from repro.hdl.eval import (_COMPARE, _CTX_ARITH, _LOGICAL, _SHIFTS,
                             _arith_chain, _chain_shape, case_match,
                             check_width, signed_of, width_of)
@@ -47,9 +53,79 @@ def _read_name(scope: Scope, name: str) -> Logic:
     raise ElaborationError(f"cannot read {name!r} as a value")
 
 
+#: System functions whose value depends on the simulation run.
+_RUNTIME_HOOKS = frozenset({"$time", "$random", "$urandom", "$fopen"})
+
+
+def _variable_read(expr: ast.Expr, scope: Scope) -> str | None:
+    """The first name that keeps ``expr`` from being a constant
+    expression (IEEE 1364-2005 5.2), or ``None``.
+
+    A constant reads literals, parameters and constant system functions
+    only; a signal, a memory word or a runtime hook is variable, in a
+    selected ternary branch or not.  "First" is the order in which the
+    runtime's lowering meets them: a variable in a nested part-select
+    bound or replication count (folded eagerly), then operands left to
+    right, an index before the vector or memory it selects from.  An
+    expression that is broken in another way too (an unknown name, a
+    bound inside a comparison in a ternary branch) may name a different
+    error than the runtime.  The walk keeps its own stack, so a
+    3,000-term sum does not recurse.
+    """
+    nested: list[ast.Expr] = []
+    reads: list[str] = []
+    stack: list = [expr]  # expressions, and names to record in order
+    while stack:
+        e = stack.pop()
+        if isinstance(e, str):
+            reads.append(e)
+        elif isinstance(e, ast.Identifier):
+            if isinstance(scope.names.get(e.name), Signal):
+                reads.append(e.name)
+        elif isinstance(e, ast.Index):
+            if isinstance(scope.names.get(e.base), (Signal, Memory)):
+                stack.append(e.base)
+            stack.append(e.index)
+        elif isinstance(e, ast.PartSelect):
+            if isinstance(scope.names.get(e.base), Signal):
+                reads.append(e.base)
+            nested += (e.msb, e.lsb)
+        elif isinstance(e, ast.Replicate):
+            nested.append(e.count)
+            stack.append(e.value)
+        elif isinstance(e, ast.SystemCall):
+            if e.name in _RUNTIME_HOOKS:
+                reads.append(e.name)
+            else:
+                stack.extend(reversed(e.args))
+        elif isinstance(e, ast.Unary):
+            stack.append(e.operand)
+        elif isinstance(e, ast.Binary):
+            stack += (e.right, e.left)
+        elif isinstance(e, ast.Ternary):
+            stack += (e.other, e.then, e.cond)
+        elif isinstance(e, ast.Concat):
+            stack.extend(reversed(e.parts))
+    for bound in nested:
+        name = _variable_read(bound, scope)
+        if name is not None:
+            return name
+    return reads[0] if reads else None
+
+
+def const_value(expr: ast.Expr, scope: Scope) -> Logic:
+    """The reference for :func:`repro.hdl.eval.fold`: a constant
+    expression's value, or the runtime's typed error for a variable
+    read."""
+    name = _variable_read(expr, scope)
+    if name is not None:
+        raise NotConstantError(f"{name!r} is not a constant")
+    return eval_expr(expr, scope)
+
+
 def const_int(expr: ast.Expr, scope: Scope) -> int:
     """The reference for :meth:`repro.hdl.elaborate.Scope.const_int`."""
-    result = eval_expr(expr, scope).to_uint()
+    result = const_value(expr, scope).to_uint()
     if result is None:
         raise ElaborationError(
             f"expression is not a defined constant in {scope.prefix or 'top'}")

@@ -14,9 +14,10 @@ Subcommands:
 ``run``/``validate``/``campaign`` accept ``--trace-dir`` and the LLM
 backend flags, and ``campaign`` additionally ``--start-method`` and
 ``--warm-start/--no-warm-start`` (worker-pool start method and
-pre-warming the parent before workers fork) plus ``--store DIR`` / ``--resume`` /
-``--shards N`` (persistent artifact store, kill-resume, and the shard
-coordinator); the selections feed a
+pre-warming the parent before workers fork) plus ``--store DIR`` /
+``--resume`` (a persistent artifact store that a killed campaign,
+serial or ``--jobs N``, resumes from, losing at most the items in
+flight); the selections feed a
 :class:`~repro.hdl.context.SimContext` activated around the command
 (and shipped inside campaign work items), so no environment variable
 is needed to configure a run.  ``run`` and ``campaign``
@@ -35,7 +36,7 @@ from .core import (CRITERIA, AutoBenchGenerator, DEFAULT_CRITERION,
 from .eval import (default_config, evaluate, registered_methods,
                    render_recovery_report, render_store_summary,
                    render_table1, render_table3, render_usage_summary,
-                   run_campaign, run_one, run_sharded_campaign)
+                   run_campaign, run_one)
 from .hdl.context import (START_METHODS, current_context, use_context,
                           valid_llm_backend)
 from .llm import MeteredClient, UsageMeter
@@ -160,14 +161,11 @@ def cmd_campaign(args) -> int:
         task_ids=task_ids, seeds=tuple(range(args.seeds)),
         profile_name=args.model, criterion_name=args.criterion,
         n_jobs=args.jobs, context=context, **overrides)
-    if (args.resume or args.shards > 1) and not context.store_dir:
-        print("error: --resume/--shards need a store; pass --store DIR "
+    if args.resume and not context.store_dir:
+        print("error: --resume needs a store; pass --store DIR "
               "or set REPRO_STORE_DIR", file=sys.stderr)
         return 2
-    if args.shards > 1:
-        result = run_sharded_campaign(config, args.shards)
-    else:
-        result = run_campaign(config, resume=args.resume)
+    result = run_campaign(config, resume=args.resume)
     if context.store_dir:
         # Store accounting goes to stderr so a resumed run's stdout
         # report stays byte-identical to an uninterrupted one (the CI
@@ -398,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--warm-start", action=argparse.BooleanOptionalAction,
                         default=None, dest="warm_start",
                         help="pre-warm this process's caches from the "
-                             "task list before pool or shard workers "
-                             "fork, so they inherit them "
+                             "task list before pool workers fork, so "
+                             "they inherit them "
                              "(default: active context, on)")
     p_camp.add_argument("--store", default=None,
                         help="persist every completed item into this "
@@ -408,10 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--resume", action="store_true",
                         help="answer already-stored items from --store "
                              "without resimulating")
-    p_camp.add_argument("--shards", type=int, default=1,
-                        help="fan task slices out to this many worker "
-                             "processes sharing the --store (1 = in-"
-                             "process)")
     p_camp.set_defaults(func=cmd_campaign)
 
     p_serve = sub.add_parser(

@@ -18,7 +18,7 @@ unchanged.  New caching layers self-register at import time via
 :meth:`CacheRegistry.register` instead of growing the helper functions.
 
 Caches warm up in one of two ways: the work builds them lazily, or a
-forked pool / shard worker inherits a pre-warmed parent's caches
+forked pool worker inherits a pre-warmed parent's caches
 through copy-on-write memory.  Nothing is serialized.
 
 **Collector pacing.**  These layers are a long-lived heap of millions

@@ -24,8 +24,9 @@ reuse on top of it:
   variants, deduplicating identical sources and optionally spreading
   the work across the *persistent* worker pool (:func:`get_sim_pool`):
   created lazily, reused by every batch and campaign in the process,
-  torn down atexit.  Batches and campaigns map over it through
-  :func:`pool_imap`, the one place a broken pool heals (once, re-running
+  torn down atexit.  Batches, campaigns and the validator study map
+  over it through :func:`pool_imap`, which yields each item as it
+  completes and is the one place a broken pool heals (once, re-running
   only the items not yet returned).
 
 One layer below, :mod:`repro.hdl.compile` shares slot-indexed compiled
@@ -53,6 +54,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import queue
 import re
 import threading
 import time
@@ -60,6 +62,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ..hdl import ast as hdl_ast
 from ..hdl.compile import clear_program_cache, program_cache_stats
@@ -707,30 +710,46 @@ atexit.register(shutdown_sim_pool)
 
 
 def pool_imap(worker, items, jobs: int, *, start_method: str | None = None,
-              warm_start: bool | None = None, chunksize: int = 1):
-    """Map ``worker`` over ``items`` on the persistent pool, yielding
-    results in item order.
+              warm_start: bool | None = None):
+    """Run ``worker`` over ``items`` on the persistent pool, one future
+    per item, yielding ``(index, result)`` as each item completes.
 
     A killed worker breaks the executor (``BrokenProcessPool``), and a
     concurrent :func:`get_sim_pool` grow request can shut it down
     mid-map (``RuntimeError: cannot schedule new futures after
     shutdown``).  Both heal the same way, once: the pool is shut down
-    and only the items not yet yielded are mapped again on a fresh one.
-    A second failure re-raises, so a genuine worker-raised
+    and only the indices not yet yielded are submitted again to a fresh
+    one.  A second failure re-raises, so a genuine worker-raised
     ``RuntimeError`` surfaces after one retry.  ``start_method`` /
     ``warm_start`` reach :func:`get_sim_pool` on both attempts.
     """
     items = list(items)
-    done = 0
+    yielded: set[int] = set()
+
+    def attempt():
+        pool = get_sim_pool(jobs, start_method, warm_start)
+        completed = queue.SimpleQueue()
+        futures = {}
+        try:
+            for index in range(len(items)):
+                if index not in yielded:
+                    future = pool.submit(worker, items[index])
+                    futures[future] = index
+                    future.add_done_callback(completed.put)
+            for _ in futures:
+                future = completed.get()
+                result = future.result()
+                yielded.add(futures[future])
+                yield futures[future], result
+        finally:  # a raise or an abandoned stream: drop the rest
+            for future in futures:
+                future.cancel()
+
     try:
-        for result in get_sim_pool(jobs, start_method, warm_start).map(
-                worker, items, chunksize=chunksize):
-            done += 1
-            yield result
+        yield from attempt()
     except (BrokenProcessPool, RuntimeError):
         shutdown_sim_pool(wait=False)
-        yield from get_sim_pool(jobs, start_method, warm_start).map(
-            worker, items[done:], chunksize=chunksize)
+        yield from attempt()
 
 
 # ----------------------------------------------------------------------
@@ -778,7 +797,8 @@ def _run_batch(worker, shared_src: str, dut_srcs, jobs: int | None,
 
     items = [(shared_src, dut, context) for dut in order]
     if jobs > 1 and len(order) > 1:
-        unique_results = list(pool_imap(worker, items, jobs))
+        unique_results = [result for _, result in sorted(
+            pool_imap(worker, items, jobs), key=itemgetter(0))]
     else:
         unique_results = [worker(item) for item in items]
 

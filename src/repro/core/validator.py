@@ -56,11 +56,6 @@ class ValidationReport:
     matrix: RSMatrix | None = None
     note: str = ""
 
-    @property
-    def bug_info(self) -> dict:
-        return {"wrong": self.wrong, "correct": self.correct,
-                "uncertain": self.uncertain}
-
 
 def decide(matrix: RSMatrix, criterion: Criterion) -> ValidationReport:
     """Apply a criterion to an RS matrix."""

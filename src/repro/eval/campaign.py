@@ -20,14 +20,11 @@ pool workers' own defaults nor leak between serial items.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..core.caches import pace_full_collections
-from ..core.simulation import (design_template, pool_imap, _exit_with_parent,
-                               _pair_template, _resolve_start_method)
+from ..core.simulation import design_template, pool_imap, _pair_template
 from ..core.validator import CRITERIA, DEFAULT_CRITERION
 from ..hdl.context import SimContext, current_context, use_context
 from ..hdl.errors import HdlError
@@ -35,7 +32,7 @@ from ..llm.backends import is_live_backend, iter_fan_out, resolve_llm_client
 from ..llm.base import MeteredClient, UsageMeter
 from ..problems.dataset import get_task, load_dataset
 from .golden import golden_artifacts
-from .store import CampaignStore, StoreError, store_key
+from .store import CampaignStore, store_key
 # The method registry (and TaskRun, which runners return) lives in
 # repro.eval.methods; re-exported here (redundant-alias form) because
 # this module is the historical import point for campaign types.
@@ -165,10 +162,10 @@ def prewarm_campaign_caches(task_ids: Iterable[str]) -> int:
     AutoEval sweep of that task re-simulates.  Returns the number of
     tasks warmed.
 
-    Campaigns and the shard coordinator call this before creating
-    their worker processes (when the resolved context's ``warm_start``
-    flag is set), so fork-started workers inherit the templates instead
-    of rebuilding them per item.  A task whose golden artifacts fail to
+    Pooled campaigns call this before creating their worker processes
+    (when the resolved context's ``warm_start`` flag is set), so
+    fork-started workers inherit the templates instead of rebuilding
+    them per item.  A task whose golden artifacts fail to
     build is skipped — the campaign item itself will surface the error.
     """
     from ..codegen import render_driver
@@ -232,16 +229,15 @@ def run_campaign(config: CampaignConfig, progress=None, *,
     pre-warms them (see :func:`prewarm_campaign_caches`).
 
     ``progress`` is called as ``progress(index, total, run)`` exactly
-    once per item, with ``index`` running 1..``total``.
+    once per item, with ``index`` running 1..``total``.  Every runner
+    (serial, threads, pool) yields each item as it completes, so a
+    parallel campaign's progress arrives in completion order; ``runs``
+    is filled by item index, so the reports are identical either way.
 
     With a ``store`` (explicit argument, or opened from the resolved
     context's ``store_dir`` / ``REPRO_STORE_DIR``), every item is
-    persisted as the loop receives it.  A serial campaign receives each
-    item as it completes, so a kill loses at most the item in flight.
-    A parallel campaign receives results in item order, so a kill also
-    loses every item that finished but still waited behind an earlier
-    one (for a pool, behind the rest of its chunk of 4 as well).
-    ``resume=True`` additionally answers already-stored
+    persisted as it completes, so a killed campaign loses at most the
+    items in flight.  ``resume=True`` additionally answers already-stored
     items without resimulating them; hits are reported through
     ``progress`` first, in item order, and counted in
     ``CampaignResult.store_hits``.
@@ -268,7 +264,7 @@ def run_campaign(config: CampaignConfig, progress=None, *,
     todo = [items[index] for index in pending]
     n_jobs = config.n_jobs
     if n_jobs <= 1 or not todo:
-        results = map(_worker, todo)
+        results = enumerate(map(_worker, todo))
     elif is_live_backend(context.llm_backend):
         # Live-backend items are I/O-bound (the process waits on
         # sockets, not simulations) and their clients hold locks and
@@ -287,10 +283,10 @@ def run_campaign(config: CampaignConfig, progress=None, *,
                 prewarm_campaign_caches(config.task_ids)
         results = pool_imap(_worker, todo, n_jobs,
                             start_method=context.start_method,
-                            warm_start=context.warm_start, chunksize=4)
+                            warm_start=context.warm_start)
 
-    for index, (item_index, run) in enumerate(zip(pending, results),
-                                              done + 1):
+    for index, (position, run) in enumerate(results, done + 1):
+        item_index = pending[position]
         runs[item_index] = run
         if store is not None:
             store.put(store_key(*items[item_index]), run)
@@ -298,86 +294,5 @@ def run_campaign(config: CampaignConfig, progress=None, *,
             progress(index, total, run)
 
     result.runs = runs
-    return result
-
-
-# ----------------------------------------------------------------------
-# Shard coordinator
-# ----------------------------------------------------------------------
-def _shard_worker(payload: tuple) -> tuple[int, int]:
-    """One shard: open the shared store, skip its already-stored items
-    (``resume=True``), run the rest of the task slice serially, persist
-    every completed item.  Returns the shard's (store_hits,
-    store_misses) pair for the coordinator's totals."""
-    config, store_dir = payload
-    store = CampaignStore(store_dir)
-    result = run_campaign(config, store=store, resume=True)
-    return result.store_hits, result.store_misses
-
-
-def run_sharded_campaign(config: CampaignConfig, shards: int,
-                         store: CampaignStore | None = None,
-                         progress=None) -> CampaignResult:
-    """Fan the campaign's task list out over ``shards`` worker
-    processes sharing one persistent store.
-
-    The coordinator pre-warms its caches (when the resolved context's
-    ``warm_start`` flag is set), so forked workers inherit them, and
-    round-robins task slices to fresh worker processes; each worker
-    skips already-stored items (via ``run_campaign(..., resume=True)``),
-    runs the rest of its slice serially, and persists every completed
-    item.  The final
-    :class:`CampaignResult` is assembled from the store in canonical
-    item order, so reports are identical to an unsharded run.
-    ``store_hits`` / ``store_misses`` aggregate the workers' counters —
-    a resumed sharded campaign skips already-stored items exactly like
-    an unsharded resume.
-
-    A store is required (explicit argument, the context's
-    ``store_dir``, or ``REPRO_STORE_DIR``): it is the only channel
-    results travel back through.  Raises :class:`StoreError` without
-    one, or if a worker exits leaving its slice incomplete.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    context = config.resolved_context()
-    store = _resolve_store(context, store)
-    if store is None:
-        raise StoreError(
-            "sharded campaigns need a persistent store: pass store=, "
-            "set the context's store_dir, or export REPRO_STORE_DIR")
-    if shards == 1:
-        return run_campaign(config, progress, store=store, resume=True)
-
-    if context.warm_start:
-        with use_context(context):
-            prewarm_campaign_caches(config.task_ids)
-
-    slices = [config.task_ids[shard::shards] for shard in range(shards)]
-    payloads = [(replace(config, task_ids=chunk, n_jobs=1,
-                         context=context), str(store.root))
-                for chunk in slices if chunk]
-    mp_context = multiprocessing.get_context(
-        _resolve_start_method(context.start_method))
-    hits = misses = 0
-    with ProcessPoolExecutor(max_workers=len(payloads),
-                             mp_context=mp_context,
-                             initializer=_exit_with_parent) as executor:
-        for shard_hits, shard_misses in executor.map(_shard_worker,
-                                                     payloads):
-            hits += shard_hits
-            misses += shard_misses
-
-    items = campaign_items(config, context)
-    result = CampaignResult(config, store_hits=hits, store_misses=misses)
-    for index, item in enumerate(items, 1):
-        run = store.get(store_key(*item))
-        if run is None:
-            raise StoreError(
-                f"shard workers left item unwritten: method={item[0]!r} "
-                f"task={item[1]!r} seed={item[2]!r}")
-        result.runs.append(run)
-        if progress is not None:
-            progress(index, len(items), run)
     return result
 

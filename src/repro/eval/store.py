@@ -3,8 +3,8 @@
 Campaigns used to be all-or-nothing: a crash at task 155 of 156 threw
 away every completed simulation, and repeated CLI runs started from a
 blank process.  :class:`CampaignStore` makes campaign results durable
-on disk so a killed campaign resumes without resimulating, repeated
-runs skip finished items, and shard workers can share one result set:
+on disk so a killed campaign resumes without resimulating and loses at
+most the items in flight, and repeated runs skip finished items:
 
 - **Keying.**  A result is addressed by a :func:`store_key` — the
   (task, method, seed, profile, criterion, group size) coordinates of
@@ -36,9 +36,9 @@ runs skip finished items, and shard workers can share one result set:
   silently serves stale or corrupt data.
 
 :func:`repro.eval.campaign.run_campaign` accepts ``store=`` /
-``resume=`` (and the CLI ``campaign --store DIR --resume``); the shard
-coordinator (``campaign --shards N``) fans task slices out to worker
-processes that all read and write one store.
+``resume=`` (and the CLI ``campaign --store DIR --resume``), serial or
+over the worker pool (``--jobs N``), and persists each item as it
+completes.
 """
 
 from __future__ import annotations

@@ -13,11 +13,11 @@ Protocol, following Section IV-C of the paper:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ..core.generator import AutoBenchGenerator
-from ..core.simulation import _exit_with_parent
+from ..core.simulation import pool_imap
 # Criterion is re-exported as part of this module's API.
 from ..core.validator import (CRITERIA, Criterion,  # noqa: F401
                               ScenarioValidator)
@@ -114,13 +114,9 @@ def run_study(task_ids, samples_per_task: int = 10,
     items = [(task_id, samples_per_task, profile_name, group_size,
               criteria)
              for task_id in task_ids]
-    records: list[LabelledValidation] = []
     if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs,
-                                 initializer=_exit_with_parent) as pool:
-            for chunk in pool.map(_worker, items, chunksize=2):
-                records.extend(chunk)
+        chunks = [chunk for _, chunk in sorted(
+            pool_imap(_worker, items, n_jobs), key=itemgetter(0))]
     else:
-        for item in items:
-            records.extend(_worker(item))
-    return StudyResult(records)
+        chunks = map(_worker, items)
+    return StudyResult([record for chunk in chunks for record in chunk])

@@ -107,8 +107,8 @@ class SimContext:
     max_stmts: int = DEFAULT_MAX_STMTS
     jobs: int = DEFAULT_JOBS
     start_method: str = START_METHOD_DEFAULT
-    #: Pre-warm the parent's caches before a campaign pool or its shard
-    #: workers fork, so forked workers inherit them (see
+    #: Pre-warm the parent's caches before a campaign's pool workers
+    #: fork, so forked workers inherit them (see
     #: :func:`repro.core.simulation.get_sim_pool`).
     warm_start: bool = True
     #: Directory correction-session traces are recorded into ("" = trace
@@ -116,9 +116,9 @@ class SimContext:
     #: pool workers resolve the same sink their parent configured.
     trace_dir: str = ""
     #: Directory of the persistent campaign artifact store ("" = no
-    #: store).  Campaigns write completed results here, and
-    #: ``--resume`` / shard workers read them back instead of
-    #: resimulating (see :mod:`repro.eval.store`).
+    #: store).  Campaigns write each result here as it completes, and
+    #: ``--resume`` reads them back instead of resimulating (see
+    #: :mod:`repro.eval.store`).
     #: A plain string, like ``trace_dir``, so contexts stay picklable.
     store_dir: str = ""
     #: Which model tier answers LLM requests ("" = the synthetic
@@ -376,7 +376,7 @@ def context_from_request(overrides, base: SimContext | None = None,
 
 
 def resolve_jobs(default: int = 1) -> int:
-    """Worker count for campaign sharding.
+    """Worker count for a campaign's worker pool.
 
     An active context always wins; otherwise the root's count applies
     when it was actually configured — seeded from ``REPRO_JOBS`` or

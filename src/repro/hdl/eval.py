@@ -280,6 +280,9 @@ class LowerCtx:
         # behaviour then depends on the absolute time, not only on
         # signal values (the kernel's fast-forward must not skip it).
         self.reads_time = False
+        # The first deferred NotConstantError: a constant is rejected for
+        # a variable read in any branch, selected or not (see fold).
+        self.not_constant: NotConstantError | None = None
         self._obj_slots: dict[str, int] = {}
         self._lit_slots: dict = {}
         self._design_slot: int | None = None
@@ -334,9 +337,11 @@ class LowerCtx:
             fn = self._const_fns[key] = lambda frame: const
         return fn
 
-    def note_deferred(self) -> None:
+    def note_deferred(self, exc: HdlError | None = None) -> None:
         """Record that a compile error was deferred into the program."""
         self.prefix_sensitive = True
+        if self.not_constant is None and isinstance(exc, NotConstantError):
+            self.not_constant = exc
 
     def signature(self) -> tuple:
         return tuple(sorted(self.facts.items()))
@@ -479,7 +484,7 @@ def compile_expr_deferred(expr: ast.Expr, ctx: LowerCtx,
             return compile_expr(expr, ctx)
         return compile_coerced(expr, ctx, width, signed)
     except HdlError as exc:
-        ctx.note_deferred()
+        ctx.note_deferred(exc)
 
         def raise_deferred(frame, _exc=exc):
             # Shared instance: shed the previous raise's traceback so
@@ -745,8 +750,9 @@ def fold(expr: ast.Expr, scope: "Scope",
     """Evaluate an elaboration-time constant in ``scope``.
 
     A constant (IEEE 1364-2005 5.2) reads only literals, parameters and
-    constant system functions, so its lowering allocates no frame slot;
-    one that does (a signal, a memory word, a runtime hook) raises.  A
+    constant system functions, so its lowering allocates no frame slot
+    and defers no :class:`NotConstantError` (from a nested bound or
+    count in a ternary branch); one that does either raises.  A
     fold made while ``into`` lowers a program merges its facts into
     ``into``, also when it raises, so a program that defers the error
     stays keyed on the names the constant resolved.
@@ -771,6 +777,8 @@ def fold(expr: ast.Expr, scope: "Scope",
     ctx = LowerCtx(scope)
     try:
         fn = compile_expr(expr, ctx)
+        if ctx.not_constant is not None:
+            raise ctx.not_constant
         if ctx.slot_specs:
             raise NotConstantError(
                 f"{ctx.slot_specs[0][1]!r} is not a constant")

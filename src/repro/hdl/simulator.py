@@ -108,13 +108,6 @@ class SimulationResult:
     stmt_count: int = 0
     design: Optional[Design] = None
 
-    def file_text(self, name: str) -> str:
-        return "\n".join(self.files.get(name, []))
-
-    def signal_value(self, hier_name: str) -> Logic:
-        assert self.design is not None
-        return self.design.signal(hier_name).value
-
 
 class Simulator:
     """Runs an elaborated :class:`Design`."""

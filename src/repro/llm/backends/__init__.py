@@ -22,7 +22,7 @@ from .errors import (BackendConnectionError, BackendError,
                      BackendRateLimited, BackendRequestError,
                      BackendServerError, BackendTimeout, BudgetExhausted,
                      MalformedResponseError)
-from .fanout import fan_out, iter_fan_out
+from .fanout import iter_fan_out
 from .fixtures import FixtureBackend, FixtureError, FixtureStore
 from .ollama import OllamaBackend
 from .openai_compat import HFRouterBackend, OpenAICompatBackend
@@ -60,7 +60,6 @@ __all__ = [
     "SamplingParams",
     "backend_names",
     "create_backend",
-    "fan_out",
     "is_live_backend",
     "iter_fan_out",
     "live_stack",

@@ -7,73 +7,36 @@ where the synthetic tier uses the process pool.  Actual wire
 concurrency stays bounded by the global in-flight cap
 (:data:`repro.llm.backends.resilience.GLOBAL_IN_FLIGHT`), which every
 :class:`~repro.llm.backends.resilience.ResilientBackend` holds during a
-request: ``fan_out`` may run 32 items, but only the cap's worth of
+request: ``iter_fan_out`` may run 32 items, but only the cap's worth of
 requests are ever on the wire.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import Callable, Iterator, Sequence, TypeVar
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
 
 
-def fan_out(fn: Callable[[Item], Result], items: Sequence[Item], *,
-            max_workers: int | None = None,
-            return_exceptions: bool = False) -> list:
-    """Apply ``fn`` to every item on a thread pool; results in order.
+def iter_fan_out(fn: Callable[[Item], Result], items: Sequence[Item], *,
+                 max_workers: int | None = None,
+                 ) -> Iterator[tuple[int, Result]]:
+    """Apply ``fn`` to every item on a thread pool, yielding
+    ``(index, result)`` as each item completes.
 
-    With ``return_exceptions`` an item's exception becomes its result
-    slot (mirroring ``asyncio.gather``); otherwise the first failure
-    propagates after all submitted work finishes.
+    The first item to raise propagates its exception once every
+    submitted item finishes.
     """
     items = list(items)
     if not items:
-        return []
-    workers = max_workers if max_workers is not None else len(items)
-    workers = max(1, min(workers, len(items)))
-    if workers == 1:
-        results = []
-        for item in items:
-            try:
-                results.append(fn(item))
-            except Exception as exc:
-                if not return_exceptions:
-                    raise
-                results.append(exc)
-        return results
-    with ThreadPoolExecutor(max_workers=workers,
-                            thread_name_prefix="repro-llm") as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        results = []
-        for future in futures:
-            try:
-                results.append(future.result())
-            except Exception as exc:
-                if not return_exceptions:
-                    raise
-                results.append(exc)
-    return results
-
-
-def iter_fan_out(fn: Callable[[Item], Result], items: Sequence[Item], *,
-                 max_workers: int | None = None) -> Iterator[Result]:
-    """Like :func:`fan_out` but yields results as an in-order stream
-    (progress callbacks observe completions without waiting for the
-    whole batch)."""
-    items = list(items)
-    if not items:
         return
     workers = max_workers if max_workers is not None else len(items)
     workers = max(1, min(workers, len(items)))
-    if workers == 1:
-        for item in items:
-            yield fn(item)
-        return
     with ThreadPoolExecutor(max_workers=workers,
                             thread_name_prefix="repro-llm") as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        for future in futures:
-            yield future.result()
+        futures = {pool.submit(fn, item): index
+                   for index, item in enumerate(items)}
+        for future in as_completed(futures):
+            yield futures[future], future.result()

@@ -22,7 +22,7 @@ adapter in the policy that makes campaigns survive that:
     a semaphore bounding concurrent requests.  :data:`GLOBAL_IN_FLIGHT`
     is the process-wide cap every :class:`ResilientBackend` holds while
     a request is on the wire, so campaign fan-out
-    (:func:`repro.llm.backends.fanout.fan_out`) cannot dogpile an
+    (:func:`repro.llm.backends.fanout.iter_fan_out`) cannot dogpile an
     endpoint no matter how many worker threads it runs.
 
 :class:`ResilientBackend`

@@ -69,11 +69,6 @@ def module_source(ports: Sequence[Port], body: str,
     return f"module {name} (\n    {decls}\n);\n{body}\nendmodule\n"
 
 
-def vconst(width: int, value: int) -> str:
-    """A sized Verilog decimal constant, e.g. ``4'd12``."""
-    return f"{width}'d{value & ((1 << width) - 1)}"
-
-
 # ----------------------------------------------------------------------
 # Checker model source assembly
 # ----------------------------------------------------------------------
@@ -179,16 +174,6 @@ def seq_scenarios(ports: Sequence[Port], rng: random.Random,
         plans.append(scenario(
             k, f"reset_then_random_{k}",
             "Assert reset, then drive randomised cycles.", vectors))
-    return tuple(plans)
-
-
-def directed_seq_plan(reset_name: str | None, groups: Sequence[
-        tuple[str, str, Sequence[Mapping[str, int]]]],
-        ) -> tuple[Scenario, ...]:
-    """Build a directed sequential plan from (name, description, cycles)."""
-    plans = []
-    for k, (name, description, cycles) in enumerate(groups, start=1):
-        plans.append(scenario(k, name, description, cycles))
     return tuple(plans)
 
 

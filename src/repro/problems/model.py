@@ -137,13 +137,6 @@ class TaskSpec:
         return None
 
     @property
-    def reset_port(self) -> Port | None:
-        for port in self.ports:
-            if port.role == "reset":
-                return port
-        return None
-
-    @property
     def driven_ports(self) -> tuple[Port, ...]:
         """Inputs the driver assigns per vector (everything but the clock)."""
         return tuple(p for p in self.ports

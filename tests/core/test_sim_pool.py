@@ -10,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -200,25 +201,42 @@ class TestStartMethodAndWarmStart:
 
 
 class _StubPool:
-    """``map`` applies ``fn`` lazily; the first ``len(failures)`` calls
-    raise their failure after ``fail_after`` items."""
+    """Stands in for the shared executor.  ``submit`` completes each
+    future at once, in submission order, except that on the first
+    attempt an item in ``late`` completes when the item it maps to is
+    submitted, just before that item.  The first ``len(failures)`` attempts (one per ``start``, which
+    the fake ``get_sim_pool`` calls) complete ``fail_after`` futures and
+    break the rest with their failure."""
 
-    def __init__(self, failures, fail_after=2):
+    def __init__(self, failures, fail_after=2, late=()):
         self.failures = list(failures)
         self.fail_after = fail_after
-        self.maps = []
+        self.late = dict(late)
+        self.submits = []
 
-    def map(self, fn, items, chunksize=1):
-        items = list(items)
-        self.maps.append(items)
-        failure = self.failures.pop(0) if self.failures else None
+    def start(self):
+        self.submits.append([])
+        self.failure = self.failures.pop(0) if self.failures else None
+        self.completed = 0
+        self.held = {}
 
-        def generate():
-            for index, item in enumerate(items):
-                if failure is not None and index == self.fail_after:
-                    raise failure
-                yield fn(item)
-        return generate()
+    def submit(self, fn, item):
+        self.submits[-1].append(item)
+        future = Future()
+        if item in self.late and len(self.submits) == 1:
+            self.held[self.late[item]] = (future, fn, item)
+            return future
+        if item in self.held:
+            self._complete(*self.held.pop(item))
+        self._complete(future, fn, item)
+        return future
+
+    def _complete(self, future, fn, item):
+        self.completed += 1
+        if self.failure is not None and self.completed > self.fail_after:
+            future.set_exception(self.failure)
+        else:
+            future.set_result(fn(item))
 
 
 class TestPoolImapHeal:
@@ -232,6 +250,7 @@ class TestPoolImapHeal:
             def fake_get_sim_pool(jobs, start_method=None,
                                   warm_start=None):
                 requests.append((jobs, start_method, warm_start))
+                pool.start()
                 return pool
             monkeypatch.setattr(simulation_mod, "get_sim_pool",
                                 fake_get_sim_pool)
@@ -245,19 +264,34 @@ class TestPoolImapHeal:
         install(pool)
         results = list(pool_imap(str, range(5), 2, start_method="fork",
                                  warm_start=True))
-        assert results == ["0", "1", "2", "3", "4"]
-        assert pool.maps == [[0, 1, 2, 3, 4], [2, 3, 4]]
+        assert results == [(0, "0"), (1, "1"), (2, "2"), (3, "3"),
+                           (4, "4")]
+        assert pool.submits == [[0, 1, 2, 3, 4], [2, 3, 4]]
         assert shutdowns == [False]
         # Both attempts get the caller's pool configuration.
         assert requests == [(2, "fork", True)] * 2
+
+    def test_heal_resubmits_only_unyielded_indices(self, stub):
+        # Item 0 finishes after item 2, so the two items yielded before
+        # the break are 1 and 2: the heal submits 0, 3 and 4 again.
+        install, _, shutdowns = stub
+        pool = _StubPool([BrokenProcessPool("worker died")],
+                         late={0: 3})
+        install(pool)
+        results = list(pool_imap(str, range(5), 2))
+        assert results == [(1, "1"), (2, "2"), (0, "0"), (3, "3"),
+                           (4, "4")]
+        assert pool.submits == [[0, 1, 2, 3, 4], [0, 3, 4]]
+        assert shutdowns == [False]
 
     def test_runtime_error_heals_the_same_way(self, stub):
         install, _, shutdowns = stub
         pool = _StubPool([RuntimeError(
             "cannot schedule new futures after shutdown")])
         install(pool)
-        assert list(pool_imap(str, range(4), 2)) == ["0", "1", "2", "3"]
-        assert pool.maps == [[0, 1, 2, 3], [2, 3]]
+        assert [result for _, result in pool_imap(str, range(4), 2)] == [
+            "0", "1", "2", "3"]
+        assert pool.submits == [[0, 1, 2, 3], [2, 3]]
         assert shutdowns == [False]
 
     def test_second_break_reraises(self, stub):
@@ -269,19 +303,20 @@ class TestPoolImapHeal:
         with pytest.raises(BrokenProcessPool, match="still dead"):
             for result in pool_imap(str, range(4), 2):
                 yielded.append(result)
-        assert yielded == ["0", "1"]
-        assert pool.maps == [[0, 1, 2, 3], [1, 2, 3]]
+        assert yielded == [(0, "0"), (1, "1")]
+        assert pool.submits == [[0, 1, 2, 3], [1, 2, 3]]
         assert shutdowns == [False]
 
     def test_heals_a_real_killed_worker(self, tmp_path):
         """End to end on a real executor: one item kills its worker,
-        and every result still arrives, in order, from a new pool."""
+        and every result still arrives, once, from a new pool."""
         marker = tmp_path / "die-once"
         marker.touch()
         shutdown_sim_pool()
         broken = get_sim_pool(2)
         items = [(str(marker), value) for value in range(4)]
-        assert list(pool_imap(_exit_once, items, 2)) == [0, 1, 2, 3]
+        assert sorted(pool_imap(_exit_once, items, 2)) == [
+            (0, 0), (1, 1), (2, 2), (3, 3)]
         assert not marker.exists()
         assert get_sim_pool(2) is not broken
         shutdown_sim_pool()

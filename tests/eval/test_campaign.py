@@ -1,10 +1,12 @@
 """Campaign runner: per-method work items, determinism, reporting,
 the pluggable method registry, progress across a healed pool and
-store-backed resume/shard semantics."""
+store-backed resume, serial and pooled."""
 
 import gc
+import time
 import weakref
 from dataclasses import replace
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -12,13 +14,12 @@ import pytest
 import repro.core.simulation as simulation_mod
 import repro.eval.campaign as campaign_mod
 from repro.core.caches import FULL_COLLECTION_THRESHOLD
-from repro.eval import (CampaignStore, EvalLevel, StoreError,
+from repro.eval import (CampaignStore, EvalLevel,
                         campaign_items, default_config, register_method,
                         registered_methods, render_store_summary,
                         render_table1, render_table2, render_table3,
                         render_usage_summary, run_campaign, run_one,
-                        run_sharded_campaign, store_key,
-                        unregister_method)
+                        store_key, unregister_method)
 from repro.eval.campaign import (METHOD_AUTOBENCH, METHOD_BASELINE,
                                  METHOD_CORRECTBENCH, campaign_method)
 from repro.hdl.context import current_context, use_context
@@ -212,25 +213,22 @@ class TestMethodRegistry:
 # Progress across a healed pool
 # ----------------------------------------------------------------------
 class _FlakyPool:
-    """Stands in for the shared executor: ``map`` calls ``fn`` item by
-    item and, on its first call only, breaks after ``fail_after``
-    items.  ``maps`` records the task ids each call was given."""
+    """Stands in for the shared executor: ``submit`` runs ``fn`` at
+    once, except that the future of submission ``fail_after + 1``
+    breaks.  ``submitted`` records the task ids in submission order."""
 
     def __init__(self, fail_after):
         self.fail_after = fail_after
-        self.maps = []
+        self.submitted = []
 
-    def map(self, fn, items, chunksize=1):
-        items = list(items)
-        first = not self.maps
-        self.maps.append([item[1] for item in items])  # item[1] == task_id
-
-        def generate():
-            for index, item in enumerate(items):
-                if first and index == self.fail_after:
-                    raise BrokenProcessPool("worker died")
-                yield fn(item)
-        return generate()
+    def submit(self, fn, item):
+        self.submitted.append(item[1])  # item[1] == task_id
+        future = Future()
+        if len(self.submitted) == self.fail_after + 1:
+            future.set_exception(BrokenProcessPool("worker died"))
+        else:
+            future.set_result(fn(item))
+        return future
 
 
 def _install_pool(monkeypatch, pool):
@@ -262,8 +260,8 @@ class TestRetryProgress:
                               methods=(METHOD_BASELINE,), n_jobs=2)
 
     def test_legacy_callback_stays_monotonic(self, monkeypatch):
-        # The first map breaks after two items; the heal re-maps only
-        # the third.  A store-less campaign computes each item once and
+        # The third item's future breaks; the heal submits only the
+        # third again.  A store-less campaign computes each item once and
         # reports each index once, in order.
         calls = _count_worker_calls(monkeypatch)
         pool = _FlakyPool(fail_after=2)
@@ -273,14 +271,14 @@ class TestRetryProgress:
                               progress=lambda i, n, run: seen.append((i, n)))
         assert [r.task_id for r in result.runs] == list(self.TASKS)
         assert calls == list(self.TASKS)  # 3 computations, not 5
-        assert pool.maps == [list(self.TASKS), ["seq_dff"]]
+        assert pool.submitted == [*self.TASKS, "seq_dff"]
         assert seen == [(1, 3), (2, 3), (3, 3)]
         assert result.runs == run_campaign(
             replace(self._config(), n_jobs=1)).runs
 
     def test_exhausted_retries_reraise(self, monkeypatch):
         class DeadPool:
-            def map(self, fn, items, chunksize=1):
+            def submit(self, fn, item):
                 raise BrokenProcessPool("still dead")
 
         _install_pool(monkeypatch, DeadPool())
@@ -289,7 +287,7 @@ class TestRetryProgress:
 
 
 # ----------------------------------------------------------------------
-# Persistent store: resume, progress, heal, shards
+# Persistent store: resume, progress, heal, pooled persistence
 # ----------------------------------------------------------------------
 def _never_compute(item):  # pragma: no cover - sentinel
     raise AssertionError(f"resume recomputed a stored item: {item!r}")
@@ -380,7 +378,7 @@ class TestStoreResume:
 
 class TestStoreHeal:
     """A healed pool with a store persists every item once: only
-    outstanding work is re-mapped, and progress stays monotonic."""
+    outstanding work is submitted again, and progress stays monotonic."""
 
     TASKS = TestRetryProgress.TASKS
 
@@ -397,50 +395,65 @@ class TestStoreHeal:
                               progress=lambda i, n, run: seen.append((i, n)))
         assert [r.task_id for r in result.runs] == list(self.TASKS)
         assert calls == list(self.TASKS)
-        assert pool.maps == [list(self.TASKS), ["seq_dff"]]
+        assert pool.submitted == [*self.TASKS, "seq_dff"]
         assert seen == [(1, 3), (2, 3), (3, 3)]
         assert len(store) == 3
         assert result.store_misses == 3
 
 
-class TestShardedCampaign:
+class TestPooledStore:
+    """A pooled campaign persists each item as it completes."""
+
     TASKS = ("cmb_and2", "cmb_eq4", "seq_dff")
 
-    def _config(self):
+    def _config(self, n_jobs=2):
         return default_config(task_ids=self.TASKS, seeds=(0,),
                               methods=(METHOD_BASELINE, METHOD_AUTOBENCH),
-                              n_jobs=1)
+                              n_jobs=n_jobs)
 
-    def test_sharded_matches_unsharded(self, tmp_path):
-        unsharded = run_campaign(self._config())
-        sharded = run_sharded_campaign(self._config(), shards=2,
-                                       store=CampaignStore(tmp_path))
-        assert sharded.runs == unsharded.runs
-        assert sharded.store_hits == 0
-        assert sharded.store_misses == 6
+    def test_pooled_matches_serial(self, tmp_path):
+        serial = run_campaign(self._config(n_jobs=1))
+        pooled = run_campaign(self._config(), store=CampaignStore(tmp_path))
+        assert pooled.runs == serial.runs
+        assert pooled.store_hits == 0
+        assert pooled.store_misses == 6
         assert len(CampaignStore(tmp_path)) == 6
 
-    def test_sharded_resume_skips_stored_items(self, tmp_path):
+    def test_pooled_resume_skips_stored_items(self, tmp_path):
         store = CampaignStore(tmp_path)
-        run_sharded_campaign(self._config(), shards=2, store=store)
+        run_campaign(self._config(), store=store)
         seen = []
-        again = run_sharded_campaign(
-            self._config(), shards=2, store=store,
+        again = run_campaign(
+            self._config(), store=store, resume=True,
             progress=lambda i, n, run: seen.append((i, n)))
         assert again.store_hits == 6
         assert again.store_misses == 0
         assert seen == [(i, 6) for i in range(1, 7)]
 
-    def test_store_required(self):
-        with pytest.raises(StoreError, match="REPRO_STORE_DIR"):
-            run_sharded_campaign(self._config(), shards=2)
-        with pytest.raises(ValueError, match="shards"):
-            run_sharded_campaign(self._config(), shards=0)
-
-    def test_single_shard_degenerates_to_resume(self, tmp_path):
+    def test_finished_items_are_stored_while_an_earlier_one_runs(
+            self, monkeypatch, tmp_path):
+        # A thread pool stands in for the process pool.  Item 0 runs
+        # until items 1-3 are in the store (or 10 s pass).
+        config = default_config(task_ids=self.TASKS + ("seq_tff",),
+                                seeds=(0,), methods=(METHOD_BASELINE,),
+                                n_jobs=4)
+        serial = run_campaign(replace(config, n_jobs=1))
+        by_task = {run.task_id: run for run in serial.runs}
         store = CampaignStore(tmp_path)
-        run_campaign(self._config(), store=store)
-        result = run_sharded_campaign(self._config(), shards=1,
-                                      store=store)
-        assert result.store_hits == 6
-        assert result.runs == run_campaign(self._config()).runs
+        stored_while_item_0_ran = []
+
+        def worker(item):
+            if item[1] == self.TASKS[0]:
+                deadline = time.monotonic() + 10
+                while len(store) < 3 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                stored_while_item_0_ran.append(len(store))
+            return by_task[item[1]]
+
+        monkeypatch.setattr(campaign_mod, "_worker", worker)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            _install_pool(monkeypatch, pool)
+            result = run_campaign(config, store=store)
+        assert stored_while_item_0_ran == [3]
+        assert result.runs == serial.runs
+        assert len(store) == 4

@@ -49,3 +49,9 @@ def test_single_task_study_deterministic():
     b = study_one_task("cmb_eq4", samples_per_task=2)
     assert [(r.label_correct, r.verdicts) for r in a] == [
         (r.label_correct, r.verdicts) for r in b]
+
+
+def test_pooled_study_matches_serial(small_study):
+    pooled = run_study(["cmb_eq4", "cmb_kmap3_a", "seq_tff"],
+                       samples_per_task=3, n_jobs=2)
+    assert pooled.records == small_study.records

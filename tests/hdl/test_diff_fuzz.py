@@ -395,8 +395,16 @@ def generate_fold_case(seed: int) -> str:
         signed = "signed " if rng.random() < 0.25 else ""
         lines.append(f"    reg {signed}[{width - 1}:0] {name} ="
                      f" {g.literal(width)};")
-    exprs = ", ".join(g.expr(names, 3) for _ in range(8))
-    lines += [f'    initial $display("", {exprs});', "endmodule"]
+    # A part-select bound nested in a ternary branch under a comparison,
+    # where lowering defers its errors: a bound that reads a reg is
+    # rejected whichever branch is selected.
+    lines.append("    localparam s = 0;" if rng.random() < 0.5
+                 else "    reg [3:0] s = 4'd0;")
+    exprs = [g.expr(names, 3) for _ in range(8)]
+    exprs.append(f"({g.expr(names, 1)} ? {g.expr(names, 1)} :"
+                 f" (1 == {rng.choice(names)[0]}[s:0]))")
+    lines += [f'    initial $display("", {", ".join(exprs)});',
+              "endmodule"]
     return "\n".join(lines)
 
 

@@ -465,6 +465,18 @@ class TestNotConstant:
         assert (run.status, run.detail) == (
             ELABORATION, "'r' is not a constant")
 
+    def test_bound_in_an_unselected_ternary_branch(self):
+        # The count's else branch is never selected, and lowering defers
+        # errors under its comparison; the bound still reads a reg.
+        src = _tb("    parameter P = 1;\n    reg [3:0] s;\n",
+                  "{(P ? 1 : (1 == b[s:0])){1'b1}}")
+        for engine in SIMULATORS:
+            assert _printed(src, engine) == (
+                "NotConstantError", "'s' is not a constant")
+        run = run_driver(src, "module top_module(); endmodule")
+        assert (run.status, run.detail) == (
+            ELABORATION, "'s' is not a constant")
+
     @pytest.mark.parametrize("engine", SIMULATORS)
     def test_reg_initialiser_reads_a_signal(self, engine):
         src = ("module tb;\n    reg a = 1'b1;\n    reg b = a;\n"

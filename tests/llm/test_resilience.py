@@ -13,7 +13,7 @@ from repro.llm.backends import (BackendRateLimited, BackendRequestError,
                                 BackendServerError, BackendTimeout,
                                 BudgetExhausted, InFlightCap,
                                 RateLimitBudget, ResilientBackend,
-                                RetryPolicy, fan_out, iter_fan_out,
+                                RetryPolicy, iter_fan_out,
                                 remaining_deadline, set_global_in_flight,
                                 use_deadline)
 
@@ -246,7 +246,8 @@ class TestInFlightCap:
                     active -= 1
             return index
 
-        assert fan_out(work, range(8), max_workers=8) == list(range(8))
+        assert sorted(iter_fan_out(work, range(8), max_workers=8)) == [
+            (i, i) for i in range(8)]
         assert peak <= 2
 
     def test_set_global_in_flight_swaps_the_shared_cap(self):
@@ -266,12 +267,14 @@ class TestInFlightCap:
 
 class TestFanOut:
     def test_preserves_input_order(self):
+        # Each result comes with its item's index, whatever order the
+        # items finish in.
         def flip(index):
             time.sleep(0.01 * (4 - index % 5))
             return index * 10
 
-        assert fan_out(flip, range(10), max_workers=5) == \
-            [i * 10 for i in range(10)]
+        assert sorted(iter_fan_out(flip, range(10), max_workers=5)) == [
+            (i, i * 10) for i in range(10)]
 
     def test_single_worker_runs_serially(self):
         threads = set()
@@ -280,7 +283,8 @@ class TestFanOut:
             threads.add(threading.current_thread().name)
             return index
 
-        assert fan_out(who, range(4), max_workers=1) == list(range(4))
+        assert list(iter_fan_out(who, range(4), max_workers=1)) == [
+            (i, i) for i in range(4)]
         assert len(threads) == 1
 
     def test_exception_propagates_by_default(self):
@@ -290,19 +294,19 @@ class TestFanOut:
             return index
 
         with pytest.raises(RuntimeError, match="task 2"):
-            fan_out(boom, range(4), max_workers=2)
+            list(iter_fan_out(boom, range(4), max_workers=2))
 
-    def test_return_exceptions_keeps_positions(self):
-        def boom(index):
-            if index == 1:
-                raise RuntimeError("bad")
-            return index
+    def test_iter_fan_out_yields_as_items_complete(self):
+        # Item 0 runs until item 1 has been yielded.
+        released = threading.Event()
 
-        results = fan_out(boom, range(3), max_workers=2,
-                          return_exceptions=True)
-        assert results[0] == 0 and results[2] == 2
-        assert isinstance(results[1], RuntimeError)
+        def work(index):
+            if index == 0:
+                assert released.wait(10)
+            return index + 1
 
-    def test_iter_fan_out_yields_in_order(self):
-        assert list(iter_fan_out(lambda i: i + 1, range(6),
-                                 max_workers=3)) == [1, 2, 3, 4, 5, 6]
+        yielded = []
+        for pair in iter_fan_out(work, range(2), max_workers=2):
+            yielded.append(pair)
+            released.set()
+        assert yielded == [(1, 2), (0, 1)]

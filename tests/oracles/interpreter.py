@@ -67,9 +67,9 @@ def _variable_read(expr: ast.Expr, scope: Scope) -> str | None:
     runtime's lowering meets them: a variable in a nested part-select
     bound or replication count (folded eagerly), then operands left to
     right, an index before the vector or memory it selects from.  An
-    expression that is broken in another way too (an unknown name, a
-    bound inside a comparison in a ternary branch) may name a different
-    error than the runtime.  The walk keeps its own stack, so a
+    expression that is broken in another way too (an unknown name, an
+    x-valued bound under a comparison in a ternary branch) may have a
+    different outcome in the runtime.  The walk keeps its own stack, so a
     3,000-term sum does not recurse.
     """
     nested: list[ast.Expr] = []

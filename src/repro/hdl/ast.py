@@ -3,23 +3,92 @@
 The node set covers the synthesisable constructs used by the benchmark
 circuits plus the behavioural constructs the generated testbench drivers
 need (``initial`` blocks, delays, event controls, system tasks).
+
+Nodes are frozen, slotted dataclasses that hash and compare by value,
+so equal process bodies from different source texts key one compiled
+program.  Neither operation walks the tree recursively: each node
+computes its hash once, when it is built, from its class, its scalar
+fields and its children's stored hashes, and ``==`` compares two trees
+with its own stack, returning at once on identical subtrees, so a
+3,000-term sum hashes in constant time and compares without recursing.
+The parser builds each distinct subtree of a text once (see
+:class:`repro.hdl.parser.Parser`), so comparisons within one text
+usually end at the identity check.
+
+Stored hashes mix in string hashes, which change with
+``PYTHONHASHSEED``, so a node never carries its hash out of the process:
+pickling rebuilds it from its fields, and the rebuilt node hashes afresh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Optional
+
+
+class Node:
+    """Base of every AST node: a stored hash and a non-recursive ``==``."""
+    __slots__ = ("_hash",)
+
+    #: ``_values(node)``: the node's field values as a tuple, in field
+    #: order (set per class by :func:`_node`).
+    _values = staticmethod(lambda node: ())
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash",
+                           hash((self.__class__, self._values(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            if a is b:
+                continue
+            if isinstance(a, Node):
+                if b.__class__ is not a.__class__ or b._hash != a._hash:
+                    return False
+                pending.extend(zip(a._values(a), b._values(b)))
+            elif isinstance(a, tuple):
+                if not isinstance(b, tuple) or len(a) != len(b):
+                    return False
+                pending.extend(zip(a, b))
+            elif a != b:
+                return False
+        return True
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
+def _node(cls):
+    """Make ``cls`` a frozen, slotted dataclass node (see :class:`Node`)."""
+    cls = dataclass(frozen=True, eq=False, slots=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+    if len(names) > 1:
+        cls._values = staticmethod(attrgetter(*names))
+    elif names:
+        get = attrgetter(names[0])
+        cls._values = staticmethod(lambda node: (get(node),))
+    return cls
 
 
 # ----------------------------------------------------------------------
 # Expressions
 # ----------------------------------------------------------------------
-class Expr:
+class Expr(Node):
     """Base class for expression nodes."""
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Number(Expr):
     width: Optional[int]        # None = unsized (32-bit) decimal
     val: int
@@ -27,55 +96,55 @@ class Number(Expr):
     signed: bool = False
 
 
-@dataclass(frozen=True)
+@_node
 class Identifier(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class StringLit(Expr):
     text: str
 
 
-@dataclass(frozen=True)
+@_node
 class Unary(Expr):
     op: str                     # ! ~ & | ^ ~& ~| ~^ + -
     operand: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Binary(Expr):
     op: str                     # arithmetic / logical / relational / shifts
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Ternary(Expr):
     cond: Expr
     then: Expr
     other: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Concat(Expr):
     parts: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Replicate(Expr):
     count: Expr
     value: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Index(Expr):
     """Bit select or memory-word select: ``name[expr]``."""
     base: str
     index: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class PartSelect(Expr):
     """Constant part select: ``name[msb:lsb]``."""
     base: str
@@ -83,7 +152,7 @@ class PartSelect(Expr):
     lsb: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class SystemCall(Expr):
     """System function in expression position, e.g. ``$time``."""
     name: str
@@ -93,29 +162,29 @@ class SystemCall(Expr):
 # ----------------------------------------------------------------------
 # L-values
 # ----------------------------------------------------------------------
-class LValue:
+class LValue(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class LvIdent(LValue):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class LvIndex(LValue):
     name: str
     index: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class LvPart(LValue):
     name: str
     msb: Expr
     lsb: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class LvConcat(LValue):
     parts: tuple[LValue, ...]
 
@@ -123,37 +192,37 @@ class LvConcat(LValue):
 # ----------------------------------------------------------------------
 # Statements
 # ----------------------------------------------------------------------
-class Stmt:
+class Stmt(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Block(Stmt):
     stmts: tuple[Stmt, ...]
     name: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@_node
 class If(Stmt):
     cond: Expr
     then: Stmt
     other: Optional[Stmt] = None
 
 
-@dataclass(frozen=True)
-class CaseItem:
+@_node
+class CaseItem(Node):
     labels: tuple[Expr, ...]    # empty tuple marks the default item
     body: Stmt
 
 
-@dataclass(frozen=True)
+@_node
 class Case(Stmt):
     kind: str                   # "case" | "casez" | "casex"
     subject: Expr
     items: tuple[CaseItem, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class For(Stmt):
     init: "BlockingAssign"
     cond: Expr
@@ -161,62 +230,62 @@ class For(Stmt):
     body: Stmt
 
 
-@dataclass(frozen=True)
+@_node
 class While(Stmt):
     cond: Expr
     body: Stmt
 
 
-@dataclass(frozen=True)
+@_node
 class Repeat(Stmt):
     count: Expr
     body: Stmt
 
 
-@dataclass(frozen=True)
+@_node
 class Forever(Stmt):
     body: Stmt
 
 
-@dataclass(frozen=True)
+@_node
 class BlockingAssign(Stmt):
     target: LValue
     value: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class NonblockingAssign(Stmt):
     target: LValue
     value: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class DelayStmt(Stmt):
     """``#N stmt`` — the statement may be empty (``#N;``)."""
     amount: Expr
     stmt: Optional[Stmt] = None
 
 
-@dataclass(frozen=True)
-class EventExpr:
+@_node
+class EventExpr(Node):
     edge: str                   # "pos" | "neg" | "any"
     signal: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class EventControl(Stmt):
     """``@(...) stmt`` — ``events=None`` encodes ``@(*)``."""
     events: Optional[tuple[EventExpr, ...]]
     stmt: Optional[Stmt] = None
 
 
-@dataclass(frozen=True)
+@_node
 class SysTaskCall(Stmt):
     name: str
     args: tuple[Expr, ...] = ()
 
 
-@dataclass(frozen=True)
+@_node
 class NullStmt(Stmt):
     pass
 
@@ -224,19 +293,19 @@ class NullStmt(Stmt):
 # ----------------------------------------------------------------------
 # Module items
 # ----------------------------------------------------------------------
-class ModuleItem:
+class ModuleItem(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Range:
+@_node
+class Range(Node):
     """Packed range ``[msb:lsb]`` (constant expressions)."""
     msb: Expr
     lsb: Expr
 
 
-@dataclass(frozen=True)
-class Port:
+@_node
+class Port(Node):
     direction: str              # "input" | "output" | "inout"
     name: str
     range: Optional[Range] = None
@@ -244,7 +313,7 @@ class Port:
     signed: bool = False
 
 
-@dataclass(frozen=True)
+@_node
 class NetDecl(ModuleItem):
     kind: str                   # "wire" | "reg" | "integer"
     names: tuple[str, ...]
@@ -254,20 +323,20 @@ class NetDecl(ModuleItem):
     inits: tuple[Optional[Expr], ...] = ()
 
 
-@dataclass(frozen=True)
+@_node
 class ParamDecl(ModuleItem):
     name: str
     value: Expr
     local: bool = False
 
 
-@dataclass(frozen=True)
+@_node
 class ContinuousAssign(ModuleItem):
     target: LValue
     value: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class AlwaysBlock(ModuleItem):
     """``events=None`` encodes ``always @(*)`` / ``always @*``;
     an empty tuple encodes an unconditioned ``always`` (e.g. clocks)."""
@@ -275,12 +344,12 @@ class AlwaysBlock(ModuleItem):
     body: Stmt
 
 
-@dataclass(frozen=True)
+@_node
 class InitialBlock(ModuleItem):
     body: Stmt
 
 
-@dataclass(frozen=True)
+@_node
 class Instance(ModuleItem):
     module: str
     name: str
@@ -288,15 +357,15 @@ class Instance(ModuleItem):
     parameters: tuple[tuple[str, Expr], ...] = ()
 
 
-@dataclass(frozen=True)
-class Module:
+@_node
+class Module(Node):
     name: str
     ports: tuple[Port, ...]
     items: tuple[ModuleItem, ...]
 
 
-@dataclass(frozen=True)
-class SourceFile:
+@_node
+class SourceFile(Node):
     modules: tuple[Module, ...] = field(default_factory=tuple)
 
     def module(self, name: str) -> Module:

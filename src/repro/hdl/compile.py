@@ -23,12 +23,13 @@ slot into a per-elaboration ``frame`` tuple; the
 :class:`~repro.hdl.eval.LowerCtx` allocates the slots during lowering
 and records, for each name it resolves, a structural *fact* (kind,
 width, signedness, bounds).  The resulting :class:`SharedProgram` is
-cached globally, keyed by the *value* of the AST body (nodes are frozen
-dataclasses, so they hash and compare by structure), and is reused by
-any later elaboration whose scope matches the recorded signature — so a
-testbench driver compiled once is re-*bound* (a cheap slot-table build)
-rather than re-*compiled* for every DUT design it is paired with, and a
-process that recurs verbatim in another source text compiles once.
+cached globally, keyed by the *value* of the AST body (nodes store their
+hash and compare without recursing, see :mod:`repro.hdl.ast`), and is
+reused by any later elaboration whose scope matches the recorded
+signature — so a testbench driver compiled once is re-*bound* (a cheap
+slot-table build) rather than re-*compiled* for every DUT design it is
+paired with, and a process that recurs verbatim in another source text
+compiles once.
 :func:`program_cache_stats` exposes the compile/share/bind counters.
 
 The statement budget (``sim._tick``) is charged at loop back-edges and
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from functools import lru_cache
 from typing import Callable
 
 from . import ast
@@ -184,9 +184,12 @@ class SharedProgram:
 def _program_key(spec: ProcSpec):
     """Cache key for a spec's program, or ``None`` when uncacheable.
 
-    Keys are AST values: frozen nodes hash and compare by structure, so
-    a process body that recurs in another source text (or a continuous
-    assign re-synthesized by a fresh elaboration) finds the program.
+    Keys are AST values, so a process body that recurs in another
+    source text (or a continuous assign re-synthesized by a fresh
+    elaboration) finds the program.  Probing costs no tree walk: a node
+    returns the hash it stored when it was built, and ``==`` ends at
+    the first identical subtree and walks the rest with its own stack,
+    so a 3,000-term sum keys a program like a short one.
     """
     if spec.port_bind is not None:
         direction = spec.port_bind[0]
@@ -423,11 +426,11 @@ def resolve_event_slots(events: tuple[ast.EventExpr, ...],
 # ----------------------------------------------------------------------
 # Format strings ($display and friends), pre-parsed into segments
 # ----------------------------------------------------------------------
-@lru_cache(maxsize=4096)
 def _format_segments(fmt: str) -> tuple:
     """Pre-scan a format string into ``("lit", text)`` / ``("arg", spec)``
-    segments.  Cached globally by text: drivers repeat the same handful
-    of format strings hundreds of times across designs."""
+    segments.  A program scans each distinct display statement's format
+    once (:func:`compile_stmt` memoizes the statement), and a program
+    recurring in another design is shared whole."""
     segments: list[tuple[str, str]] = []
     literal: list[str] = []
     i = 0
@@ -585,7 +588,22 @@ def compile_stmt(stmt: ast.Stmt, ctx: LowerCtx):
     Compilation errors are deferred: the returned closure re-raises them
     at execution time, matching the interpreter's executed-path-only
     laziness.
+
+    Each distinct statement lowers once per program: the result, a
+    deferred error included, is memoised on the context by statement
+    value (see :class:`~repro.hdl.eval.LowerCtx`), so a driver's
+    repeated stimulus and dump lines, format strings included, cost one
+    lowering each.  Compiled statements hold no per-occurrence state, so
+    every occurrence may run the same closures.
     """
+    cache = ctx._stmt_cache
+    compiled = cache.get(stmt)
+    if compiled is None:
+        compiled = cache[stmt] = _compile_guarded(stmt, ctx)
+    return compiled
+
+
+def _compile_guarded(stmt: ast.Stmt, ctx: LowerCtx):
     try:
         return _compile_stmt(stmt, ctx)
     except HdlError as exc:

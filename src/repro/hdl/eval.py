@@ -260,9 +260,19 @@ class LowerCtx:
       form the program's signature: a different elaboration reuses the
       program iff each recorded name resolves to a structurally
       identical object there (see :func:`structural_fact`);
-    - holding one closure per leaf value: every read of a name shares
-      one read closure and every occurrence of a constant one constant
-      closure, however many times the program's source repeats them.
+    - holding one lowering per distinct expression and statement (see
+      :func:`compile_expr`), and one closure per leaf value: every read
+      of a name shares one read closure and every occurrence of a
+      constant one constant closure, however many times the program's
+      source repeats them.
+
+    A repeated lowering may return the first one's result because
+    lowering only ever *adds* to the context, and adds the same things
+    for equal input: a slot or fact already recorded is found again, and
+    the flags only go from their initial value to the other.  A memo hit
+    therefore leaves ``slot_specs``, ``facts``, ``shareable``,
+    ``prefix_sensitive`` and ``reads_time`` exactly as lowering the
+    node again would.
     """
 
     def __init__(self, scope: "Scope"):
@@ -287,7 +297,10 @@ class LowerCtx:
         self._lit_slots: dict = {}
         self._design_slot: int | None = None
         self._sink_slot: int | None = None
+        # Lowerings keyed by AST value: (expr, ctx_width) -> closure, and
+        # stmt -> compiled statement (repro.hdl.compile.compile_stmt).
         self._expr_cache: dict = {}
+        self._stmt_cache: dict = {}
         self._read_fns: dict[str, Callable] = {}
         self._const_fns: dict[tuple, Callable] = {}
 
@@ -389,18 +402,19 @@ def compile_expr(expr: ast.Expr, ctx: LowerCtx,
     are resolved now, and every runtime object is referenced through an
     integer slot into the bind-time ``frame`` tuple — the same compiled
     program runs against any elaboration whose frame it is bound to.
-    Results are memoised per
-    lowering context, keyed by ``(id(expr), ctx_width)`` (valid because
-    AST nodes are pinned by the program cache for the program's
-    lifetime).  Leaves are shared by value within the context: equal
-    identifiers parsed from different lines get one read closure, and
-    equal constants one constant closure (:meth:`LowerCtx.const_fn`).
+    Results are memoised per lowering context, keyed by the value
+    ``(expr, ctx_width)``: AST nodes store their hash and the parser
+    shares equal subtrees, so a repeated expression costs one dict probe
+    that ends at an identity check, and an equal one built elsewhere (a
+    lockstep-widened dump line) hits as well.  Leaves are shared by value
+    too: equal identifiers get one read closure, and equal constants one
+    constant closure (:meth:`LowerCtx.const_fn`).
     A left-deep run of context-determined operators such as a long sum
     lowers, and runs, in a loop (:func:`_compile_arith_chain`), so
     neither recurses once per operator.
     """
     cache = ctx._expr_cache
-    key = (id(expr), ctx_width)
+    key = (expr, ctx_width)
     fn = cache.get(key)
     if fn is None:
         fn = _compile_expr(expr, ctx, ctx_width)
@@ -782,11 +796,30 @@ def fold(expr: ast.Expr, scope: "Scope",
         if ctx.slot_specs:
             raise NotConstantError(
                 f"{ctx.slot_specs[0][1]!r} is not a constant")
+        if ctx.prefix_sensitive:
+            _reject_unlowered_reads(expr, ctx)
     finally:
         if into is not None:
             for name, fact in ctx.facts.items():
                 into.facts.setdefault(name, fact)
     return fn(())
+
+
+def _reject_unlowered_reads(expr: ast.Expr, ctx: LowerCtx) -> None:
+    """Raise for a variable that a constant reads in a part the lowering
+    deferred before reaching it.
+
+    Sizing folds part-select bounds before the operands lower, so in
+    ``P ? 1 : (1 == b[X:0])`` an undefined ``X`` fails the unselected
+    branch before anything reads ``b``.  Names are checked in sorted
+    order, so the message does not depend on the hash seed.
+    """
+    names: set[str] = set()
+    collect_expr_reads(expr, names)
+    for name in sorted(names):
+        ctx._touch(name)
+        if ctx.facts[name][0] in ("sig", "mem"):
+            raise NotConstantError(f"{name!r} is not a constant")
 
 
 # ----------------------------------------------------------------------

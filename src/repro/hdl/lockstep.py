@@ -247,11 +247,26 @@ def _reject_out_refs(exprs, out_names: frozenset, where: str) -> None:
 
 
 def _transform_stmt(stmt, n_lanes: int, out_maps: list[dict],
-                    out_names: frozenset):
+                    out_names: frozenset, memo: dict):
     """Widen dump ``$fdisplay`` statements; verify nothing else in the
-    driver reads a DUT output."""
+    driver reads a DUT output.
+
+    ``memo`` maps each statement already transformed in this union build
+    to its result.  The parser shares a driver's repeated statements, so
+    a dump line repeated in every scenario widens once, and the union
+    shares the widened statement in turn.
+    """
     if stmt is None:
         return None
+    done = memo.get(stmt)
+    if done is None:
+        done = memo[stmt] = _transform_new(stmt, n_lanes, out_maps,
+                                           out_names, memo)
+    return done
+
+
+def _transform_new(stmt, n_lanes: int, out_maps: list[dict],
+                   out_names: frozenset, memo: dict):
     if _is_dump_fdisplay(stmt):
         return _widen_fdisplay(stmt, n_lanes, out_maps, out_names)
     if isinstance(stmt, ast.SysTaskCall):
@@ -262,15 +277,15 @@ def _transform_stmt(stmt, n_lanes: int, out_maps: list[dict],
         return stmt
     if isinstance(stmt, ast.Block):
         return ast.Block(
-            tuple(_transform_stmt(s, n_lanes, out_maps, out_names)
+            tuple(_transform_stmt(s, n_lanes, out_maps, out_names, memo)
                   for s in stmt.stmts), stmt.name)
     if isinstance(stmt, ast.If):
         _reject_out_refs((stmt.cond,), out_names, "if condition")
         return ast.If(stmt.cond,
                       _transform_stmt(stmt.then, n_lanes, out_maps,
-                                      out_names),
+                                      out_names, memo),
                       _transform_stmt(stmt.other, n_lanes, out_maps,
-                                      out_names))
+                                      out_names, memo))
     if isinstance(stmt, ast.Case):
         _reject_out_refs((stmt.subject,), out_names, "case subject")
         items = []
@@ -279,38 +294,38 @@ def _transform_stmt(stmt, n_lanes: int, out_maps: list[dict],
             items.append(ast.CaseItem(
                 item.labels,
                 _transform_stmt(item.body, n_lanes, out_maps,
-                                out_names)))
+                                out_names, memo)))
         return ast.Case(stmt.kind, stmt.subject, tuple(items))
     if isinstance(stmt, ast.DelayStmt):
         _reject_out_refs((stmt.amount,), out_names, "delay amount")
         return ast.DelayStmt(
             stmt.amount,
-            _transform_stmt(stmt.stmt, n_lanes, out_maps, out_names))
+            _transform_stmt(stmt.stmt, n_lanes, out_maps, out_names, memo))
     if isinstance(stmt, ast.EventControl):
         if _events_ref(stmt.events, out_names):
             raise LockstepUnsupported("event control on a DUT output")
         return ast.EventControl(
             stmt.events,
-            _transform_stmt(stmt.stmt, n_lanes, out_maps, out_names))
+            _transform_stmt(stmt.stmt, n_lanes, out_maps, out_names, memo))
     if isinstance(stmt, ast.For):
         _reject_out_refs((stmt.init.value, stmt.cond, stmt.step.value),
                          out_names, "for loop")
         return ast.For(stmt.init, stmt.cond, stmt.step,
                        _transform_stmt(stmt.body, n_lanes, out_maps,
-                                       out_names))
+                                       out_names, memo))
     if isinstance(stmt, ast.While):
         _reject_out_refs((stmt.cond,), out_names, "while condition")
         return ast.While(stmt.cond,
                          _transform_stmt(stmt.body, n_lanes, out_maps,
-                                         out_names))
+                                         out_names, memo))
     if isinstance(stmt, ast.Repeat):
         _reject_out_refs((stmt.count,), out_names, "repeat count")
         return ast.Repeat(stmt.count,
                           _transform_stmt(stmt.body, n_lanes, out_maps,
-                                          out_names))
+                                          out_names, memo))
     if isinstance(stmt, ast.Forever):
         return ast.Forever(_transform_stmt(stmt.body, n_lanes, out_maps,
-                                           out_names))
+                                           out_names, memo))
     if isinstance(stmt, (ast.BlockingAssign, ast.NonblockingAssign)):
         if (_expr_refs(stmt.value, out_names)
                 or _lvalue_refs(stmt.target, out_names)):
@@ -408,6 +423,7 @@ def build_union(driver_src: str, lane_srcs: list[str],
         {} if k == 0 else {w: ast.Identifier(w + lane_suffix(k))
                            for w in out_names}
         for k in range(n_lanes)]
+    memo: dict = {}
 
     # Per-lane output wire declarations mirror the driver's originals.
     wire_shapes: dict[str, tuple] = {}
@@ -429,14 +445,14 @@ def build_union(driver_src: str, lane_srcs: list[str],
             continue
         if isinstance(item, ast.InitialBlock):
             new_items.append(ast.InitialBlock(_transform_stmt(
-                item.body, n_lanes, out_maps, out_names)))
+                item.body, n_lanes, out_maps, out_names, memo)))
             continue
         if isinstance(item, ast.AlwaysBlock):
             if _events_ref(item.events, out_names):
                 raise LockstepUnsupported(
                     "always block sensitive to a DUT output")
             new_items.append(ast.AlwaysBlock(item.events, _transform_stmt(
-                item.body, n_lanes, out_maps, out_names)))
+                item.body, n_lanes, out_maps, out_names, memo)))
             continue
         if isinstance(item, ast.ContinuousAssign):
             if (_expr_refs(item.value, out_names)

@@ -55,10 +55,24 @@ _EOF = TokenKind.EOF
 
 
 class Parser:
+    """One parse of one token stream.
+
+    The parser hash-conses the tree it builds: equal subtrees of the
+    text are one object, so a driver that repeats a stimulus or dump
+    line dozens of times holds it once, and lowering (which memoizes by
+    node) compiles it once.  Each node is looked up before it is built,
+    keyed on its class, its scalar fields and its children's ids, so a
+    repeat costs one hash of a tuple of ints and strings and builds
+    nothing.  The table lives as long as this parser: texts share no
+    nodes, and no table outlives a parse.
+    """
+
     def __init__(self, tokens: Sequence[Token]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        # key -> node or child tuple (see _make and _tuple).
+        self._built: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     # Token helpers
@@ -125,6 +139,25 @@ class Parser:
         if self.depth > MAX_NESTING_DEPTH:
             raise self._error(f"nesting deeper than {MAX_NESTING_DEPTH} "
                               f"levels")
+
+    # Hash-consing (see the class docstring).  Children are shared
+    # before their parent is looked up, so equal children have equal
+    # ids; the node a key maps to holds those children, so no id in a
+    # live key can be reused.
+    def _make(self, key: tuple, cls, *args):
+        node = self._built.get(key)
+        if node is None:
+            node = self._built[key] = cls(*args)
+        return node
+
+    def _tuple(self, items) -> tuple:
+        """``tuple(items)``, shared like a node: child lists key their
+        parent by one id."""
+        key = (tuple, *map(id, items))
+        shared = self._built.get(key)
+        if shared is None:
+            shared = self._built[key] = tuple(items)
+        return shared
 
     # ------------------------------------------------------------------
     # Top level
@@ -319,14 +352,18 @@ class Parser:
             else:
                 break
         self._expect_punct(")")
-        return tuple(events)
+        return self._tuple(events)
 
     def _parse_event_expr(self) -> ast.EventExpr:
         if self._accept_keyword("posedge"):
-            return ast.EventExpr("pos", self.parse_expression())
-        if self._accept_keyword("negedge"):
-            return ast.EventExpr("neg", self.parse_expression())
-        return ast.EventExpr("any", self.parse_expression())
+            edge = "pos"
+        elif self._accept_keyword("negedge"):
+            edge = "neg"
+        else:
+            edge = "any"
+        signal = self.parse_expression()
+        return self._make((ast.EventExpr, edge, id(signal)), ast.EventExpr,
+                          edge, signal)
 
     def _parse_instance(self) -> ast.Instance:
         module = self._expect_ident()
@@ -370,7 +407,7 @@ class Parser:
         self._expect_punct(":")
         lsb = self.parse_expression()
         self._expect_punct("]")
-        return ast.Range(msb, lsb)
+        return self._make((ast.Range, id(msb), id(lsb)), ast.Range, msb, lsb)
 
     # ------------------------------------------------------------------
     # Statements
@@ -383,6 +420,13 @@ class Parser:
 
     def _parse_statement(self) -> ast.Stmt:
         tok = self._peek()
+        kind = tok.kind
+        if kind is _IDENT:  # the common case: an assignment
+            assign = self._parse_assign()
+            self._expect_punct(";")
+            return assign
+        if kind is TokenKind.SYSTEM_IDENT:
+            return self._parse_system_task()
 
         if tok.is_keyword("begin"):
             self._advance()
@@ -395,7 +439,9 @@ class Parser:
                     raise self._error("unterminated begin/end block")
                 stmts.append(self.parse_statement())
             self._advance()
-            return ast.Block(tuple(stmts), name)
+            stmts = self._tuple(stmts)
+            return self._make((ast.Block, id(stmts), name), ast.Block,
+                              stmts, name)
 
         if tok.is_keyword("if"):
             self._advance()
@@ -406,7 +452,8 @@ class Parser:
             other = None
             if self._accept_keyword("else"):
                 other = self.parse_statement()
-            return ast.If(cond, then, other)
+            return self._make((ast.If, id(cond), id(then), id(other)),
+                              ast.If, cond, then, other)
 
         if tok.is_keyword("case") or tok.is_keyword("casez") or \
                 tok.is_keyword("casex"):
@@ -421,48 +468,52 @@ class Parser:
             self._expect_punct(";")
             step = self._parse_plain_assign()
             self._expect_punct(")")
-            return ast.For(init, cond, step, self.parse_statement())
+            body = self.parse_statement()
+            return self._make((ast.For, id(init), id(cond), id(step),
+                               id(body)), ast.For, init, cond, step, body)
 
         if tok.is_keyword("while"):
             self._advance()
             self._expect_punct("(")
             cond = self.parse_expression()
             self._expect_punct(")")
-            return ast.While(cond, self.parse_statement())
+            body = self.parse_statement()
+            return self._make((ast.While, id(cond), id(body)), ast.While,
+                              cond, body)
 
         if tok.is_keyword("repeat"):
             self._advance()
             self._expect_punct("(")
             count = self.parse_expression()
             self._expect_punct(")")
-            return ast.Repeat(count, self.parse_statement())
+            body = self.parse_statement()
+            return self._make((ast.Repeat, id(count), id(body)), ast.Repeat,
+                              count, body)
 
         if tok.is_keyword("forever"):
             self._advance()
-            return ast.Forever(self.parse_statement())
+            body = self.parse_statement()
+            return self._make((ast.Forever, id(body)), ast.Forever, body)
 
         if tok.is_punct("#"):
             self._advance()
             amount = self._parse_delay_amount()
-            if self._accept_punct(";"):
-                return ast.DelayStmt(amount, None)
-            return ast.DelayStmt(amount, self.parse_statement())
+            inner = None if self._accept_punct(";") else self.parse_statement()
+            return self._make((ast.DelayStmt, id(amount), id(inner)),
+                              ast.DelayStmt, amount, inner)
 
         if tok.is_punct("@"):
             self._advance()
             events = self._parse_event_list()
-            if self._accept_punct(";"):
-                return ast.EventControl(events, None)
-            return ast.EventControl(events, self.parse_statement())
-
-        if tok.kind is TokenKind.SYSTEM_IDENT:
-            return self._parse_system_task()
+            inner = None if self._accept_punct(";") else self.parse_statement()
+            return self._make((ast.EventControl, id(events), id(inner)),
+                              ast.EventControl, events, inner)
 
         if tok.is_punct(";"):
             self._advance()
-            return ast.NullStmt()
+            return self._make((ast.NullStmt,), ast.NullStmt)
 
-        # Assignment statement.
+        # Assignment to a concatenation, or a syntax error.
         assign = self._parse_assign()
         self._expect_punct(";")
         return assign
@@ -471,8 +522,7 @@ class Parser:
         tok = self._peek()
         if tok.kind is TokenKind.NUMBER:
             self._advance()
-            width, val, xmask, signed = tok.value  # type: ignore[misc]
-            return ast.Number(width, val, xmask, signed)
+            return self._number(tok)
         if tok.is_punct("("):
             self._advance()
             expr = self.parse_expression()
@@ -480,7 +530,8 @@ class Parser:
             return expr
         if tok.kind is TokenKind.IDENT:
             self._advance()
-            return ast.Identifier(tok.text)
+            return self._make((ast.Identifier, tok.text), ast.Identifier,
+                              tok.text)
         raise self._error("expected delay amount")
 
     def _parse_case(self) -> ast.Case:
@@ -494,46 +545,63 @@ class Parser:
                 raise self._error("unterminated case statement")
             if self._accept_keyword("default"):
                 self._accept_punct(":")
-                items.append(ast.CaseItem((), self.parse_statement()))
-                continue
-            labels = [self.parse_expression()]
-            while self._accept_punct(","):
-                labels.append(self.parse_expression())
-            self._expect_punct(":")
-            items.append(ast.CaseItem(tuple(labels), self.parse_statement()))
+                labels = ()
+            else:
+                labels = [self.parse_expression()]
+                while self._accept_punct(","):
+                    labels.append(self.parse_expression())
+                self._expect_punct(":")
+                labels = self._tuple(labels)
+            body = self.parse_statement()
+            items.append(self._make((ast.CaseItem, id(labels), id(body)),
+                                    ast.CaseItem, labels, body))
         self._advance()
-        return ast.Case(kind, subject, tuple(items))
+        items = self._tuple(items)
+        return self._make((ast.Case, kind, id(subject), id(items)), ast.Case,
+                          kind, subject, items)
 
     def _parse_plain_assign(self) -> ast.BlockingAssign:
         target = self.parse_lvalue()
         self._expect_punct("=")
-        return ast.BlockingAssign(target, self.parse_expression())
+        return self._assign(ast.BlockingAssign, target)
+
+    def _assign(self, cls, target: ast.LValue) -> ast.Stmt:
+        value = self.parse_expression()
+        return self._make((cls, id(target), id(value)), cls, target, value)
 
     def _parse_assign(self) -> ast.Stmt:
         target = self.parse_lvalue()
         if self._accept_punct("<="):
-            return ast.NonblockingAssign(target, self.parse_expression())
+            return self._assign(ast.NonblockingAssign, target)
         self._expect_punct("=")
         if self._peek().is_punct("#"):
             # Intra-assignment delay: treated as delay-then-assign, which is
             # equivalent for the driver templates that use it.
             self._advance()
             amount = self._parse_delay_amount()
-            return ast.DelayStmt(
-                amount, ast.BlockingAssign(target, self.parse_expression()))
-        return ast.BlockingAssign(target, self.parse_expression())
+            inner = self._assign(ast.BlockingAssign, target)
+            return self._make((ast.DelayStmt, id(amount), id(inner)),
+                              ast.DelayStmt, amount, inner)
+        return self._assign(ast.BlockingAssign, target)
 
     def _parse_system_task(self) -> ast.SysTaskCall:
-        tok = self._advance()
-        args: list[ast.Expr] = []
-        if self._accept_punct("("):
-            if not self._peek().is_punct(")"):
-                args.append(self.parse_expression())
-                while self._accept_punct(","):
-                    args.append(self.parse_expression())
-            self._expect_punct(")")
+        name = self._advance().text
+        args = self._parse_call_args()
         self._expect_punct(";")
-        return ast.SysTaskCall(tok.text, tuple(args))
+        return self._make((ast.SysTaskCall, name, id(args)), ast.SysTaskCall,
+                          name, args)
+
+    def _parse_call_args(self) -> tuple:
+        """The optional ``(arg, ...)`` list of a system task or function."""
+        if not self._accept_punct("("):
+            return ()
+        args: list[ast.Expr] = []
+        if not self._peek().is_punct(")"):
+            args.append(self.parse_expression())
+            while self._accept_punct(","):
+                args.append(self.parse_expression())
+        self._expect_punct(")")
+        return self._tuple(args)
 
     # ------------------------------------------------------------------
     # L-values
@@ -546,17 +614,20 @@ class Parser:
                 parts.append(self.parse_lvalue())
             self._expect_punct("}")
             self.depth -= 1
-            return ast.LvConcat(tuple(parts))
+            parts = self._tuple(parts)
+            return self._make((ast.LvConcat, id(parts)), ast.LvConcat, parts)
         name = self._expect_ident()
         if self._accept_punct("["):
             first = self.parse_expression()
             if self._accept_punct(":"):
                 second = self.parse_expression()
                 self._expect_punct("]")
-                return ast.LvPart(name, first, second)
+                return self._make((ast.LvPart, name, id(first), id(second)),
+                                  ast.LvPart, name, first, second)
             self._expect_punct("]")
-            return ast.LvIndex(name, first)
-        return ast.LvIdent(name)
+            return self._make((ast.LvIndex, name, id(first)), ast.LvIndex,
+                              name, first)
+        return self._make((ast.LvIdent, name), ast.LvIdent, name)
 
     # ------------------------------------------------------------------
     # Expressions
@@ -578,7 +649,9 @@ class Parser:
         if self._accept_punct("?"):
             then = self.parse_expression()
             self._expect_punct(":")
-            expr = ast.Ternary(expr, then, self.parse_expression())
+            other = self.parse_expression()
+            expr = self._make((ast.Ternary, id(expr), id(then), id(other)),
+                              ast.Ternary, expr, then, other)
         self.depth -= 1
         return expr
 
@@ -590,6 +663,7 @@ class Parser:
         tokens = self.tokens
         levels = _BINARY_LEVEL
         punct = TokenKind.PUNCT
+        make = self._make
         while True:
             tok = tokens[self.pos]
             if tok.kind is not punct:
@@ -601,7 +675,9 @@ class Parser:
             self._enter()
             right = self._parse_binary(level + 1)
             self.depth -= 1
-            left = ast.Binary(tok.text, left, right)
+            op = tok.text
+            left = make((ast.Binary, op, id(left), id(right)), ast.Binary, op,
+                        left, right)
 
     def _parse_unary(self) -> ast.Expr:
         tok = self._peek()
@@ -610,31 +686,42 @@ class Parser:
             self._enter()
             operand = self._parse_unary()
             self.depth -= 1
-            return ast.Unary(tok.text, operand)
+            return self._make((ast.Unary, tok.text, id(operand)), ast.Unary,
+                              tok.text, operand)
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expr:
         tok = self._peek()
 
+        if tok.kind is TokenKind.IDENT:
+            name = self._advance().text
+            if self._accept_punct("["):
+                first = self.parse_expression()
+                if self._accept_punct(":"):
+                    second = self.parse_expression()
+                    self._expect_punct("]")
+                    return self._make(
+                        (ast.PartSelect, name, id(first), id(second)),
+                        ast.PartSelect, name, first, second)
+                self._expect_punct("]")
+                return self._make((ast.Index, name, id(first)), ast.Index,
+                                  name, first)
+            return self._make((ast.Identifier, name), ast.Identifier, name)
+
         if tok.kind is TokenKind.NUMBER:
             self._advance()
-            width, val, xmask, signed = tok.value  # type: ignore[misc]
-            return ast.Number(width, val, xmask, signed)
+            return self._number(tok)
 
         if tok.kind is TokenKind.STRING:
             self._advance()
-            return ast.StringLit(tok.text)
+            return self._make((ast.StringLit, tok.text), ast.StringLit,
+                              tok.text)
 
         if tok.kind is TokenKind.SYSTEM_IDENT:
             self._advance()
-            args: list[ast.Expr] = []
-            if self._accept_punct("("):
-                if not self._peek().is_punct(")"):
-                    args.append(self.parse_expression())
-                    while self._accept_punct(","):
-                        args.append(self.parse_expression())
-                self._expect_punct(")")
-            return ast.SystemCall(tok.text, tuple(args))
+            args = self._parse_call_args()
+            return self._make((ast.SystemCall, tok.text, id(args)),
+                              ast.SystemCall, tok.text, args)
 
         if tok.is_punct("("):
             self._advance()
@@ -650,26 +737,21 @@ class Parser:
                 value = self.parse_expression()
                 self._expect_punct("}")
                 self._expect_punct("}")
-                return ast.Replicate(first, value)
+                return self._make((ast.Replicate, id(first), id(value)),
+                                  ast.Replicate, first, value)
             parts = [first]
             while self._accept_punct(","):
                 parts.append(self.parse_expression())
             self._expect_punct("}")
-            return ast.Concat(tuple(parts))
-
-        if tok.kind is TokenKind.IDENT:
-            name = self._advance().text
-            if self._accept_punct("["):
-                first = self.parse_expression()
-                if self._accept_punct(":"):
-                    second = self.parse_expression()
-                    self._expect_punct("]")
-                    return ast.PartSelect(name, first, second)
-                self._expect_punct("]")
-                return ast.Index(name, first)
-            return ast.Identifier(name)
+            parts = self._tuple(parts)
+            return self._make((ast.Concat, id(parts)), ast.Concat, parts)
 
         raise self._error(f"unexpected token {tok.text!r} in expression")
+
+    def _number(self, tok: Token) -> ast.Number:
+        value = tok.value  # (width, val, xmask, signed)
+        return self._make((ast.Number, value), ast.Number,
+                          *value)  # type: ignore[misc]
 
 
 def parse_source(source: str) -> ast.SourceFile:
@@ -687,7 +769,9 @@ def parse_source_cached(source: str) -> ast.SourceFile:
     The AST is immutable (frozen dataclasses), so sharing one tree
     between callers is safe.  Evaluation pipelines re-parse the same
     driver/DUT text thousands of times (validator R/S matrices, AutoEval
-    mutant runs); this cache makes re-parsing free.  A text that fails
+    mutant runs); this cache makes re-parsing free.  Each held tree is
+    hash-consed (see :class:`Parser`), so a driver's repeated stimulus
+    and dump lines are held as one subtree each.  A text that fails
     to lex or parse is held too, as its error's
     :class:`~repro.hdl.errors.FailureShape`: later calls re-raise an
     identically rendered :class:`VerilogSyntaxError` without lexing

@@ -129,6 +129,21 @@ class TestLongOperatorChains:
         assert run.stdout == ["900"]
         assert run.records[0].values == {"s": "900"}
 
+    @pytest.mark.parametrize("terms", [350, 1000, 3000])
+    def test_long_sum_simulates_from_a_second_text(self, terms):
+        """AST nodes hash and compare without recursing, so a long sum
+        keys the program cache from its first text, and a second text
+        holding the equal statement finds that program: at 350 terms the
+        lookup's ``==`` used to hit the recursion limit, and from 1,000
+        terms on the first text's ``hash`` did."""
+        driver = _hostile_driver(" + ".join(["a"] * terms))
+        expected = str(3 * terms)
+        for text in (driver, driver + "\n// the same driver, another text\n"):
+            run = run_driver(text, HOSTILE_DUT)
+            assert run.status == OK, run.detail
+            assert run.stdout == [expected]
+            assert run.records[0].values == {"s": expected}
+
     @pytest.mark.parametrize("engine", ["compiled", "interpret"])
     def test_600_term_constant_sum_elaborates(self, engine):
         """Constant evaluation (a parameter here) loops over the run as

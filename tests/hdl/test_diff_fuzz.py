@@ -8,8 +8,12 @@ instance, both net-aliased and expression-bound ports), 4-state
 ``x``/``z`` literals, memories and ``$display`` formatting.  Every
 program also prints one line twice that reads a net and a constant
 many times, partly in a left-deep operator run, so leaf sharing and
-the looped lowering of such runs are checked too.  Each program is
-executed four ways:
+the looped lowering of such runs are checked too.  Like a generated
+testbench driver, a program may repeat whole statements: the same dump
+``$fdisplay`` after every stimulus step, and an earlier step's
+stimulus and ``$display`` lines verbatim, so each such statement
+lowers once and runs from several places.  Each program is executed
+four ways:
 
 1. the reference interpreter (``tests/oracles/``),
 2. the compiled simulator with a cold program cache (first compile of
@@ -215,12 +219,19 @@ def generate_program(seed: int) -> str:
     # Driver.
     fmt = " ".join(f"{name}=%b" for name, _ in observable)
     args = ", ".join(name for name, _ in observable)
+    use_dump = rng.random() < 0.5
+    if use_dump:
+        lines.append("    integer fd;")
     lines.append("    initial begin")
+    if use_dump:
+        lines.append('        fd = $fopen("dump.txt");')
+    dump = f'        $fdisplay(fd, "{fmt}", {args});'
     for name, width in regs:
         lines.append(f"        {name} = {g.literal(width)};")
     if use_mem:
         lines.append("        for (i = 0; i < 8; i = i + 1)"
                      f" mem[i] = {g.expr(sampled, 1)};")
+    steps: list[list[str]] = []
     for step in range(rng.randrange(2, 6)):
         if rng.random() < 0.55:
             lines.append(f"        #{rng.randrange(1, 15)};")
@@ -228,11 +239,19 @@ def generate_program(seed: int) -> str:
             lines.append(
                 f"        @({rng.choice(('posedge', 'negedge'))} clk);")
         name, _ = rng.choice(regs)
-        lines.append(f"        {name} = {g.expr(sampled, 2)};")
+        block = [f"        {name} = {g.expr(sampled, 2)};"]
         if rng.random() < 0.4:
             other, other_w = rng.choice(regs)
-            lines.append(f"        {other} = {g.literal(other_w)};")
-        lines.append(f'        $display("s{step}: {fmt}", {args});')
+            block.append(f"        {other} = {g.literal(other_w)};")
+        block.append(f'        $display("s{step}: {fmt}", {args});')
+        if use_dump:
+            block.append(dump)
+        steps.append(block)
+        lines += block
+    if rng.random() < 0.5:
+        # A whole earlier step again, statement for statement.
+        lines.append(f"        #{rng.randrange(1, 15)};")
+        lines += rng.choice(steps)
     loop_roll = rng.random()
     target, target_w = rng.choice(regs)
     if loop_roll < 0.33:
@@ -397,9 +416,12 @@ def generate_fold_case(seed: int) -> str:
                      f" {g.literal(width)};")
     # A part-select bound nested in a ternary branch under a comparison,
     # where lowering defers its errors: a bound that reads a reg is
-    # rejected whichever branch is selected.
-    lines.append("    localparam s = 0;" if rng.random() < 0.5
-                 else "    reg [3:0] s = 4'd0;")
+    # rejected whichever branch is selected, and so is a reg read behind
+    # an x-valued bound, which fails the comparison's sizing before the
+    # part select itself lowers.
+    lines.append(rng.choice(("    localparam s = 0;",
+                             "    reg [3:0] s = 4'd0;",
+                             "    localparam s = 4'bx011;")))
     exprs = [g.expr(names, 3) for _ in range(8)]
     exprs.append(f"({g.expr(names, 1)} ? {g.expr(names, 1)} :"
                  f" (1 == {rng.choice(names)[0]}[s:0]))")

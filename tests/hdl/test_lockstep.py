@@ -174,6 +174,18 @@ class TestBuildUnion:
         assert len({id(node) for node in first}) == 1
         assert first[0] is not second[0]
 
+    def test_repeated_dump_line_widens_once(self):
+        """The parser shares the driver's repeated dump line, and one
+        build widens it once: both check-points run one statement."""
+        union = build_union(DRIVER, [GOLDEN, MUT_XOR])
+        (initial,) = [item for item in union.module("tb").items
+                      if isinstance(item, hdl_ast.InitialBlock)]
+        dumps = [stmt for stmt in initial.body.stmts
+                 if isinstance(stmt, hdl_ast.SysTaskCall)
+                 and stmt.name == "$fdisplay"]
+        assert len(dumps) == 2 and dumps[0] is dumps[1]
+        assert GROUP_DELIM in dumps[0].args[1].text
+
 
 class TestDemuxLines:
     def test_groups_split_per_lane(self):

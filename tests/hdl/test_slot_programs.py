@@ -344,9 +344,11 @@ class TestLeafSharing:
     def test_repeated_constants_share_one_closure(self):
         design = elaborate(parse_source_cached(COUNTER_TB), "tb")
         ctx = LowerCtx(design.processes[0].scope)
-        # Distinct nodes kept alive: the per-node memo keys on identity.
-        nodes = [hdl_ast.Number(4, 3, 0, False) for _ in range(self.REPEATS)]
-        assert len({id(compile_expr(node, ctx)) for node in nodes}) == 1
+        # Unequal nodes of one value, so the per-node memo misses.
+        for pair in ((hdl_ast.Number(4, 3), hdl_ast.Number(4, 3, 0, True)),
+                     (hdl_ast.Number(None, 3), hdl_ast.Number(32, 3))):
+            first, second = (compile_expr(node, ctx) for node in pair)
+            assert first is second
 
     def test_shared_leaves_keep_results_and_signature(self):
         """Sharing changes what the program holds, not what it prints."""
@@ -476,6 +478,16 @@ class TestNotConstant:
         run = run_driver(src, "module top_module(); endmodule")
         assert (run.status, run.detail) == (
             ELABORATION, "'s' is not a constant")
+
+    @pytest.mark.parametrize("engine", SIMULATORS)
+    def test_signal_read_behind_an_undefined_bound(self, engine):
+        # Sizing the comparison folds the x-valued bound, which fails the
+        # unselected branch before the part select reads b; b is still
+        # read, so the count is not a constant.
+        src = _tb("    parameter P = 1;\n    localparam X = 4'bx011;\n",
+                  "{(P ? 1 : (1 == b[X:0])){1'b1}}")
+        assert _printed(src, engine) == (
+            "NotConstantError", "'b' is not a constant")
 
     @pytest.mark.parametrize("engine", SIMULATORS)
     def test_reg_initialiser_reads_a_signal(self, engine):

@@ -67,10 +67,12 @@ def _variable_read(expr: ast.Expr, scope: Scope) -> str | None:
     runtime's lowering meets them: a variable in a nested part-select
     bound or replication count (folded eagerly), then operands left to
     right, an index before the vector or memory it selects from.  An
-    expression that is broken in another way too (an unknown name, an
-    x-valued bound under a comparison in a ternary branch) may have a
-    different outcome in the runtime.  The walk keeps its own stack, so a
-    3,000-term sum does not recurse.
+    expression that is broken in another way too may have a different
+    outcome in the runtime: an unknown name, or, behind an x-valued
+    bound under a comparison in a ternary branch, a runtime hook (the
+    runtime misses it) or two or more variables (the runtime names the
+    first in sorted order).  The
+    walk keeps its own stack, so a 3,000-term sum does not recurse.
     """
     nested: list[ast.Expr] = []
     reads: list[str] = []

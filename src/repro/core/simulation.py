@@ -389,10 +389,11 @@ def _demux_records(lines: list[str],
                    n_lanes: int) -> list[list[Record]]:
     """Per-lane records from a lockstep union run's widened dump.
 
-    Equivalent to :func:`repro.hdl.lockstep.demux_lines` followed by
-    :func:`parse_dump` per lane (the slow path does exactly that, line
-    by line), but the common ``name = value`` shape parses the shared
-    line skeleton once and patches only the per-lane group fields.
+    Equivalent to the tests' ``demux_lines`` (``tests/oracles/``)
+    followed by :func:`parse_dump` per lane (the slow path does exactly
+    that, line by line), but the common ``name = value`` shape parses
+    the shared line skeleton once and patches only the per-lane group
+    fields.
     """
     lanes: list[list[Record]] = [[] for _ in range(n_lanes)]
     for line in lines:

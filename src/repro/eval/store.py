@@ -1,10 +1,10 @@
-"""Persistent, content-addressed campaign artifact store.
+"""Persistent campaign artifact store.
 
 Campaigns used to be all-or-nothing: a crash at task 155 of 156 threw
-away every completed simulation, and repeated CLI runs started from a
-blank process.  :class:`CampaignStore` makes campaign results durable
-on disk so a killed campaign resumes without resimulating and loses at
-most the items in flight, and repeated runs skip finished items:
+away every completed simulation.  :class:`CampaignStore` makes campaign
+results durable on disk so a killed campaign resumes without
+resimulating and loses at most the items in flight, and repeated runs
+skip finished items:
 
 - **Keying.**  A result is addressed by a :func:`store_key` — the
   (task, method, seed, profile, criterion, group size) coordinates of
@@ -15,25 +15,23 @@ most the items in flight, and repeated runs skip finished items:
   start methods, cache capacities, trace/store directories — do not,
   so resuming with ``--jobs 8`` reuses entries a serial run produced.
 
-- **Layout.**  ``blobs/<sha256>.json`` holds the canonical-JSON result
-  payloads, content-addressed: the file name *is* the SHA-256 of the
-  bytes, verified on every read.  ``entries/<key-digest>.json`` maps a
-  key digest to its blob (the durable truth — one file per entry, so
-  concurrent writers never contend on shared state).  ``manifest.json``
-  is a versioned index rebuilt from the entry files when torn.  The
-  store holds results only: caches are never written to it, and any
-  other file in the root is ignored.
+- **Layout.**  ``entries/<key-digest>.json`` is the whole record of
+  one item: the canonical-JSON ``{version, key, run}`` payload and
+  that payload's SHA-256.  ``manifest.json`` is a ``{"version": 3}``
+  marker written once, when the store is created.  The store holds
+  results only: caches are never written to it, and any other file in
+  the root is ignored.
 
-- **Writes** go through tmp-file + :func:`os.replace` rename, so a
-  SIGKILL at any point leaves either the old state or the new state on
-  disk — never a torn blob.  Two processes sharing a store race only
-  on the advisory manifest (last writer wins); their entry and blob
-  files land independently and :meth:`CampaignStore.keys` reads them
+- **Writes.**  A put is one tmp-file + :func:`os.replace` rename, so a
+  SIGKILL at any point leaves either the old entry or the new one on
+  disk — never a torn record.  Concurrent writers share no file: each
+  entry lands independently, and :meth:`CampaignStore.keys` reads them
   all.
 
-- **Integrity.**  A tampered, truncated, or dangling blob raises a
-  typed :class:`StoreIntegrityError` at read time; the store never
-  silently serves stale or corrupt data.
+- **Integrity.**  Every read re-hashes the payload bytes and checks
+  the recorded key and version; a tampered, truncated or foreign entry
+  raises a typed :class:`StoreIntegrityError` or :class:`StoreError`.
+  The store never silently serves stale or corrupt data.
 
 :func:`repro.eval.campaign.run_campaign` accepts ``store=`` /
 ``resume=`` (and the CLI ``campaign --store DIR --resume``), serial or
@@ -46,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -53,9 +52,9 @@ from pathlib import Path
 from ..hdl.context import SimContext
 from .methods import TaskRun
 
-#: On-disk schema version; bumped when blob/entry/manifest shapes
-#: change so a stale store fails loudly instead of half-resuming.
-STORE_VERSION = 2
+#: On-disk schema version; bumped when the entry or marker shape
+#: changes so a stale store fails loudly instead of half-resuming.
+STORE_VERSION = 3
 
 #: SimContext fields that can change a campaign item's *result* (and
 #: therefore enter the store key).  Deliberately excludes operational
@@ -71,10 +70,10 @@ class StoreError(RuntimeError):
 
 
 class StoreIntegrityError(StoreError):
-    """On-disk state failed verification: a blob whose bytes do not
-    hash to its content address, a truncated or unparseable record, an
-    entry pointing at a missing blob, or a payload recorded under a
-    different key.  Raised instead of ever returning suspect data."""
+    """An entry failed verification: its payload bytes do not hash to
+    the recorded SHA-256 (tampered, truncated or appended to), it does
+    not decode, or it was recorded under a different key.  Raised
+    instead of ever returning suspect data."""
 
 
 def _canonical(obj) -> bytes:
@@ -123,8 +122,8 @@ def store_key(method: str, task_id: str, seed: int, profile: str,
               context: SimContext) -> dict:
     """The addressing record for one campaign work item.
 
-    Plain JSON-able dict so keys travel in manifests and entry files
-    verbatim; :func:`key_digest` collapses one to a file name.
+    Plain JSON-able dict so keys travel in entry files verbatim;
+    :func:`key_digest` collapses one to a file name.
     """
     return {
         "task_id": task_id,
@@ -163,151 +162,101 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
+#: An entry file: the payload's SHA-256, then the payload's canonical
+#: bytes verbatim, so the hash covers exactly the bytes on disk.
+_ENTRY = b'{"sha256":"%s","payload":%s}'
+_ENTRY_RE = re.compile(rb'\{"sha256":"([0-9a-f]{64})","payload":(.*)\}',
+                       re.DOTALL)
+
+
 class CampaignStore:
     """On-disk campaign result store rooted at ``root``.
 
-    Opening creates the layout if absent.  A manifest that fails to
-    parse (a torn write from a crashed process, or tampering) is
-    *recovered* by rebuilding the index from the entry files — with a
-    stderr warning — because entries, not the manifest, are the durable
-    truth; an entry or blob that fails verification raises
-    :class:`StoreIntegrityError` instead.
+    Opening creates the layout if absent and checks the version marker:
+    a foreign version raises :class:`StoreError`.  A missing marker is
+    written after every entry has been read and verified; an unreadable
+    one (a torn write, or tampering) is rewritten the same way, with a
+    stderr warning.
     """
 
     def __init__(self, root):
         self.root = Path(root)
-        self._blobs = self.root / "blobs"
         self._entries = self.root / "entries"
-        self._manifest_path = self.root / "manifest.json"
-        self._blobs.mkdir(parents=True, exist_ok=True)
-        self._entries.mkdir(parents=True, exist_ok=True)
+        self._marker = self.root / "manifest.json"
         self._hits = 0
         self._misses = 0
         self._puts = 0
         self._evictions = 0
-        self._recovered_manifest = False
-        self._index = self._load_manifest()
+        marked = self._marker_ok()
+        self._entries.mkdir(parents=True, exist_ok=True)
+        if not marked:
+            for path in self._entries.glob("*.json"):
+                try:
+                    self._read_entry(path)
+                except FileNotFoundError:  # evicted by another writer
+                    pass
+            _atomic_write(self._marker,
+                          _canonical({"version": STORE_VERSION}))
 
-    # -- manifest ------------------------------------------------------
-    def _load_manifest(self) -> dict:
+    def _marker_ok(self) -> bool:
+        """Does the root hold a readable marker of this version?  A
+        foreign version raises; a missing or unreadable one is False."""
         try:
-            raw = self._manifest_path.read_bytes()
+            raw = self._marker.read_bytes()
         except FileNotFoundError:
-            return self._rebuild_index(write=False)
+            return False
         try:
-            manifest = json.loads(raw)
-            version = manifest["version"]
-            entries = manifest["entries"]
-            if not isinstance(entries, dict):
-                raise TypeError("entries is not an object")
+            version = json.loads(raw)["version"]
         except (ValueError, KeyError, TypeError) as exc:
-            # A torn manifest must never lose completed work: the entry
-            # files are the truth, so recover the index from them and
-            # say so loudly.
-            print(f"warning: campaign store manifest "
-                  f"{self._manifest_path} is unreadable ({exc}); "
-                  f"rebuilding from entry files", file=sys.stderr)
-            self._recovered_manifest = True
-            return self._rebuild_index(write=True)
+            print(f"warning: campaign store marker {self._marker} is "
+                  f"unreadable ({exc!r}); checking the entries and "
+                  f"rewriting it", file=sys.stderr)
+            return False
         if version != STORE_VERSION:
             raise StoreError(
-                f"campaign store {self.root} has manifest version "
+                f"campaign store {self.root} has version {version!r}; "
+                f"this build reads {STORE_VERSION}")
+        return True
+
+    # -- entries -------------------------------------------------------
+    def _path(self, key: dict) -> Path:
+        return self._entries / f"{key_digest(key)}.json"
+
+    def _read_entry(self, path: Path) -> dict:
+        """The verified ``{version, key, run}`` payload stored at
+        ``path``; a missing file raises :class:`FileNotFoundError`."""
+        data = path.read_bytes()
+        match = _ENTRY_RE.fullmatch(data)
+        if match is None or _sha256(match[2]) != match[1].decode():
+            raise StoreIntegrityError(
+                f"campaign store entry {path} failed its content hash "
+                f"(tampered, truncated, or another store version)")
+        try:
+            payload = json.loads(match[2])
+            version = payload["version"]
+            payload["key"], payload["run"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise StoreIntegrityError(
+                f"campaign store entry {path} is corrupt: {exc!r}") from exc
+        if version != STORE_VERSION:
+            raise StoreError(
+                f"campaign store entry {path.name} has version "
                 f"{version!r}; this build reads {STORE_VERSION}")
-        return dict(entries)
-
-    def _rebuild_index(self, write: bool) -> dict:
-        index = {}
-        for path in sorted(self._entries.glob("*.json")):
-            entry = self._read_entry_file(path)
-            index[path.stem] = {"key": entry["key"], "blob": entry["blob"]}
-        self._index = index
-        if write:
-            self.flush_manifest()
-        return index
-
-    def flush_manifest(self) -> Path:
-        """Write the advisory index (atomic, last-writer-wins).
-
-        Entries from concurrent writers that this process never saw are
-        not lost — :meth:`keys` and :meth:`get` read the entry files —
-        the manifest only accelerates listings and ships in CI
-        artifacts."""
-        manifest = {"version": STORE_VERSION,
-                    "count": len(self._index),
-                    "entries": self._index}
-        _atomic_write(self._manifest_path,
-                      json.dumps(manifest, sort_keys=True,
-                                 indent=1).encode("utf-8") + b"\n")
-        return self._manifest_path
-
-    def manifest(self) -> dict:
-        """The current in-memory index: ``{digest: {key, blob}}``."""
-        return dict(self._index)
-
-    @property
-    def recovered_manifest(self) -> bool:
-        """Did opening this store rebuild a torn manifest?"""
-        return self._recovered_manifest
-
-    # -- entries and blobs ---------------------------------------------
-    def _read_entry_file(self, path: Path) -> dict:
-        try:
-            entry = json.loads(path.read_bytes())
-            if entry["version"] != STORE_VERSION:
-                raise StoreError(
-                    f"entry {path.name} has version "
-                    f"{entry['version']!r}; this build reads "
-                    f"{STORE_VERSION}")
-            entry["key"]
-            entry["blob"]
-        except StoreError:
-            raise
-        except (ValueError, KeyError, TypeError) as exc:
-            raise StoreIntegrityError(
-                f"campaign store entry {path} is corrupt: {exc}") from exc
-        return entry
-
-    def _read_blob(self, blob_sha: str, key: dict) -> dict:
-        path = self._blobs / f"{blob_sha}.json"
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            raise StoreIntegrityError(
-                f"entry for {key.get('task_id')!r} points at missing "
-                f"blob {blob_sha}") from None
-        if _sha256(data) != blob_sha:
-            raise StoreIntegrityError(
-                f"blob {blob_sha} failed its content hash "
-                f"(tampered or truncated)")
-        try:
-            payload = json.loads(data)
-            if payload["version"] != STORE_VERSION:
-                raise StoreIntegrityError(
-                    f"blob {blob_sha} has version "
-                    f"{payload['version']!r}")
-            if payload["key"] != key:
-                raise StoreIntegrityError(
-                    f"blob {blob_sha} was recorded under a different "
-                    f"key than the entry that references it")
-        except StoreIntegrityError:
-            raise
-        except (ValueError, KeyError, TypeError) as exc:
-            raise StoreIntegrityError(
-                f"blob {blob_sha} is corrupt: {exc}") from exc
         return payload
 
     def get(self, key: dict) -> TaskRun | None:
         """The stored :class:`TaskRun` for ``key``, or ``None`` on a
-        miss.  Every read re-verifies the blob's content hash and the
+        miss.  Every read re-verifies the entry's content hash and the
         recorded key; failures raise :class:`StoreIntegrityError`."""
-        digest = key_digest(key)
-        path = self._entries / f"{digest}.json"
         try:
-            entry = self._read_entry_file(path)
+            payload = self._read_entry(self._path(key))
         except FileNotFoundError:
             self._misses += 1
             return None
-        payload = self._read_blob(entry["blob"], key)
+        if payload["key"] != key:
+            raise StoreIntegrityError(
+                f"entry for {key.get('task_id')!r} was recorded under a "
+                f"different key")
         try:
             run = TaskRun.from_payload(payload["run"])
         except (ValueError, KeyError, TypeError) as exc:
@@ -319,50 +268,31 @@ class CampaignStore:
 
     def contains(self, key: dict) -> bool:
         """Fast existence probe (no integrity verification)."""
-        return (self._entries / f"{key_digest(key)}.json").exists()
+        return self._path(key).exists()
 
     def put(self, key: dict, run: TaskRun) -> str:
-        """Store ``run`` under ``key``; returns the blob's SHA-256.
-
-        Blob first, entry second: a kill between the two leaves an
-        unreferenced blob (garbage, harmless), never an entry pointing
-        at a missing blob.  Re-putting an identical result is a no-op
-        at the blob layer (content addressing); a different result for
-        the same key atomically replaces the entry (last writer wins).
-        """
-        payload = {"version": STORE_VERSION, "key": key,
-                   "run": run.to_payload()}
-        blob = _canonical(payload)
-        blob_sha = _sha256(blob)
-        blob_path = self._blobs / f"{blob_sha}.json"
-        if not blob_path.exists():
-            _atomic_write(blob_path, blob)
-        digest = key_digest(key)
-        entry = {"version": STORE_VERSION, "key": key, "blob": blob_sha}
-        _atomic_write(self._entries / f"{digest}.json",
-                      _canonical(entry))
-        self._index[digest] = {"key": key, "blob": blob_sha}
+        """Store ``run`` under ``key`` with one atomic file write, so a
+        different result for the same key replaces the entry (last
+        writer wins).  Returns the payload's SHA-256."""
+        body = _canonical({"version": STORE_VERSION, "key": key,
+                           "run": run.to_payload()})
+        sha = _sha256(body)
+        _atomic_write(self._path(key), _ENTRY % (sha.encode(), body))
         self._puts += 1
-        self.flush_manifest()
-        return blob_sha
+        return sha
 
     def evict(self, key: dict) -> bool:
-        """Drop the entry for ``key`` (its blob stays content-addressed
-        garbage).  Returns whether an entry existed."""
-        digest = key_digest(key)
+        """Drop the entry for ``key``.  Returns whether one existed."""
         try:
-            (self._entries / f"{digest}.json").unlink()
+            self._path(key).unlink()
         except FileNotFoundError:
             return False
-        self._index.pop(digest, None)
         self._evictions += 1
-        self.flush_manifest()
         return True
 
     def keys(self) -> tuple[dict, ...]:
-        """Every stored key, read from the entry files (sees concurrent
-        writers' entries the in-memory manifest missed)."""
-        return tuple(self._read_entry_file(path)["key"]
+        """Every stored key, read and verified from the entry files."""
+        return tuple(self._read_entry(path)["key"]
                      for path in sorted(self._entries.glob("*.json")))
 
     def export_keys(self) -> tuple[str, ...]:

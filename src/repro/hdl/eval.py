@@ -806,20 +806,46 @@ def fold(expr: ast.Expr, scope: "Scope",
 
 
 def _reject_unlowered_reads(expr: ast.Expr, ctx: LowerCtx) -> None:
-    """Raise for a variable that a constant reads in a part the lowering
-    deferred before reaching it.
+    """Raise for a variable or runtime hook that a constant reads in a
+    part the lowering deferred before reaching it.
 
     Sizing folds part-select bounds before the operands lower, so in
-    ``P ? 1 : (1 == b[X:0])`` an undefined ``X`` fails the unselected
-    branch before anything reads ``b``.  Names are checked in sorted
-    order, so the message does not depend on the hash seed.
+    ``P ? 1 : (1 == b[X:0] + $random)`` an undefined ``X`` fails the
+    unselected branch before anything reads ``b`` or calls
+    ``$random``.  Names are checked in sorted order (hooks, which start
+    with ``$``, first), so the message does not depend on the hash seed.
     """
+    hooks = sorted(_runtime_hooks(expr))
+    if hooks:
+        raise NotConstantError(f"{hooks[0]!r} is not a constant")
     names: set[str] = set()
     collect_expr_reads(expr, names)
     for name in sorted(names):
         ctx._touch(name)
         if ctx.facts[name][0] in ("sig", "mem"):
             raise NotConstantError(f"{name!r} is not a constant")
+
+
+#: System functions that read the running simulation (see
+#: :func:`_compile_system_call`): never part of a constant.
+_RUNTIME_HOOKS = frozenset({"$time", "$random", "$urandom", "$fopen"})
+
+
+def _runtime_hooks(expr: ast.Expr) -> set[str]:
+    """The runtime hooks ``expr`` calls.  The walk keeps its own stack,
+    so a 3,000-term sum does not recurse."""
+    hooks: set[str] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.SystemCall) and node.name in _RUNTIME_HOOKS:
+            hooks.add(node.name)
+        for value in node._values(node):
+            if isinstance(value, ast.Node):
+                stack.append(value)
+            elif isinstance(value, tuple):
+                stack.extend(value)
+    return hooks
 
 
 # ----------------------------------------------------------------------

@@ -16,9 +16,10 @@ a **union design** that pays it once per sweep:
 - every dump ``$fdisplay`` is rewritten into **one widened statement**
   per check-point: shared fields (scenario counter, driven inputs)
   render once, and each output field renders as a delimiter-bracketed
-  group of all N lane values.  :func:`demux_lines` splits the groups
-  back into N per-lane lines that are byte-identical to what N separate
-  runs would have written.
+  group of all N lane values.  The sweep
+  (:func:`repro.core.simulation._demux_records`) splits the groups back
+  into N per-lane records equal to what N separate runs would have
+  written.
 
 The transform is AST-level and engine-agnostic: the union design runs
 through the ordinary elaborate → compile → simulate pipeline (either
@@ -510,31 +511,3 @@ def build_union(driver_src: str, lane_srcs: list[str],
         if module.name != top:
             modules.append(module)
     return ast.SourceFile(tuple(modules))
-
-
-# ----------------------------------------------------------------------
-# Demultiplexing
-# ----------------------------------------------------------------------
-def demux_lines(lines: list[str], n_lanes: int) -> list[list[str]]:
-    """Split a union run's widened dump back into per-lane lines.
-
-    Each widened line alternates shared literal text with
-    delimiter-bracketed value groups; lane ``k``'s line re-concatenates
-    the literals with the group's ``k``-th value.  Lines without groups
-    (fully shared check-points) replicate to every lane verbatim, so
-    the result is byte-identical to N separate per-lane runs.
-    """
-    lanes: list[list[str]] = [[] for _ in range(n_lanes)]
-    for line in lines:
-        parts = line.split(GROUP_DELIM)
-        if len(parts) == 1:
-            for lane in lanes:
-                lane.append(line)
-            continue
-        groups = [part.split(LANE_DELIM) if i % 2 else part
-                  for i, part in enumerate(parts)]
-        for k in range(n_lanes):
-            lanes[k].append("".join(
-                groups[i][k] if i % 2 else groups[i]
-                for i in range(len(groups))))
-    return lanes

@@ -1,6 +1,7 @@
 """Campaign artifact store: keying, round trips, atomic durability,
-manifest recovery, the results-only layout and the integrity battery."""
+the version marker, the results-only layout and the integrity battery."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -82,14 +83,29 @@ class TestRoundTrip:
         CampaignStore(tmp_path).put(make_key(), run)
         reopened = CampaignStore(tmp_path)
         assert reopened.get(make_key()) == run
-        assert not reopened.recovered_manifest
 
-    def test_identical_payload_is_deduplicated(self, tmp_path):
+    def test_put_writes_one_file_and_leaves_the_marker(self, tmp_path):
         store = CampaignStore(tmp_path)
-        sha_a = store.put(make_key(), make_run())
-        sha_b = store.put(make_key(), make_run())
-        assert sha_a == sha_b
-        assert len(list((tmp_path / "blobs").glob("*.json"))) == 1
+        marker = (tmp_path / "manifest.json").read_bytes()
+
+        def snapshot():
+            return {path.relative_to(tmp_path): path.read_bytes()
+                    for path in tmp_path.rglob("*") if path.is_file()}
+
+        for level in (EvalLevel.FAILED, EvalLevel.EVAL2):
+            before = snapshot()
+            store.put(make_key(), make_run(level=level))
+            after = snapshot()
+            changed = {name for name in before.keys() | after.keys()
+                       if before.get(name) != after.get(name)}
+            assert changed == {Path("entries")
+                               / f"{key_digest(make_key())}.json"}
+            assert after[Path("manifest.json")] == marker
+        store.put(make_key(seed=1), make_run(seed=1))
+        store.evict(make_key())
+        assert (tmp_path / "manifest.json").read_bytes() == marker
+        assert sorted(path.name for path in tmp_path.iterdir()) \
+            == ["entries", "manifest.json"]
 
     def test_last_writer_wins_per_key(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -147,119 +163,196 @@ class TestIntegrity:
         store.put(make_key(), make_run())
         return store, make_key()
 
-    def _blob_path(self, tmp_path):
-        (blob,) = (tmp_path / "blobs").glob("*.json")
-        return blob
+    def _entry_path(self, tmp_path, key=None):
+        key = key if key is not None else make_key()
+        return tmp_path / "entries" / f"{key_digest(key)}.json"
 
-    def test_tampered_blob_raises(self, tmp_path):
+    def test_tampered_entry_raises(self, tmp_path):
         store, key = self._stored(tmp_path)
-        blob = self._blob_path(tmp_path)
-        data = json.loads(blob.read_bytes())
-        data["run"]["level"] = int(EvalLevel.FAILED)
-        blob.write_text(json.dumps(data))
+        path = self._entry_path(tmp_path)
+        stored = b'"level":%d' % int(EvalLevel.EVAL2)
+        data = path.read_bytes()
+        assert stored in data
+        path.write_bytes(data.replace(
+            stored, b'"level":%d' % int(EvalLevel.FAILED)))
         with pytest.raises(StoreIntegrityError, match="content hash"):
             store.get(key)
 
-    def test_truncated_blob_raises(self, tmp_path):
+    def test_truncated_entry_raises(self, tmp_path):
         store, key = self._stored(tmp_path)
-        blob = self._blob_path(tmp_path)
-        blob.write_bytes(blob.read_bytes()[:-20])
+        path = self._entry_path(tmp_path)
+        path.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(StoreIntegrityError, match="content hash"):
             store.get(key)
 
-    def test_missing_blob_raises(self, tmp_path):
+    @pytest.mark.parametrize("tail", [b" ", b"}", b"\n"])
+    def test_appended_entry_raises(self, tmp_path, tail):
+        # Trailing bytes JSON would ignore or reject still fail the hash.
         store, key = self._stored(tmp_path)
-        self._blob_path(tmp_path).unlink()
-        with pytest.raises(StoreIntegrityError, match="missing"):
+        path = self._entry_path(tmp_path)
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(StoreIntegrityError, match="content hash"):
             store.get(key)
 
-    def test_blob_under_wrong_key_raises(self, tmp_path):
-        # An entry whose blob was recorded under a *different* key must
-        # not be served: rewrite the entry for key B to point at key A's
-        # blob (the blob's own hash still verifies).
+    def test_entry_under_wrong_key_raises(self, tmp_path):
+        # An entry recorded under a *different* key must not be served:
+        # copy key A's entry over key B's (its hash still verifies).
         store = CampaignStore(tmp_path)
         key_a, key_b = make_key(seed=0), make_key(seed=1)
-        sha_a = store.put(key_a, make_run(seed=0))
+        store.put(key_a, make_run(seed=0))
         store.put(key_b, make_run(seed=1))
-        entry_path = tmp_path / "entries" / f"{key_digest(key_b)}.json"
-        entry = json.loads(entry_path.read_bytes())
-        entry["blob"] = sha_a
-        entry_path.write_text(json.dumps(entry))
-        with pytest.raises(StoreIntegrityError, match="different.*key"):
+        self._entry_path(tmp_path, key_b).write_bytes(
+            self._entry_path(tmp_path, key_a).read_bytes())
+        with pytest.raises(StoreIntegrityError, match="different key"):
             store.get(key_b)
 
     def test_corrupt_entry_raises(self, tmp_path):
         store, key = self._stored(tmp_path)
-        path = tmp_path / "entries" / f"{key_digest(key)}.json"
-        path.write_text("{not json")
+        self._entry_path(tmp_path).write_text("{not json")
+        with pytest.raises(StoreIntegrityError, match="content hash"):
+            store.get(key)
+
+    def test_undecodable_payload_raises(self, tmp_path):
+        # A record whose hash verifies but whose payload is not one.
+        store, key = self._stored(tmp_path)
+        write_entry(self._entry_path(tmp_path), b"[1,2]")
         with pytest.raises(StoreIntegrityError, match="corrupt"):
             store.get(key)
 
     def test_entry_version_mismatch_raises(self, tmp_path):
         store, key = self._stored(tmp_path)
-        path = tmp_path / "entries" / f"{key_digest(key)}.json"
-        entry = json.loads(path.read_bytes())
-        entry["version"] = STORE_VERSION + 1
-        path.write_text(json.dumps(entry))
+        path = self._entry_path(tmp_path)
+        payload = entry_payload(path)
+        payload["version"] = STORE_VERSION + 1
+        write_entry(path, json.dumps(payload).encode())
         with pytest.raises(StoreError, match="version"):
             store.get(key)
 
 
+def entry_payload(path: Path) -> dict:
+    """The payload of a well-formed entry file."""
+    return json.loads(path.read_bytes())["payload"]
+
+
+def write_entry(path: Path, body: bytes) -> None:
+    """Write ``body`` as an entry whose content hash verifies."""
+    path.write_bytes(b'{"sha256":"%s","payload":%s}'
+                     % (hashlib.sha256(body).hexdigest().encode(), body))
+
+
+def write_v2_store(root: Path) -> None:
+    """Lay out a version-2 store: a content-addressed blob, an entry
+    file pointing at it, and the manifest indexing that entry."""
+    key = make_key()
+    blob = json.dumps({"version": 2, "key": key,
+                       "run": make_run().to_payload()},
+                      sort_keys=True, separators=(",", ":")).encode()
+    sha = hashlib.sha256(blob).hexdigest()
+    (root / "blobs").mkdir(parents=True)
+    (root / "entries").mkdir()
+    (root / "blobs" / f"{sha}.json").write_bytes(blob)
+    entry = {"version": 2, "key": key, "blob": sha}
+    (root / "entries" / f"{key_digest(key)}.json").write_text(
+        json.dumps(entry, sort_keys=True, separators=(",", ":")))
+    manifest = {"version": 2, "count": 1,
+                "entries": {key_digest(key): {"key": key, "blob": sha}}}
+    (root / "manifest.json").write_text(json.dumps(manifest, indent=1))
+
+
 class TestManifest:
+    """``manifest.json`` is a version marker: written once, when the
+    store is created, and checked each time it is opened."""
+
+    MARKER = b'{"version":3}'
+
     def test_manifest_written_and_versioned(self, tmp_path):
-        store = CampaignStore(tmp_path)
-        store.put(make_key(), make_run())
-        manifest = json.loads((tmp_path / "manifest.json").read_bytes())
-        assert manifest["version"] == STORE_VERSION
-        assert manifest["count"] == 1
-        assert key_digest(make_key()) in manifest["entries"]
+        CampaignStore(tmp_path)
+        assert (tmp_path / "manifest.json").read_bytes() == self.MARKER
 
     def test_version_mismatch_fails_loudly(self, tmp_path):
         CampaignStore(tmp_path).put(make_key(), make_run())
-        manifest_path = tmp_path / "manifest.json"
-        manifest = json.loads(manifest_path.read_bytes())
-        # A newer build's store, and a version-1 store (its keys still
-        # fingerprint the retired engine / lexer / mutant_engine fields).
-        for version in (STORE_VERSION + 1, 1):
-            manifest["version"] = version
-            manifest_path.write_text(json.dumps(manifest))
-            with pytest.raises(StoreError, match="version"):
+        # A version-1 store (its keys still fingerprint the retired
+        # engine / lexer / mutant_engine fields), a bare version-2
+        # marker, and a newer build's store.
+        for version in (1, 2, STORE_VERSION + 1):
+            (tmp_path / "manifest.json").write_text(
+                json.dumps({"version": version}))
+            with pytest.raises(StoreError, match=f"version {version}"):
                 CampaignStore(tmp_path)
 
+    def test_version_2_layout_fails_loudly(self, tmp_path):
+        write_v2_store(tmp_path)
+        before = sorted(path.name for path in tmp_path.iterdir())
+        with pytest.raises(StoreError, match="version 2"):
+            CampaignStore(tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == before
+        # Without its manifest, its entries still refuse to open.
+        (tmp_path / "manifest.json").unlink()
+        with pytest.raises(StoreError, match="another store version"):
+            CampaignStore(tmp_path)
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_torn_manifest_recovers_from_entries(self, tmp_path, capsys):
-        # The entry files are the durable truth: garbage in the
-        # manifest (a torn write) costs nothing but a loud warning.
+        # The entry files are the durable truth: garbage in the marker
+        # (a torn write) costs nothing but a loud warning.
         store = CampaignStore(tmp_path)
         for seed in range(3):
             store.put(make_key(seed=seed), make_run(seed=seed))
         (tmp_path / "manifest.json").write_bytes(b'{"version": 1, "en')
         recovered = CampaignStore(tmp_path)
-        assert recovered.recovered_manifest
-        assert "rebuilding from entry files" in capsys.readouterr().err
-        assert len(recovered.manifest()) == 3
+        assert "unreadable" in capsys.readouterr().err
+        assert len(recovered) == 3
         for seed in range(3):
             assert recovered.get(make_key(seed=seed)).seed == seed
-        # Recovery rewrote a readable manifest.
-        assert not CampaignStore(tmp_path).recovered_manifest
+        # Recovery rewrote a readable marker.
+        assert (tmp_path / "manifest.json").read_bytes() == self.MARKER
+        CampaignStore(tmp_path)
+        assert capsys.readouterr().err == ""
+
+    def test_unreadable_manifest_checks_entry_versions(self, tmp_path,
+                                                       capsys):
+        store = CampaignStore(tmp_path)
+        store.put(make_key(), make_run())
+        path = tmp_path / "entries" / f"{key_digest(make_key())}.json"
+        payload = entry_payload(path)
+        payload["version"] = STORE_VERSION + 1
+        write_entry(path, json.dumps(payload).encode())
+        (tmp_path / "manifest.json").write_bytes(b"\x00torn")
+        with pytest.raises(StoreError, match="version"):
+            CampaignStore(tmp_path)
+        assert "unreadable" in capsys.readouterr().err
+        assert (tmp_path / "manifest.json").read_bytes() == b"\x00torn"
 
     def test_missing_manifest_rebuilds_silently(self, tmp_path, capsys):
         CampaignStore(tmp_path).put(make_key(), make_run())
         (tmp_path / "manifest.json").unlink()
         reopened = CampaignStore(tmp_path)
-        assert not reopened.recovered_manifest  # absent != torn
         assert capsys.readouterr().err == ""
-        assert len(reopened.manifest()) == 1
+        assert (tmp_path / "manifest.json").read_bytes() == self.MARKER
+        assert reopened.get(make_key()) == make_run()
+
+    def test_missing_manifest_checks_entry_versions(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.put(make_key(), make_run())
+        path = tmp_path / "entries" / f"{key_digest(make_key())}.json"
+        payload = entry_payload(path)
+        payload["version"] = 2
+        write_entry(path, json.dumps(payload).encode())
+        (tmp_path / "manifest.json").unlink()
+        with pytest.raises(StoreError, match="version 2"):
+            CampaignStore(tmp_path)
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_manifest_is_advisory_not_truth(self, tmp_path):
-        # keys()/get() read entry files directly, so entries another
-        # writer landed after our manifest flush are still visible.
+        # The marker indexes nothing: keys()/get() read entry files, so
+        # entries another handle landed are visible at once.
         ours = CampaignStore(tmp_path)
         ours.put(make_key(seed=0), make_run(seed=0))
         theirs = CampaignStore(tmp_path)
         theirs.put(make_key(seed=1), make_run(seed=1))
-        assert len(ours.manifest()) == 1  # stale in-memory index...
-        assert len(ours) == 2             # ...but the disk truth is 2
+        assert len(ours) == 2
         assert ours.get(make_key(seed=1)).seed == 1
+        assert (tmp_path / "manifest.json").read_bytes() == self.MARKER
 
 
 class TestResultsOnly:
@@ -279,7 +372,7 @@ class TestResultsOnly:
         run_campaign(self._config(), store=CampaignStore(tmp_path))
         assert not (tmp_path / self.LEGACY_SNAPSHOT).exists()
         assert sorted(path.name for path in tmp_path.iterdir()) \
-            == ["blobs", "entries", "manifest.json"]
+            == ["entries", "manifest.json"]
 
     def test_garbage_snapshot_file_is_ignored_on_resume(self, tmp_path):
         cold = run_campaign(self._config())

@@ -1,17 +1,15 @@
 """Two processes writing one campaign store concurrently.
 
-Entry and blob files land independently per writer (tmp + atomic
-rename), so concurrent writers must never produce a torn blob; only
-the advisory manifest is racy (last writer wins), and listing through
-the entry files sees every writer's entries regardless of whose
-manifest flush landed last.
+Each entry file lands independently per writer (tmp + atomic rename)
+and the writers share no other file, so concurrent writers must never
+produce a torn entry, and listing the entry files sees every writer's
+entries.
 """
 
-import json
 import multiprocessing
 
 from repro.eval import CampaignStore, EvalLevel, TaskRun, store_key
-from repro.eval.store import STORE_VERSION, key_digest
+from repro.eval.store import key_digest
 from repro.hdl.context import SimContext
 from repro.llm.base import Usage
 
@@ -38,6 +36,7 @@ def _hammer(root, writer, barrier):
 
 def test_two_writers_share_one_store(tmp_path):
     CampaignStore(tmp_path)  # lay out the store before the race
+    marker = (tmp_path / "manifest.json").read_bytes()
     mp = multiprocessing.get_context("spawn")  # no inherited state
     barrier = mp.Barrier(2)
     writers = ("alpha", "beta")
@@ -55,31 +54,21 @@ def test_two_writers_share_one_store(tmp_path):
     expected = sorted(key_digest(_writer_key(w, i))
                       for w in writers for i in range(N_PER_WRITER))
     assert list(store.export_keys()) == expected
-    # No torn blobs: every entry reads back equal to what its writer
+    # No torn entries: every entry reads back equal to what its writer
     # stored, through full content-hash verification.
     for writer in writers:
         for index in range(N_PER_WRITER):
             assert store.get(_writer_key(writer, index)) \
                 == _writer_run(writer, index)
     assert store.stats()["hits"] == 2 * N_PER_WRITER
-
-    # The manifest is last-writer-wins and may miss the other writer's
-    # late entries, but it must parse, carry the right version, and
-    # only reference entries that exist on disk.
-    manifest = json.loads((tmp_path / "manifest.json").read_bytes())
-    assert manifest["version"] == STORE_VERSION
-    on_disk = set(store.export_keys())
-    assert set(manifest["entries"]) <= on_disk
-    # Dropping the advisory manifest forces a rebuild from the entry
-    # files, reconciling the index with the disk truth.
-    (tmp_path / "manifest.json").unlink()
-    assert len(CampaignStore(tmp_path).manifest()) == 2 * N_PER_WRITER
+    # The writers shared no file: the version marker is untouched.
+    assert (tmp_path / "manifest.json").read_bytes() == marker
 
 
 def test_interleaved_same_key_last_writer_wins(tmp_path):
     """Both processes hammer the *same* keys: whatever wins, every
-    entry must reference a complete, verifiable blob (no torn state),
-    and the final value is one of the two written."""
+    entry must be complete and verifiable (no torn state), and the
+    final value is one of the two written."""
     mp = multiprocessing.get_context("spawn")
     barrier = mp.Barrier(2)
 

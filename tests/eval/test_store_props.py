@@ -72,7 +72,6 @@ def test_store_matches_model_and_survives_reopen(ops):
         # ...and so does a cold reopen: everything put and not evicted
         # is durable, byte-verified, and equal to what went in.
         reopened = CampaignStore(root)
-        assert not reopened.recovered_manifest
         assert len(reopened) == len(model)
         for key_record in reopened.keys():
             assert reopened.get(key_record) \
@@ -81,39 +80,41 @@ def test_store_matches_model_and_survives_reopen(ops):
         shutil.rmtree(root, ignore_errors=True)
 
 
-@given(st.integers(0, 2), st.integers(1, 40),
-       st.binary(min_size=0, max_size=16))
-def test_corrupted_blob_never_served(seed, cut, garbage):
-    """Truncate a blob by an arbitrary amount and append arbitrary
-    bytes: the read must raise StoreIntegrityError, never return a
-    TaskRun that differs from what was stored."""
+@given(st.integers(0, 2), st.integers(0, 40),
+       st.binary(min_size=0, max_size=16), st.integers(0, 10_000))
+def test_corrupted_entry_never_served(seed, cut, garbage, flip):
+    """Truncate an entry file by an arbitrary amount, append arbitrary
+    bytes, or change one byte: the read must raise
+    StoreIntegrityError, never return a TaskRun that differs from what
+    was stored."""
     root = Path(tempfile.mkdtemp(prefix="repro-store-prop-"))
     try:
         store = CampaignStore(root)
         key = _key(0, 0, seed)
         store.put(key, _run(0, 0, seed, 3))
-        (blob_path,) = (root / "blobs").glob("*.json")
-        data = blob_path.read_bytes()
-        mutated = data[:-cut] + garbage
-        if mutated == data:  # hypothesis reassembled the original
-            assert store.get(key) == _run(0, 0, seed, 3)
-            return
-        blob_path.write_bytes(mutated)
+        (entry_path,) = (root / "entries").glob("*.json")
+        data = entry_path.read_bytes()
+        mutated = data[:len(data) - cut] + garbage
+        if mutated == data:  # no truncation or append: change one byte
+            at = flip % len(data)
+            mutated = data[:at] + bytes([data[at] ^ 0x20]) + data[at + 1:]
+        entry_path.write_bytes(mutated)
         try:
             store.get(key)
         except StoreIntegrityError:
             pass
         else:
-            raise AssertionError("corrupt blob was served")
+            raise AssertionError("corrupt entry was served")
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
 
 @given(st.binary(max_size=64), st.integers(1, 3))
 def test_torn_manifest_recovered_or_rejected_loudly(garbage, n_entries):
-    """Arbitrary bytes in manifest.json: reopening either recovers the
-    full index from the entry files (flagging it) or raises the typed
-    StoreError (a parseable manifest with a foreign version) — it never
+    """Arbitrary bytes in the manifest.json version marker: reopening
+    either accepts it (a version-3 marker, or an unreadable one that
+    is rewritten) with every entry intact, or raises the typed
+    StoreError (a readable marker with a foreign version) — it never
     opens quietly with entries missing."""
     root = Path(tempfile.mkdtemp(prefix="repro-store-prop-"))
     try:
@@ -124,16 +125,15 @@ def test_torn_manifest_recovered_or_rejected_loudly(garbage, n_entries):
         try:
             reopened = CampaignStore(root)
         except StoreError:
-            manifest = json.loads(garbage)
             # Only a version skew throws.
-            assert manifest["version"] != STORE_VERSION
+            assert json.loads(garbage)["version"] != STORE_VERSION
             return
         # The durable truth is always intact regardless of what the
-        # manifest said...
+        # marker said, and the marker now reads as this version.
+        assert len(reopened) == n_entries
         for seed in range(n_entries):
             assert reopened.get(_key(0, 0, seed)) == _run(0, 0, seed, 2)
-        # ...and a genuinely unparseable manifest was rebuilt in full.
-        if reopened.recovered_manifest:
-            assert len(reopened.manifest()) == n_entries
+        assert json.loads((root / "manifest.json").read_bytes())[
+            "version"] == STORE_VERSION
     finally:
         shutil.rmtree(root, ignore_errors=True)

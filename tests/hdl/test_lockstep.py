@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from oracles.demux import demux_lines
 from repro.codegen.driver import DUMP_FILE
 from repro.core.caches import caches
 from repro.core.simulation import (_per_mutant_sweep, run_driver,
@@ -23,7 +24,7 @@ from repro.hdl import current_context
 from repro.hdl.compile import program_cache_stats
 from repro.hdl.lockstep import (GROUP_DELIM, LANE_DELIM,
                                 LockstepUnsupported, build_union,
-                                demux_lines, lane_suffix)
+                                lane_suffix)
 
 DRIVER = """
 module tb();

@@ -489,6 +489,19 @@ class TestNotConstant:
         assert _printed(src, engine) == (
             "NotConstantError", "'b' is not a constant")
 
+    @pytest.mark.parametrize("hook", ["$random", "$urandom", "$time",
+                                      '$fopen("f")'])
+    @pytest.mark.parametrize("engine", SIMULATORS)
+    def test_runtime_hook_behind_an_undefined_bound(self, engine, hook):
+        # As above, but the unselected branch calls a runtime hook where
+        # it read a signal; the part select reads a parameter.
+        src = _tb("    localparam X = 4'bx011;\n    localparam Q = 8'hA5;\n"
+                  "    localparam P = 1;\n",
+                  f"{{(P ? 1 : (1 == Q[X:0] + {hook})){{1'b1}}}}")
+        name = hook.split("(")[0]
+        assert _printed(src, engine) == (
+            "NotConstantError", f"{name!r} is not a constant")
+
     @pytest.mark.parametrize("engine", SIMULATORS)
     def test_reg_initialiser_reads_a_signal(self, engine):
         src = ("module tb;\n    reg a = 1'b1;\n    reg b = a;\n"

@@ -69,10 +69,10 @@ def _variable_read(expr: ast.Expr, scope: Scope) -> str | None:
     right, an index before the vector or memory it selects from.  An
     expression that is broken in another way too may have a different
     outcome in the runtime: an unknown name, or, behind an x-valued
-    bound under a comparison in a ternary branch, a runtime hook (the
-    runtime misses it) or two or more variables (the runtime names the
-    first in sorted order).  The
-    walk keeps its own stack, so a 3,000-term sum does not recurse.
+    bound under a comparison in a ternary branch, two or more variables
+    or runtime hooks (the runtime names the first in sorted order, so
+    a hook before any variable).  The walk keeps its own stack, so a
+    3,000-term sum does not recurse.
     """
     nested: list[ast.Expr] = []
     reads: list[str] = []

@@ -4,7 +4,8 @@ Every bench regenerates one of the paper's tables or figures.  By default
 they run on a balanced dataset slice with one seed so ``pytest
 benchmarks/ --benchmark-only`` finishes in minutes; set ``REPRO_FULL=1``
 for the paper-scale protocol (156 tasks, 5 seeds) and ``REPRO_JOBS=N``
-(0 = all cores) to parallelise.
+(0 = all cores) to run each campaign's items over N pool workers.  The
+simulations inside an item run in that item's worker.
 
 Bench output (the rendered table/figure) is printed and also written to
 ``benchmarks/out/<name>.txt`` so EXPERIMENTS.md can reference it.

@@ -128,9 +128,7 @@ def test_run_driver_batch_mutants(benchmark):
     mutants = [m.source for m in generate_mutants(
         task.golden_rtl(), 10, task.task_id)]
 
-    # jobs=1 pinned: this measures the warm in-process batch path, not
-    # pool fan-out, regardless of any REPRO_JOBS in the environment.
-    runs = benchmark(run_driver_batch, driver, mutants, jobs=1)
+    runs = benchmark(run_driver_batch, driver, mutants)
     assert len(runs) == 10
 
 
@@ -329,10 +327,7 @@ def bench_batch_vs_serial(seconds: float,
             run_driver(driver, mutant)
 
     def batched():
-        # jobs=1 pinned: the comparison is batch dedup/template reuse
-        # vs a plain loop, so pool fan-out (context jobs / REPRO_JOBS)
-        # must not leak into the measurement.
-        run_driver_batch(driver, mutants, jobs=1)
+        run_driver_batch(driver, mutants)
 
     # Warm the caches once so both paths measure steady state.
     batched()
@@ -425,7 +420,7 @@ def bench_mutant_sweep(seconds: float, task_id: str = "seq_count8_en",
         if engine == "lockstep":
             result = run_mutant_sweep(driver, mutants, golden_src=golden)
         else:
-            result = _per_mutant_sweep(driver, mutants, golden, None,
+            result = _per_mutant_sweep(driver, mutants, golden,
                                        current_context())
         assert result.engine == engine, result.fallback_reason
         assert result.golden.ok

@@ -33,10 +33,10 @@ import sys
 
 from .core import (CRITERIA, AutoBenchGenerator, DEFAULT_CRITERION,
                    ScenarioValidator)
-from .eval import (default_config, evaluate, registered_methods,
-                   render_recovery_report, render_store_summary,
-                   render_table1, render_table3, render_usage_summary,
-                   run_campaign, run_one)
+from .eval import (StoreError, default_config, evaluate,
+                   registered_methods, render_recovery_report,
+                   render_store_summary, render_table1, render_table3,
+                   render_usage_summary, run_campaign, run_one)
 from .hdl.context import (START_METHODS, current_context, use_context,
                           valid_llm_backend)
 from .llm import MeteredClient, UsageMeter
@@ -165,7 +165,11 @@ def cmd_campaign(args) -> int:
         print("error: --resume needs a store; pass --store DIR "
               "or set REPRO_STORE_DIR", file=sys.stderr)
         return 2
-    result = run_campaign(config, resume=args.resume)
+    try:
+        result = run_campaign(config, resume=args.resume)
+    except StoreError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if context.store_dir:
         # Store accounting goes to stderr so a resumed run's stdout
         # report stays byte-identical to an uninterrupted one (the CI

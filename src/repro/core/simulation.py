@@ -21,38 +21,32 @@ reuse on top of it:
   re-raise their recorded error instead of re-running the front end.
 - **batched execution** — :func:`run_driver_batch` /
   :func:`run_monolithic_batch` fan one shared testbench across many DUT
-  variants, deduplicating identical sources and optionally spreading
-  the work across the *persistent* worker pool (:func:`get_sim_pool`):
-  created lazily, reused by every batch and campaign in the process,
-  torn down atexit.  Batches, campaigns and the validator study map
-  over it through :func:`pool_imap`, which yields each item as it
-  completes and is the one place a broken pool heals (once, re-running
-  only the items not yet returned).
+  variants in process, deduplicating identical sources.  Only a pool
+  owner submits to the *persistent* worker pool (:func:`get_sim_pool`):
+  campaigns and the validator study map work items over it and the
+  service hands the batch APIs its ``jobs``; sweeps inside an item run
+  in process.  :func:`pool_imap` yields each item as it completes and
+  is the one place a broken pool heals (once, re-running only the items
+  not yet returned).
 
 One layer below, :mod:`repro.hdl.compile` shares slot-indexed compiled
 programs across elaborations, so even a *fresh* (driver, DUT) pairing
 only re-binds the driver's programs instead of recompiling them.
 
-The simulation limits and the batch worker count resolve through the
-active :class:`~repro.hdl.context.SimContext` (explicit argument >
+The simulation limits resolve through the active
+:class:`~repro.hdl.context.SimContext` (explicit argument >
 ``use_context`` activation > env-seeded root context); batch APIs ship
 the resolved context to pool workers as part of each work item, so a
 worker never falls back to its own process defaults.  All cache layers register with
 :data:`repro.core.caches.caches`; the ``clear_*`` / ``*_stats``
 helpers below delegate to that facade.
-
-Forked pool workers start *warm*: they inherit the parent's caches
-through memory, so campaigns pre-warm the parent before creating the
-pool.  Spawn / forkserver workers (where compiled closures cannot be
-pickled across) start cold and build their caches lazily.
-``SimContext.start_method`` / ``warm_start`` select the behaviour, and
-:func:`sim_pool_info` reports the live pool's state.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
+import multiprocessing.util
 import os
 import queue
 import re
@@ -553,7 +547,8 @@ def dut_compiles(dut_src: str) -> tuple[bool, str]:
 # One ProcessPoolExecutor is shared by every batch and campaign call in
 # the process: created lazily on first use, grown monotonically to the
 # largest worker count requested, recreated with the same configuration
-# if a worker dies (see pool_imap), and torn down atexit.
+# if a worker dies (see pool_imap), and torn down atexit.  A forked
+# child starts with no pool (_forget_pool_in_child).
 #
 # Workers get warm one way: under **fork** (the Linux default) they
 # inherit the parent's token / AST / template / program caches through
@@ -588,10 +583,12 @@ def _resolve_start_method(name: str | None) -> str:
     return name
 
 
-def _exit_with_parent() -> None:
+def _init_pool_worker() -> None:
     """Pool-worker initializer: a daemon thread ends the worker once it
-    is reparented, since a SIGKILLed parent shuts no pool down and an
-    idle worker would wait on its call queue forever."""
+    is reparented (a SIGKILLed parent shuts no pool down), and a pool
+    the worker made is shut down before exit joins its processes, at a
+    priority above the queue finalizers (10) that drop stop sentinels."""
+    multiprocessing.util.Finalize(None, shutdown_sim_pool, exitpriority=20)
     parent = os.getppid()
 
     def watch() -> None:
@@ -639,7 +636,7 @@ def get_sim_pool(jobs: int, start_method: str | None = None,
             _pool = ProcessPoolExecutor(
                 max_workers=jobs,
                 mp_context=multiprocessing.get_context(method),
-                initializer=_exit_with_parent)
+                initializer=_init_pool_worker)
             _pool_workers = jobs
             _pool_start_method = method
             _pool_created_warm = inherits and _caches_have_content()
@@ -697,17 +694,32 @@ def sim_pool_info() -> dict:
 def shutdown_sim_pool(wait: bool = True) -> None:
     """Tear down the shared pool.  Registered atexit so worker processes
     never outlive the interpreter; safe to call repeatedly."""
-    global _pool, _pool_workers, _pool_start_method, _pool_created_warm
     with _pool_lock:
         if _pool is not None:
             _pool.shutdown(wait=wait)
-            _pool = None
-            _pool_workers = 0
-            _pool_start_method = ""
-            _pool_created_warm = False
+            _forget_pool()
 
 
 atexit.register(shutdown_sim_pool)
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_workers, _pool_start_method, _pool_created_warm
+    _pool = None
+    _pool_workers = 0
+    _pool_start_method = ""
+    _pool_created_warm = False
+
+
+def _forget_pool_in_child() -> None:
+    """Fork hook: the copied executor has no manager thread (work sent
+    to it would wait forever), and the lock may have been copied held."""
+    global _pool_lock
+    _pool_lock = threading.Lock()
+    _forget_pool()
+
+
+os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
 def pool_imap(worker, items, jobs: int, *, start_method: str | None = None,
@@ -768,7 +780,7 @@ def _monolithic_batch_worker(item: tuple) -> MonolithicRun:
         return run_monolithic(tb_src, dut_src)
 
 
-def _run_batch(worker, shared_src: str, dut_srcs, jobs: int | None,
+def _run_batch(worker, shared_src: str, dut_srcs, jobs: int,
                context: SimContext | None) -> list:
     """Shared fan-out: dedup identical DUTs, then run each unique pair.
 
@@ -786,8 +798,6 @@ def _run_batch(worker, shared_src: str, dut_srcs, jobs: int | None,
     ignore any activation made in this (the parent) process.
     """
     context = context if context is not None else current_context()
-    if jobs is None:
-        jobs = context.jobs
     dut_list = list(dut_srcs)
     order: list[str] = []
     seen = set()
@@ -807,20 +817,20 @@ def _run_batch(worker, shared_src: str, dut_srcs, jobs: int | None,
     return [by_src[dut] for dut in dut_list]
 
 
-def run_driver_batch(driver_src: str, dut_srcs, jobs: int | None = None,
+def run_driver_batch(driver_src: str, dut_srcs, jobs: int = 1,
                      context: SimContext | None = None) -> list[DriverRun]:
     """Run one hybrid-TB driver against many DUT variants.
 
     This is the validator/AutoEval hot path: the driver is compiled
-    once, identical DUTs are simulated once, and ``jobs > 1`` fans the
-    unique runs across a process pool.  ``jobs`` / ``context`` left
-    unset resolve through the active :class:`SimContext`.
+    once and identical DUTs are simulated once, in process.  ``jobs >
+    1`` fans the unique runs across the process pool.  ``context`` left
+    unset resolves through the active :class:`SimContext`.
     """
     return _run_batch(_driver_batch_worker, driver_src, dut_srcs, jobs,
                       context)
 
 
-def run_monolithic_batch(tb_src: str, dut_srcs, jobs: int | None = None,
+def run_monolithic_batch(tb_src: str, dut_srcs, jobs: int = 1,
                          context: SimContext | None = None,
                          ) -> list[MonolithicRun]:
     """Run one self-checking testbench against many DUT variants."""
@@ -877,13 +887,12 @@ def _retire_round(golden_run: DriverRun | None,
 
 
 def _per_mutant_sweep(driver_src: str, dut_list: list[str],
-                      golden_src: str | None, jobs: int | None,
-                      context: SimContext,
+                      golden_src: str | None, context: SimContext,
                       fallback_reason: str = "") -> MutantSweep:
     """Simulate each variant separately: lockstep's fallback, and the
     reference the lockstep differential tests compare it with."""
     lanes = ([golden_src] if golden_src is not None else []) + dut_list
-    runs = run_driver_batch(driver_src, lanes, jobs=jobs, context=context)
+    runs = run_driver_batch(driver_src, lanes, context=context)
     golden_run = runs[0] if golden_src is not None else None
     dut_runs = runs[1:] if golden_src is not None else runs
     return MutantSweep(
@@ -953,7 +962,6 @@ def _lockstep_sweep(driver_src: str, dut_list: list[str],
 def run_mutant_sweep(driver_src: str, dut_srcs,
                      golden_src: str | None = None,
                      kind: str = "hybrid",
-                     jobs: int | None = None,
                      context: SimContext | None = None) -> MutantSweep:
     """Sweep one shared testbench across many DUT variants of one
     design (AutoEval Eval2 mutant batches, validator R/S matrices).
@@ -975,16 +983,15 @@ def run_mutant_sweep(driver_src: str, dut_srcs,
     run separately plus each variant's *retire round* — the dump-record
     index of first divergence from the golden lane.
 
-    ``jobs`` / ``context`` left unset resolve through the active
-    :class:`SimContext`.
+    The sweep runs in process.  ``context`` left unset resolves through
+    the active :class:`SimContext`.
     """
     context = context if context is not None else current_context()
     dut_list = list(dut_srcs)
 
     if kind == "monolithic":
         lanes = ([golden_src] if golden_src is not None else []) + dut_list
-        runs = run_monolithic_batch(driver_src, lanes, jobs=jobs,
-                                    context=context)
+        runs = run_monolithic_batch(driver_src, lanes, context=context)
         golden_run = runs[0] if golden_src is not None else None
         return MutantSweep(
             runs=runs[1:] if golden_src is not None else runs,
@@ -997,11 +1004,10 @@ def run_mutant_sweep(driver_src: str, dut_srcs,
                          f"expected 'hybrid' or 'monolithic'")
 
     if not dut_list:
-        return _per_mutant_sweep(driver_src, dut_list, golden_src, jobs,
-                                 context)
+        return _per_mutant_sweep(driver_src, dut_list, golden_src, context)
     try:
         return _lockstep_sweep(driver_src, dut_list, golden_src, context)
     except (LockstepUnsupported, HdlError, RecursionError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
-        return _per_mutant_sweep(driver_src, dut_list, golden_src, jobs,
+        return _per_mutant_sweep(driver_src, dut_list, golden_src,
                                  context, fallback_reason=reason)

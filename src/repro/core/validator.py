@@ -102,13 +102,11 @@ class ScenarioValidator:
 
     def __init__(self, client: LLMClient | MeteredClient, task: TaskSpec,
                  criterion: Criterion = DEFAULT_CRITERION,
-                 group_size: int = DEFAULT_GROUP_SIZE,
-                 sim_jobs: int | None = None):
+                 group_size: int = DEFAULT_GROUP_SIZE):
         self.client = client
         self.task = task
         self.criterion = criterion
         self.group_size = group_size
-        self.sim_jobs = sim_jobs
         self._group: tuple[JudgeRtl, ...] | None = None
         self._sim_cache: dict = {}
         self._retire_cache: dict = {}
@@ -136,8 +134,7 @@ class ScenarioValidator:
         rounds (first divergence from the golden-RTL lane)."""
         sweep = run_mutant_sweep(driver_src,
                                  [judge.source for judge in judges],
-                                 golden_src=self.task.golden_rtl(),
-                                 jobs=self.sim_jobs)
+                                 golden_src=self.task.golden_rtl())
         for judge, run, retire in zip(judges, sweep.runs,
                                       sweep.retire_rounds):
             key = self._judge_key(driver_src, judge)
@@ -156,8 +153,7 @@ class ScenarioValidator:
         Routed through :func:`run_mutant_sweep`: under the default
         lockstep strategy the whole judge group simulates as one union
         design; the per-mutant fallback compiles the shared driver once
-        per unique judge RTL and can fan out across a process pool
-        (``sim_jobs``).
+        per unique judge RTL.  Both run in process.
         """
         pending = [judge for judge in self.rtl_group
                    if judge.syntax_ok

@@ -105,6 +105,8 @@ class SimContext:
 
     max_time: int = DEFAULT_MAX_TIME
     max_stmts: int = DEFAULT_MAX_STMTS
+    #: Worker count of a pool this process owns (a campaign's, or the
+    #: service's simulate fan-out); sweeps inside a work item ignore it.
     jobs: int = DEFAULT_JOBS
     start_method: str = START_METHOD_DEFAULT
     #: Pre-warm the parent's caches before a campaign's pool workers

@@ -15,12 +15,12 @@ One :class:`TestbenchService` owns four moving parts:
   :func:`~repro.core.simulation.run_driver_batch` /
   :func:`~repro.core.simulation.run_monolithic_batch` call inside a
   short batch window;
-- a **thread executor** running the batches (each batch may further fan
-  out across the persistent sim *process* pool, per the context's
-  ``jobs``).  A broken pool heals once inside the batch call
-  (:func:`~repro.core.simulation.pool_imap`) — a fork pool heals warm,
-  forking from this process's caches, and no admitted request is
-  dropped.
+- a **thread executor** running the batches.  Simulate batches fan out
+  over the sim *process* pool this process owns, per the context's
+  ``jobs``; generate jobs run their sweeps in process.  A broken pool
+  heals once inside the batch call (:func:`~repro.core.simulation.pool_imap`)
+  — a fork pool heals warm, forking from this process's caches, and
+  no admitted request is dropped.
 
 Per-request configuration resolves through
 :func:`repro.hdl.context.context_from_request`: ``X-Repro-*`` headers
@@ -85,7 +85,7 @@ def _run_simulate_batch(key, duts: list[str]) -> list:
     batch = (run_monolithic_batch if kind == "monolithic"
              else run_driver_batch)
     with use_context(context):
-        return batch(driver_src, duts, context=context)
+        return batch(driver_src, duts, jobs=context.jobs, context=context)
 
 
 def _run_generate(item: tuple):

@@ -357,6 +357,35 @@ def test_atexit_shutdown_is_clean():
     assert "POOL_OK" in proc.stdout
 
 
+def test_pool_worker_batches_on_its_own_pool():
+    """A forked pool worker forgets its parent's executor: a worker
+    that calls ``run_driver_batch(..., jobs=2)`` itself gets a pool of
+    its own instead of waiting forever on the copy it inherited."""
+    code = (
+        "from repro.codegen import render_driver\n"
+        "from repro.core.simulation import pool_imap, run_driver_batch\n"
+        "from repro.problems import get_task\n"
+        "task = get_task('cmb_eq4')\n"
+        "driver = render_driver(task, task.canonical_scenarios())\n"
+        "golden = task.golden_rtl()\n"
+        "duts = [golden, golden.replace('endmodule', '//v\\nendmodule')]\n"
+        "def outcome(jobs):\n"
+        "    return [(run.status, [rec.values for rec in run.records])\n"
+        "            for run in run_driver_batch(driver, duts, jobs=jobs)]\n"
+        "serial = outcome(1)\n"
+        "nested = [result for _, result in pool_imap(outcome, [2, 2], 2)]\n"
+        "assert nested == [serial, serial], nested\n"
+        "print('NESTED_OK')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          cwd=REPO_ROOT, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "NESTED_OK" in proc.stdout
+
+
 def _running(pid: int) -> bool:
     """True while ``pid`` runs; an exited but unreaped worker is gone."""
     try:

@@ -1,7 +1,6 @@
 """AutoEval grading: golden artifacts, levels, agreement computation."""
 
 import dataclasses
-import inspect
 
 import pytest
 
@@ -12,6 +11,8 @@ from repro.eval import (EvalLevel, N_MUTANTS, evaluate, golden_artifacts,
 from repro.eval.autoeval import evaluate_hybrid, evaluate_monolithic
 from repro.eval.golden import hybrid_verdicts_batch
 import repro.core.simulation as simulation
+from repro.core.simulation import shutdown_sim_pool, sim_pool_info
+from repro.hdl import use_context
 from repro.hdl.lockstep import LockstepUnsupported
 from repro.mutation import Mutant, inject_verilog_syntax_fault
 from repro.problems import get_task
@@ -186,20 +187,38 @@ class TestEvalEdgeCases:
         assert below.level == EvalLevel.EVAL1
         assert below.agreement == pytest.approx(0.7)
 
-    def test_sim_jobs_serial_vs_pool_parity(self, engine):
-        task = get_task("cmb_kmap3_a")
-        tb = golden_tb(task)
-        default = evaluate_hybrid(tb)
-        serial = evaluate_hybrid(tb, sim_jobs=1)
-        pooled = evaluate_hybrid(tb, sim_jobs=2)
-        assert default == serial == pooled
 
+# ----------------------------------------------------------------------
+# Sweeps run inside the work item, never on the pool
+# ----------------------------------------------------------------------
+def test_sweeps_under_context_jobs_create_no_pool(monkeypatch):
+    """A context's ``jobs`` sizes a pool that its owner creates; a sweep
+    inside a work item runs in process, so sweeping under ``jobs=2``
+    leaves the pool down on every path."""
+    from repro.codegen import render_baseline_tb
 
-def test_sim_jobs_defaults_resolve_through_context():
-    # Satellite fix: `sim_jobs=1` hard-coded serial execution; None now
-    # defers to SimContext.jobs resolution inside the batch APIs.
-    for fn in (evaluate, evaluate_hybrid, evaluate_monolithic,
-               hybrid_verdicts_batch):
-        parameters = inspect.signature(fn).parameters
-        name = "sim_jobs" if "sim_jobs" in parameters else "jobs"
-        assert parameters[name].default is None, fn.__name__
+    task = get_task("cmb_eq4")
+    mutants = [mutant.source
+               for mutant in golden_artifacts(task.task_id).mutants]
+    tb = MonolithicTestbench(
+        task_id=task.task_id,
+        source=render_baseline_tb(task, task.canonical_scenarios(),
+                                  render_checker_core(task)))
+    shutdown_sim_pool()
+    with use_context(jobs=2):
+        monolithic = simulation.run_mutant_sweep(tb.source, mutants,
+                                                 kind="monolithic")
+        assert monolithic.fallback_reason
+        assert not sim_pool_info()["alive"]
+
+        def refuse(*args):
+            raise LockstepUnsupported("per-mutant leg")
+        monkeypatch.setattr(simulation, "_lockstep_sweep", refuse)
+        fallback = simulation.run_mutant_sweep(
+            golden_tb(task).driver_src, mutants,
+            golden_src=task.golden_rtl())
+        assert "per-mutant leg" in fallback.fallback_reason
+        assert not sim_pool_info()["alive"]
+
+        assert evaluate_monolithic(tb).level >= EvalLevel.EVAL1
+        assert not sim_pool_info()["alive"]

@@ -572,7 +572,7 @@ def test_lockstep_sweep_matches_per_mutant(index):
                for mutant in generate_mutants(dut, _N_MUTANTS, seed)]
 
     lockstep = run_mutant_sweep(driver, mutants, golden_src=dut)
-    per_mutant = _per_mutant_sweep(driver, mutants, dut, None,
+    per_mutant = _per_mutant_sweep(driver, mutants, dut,
                                    current_context())
 
     assert per_mutant.engine == "per-mutant"

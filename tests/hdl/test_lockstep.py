@@ -208,7 +208,7 @@ class TestRunMutantSweep:
     def test_engines_agree(self):
         mutants = [MUT_XOR, MUT_AND, MUT_SAME]
         lockstep = run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN)
-        per_mutant = _per_mutant_sweep(DRIVER, mutants, GOLDEN, None,
+        per_mutant = _per_mutant_sweep(DRIVER, mutants, GOLDEN,
                                        current_context())
         assert lockstep.engine == "lockstep"
         assert not lockstep.fallback_reason
@@ -243,7 +243,7 @@ class TestRunMutantSweep:
         assert sweep.retire_rounds == [1]
 
     def test_fallback_reason_empty_when_requested(self):
-        sweep = _per_mutant_sweep(DRIVER, [MUT_XOR], None, None,
+        sweep = _per_mutant_sweep(DRIVER, [MUT_XOR], None,
                                   current_context())
         assert sweep.engine == "per-mutant"
         assert not sweep.fallback_reason

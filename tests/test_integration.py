@@ -1,6 +1,12 @@
 """End-to-end integration: full CorrectBench runs, cross-method ordering,
 determinism, and the CLI."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import quick_run
@@ -10,6 +16,8 @@ from repro.eval.campaign import (METHOD_AUTOBENCH, METHOD_BASELINE,
                                  METHOD_CORRECTBENCH, default_config,
                                  run_campaign)
 from repro.eval.metrics import level_stat
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestQuickRun:
@@ -87,3 +95,39 @@ class TestCli:
         out = capsys.readouterr().out
         assert "TABLE I" in out
         assert "TABLE III" in out
+
+    def test_campaign_refuses_a_foreign_store_in_one_line(self, tmp_path,
+                                                          capsys):
+        store = tmp_path / "v2store"
+        store.mkdir()
+        (store / "manifest.json").write_text(json.dumps({"version": 2}))
+        assert cli_main(["campaign", "--tasks", "cmb_and2",
+                         "--methods", "baseline", "--store", str(store),
+                         "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: campaign store {store} has version 2; "
+            f"this build reads 3"]
+
+
+def _cli_campaign(extra_env: dict) -> subprocess.CompletedProcess:
+    env = {key: value for key, value in os.environ.items()
+           if key != "REPRO_JOBS"}
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    env.update(extra_env)
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", "campaign", "--jobs", "2",
+         "--tasks", "cmb_alu8,cmb_eq4", "--methods", "baseline"],
+        env=env, cwd=REPO_ROOT, capture_output=True, timeout=60)
+
+
+def test_pooled_campaign_under_context_jobs_matches_plain_run():
+    """``REPRO_JOBS`` sets the context's ``jobs`` inside every pooled
+    item too; the items' sweeps must still run where the item runs, so
+    the campaign finishes and prints the same bytes."""
+    plain = _cli_campaign({})
+    pooled = _cli_campaign({"REPRO_JOBS": "2"})
+    assert plain.returncode == 0, plain.stderr
+    assert pooled.returncode == 0, pooled.stderr
+    assert pooled.stdout == plain.stdout

@@ -305,7 +305,7 @@ def cmd_serve(args) -> int:
               f"(queue_limit={config.queue_limit} "
               f"batch_window_ms={config.batch_window_ms} "
               f"batch_max={config.batch_max} workers={config.workers} "
-              f"sim_jobs={context.jobs}); Ctrl-C/SIGTERM drains and exits")
+              f"jobs={context.jobs}); Ctrl-C/SIGTERM drains and exits")
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()
         # SIGTERM must drain too: background shells (and CI steps) set

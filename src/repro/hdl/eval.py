@@ -18,12 +18,11 @@ compilations of the same node are free, and leaves are shared by value:
 one read closure per name, one closure per constant.
 
 :func:`fold` evaluates elaboration-time constants (parameters, ranges,
-initial values, part-select bounds, replication counts) by running such
-a closure once, against no frame: a constant that reads a signal, a
-memory word or a runtime hook (``$time``, ``$random``, ``$fopen``)
-raises :class:`~repro.hdl.errors.NotConstantError`.  The AST-walking
-reference evaluator the compiled closures are held to lives with the
-test suite's interpreter oracle (``tests/oracles/interpreter.py``).
+initial values, part-select bounds, replication counts): a read walk
+rejects a signal, a memory word or a runtime hook with
+:class:`~repro.hdl.errors.NotConstantError`, then the closure runs once,
+against no frame.  The reference evaluator is the test suite's
+interpreter oracle (``tests/oracles/interpreter.py``).
 """
 
 from __future__ import annotations
@@ -43,10 +42,12 @@ if TYPE_CHECKING:  # pragma: no cover
 # ----------------------------------------------------------------------
 # Width and sign inference
 # ----------------------------------------------------------------------
-#: Widest declared signal, concatenation or replication.  String
-#: literals are exempt: a lockstep-widened dump format is one literal
-#: far wider than this.  Over the digest-pinned campaign items the
-#: widest concatenation or replication is 16 bits.
+#: Widest declared signal, concatenation, replication or number literal
+#: (the lexer checks literals).  String literals are exempt: a
+#: lockstep-widened dump format is one literal far wider than this.
+#: Over the digest-pinned campaign items the widest concatenation or
+#: replication is 16 bits; over Table I seed 0 the widest number literal
+#: is 32 bits.
 MAX_SIGNAL_WIDTH = 4096
 
 
@@ -290,9 +291,6 @@ class LowerCtx:
         # behaviour then depends on the absolute time, not only on
         # signal values (the kernel's fast-forward must not skip it).
         self.reads_time = False
-        # The first deferred NotConstantError: a constant is rejected for
-        # a variable read in any branch, selected or not (see fold).
-        self.not_constant: NotConstantError | None = None
         self._obj_slots: dict[str, int] = {}
         self._lit_slots: dict = {}
         self._design_slot: int | None = None
@@ -350,11 +348,9 @@ class LowerCtx:
             fn = self._const_fns[key] = lambda frame: const
         return fn
 
-    def note_deferred(self, exc: HdlError | None = None) -> None:
+    def note_deferred(self) -> None:
         """Record that a compile error was deferred into the program."""
         self.prefix_sensitive = True
-        if self.not_constant is None and isinstance(exc, NotConstantError):
-            self.not_constant = exc
 
     def signature(self) -> tuple:
         return tuple(sorted(self.facts.items()))
@@ -498,7 +494,7 @@ def compile_expr_deferred(expr: ast.Expr, ctx: LowerCtx,
             return compile_expr(expr, ctx)
         return compile_coerced(expr, ctx, width, signed)
     except HdlError as exc:
-        ctx.note_deferred(exc)
+        ctx.note_deferred()
 
         def raise_deferred(frame, _exc=exc):
             # Shared instance: shed the previous raise's traceback so
@@ -571,8 +567,7 @@ def _compile_expr(expr: ast.Expr, ctx: LowerCtx, ctx_width: int | None):
     if isinstance(expr, ast.Index):
         index = compile_expr(expr.index, ctx)
         if ctx.is_memory(expr.base):
-            width = ctx.memory_width(expr.base)
-            ctx.lookup(expr.base)
+            width = ctx.memory_width(expr.base)  # records the fact
             i = ctx.obj_slot(expr.base)
             unknown = Logic.unknown(width)
 
@@ -764,23 +759,21 @@ def fold(expr: ast.Expr, scope: "Scope",
     """Evaluate an elaboration-time constant in ``scope``.
 
     A constant (IEEE 1364-2005 5.2) reads only literals, parameters and
-    constant system functions, so its lowering allocates no frame slot
-    and defers no :class:`NotConstantError` (from a nested bound or
-    count in a ternary branch); one that does either raises.  A
-    fold made while ``into`` lowers a program merges its facts into
-    ``into``, also when it raises, so a program that defers the error
-    stays keyed on the names the constant resolved.
+    constant system functions; a signal, a memory word or a runtime
+    hook, in any ternary branch, raises before anything lowers.  A fold
+    made while ``into`` lowers a program merges its facts into ``into``,
+    also when it raises, so a program that defers the error stays keyed
+    on the names the constant resolved.
 
     >>> from repro.hdl.elaborate import elaborate
     >>> from repro.hdl.parser import parse_source
     >>> (spec,) = elaborate(parse_source(
-    ...     "module m; parameter P = 3; reg [3:0] r = 4'd2;"
-    ...     ' initial $display("%d %d", P + 1, r + 1); endmodule'), "m"
+    ...     "module m; parameter P = 3; reg [3:0] r = 4'd2; reg [7:0] b;"
+    ...     ' initial $display("%d %d", P + 1, b + b[r:0]); endmodule'), "m"
     ... ).processes
-    >>> p_plus_1, r_plus_1 = spec.body.args[1:]
-    >>> fold(p_plus_1, spec.scope).to_uint()
+    >>> fold(spec.body.args[1], spec.scope).to_uint()
     4
-    >>> fold(r_plus_1, spec.scope)
+    >>> fold(spec.body.args[2], spec.scope)  # the bound before b
     Traceback (most recent call last):
     ...
     repro.hdl.errors.NotConstantError: 'r' is not a constant
@@ -790,14 +783,10 @@ def fold(expr: ast.Expr, scope: "Scope",
         return Logic(width, expr.val, expr.xmask)
     ctx = LowerCtx(scope)
     try:
+        name = _first_variable(expr, ctx)
+        if name is not None:
+            raise NotConstantError(f"{name!r} is not a constant")
         fn = compile_expr(expr, ctx)
-        if ctx.not_constant is not None:
-            raise ctx.not_constant
-        if ctx.slot_specs:
-            raise NotConstantError(
-                f"{ctx.slot_specs[0][1]!r} is not a constant")
-        if ctx.prefix_sensitive:
-            _reject_unlowered_reads(expr, ctx)
     finally:
         if into is not None:
             for name, fact in ctx.facts.items():
@@ -805,47 +794,54 @@ def fold(expr: ast.Expr, scope: "Scope",
     return fn(())
 
 
-def _reject_unlowered_reads(expr: ast.Expr, ctx: LowerCtx) -> None:
-    """Raise for a variable or runtime hook that a constant reads in a
-    part the lowering deferred before reaching it.
-
-    Sizing folds part-select bounds before the operands lower, so in
-    ``P ? 1 : (1 == b[X:0] + $random)`` an undefined ``X`` fails the
-    unselected branch before anything reads ``b`` or calls
-    ``$random``.  Names are checked in sorted order (hooks, which start
-    with ``$``, first), so the message does not depend on the hash seed.
-    """
-    hooks = sorted(_runtime_hooks(expr))
-    if hooks:
-        raise NotConstantError(f"{hooks[0]!r} is not a constant")
-    names: set[str] = set()
-    collect_expr_reads(expr, names)
-    for name in sorted(names):
-        ctx._touch(name)
-        if ctx.facts[name][0] in ("sig", "mem"):
-            raise NotConstantError(f"{name!r} is not a constant")
-
-
-#: System functions that read the running simulation (see
-#: :func:`_compile_system_call`): never part of a constant.
+#: System functions that read the running simulation: never constant.
 _RUNTIME_HOOKS = frozenset({"$time", "$random", "$urandom", "$fopen"})
 
 
-def _runtime_hooks(expr: ast.Expr) -> set[str]:
-    """The runtime hooks ``expr`` calls.  The walk keeps its own stack,
-    so a 3,000-term sum does not recurse."""
-    hooks: set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.SystemCall) and node.name in _RUNTIME_HOOKS:
-            hooks.add(node.name)
-        for value in node._values(node):
-            if isinstance(value, ast.Node):
-                stack.append(value)
-            elif isinstance(value, tuple):
-                stack.extend(value)
-    return hooks
+def _first_variable(expr: ast.Expr, ctx: LowerCtx) -> str | None:
+    """The first read that keeps ``expr`` from being a constant, or
+    ``None``: nested bounds and counts first, then operands left to
+    right, an index before its base.  Each name resolved records its
+    fact in ``ctx``.  The walk keeps its own stacks; it never recurses.
+    """
+    def kind(name: str) -> str:
+        ctx._touch(name)
+        return ctx.facts[name][0]
+
+    todo: list = [expr]  # expressions to scan, and reads to report
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            return item
+        bounds, reads, stack = [], [], [item]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, str):  # an index's base, after the index
+                reads.append(e)
+            elif isinstance(e, ast.Identifier):
+                if kind(e.name) == "sig":
+                    reads.append(e.name)
+            elif isinstance(e, ast.Index):
+                if kind(e.base) in ("sig", "mem"):
+                    stack.append(e.base)
+                stack.append(e.index)
+            elif isinstance(e, ast.PartSelect):
+                if kind(e.base) == "sig":
+                    reads.append(e.base)
+                bounds += (e.msb, e.lsb)
+            elif isinstance(e, ast.Replicate):
+                bounds.append(e.count)
+                stack.append(e.value)
+            elif isinstance(e, ast.SystemCall) and e.name in _RUNTIME_HOOKS:
+                reads.append(e.name)
+            else:  # operands, left to right: Unary, Binary, Ternary, ...
+                for value in reversed(e._values(e)):
+                    if isinstance(value, ast.Expr):
+                        stack.append(value)
+                    elif isinstance(value, tuple):
+                        stack.extend(reversed(value))
+        todo += reads[:1] + bounds[::-1]
+    return None
 
 
 # ----------------------------------------------------------------------

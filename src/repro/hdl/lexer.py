@@ -23,11 +23,13 @@ because the campaign benchmark reports ``tokenize.*`` metrics.
 
 from __future__ import annotations
 
+import math
 import re
 from sys import intern
 
 from ..util import LruCache
 from .errors import VerilogSyntaxError
+from .eval import MAX_SIGNAL_WIDTH
 from .tokens import KEYWORDS, PUNCTUATIONS, Token, TokenKind
 
 
@@ -108,6 +110,42 @@ _PUNCT_CANON = {p: intern(p) for p in PUNCTUATIONS}
 def _escape_sub(match: re.Match) -> str:
     ch = match.group(1)
     return _ESCAPE_MAP.get(ch, ch)
+
+
+#: A run of ``n`` decimal digits may need ``ceil(n * log2(10))`` bits,
+#: more than MAX_SIGNAL_WIDTH past this many digits.
+_MAX_DECIMAL_DIGITS = int(MAX_SIGNAL_WIDTH / math.log2(10))
+_WIDTH_DIGITS = len(str(MAX_SIGNAL_WIDTH))
+
+
+def _check_literal_width(width: int, line: int, column: int) -> None:
+    """Reject a literal wider than :data:`MAX_SIGNAL_WIDTH` bits."""
+    if width > MAX_SIGNAL_WIDTH:
+        raise VerilogSyntaxError(f"literal has unsupported width {width}",
+                                 line, column)
+
+
+def _decimal_value(digits: str, line: int, column: int) -> int:
+    """The value of an underscore-free decimal digit run, rejected by
+    its length before ``int`` parses it: past about 4,300 digits
+    ``int`` itself raises ``ValueError``."""
+    if len(digits) > _MAX_DECIMAL_DIGITS:
+        _check_literal_width(math.ceil(len(digits) * math.log2(10)),
+                             line, column)
+    return int(digits)
+
+
+def _literal_width(text: str, line: int, column: int) -> int:
+    """A sized literal's width, from its digit run ``text``."""
+    digits = text.replace("_", "").lstrip("0")
+    if len(digits) > _WIDTH_DIGITS:  # too many digits to parse, or to fit
+        raise VerilogSyntaxError(
+            f"literal has unsupported width {digits}", line, column)
+    width = int(digits or "0")
+    if width < 1:
+        raise VerilogSyntaxError("literal width must be >= 1", line, column)
+    _check_literal_width(width, line, column)
+    return width
 
 
 def _decode_based_digits(digits: str, bits_per: int) -> tuple[int, int]:
@@ -199,7 +237,8 @@ def _master_tokenize(source: str) -> list[Token]:
                          column))
         elif group == "DEC":
             text = m.group(idx)
-            value = int(text.replace("_", "")) & 0xFFFFFFFF
+            value = _decimal_value(text.replace("_", ""), line,
+                                   column) & 0xFFFFFFFF
             # Unsized decimal literals are 32-bit in Verilog.
             append(Token(number_kind, text, line, column,
                          value=(None, value, 0, True)))
@@ -207,13 +246,7 @@ def _master_tokenize(source: str) -> list[Token]:
             text = m.group(idx)
             parts = _BASED_PARTS_RE.match(text)
             w = parts.group("w")
-            if w is not None:
-                width = int(w.replace("_", ""))
-                if width < 1:
-                    raise VerilogSyntaxError(
-                        "literal width must be >= 1", line, column)
-            else:
-                width = None
+            width = None if w is None else _literal_width(w, line, column)
             base = parts.group("b").lower()
             digits_start = start + parts.end()
             raw = text[parts.end():]
@@ -227,13 +260,14 @@ def _master_tokenize(source: str) -> list[Token]:
                     else "missing digits in based literal",
                     err_line, err_col)
             if base == "d":
-                val = int(clean)
+                val = _decimal_value(clean, line, column)
                 xmask = 0
                 natural = max(val.bit_length(), 1)
             else:
                 bits_per = _BASE_BITS[base]
-                val, xmask = _decode_based_digits(clean, bits_per)
                 natural = len(clean) * bits_per
+                _check_literal_width(natural, line, column)
+                val, xmask = _decode_based_digits(clean, bits_per)
             if width is None:
                 width = max(natural, 32)
             token_end = digits_start + len(valid)
@@ -252,9 +286,8 @@ def _master_tokenize(source: str) -> list[Token]:
         elif group == "BADBASE":
             text = m.group(idx)
             wm = _BADBASE_WIDTH_RE.match(text)
-            if wm is not None and int(wm.group().replace("_", "")) < 1:
-                raise VerilogSyntaxError(
-                    "literal width must be >= 1", line, column)
+            if wm is not None:
+                _literal_width(wm.group(), line, column)
             base_ch = source[end:end + 1].lower()
             err_line, err_col = _position_at(
                 newlines, nl_i, line_start, end)

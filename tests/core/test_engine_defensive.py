@@ -13,9 +13,9 @@ import pytest
 
 import repro.core.simulation as sim
 from oracles import SIMULATORS
-from repro.core.simulation import (ELABORATION, OK, RUNTIME, dut_compiles,
-                                   run_driver, run_monolithic,
-                                   run_mutant_sweep)
+from repro.core.simulation import (ELABORATION, OK, RUNTIME, SYNTAX,
+                                   dut_compiles, run_driver, run_monolithic,
+                                   run_mutant_sweep, syntax_ok)
 from repro.hdl import ElaborationError, Simulator, compile_design, simulate
 from repro.hdl.context import SimContext, _context_from_env
 
@@ -248,3 +248,28 @@ class TestExpressionWidthCap:
 
 def self_checking_src() -> str:
     return "module tb; initial begin $display(\"ok\"); $finish; end endmodule"
+
+
+class TestOversizedLiterals:
+    """A literal wider than MAX_SIGNAL_WIDTH, or a digit run implying
+    more bits than that, is a syntax error: 5,000 decimal digits used to
+    raise a bare ``ValueError`` from ``int``, and a huge sized width
+    built its mask before anything checked it."""
+
+    @pytest.mark.parametrize("literal", [
+        "9" * 5000, "'d" + "9" * 5000, "8'd" + "9" * 5000, "5000'd1"],
+        ids=["decimal", "unsized_d", "sized_d", "width"])
+    def test_syntax_error_everywhere(self, literal):
+        driver = _hostile_driver(literal)
+        dut = HOSTILE_DUT.replace("a;", f"a ^ {literal};")
+        assert syntax_ok(driver) is False
+        assert syntax_ok(dut) is False
+        run = run_driver(driver, HOSTILE_DUT)
+        assert run.status == SYNTAX
+        assert "literal has unsupported width" in run.detail
+        assert run_driver(_hostile_driver("a"), dut).status == SYNTAX
+
+    def test_widest_literal_simulates(self):
+        run = run_driver(_hostile_driver("4096'd1 + a"), HOSTILE_DUT)
+        assert run.status == OK, run.detail
+        assert run.stdout[0].strip() == "4"

@@ -425,6 +425,11 @@ def generate_fold_case(seed: int) -> str:
     exprs = [g.expr(names, 3) for _ in range(8)]
     exprs.append(f"({g.expr(names, 1)} ? {g.expr(names, 1)} :"
                  f" (1 == {rng.choice(names)[0]}[s:0]))")
+    # Two reads behind that bound, or a read and a runtime hook: the
+    # error names the first in walk order on both sides.
+    second = rng.choice([name for name, _ in names] + ["$random", "$time"])
+    exprs.append(f"({g.expr(names, 1)} ? {g.expr(names, 1)} :"
+                 f" (1 == {rng.choice(names)[0]}[s:0] + {second}))")
     lines += [f'    initial $display("", {", ".join(exprs)});',
               "endmodule"]
     return "\n".join(lines)

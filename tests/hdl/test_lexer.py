@@ -141,6 +141,32 @@ class TestNumbers:
         with pytest.raises(VerilogSyntaxError):
             tokenize("0'b0")
 
+    # Each form's width, or the width its digit run implies, is over
+    # MAX_SIGNAL_WIDTH; 5,000 decimal digits are past what int() parses.
+    @pytest.mark.parametrize("literal, width", [
+        ("9" * 5000, 16610),
+        ("1" * 1234, 4100),
+        ("'d" + "9" * 5000, 16610),
+        ("8'd" + "9" * 5000, 16610),
+        ("5000'd1", 5000),
+        ("4097'd1", 4097),
+        ("'h" + "f" * 1025, 4100),
+        ("9" * 5000 + "'d1", "9" * 5000),
+        ("9" * 5000 + "'q1", "9" * 5000),
+    ], ids=["decimal", "decimal_1234", "unsized_d", "sized_d", "width",
+            "width_4097", "hex_digits", "long_width", "long_width_bad_base"])
+    def test_oversized_literal_rejected(self, tokenize, literal, width):
+        with pytest.raises(VerilogSyntaxError) as info:
+            tokenize(f"x = {literal};")
+        assert (info.value.line, info.value.column) == (1, 5)
+        assert info.value.bare_message \
+            == f"literal has unsupported width {width}"
+
+    def test_widest_literal_lexes(self, tokenize):
+        assert self.value(tokenize, "4096'd1") == (4096, 1, 0, False)
+        assert self.value(tokenize, "9" * 1233)[1] \
+            == int("9" * 1233) & 0xFFFFFFFF
+
 
 class TestStrings:
     def test_simple_string(self, tokenize):

@@ -502,6 +502,30 @@ class TestNotConstant:
         assert _printed(src, engine) == (
             "NotConstantError", f"{name!r} is not a constant")
 
+    @pytest.mark.parametrize("second", ["a", "$time", "$random"])
+    def test_first_read_behind_an_undefined_bound(self, second):
+        # Two reads behind the x-valued bound: both engines name the
+        # first in walk order, the part select's base, not the first in
+        # sorted order.
+        src = _tb("    parameter P = 1;\n    localparam X = 4'bx011;\n",
+                  f"{{(P ? 1 : (1 == b[X:0] + {second})){{1'b1}}}}")
+        for engine in SIMULATORS:
+            assert _printed(src, engine) == (
+                "NotConstantError", "'b' is not a constant")
+        run = run_driver(src, "module top_module(); endmodule")
+        assert (run.status, run.detail) == (
+            ELABORATION, "'b' is not a constant")
+
+    def test_3000_term_count_folds_without_recursing(self):
+        # The constant gate walks the count with its own stack.
+        terms = " + ".join(["P"] * 3000)
+        decls = "    parameter P = 0;\n"
+        assert _printed(_tb(decls, f"{{({terms} + 1){{1'b1}}}}"),
+                        "compiled") == ["1"]
+        assert _printed(_tb(decls, f"{{({terms} + b){{1'b1}}}}"),
+                        "compiled") == (
+            "NotConstantError", "'b' is not a constant")
+
     @pytest.mark.parametrize("engine", SIMULATORS)
     def test_reg_initialiser_reads_a_signal(self, engine):
         src = ("module tb;\n    reg a = 1'b1;\n    reg b = a;\n"

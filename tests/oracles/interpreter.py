@@ -63,56 +63,64 @@ def _variable_read(expr: ast.Expr, scope: Scope) -> str | None:
 
     A constant reads literals, parameters and constant system functions
     only; a signal, a memory word or a runtime hook is variable, in a
-    selected ternary branch or not.  "First" is the order in which the
-    runtime's lowering meets them: a variable in a nested part-select
-    bound or replication count (folded eagerly), then operands left to
-    right, an index before the vector or memory it selects from.  An
-    expression that is broken in another way too may have a different
-    outcome in the runtime: an unknown name, or, behind an x-valued
-    bound under a comparison in a ternary branch, two or more variables
-    or runtime hooks (the runtime names the first in sorted order, so
-    a hook before any variable).  The walk keeps its own stack, so a
-    3,000-term sum does not recurse.
+    selected ternary branch or not.  "First" means a variable in a
+    nested part-select bound or replication count, then operands left
+    to right, an index before the vector or memory it selects from.
+    This is a recursive formulation of the runtime's stack walk
+    (``repro.hdl.eval._first_variable``), which the fold fuzz holds it
+    to.
     """
-    nested: list[ast.Expr] = []
+    bounds: list[ast.Expr] = []
     reads: list[str] = []
-    stack: list = [expr]  # expressions, and names to record in order
-    while stack:
-        e = stack.pop()
-        if isinstance(e, str):
-            reads.append(e)
-        elif isinstance(e, ast.Identifier):
-            if isinstance(scope.names.get(e.name), Signal):
-                reads.append(e.name)
-        elif isinstance(e, ast.Index):
-            if isinstance(scope.names.get(e.base), (Signal, Memory)):
-                stack.append(e.base)
-            stack.append(e.index)
-        elif isinstance(e, ast.PartSelect):
-            if isinstance(scope.names.get(e.base), Signal):
-                reads.append(e.base)
-            nested += (e.msb, e.lsb)
-        elif isinstance(e, ast.Replicate):
-            nested.append(e.count)
-            stack.append(e.value)
-        elif isinstance(e, ast.SystemCall):
-            if e.name in _RUNTIME_HOOKS:
-                reads.append(e.name)
-            else:
-                stack.extend(reversed(e.args))
-        elif isinstance(e, ast.Unary):
-            stack.append(e.operand)
-        elif isinstance(e, ast.Binary):
-            stack += (e.right, e.left)
-        elif isinstance(e, ast.Ternary):
-            stack += (e.other, e.then, e.cond)
-        elif isinstance(e, ast.Concat):
-            stack.extend(reversed(e.parts))
-    for bound in nested:
+    _collect_reads(expr, scope, bounds, reads)
+    for bound in bounds:
         name = _variable_read(bound, scope)
         if name is not None:
             return name
     return reads[0] if reads else None
+
+
+def _collect_reads(expr: ast.Expr, scope: Scope, bounds: list[ast.Expr],
+                   reads: list[str]) -> None:
+    """Append ``expr``'s variable reads to ``reads`` in operand order, and
+    the part-select bounds and replication counts in it to ``bounds``.
+    A left-deep operator run is followed in a loop, so a 3,000-term sum
+    does not recurse once per operator."""
+    rights = []
+    while isinstance(expr, ast.Binary):
+        rights.append(expr.right)
+        expr = expr.left
+    if rights:
+        for operand in (expr, *reversed(rights)):
+            _collect_reads(operand, scope, bounds, reads)
+    elif isinstance(expr, ast.Identifier):
+        if isinstance(scope.names.get(expr.name), Signal):
+            reads.append(expr.name)
+    elif isinstance(expr, ast.Index):
+        _collect_reads(expr.index, scope, bounds, reads)
+        if isinstance(scope.names.get(expr.base), (Signal, Memory)):
+            reads.append(expr.base)
+    elif isinstance(expr, ast.PartSelect):
+        if isinstance(scope.names.get(expr.base), Signal):
+            reads.append(expr.base)
+        bounds += (expr.msb, expr.lsb)
+    elif isinstance(expr, ast.Replicate):
+        bounds.append(expr.count)
+        _collect_reads(expr.value, scope, bounds, reads)
+    elif isinstance(expr, ast.SystemCall):
+        if expr.name in _RUNTIME_HOOKS:
+            reads.append(expr.name)
+        else:
+            for arg in expr.args:
+                _collect_reads(arg, scope, bounds, reads)
+    elif isinstance(expr, ast.Unary):
+        _collect_reads(expr.operand, scope, bounds, reads)
+    elif isinstance(expr, ast.Ternary):
+        for part in (expr.cond, expr.then, expr.other):
+            _collect_reads(part, scope, bounds, reads)
+    elif isinstance(expr, ast.Concat):
+        for part in expr.parts:
+            _collect_reads(part, scope, bounds, reads)
 
 
 def const_value(expr: ast.Expr, scope: Scope) -> Logic:

@@ -11,7 +11,10 @@ the two.
 
 from __future__ import annotations
 
+import math
+
 from repro.hdl.errors import VerilogSyntaxError
+from repro.hdl.eval import MAX_SIGNAL_WIDTH
 from repro.hdl.tokens import KEYWORDS, PUNCTUATIONS, Token, TokenKind
 
 _IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
@@ -168,16 +171,22 @@ class ReferenceLexer:
                 # Trailing spaces probed for a ``'`` are trivia, not part
                 # of the literal's text.
                 text = self.source[start:digits_end]
-                value = int(digits.replace("_", ""))
+                value = self._decimal(digits.replace("_", ""), line, column)
                 # Unsized decimal literals are 32-bit in Verilog.
                 return Token(TokenKind.NUMBER, text, line, column,
                              value=(None, value & 0xFFFFFFFF, 0, True))
-            width = int(digits.replace("_", ""))
+            # Width errors report at the start of the malformed literal
+            # (the width digits), not at the quote the cursor sits on.
+            significant = digits.replace("_", "").lstrip("0")
+            if len(significant) > len(str(MAX_SIGNAL_WIDTH)):
+                raise VerilogSyntaxError(
+                    f"literal has unsupported width {significant}",
+                    line, column)
+            width = int(significant or "0")
             if width < 1:
-                # Report at the start of the malformed literal (the width
-                # digits), not at the quote the cursor happens to sit on.
                 raise VerilogSyntaxError(
                     "literal width must be >= 1", line, column)
+            self._check_width(width, line, column)
 
         # Based literal: '<s>?<base><digits>
         self._advance()  # '
@@ -195,7 +204,7 @@ class ReferenceLexer:
             digits = self._take_while(_DIGITS | {"_"})
             if not digits.replace("_", ""):
                 raise self._error("missing digits in decimal literal")
-            val = int(digits.replace("_", ""))
+            val = self._decimal(digits.replace("_", ""), line, column)
             xmask = 0
             natural = max(val.bit_length(), 1)
         else:
@@ -208,6 +217,7 @@ class ReferenceLexer:
             if not digits:
                 raise self._error("missing digits in based literal")
             bits_per = _BASE_BITS[base_ch]
+            self._check_width(len(digits) * bits_per, line, column)
             val = 0
             xmask = 0
             for d in digits:
@@ -224,6 +234,19 @@ class ReferenceLexer:
         text = self.source[start:self.pos]
         return Token(TokenKind.NUMBER, text, line, column,
                      value=(width, val, xmask, signed))
+
+    @staticmethod
+    def _check_width(width: int, line: int, column: int) -> None:
+        if width > MAX_SIGNAL_WIDTH:
+            raise VerilogSyntaxError(
+                f"literal has unsupported width {width}", line, column)
+
+    def _decimal(self, digits: str, line: int, column: int) -> int:
+        # n decimal digits may need ceil(n * log2(10)) bits; the check
+        # comes first, since int() refuses runs of about 4,300 digits.
+        self._check_width(math.ceil(len(digits) * math.log2(10)),
+                          line, column)
+        return int(digits)
 
     def _take_while(self, allowed) -> str:
         start = self.pos

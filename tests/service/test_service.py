@@ -464,6 +464,33 @@ class TestBatchingCorrectness:
         assert telemetry["batcher"]["max_batch"] >= 2
 
 
+    def test_oversized_literal_is_typed_for_its_whole_window(self):
+        # A 5,000-digit literal once raised a bare ValueError out of the
+        # lexer, which failed every request coalesced with it as a 500.
+        driver, dut = _fixture()
+        hostile = dut.replace("endmodule",
+                              f"wire [3:0] w = {'9' * 5000};\nendmodule")
+        duts = [dut, hostile]
+        results = [None] * len(duts)
+        with running_service(batch_window_ms=200) as service:
+            def post(index):
+                results[index] = _request(
+                    service, "POST", "/v1/simulate",
+                    {"driver": driver, "dut": duts[index]})
+
+            workers = [threading.Thread(target=post, args=(index,))
+                       for index in range(len(duts))]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        (good_status, good), (bad_status, bad) = (
+            (status, data) for status, data, _ in results)
+        assert (good_status, good["status"]) == (200, "ok")
+        assert (bad_status, bad["status"]) == (200, "syntax")
+        assert "literal has unsupported width 16610" in bad["detail"]
+
+
 class TestCliStatus:
     def test_serve_status_prints_telemetry(self, capsys):
         from repro.cli import main

@@ -45,16 +45,12 @@ helpers below delegate to that facade.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
-import multiprocessing.util
 import os
 import queue
 import re
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -548,7 +544,10 @@ def dut_compiles(dut_src: str) -> tuple[bool, str]:
 # the process: created lazily on first use, grown monotonically to the
 # largest worker count requested, recreated with the same configuration
 # if a worker dies (see pool_imap), and torn down atexit.  A forked
-# child starts with no pool (_forget_pool_in_child).
+# child starts with no pool (_forget_pool_in_child).  multiprocessing
+# and concurrent.futures load inside the pool owners' code, when a
+# process first makes a pool (about 2.5 MB of RSS): a serial run never
+# imports them, and sim_pool_info / shutdown_sim_pool need neither.
 #
 # Workers get warm one way: under **fork** (the Linux default) they
 # inherit the parent's token / AST / template / program caches through
@@ -574,6 +573,8 @@ def _caches_have_content() -> bool:
 def _resolve_start_method(name: str | None) -> str:
     """Map a context ``start_method`` to a concrete multiprocessing
     start method, validating platform availability."""
+    import multiprocessing
+
     if name in (None, "", START_METHOD_DEFAULT):
         return multiprocessing.get_start_method()
     if name not in multiprocessing.get_all_start_methods():
@@ -588,6 +589,8 @@ def _init_pool_worker() -> None:
     is reparented (a SIGKILLed parent shuts no pool down), and a pool
     the worker made is shut down before exit joins its processes, at a
     priority above the queue finalizers (10) that drop stop sentinels."""
+    import multiprocessing.util
+
     multiprocessing.util.Finalize(None, shutdown_sim_pool, exitpriority=20)
     parent = os.getppid()
 
@@ -616,9 +619,13 @@ def get_sim_pool(jobs: int, start_method: str | None = None,
     recreate such a pool would stay cold forever.  A pool created warm
     is never churned: later cache growth does not trigger recreation.
     Spawn / forkserver pools inherit nothing and are never recreated
-    for warmth.
+    for warmth.  The first call imports ``multiprocessing`` and
+    ``concurrent.futures``.
     """
     global _pool, _pool_workers, _pool_start_method, _pool_created_warm
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     jobs = max(1, int(jobs))
     context = current_context()
     method = _resolve_start_method(start_method or context.start_method)
@@ -736,6 +743,8 @@ def pool_imap(worker, items, jobs: int, *, start_method: str | None = None,
     ``RuntimeError`` surfaces after one retry.  ``start_method`` /
     ``warm_start`` reach :func:`get_sim_pool` on both attempts.
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     items = list(items)
     yielded: set[int] = set()
 
@@ -849,9 +858,10 @@ class MutantSweep:
     (:class:`DriverRun` for hybrid sweeps, :class:`MonolithicRun` for
     monolithic ones).  ``engine`` reports the strategy that actually
     executed — ``"lockstep"`` or ``"per-mutant"`` — and
-    ``fallback_reason`` is non-empty when the sweep fell back from
-    lockstep (unsupported driver shape, union build/run failure,
-    monolithic stdout verdicts).
+    ``fallback_reason`` is non-empty when a hybrid sweep fell back from
+    lockstep (unsupported driver shape, union build/run failure); a
+    monolithic sweep has no lockstep path, so it runs per-mutant with
+    no fallback reason.
 
     When a ``golden_src`` was supplied, ``golden`` carries its run and
     ``retire_rounds[i]`` is the dump-record index at which variant ``i``
@@ -977,7 +987,7 @@ def run_mutant_sweep(driver_src: str, dut_srcs,
     ``kind="monolithic"`` sweeps a self-checking testbench
     (:class:`MonolithicRun` results); its verdicts travel on stdout,
     which a union run shares across lanes, so it always executes
-    per-mutant.
+    per-mutant and reports no ``fallback_reason``.
 
     ``golden_src`` adds a golden reference lane: the sweep reports its
     run separately plus each variant's *retire round* — the dump-record
@@ -997,8 +1007,7 @@ def run_mutant_sweep(driver_src: str, dut_srcs,
             runs=runs[1:] if golden_src is not None else runs,
             golden=golden_run,
             retire_rounds=[None] * len(dut_list),
-            engine="per-mutant",
-            fallback_reason="monolithic verdicts travel on stdout")
+            engine="per-mutant")
     if kind != "hybrid":
         raise ValueError(f"unknown sweep kind {kind!r}; "
                          f"expected 'hybrid' or 'monolithic'")

@@ -56,7 +56,8 @@ from .elaborate import Memory, ProcSpec, Signal
 from .errors import FinishRequest, HdlError, SimulationError
 from .eval import (SLOT_DESIGN, SLOT_LIT, SLOT_OBJ, SLOT_REQ, LowerCtx,
                    case_match, compile_coerced, compile_expr,
-                   compile_expr_deferred, fold, signed_of, structural_fact)
+                   compile_expr_deferred, fold, part_width, signed_of,
+                   structural_fact)
 
 # Op codes for flattened suspendable statement sequences.
 _OP_CALL = 0     # (0, fn)      -> fn(sim, frame)
@@ -274,9 +275,8 @@ def _lvalue_width(target: ast.LValue, ctx: LowerCtx) -> int:
             return obj.width
         return 1
     if isinstance(target, ast.LvPart):
-        msb = ctx.const_int(target.msb)
-        lsb = ctx.const_int(target.lsb)
-        return msb - lsb + 1
+        return part_width(ctx.const_int(target.msb),
+                          ctx.const_int(target.lsb), target.name)
     if isinstance(target, ast.LvConcat):
         return sum(_lvalue_width(p, ctx) for p in target.parts)
     raise SimulationError(f"unsupported lvalue {target!r}")

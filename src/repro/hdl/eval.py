@@ -63,6 +63,24 @@ def check_width(width: int, what: str) -> None:
         raise ElaborationError(f"{what} has unsupported width {width}")
 
 
+def part_width(msb: int, lsb: int, name: str) -> int:
+    """Width of the constant part select ``name[msb:lsb]``, raising the
+    typed error for reversed bounds or a width past the cap.
+
+    >>> part_width(7, 4, "b")
+    4
+    >>> part_width(5000, 0, "b")
+    Traceback (most recent call last):
+    ...
+    repro.hdl.errors.ElaborationError: part select has unsupported width 5001
+    """
+    if msb < lsb:
+        raise ElaborationError(f"reversed part select [{msb}:{lsb}] on {name}")
+    width = msb - lsb + 1
+    check_width(width, "part select")
+    return width
+
+
 _CTX_ARITH = frozenset({"+", "-", "*", "/", "%", "&", "|", "^", "^~", "~^"})
 _COMPARE = frozenset({"==", "!=", "===", "!==", "<", "<=", ">", ">="})
 _LOGICAL = frozenset({"&&", "||"})
@@ -129,12 +147,8 @@ def width_of(expr: ast.Expr, scope: "Scope") -> int:
             return scope.memory_width(expr.base)
         return 1
     if isinstance(expr, ast.PartSelect):
-        msb = scope.const_int(expr.msb)
-        lsb = scope.const_int(expr.lsb)
-        if msb < lsb:
-            raise ElaborationError(
-                f"reversed part select [{msb}:{lsb}] on {expr.base}")
-        return msb - lsb + 1
+        return part_width(scope.const_int(expr.msb),
+                          scope.const_int(expr.lsb), expr.base)
     if isinstance(expr, ast.SystemCall):
         if expr.name in ("$signed", "$unsigned"):
             return width_of(expr.args[0], scope)
@@ -592,6 +606,7 @@ def _compile_expr(expr: ast.Expr, ctx: LowerCtx, ctx_width: int | None):
         base = _read_closure(expr.base, ctx)
         msb = ctx.const_int(expr.msb)
         lsb = ctx.const_int(expr.lsb)
+        part_width(msb, lsb, expr.base)
         return lambda frame: base(frame).part(msb, lsb)
 
     if isinstance(expr, ast.SystemCall):

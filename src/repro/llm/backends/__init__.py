@@ -10,8 +10,11 @@ adapter code paths.  See ``docs/extending.md`` ("Adding an LLM
 backend") for the recipe.
 
 Everything here is stdlib-only; the synthetic profiles remain the
-default deterministic tier (``SimContext.llm_backend == ""``), and this
-package is only imported when a backend is actually resolved.
+default deterministic tier (``SimContext.llm_backend == ""``).  Importing
+the package is cheap: the HTTP/SSL stack loads with the first request
+(:func:`~repro.llm.backends.http.post_json`) and the thread pool with
+the first fan-out (:func:`iter_fan_out`), so a synthetic run loads
+neither.
 """
 
 from .base import (LLMBackend, SamplingParams, remaining_deadline,

@@ -8,12 +8,12 @@ concurrency stays bounded by the global in-flight cap
 (:data:`repro.llm.backends.resilience.GLOBAL_IN_FLIGHT`), which every
 :class:`~repro.llm.backends.resilience.ResilientBackend` holds during a
 request: ``iter_fan_out`` may run 32 items, but only the cap's worth of
-requests are ever on the wire.
+requests are ever on the wire.  ``concurrent.futures`` loads with the
+first fan-out, so a synthetic run never imports it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import Callable, Iterator, Sequence, TypeVar
 
 Item = TypeVar("Item")
@@ -29,6 +29,8 @@ def iter_fan_out(fn: Callable[[Item], Result], items: Sequence[Item], *,
     The first item to raise propagates its exception once every
     submitted item finishes.
     """
+    from concurrent.futures import ThreadPoolExecutor, as_completed
+
     items = list(items)
     if not items:
         return

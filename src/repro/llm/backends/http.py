@@ -5,15 +5,14 @@ request encoding, deadline clamping, and the mapping from wire-level
 failures to the typed hierarchy in :mod:`repro.llm.backends.errors`.
 Built on :mod:`urllib.request` — the container images this repo targets
 carry no HTTP client dependency, and none is needed for line-oriented
-JSON POSTs.
+JSON POSTs.  ``post_json`` imports it on its first request: urllib pulls
+in ``http.client``, ``ssl`` and ``email`` (about 7 MB of RSS), which a
+run on the synthetic tier never uses.
 """
 
 from __future__ import annotations
 
 import json
-import socket
-import urllib.error
-import urllib.request
 
 from .base import remaining_deadline
 from .errors import (BackendConnectionError, BackendRateLimited,
@@ -61,6 +60,9 @@ def post_json(url: str, payload: dict, *, headers: dict | None = None,
     - other HTTP 4xx -> :class:`BackendRequestError` (non-retryable);
     - undecodable body -> :class:`MalformedResponseError`.
     """
+    import urllib.error
+    import urllib.request
+
     timeout = _effective_timeout(timeout, backend)
     data = json.dumps(payload).encode("utf-8")
     request_headers = {"Content-Type": "application/json"}
@@ -89,13 +91,13 @@ def post_json(url: str, payload: dict, *, headers: dict | None = None,
                 message, backend=backend, status=status) from None
         raise BackendRequestError(
             message, backend=backend, status=status) from None
-    except (TimeoutError, socket.timeout):
+    except TimeoutError:
         raise BackendTimeout(
             f"{backend}: request to {url} timed out after {timeout:.1f}s",
             backend=backend) from None
     except urllib.error.URLError as exc:
         reason = exc.reason
-        if isinstance(reason, (TimeoutError, socket.timeout)):
+        if isinstance(reason, TimeoutError):
             raise BackendTimeout(
                 f"{backend}: request to {url} timed out after "
                 f"{timeout:.1f}s", backend=backend) from None

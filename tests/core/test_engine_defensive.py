@@ -246,6 +246,57 @@ class TestExpressionWidthCap:
         assert run.stdout == ["1"]
 
 
+class TestPartSelectWidthCap:
+    """A part select, read or stored, wider than a signal may be fails
+    with one typed error on both engines, as do reversed bounds: the
+    width used to go unchecked (``b[20000000:0]`` built a 20 M-bit
+    value), and a reversed read escaped every status as a
+    ``LogicError``.  Over the digest-pinned campaign items the widest
+    part select is 8 bits and none is reversed."""
+
+    @staticmethod
+    def _tb(stmt: str) -> str:
+        return ("module tb;\n    reg [7:0] b;\n"
+                f"    initial begin b = 8'hA5; {stmt} end\nendmodule")
+
+    @pytest.mark.parametrize("stmt, message", [
+        ('$display("%b", b[5000:0]);',
+         "part select has unsupported width 5001"),
+        ('$display("%b", b[20000000:0]);',
+         "part select has unsupported width 20000001"),
+        ("b[5000:0] = 0;", "part select has unsupported width 5001"),
+        ("b[5000:0] <= 0;", "part select has unsupported width 5001"),
+        ("{b[5000:0], b} = 0;", "part select has unsupported width 5001"),
+        ('$display("%b", b[0:3]);', "reversed part select [0:3] on b"),
+        ("b[0:3] = 0;", "reversed part select [0:3] on b"),
+    ], ids=["read", "read_huge", "store", "nba", "concat_store",
+            "reversed_read", "reversed_store"])
+    def test_one_typed_error_on_both_engines(self, stmt, message):
+        for engine in SIMULATORS:
+            with pytest.raises(ElaborationError) as excinfo:
+                SIMULATORS[engine](self._tb(stmt), "tb")
+            assert str(excinfo.value) == message, engine
+
+    @pytest.mark.parametrize("expr", ["a[5000:0]", "a[20000000:0]"])
+    def test_driver_run_is_typed_and_quick(self, expr):
+        # Like the other width caps, the error surfaces when the run
+        # lowers the driver's processes: a typed runtime status.
+        start = time.perf_counter()
+        run = run_driver(_hostile_driver(expr), HOSTILE_DUT)
+        assert time.perf_counter() - start < 1.0
+        assert run.status == RUNTIME
+        width = int(expr[2:expr.index(":")]) + 1
+        assert run.detail == f"part select has unsupported width {width}"
+
+    def test_widest_part_select_simulates(self):
+        run = run_driver(_hostile_driver("a[4095:0] == 3"), HOSTILE_DUT)
+        assert run.status == OK, run.detail
+        outputs = {engine: SIMULATORS[engine](
+            self._tb('b[4095:0] = 3; $display("%d", b);'), "tb").stdout
+            for engine in SIMULATORS}
+        assert outputs["compiled"] == outputs["interpret"] == ["3"]
+
+
 def self_checking_src() -> str:
     return "module tb; initial begin $display(\"ok\"); $finish; end endmodule"
 

@@ -208,7 +208,8 @@ def test_sweeps_under_context_jobs_create_no_pool(monkeypatch):
     with use_context(jobs=2):
         monolithic = simulation.run_mutant_sweep(tb.source, mutants,
                                                  kind="monolithic")
-        assert monolithic.fallback_reason
+        assert monolithic.engine == "per-mutant"
+        assert not monolithic.fallback_reason
         assert not sim_pool_info()["alive"]
 
         def refuse(*args):

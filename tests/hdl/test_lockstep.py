@@ -272,7 +272,7 @@ endmodule
         sweep = run_mutant_sweep(tb, [GOLDEN, MUT_XOR],
                                  kind="monolithic")
         assert sweep.engine == "per-mutant"
-        assert "stdout" in sweep.fallback_reason
+        assert sweep.fallback_reason == ""  # its only path, not a fallback
         assert [run.verdict for run in sweep.runs] == [True, False]
 
     def test_unknown_kind_rejected(self):

@@ -142,6 +142,18 @@ def const_int(expr: ast.Expr, scope: Scope) -> int:
     return result
 
 
+def _part_bounds(msb_expr: ast.Expr, lsb_expr: ast.Expr, name: str,
+                 scope: Scope) -> tuple[int, int]:
+    """Constant ``[msb:lsb]`` bounds of a part select or part store:
+    reversed bounds, or a width past the cap, fail typed."""
+    msb = const_int(msb_expr, scope)
+    lsb = const_int(lsb_expr, scope)
+    if msb < lsb:
+        raise ElaborationError(f"reversed part select [{msb}:{lsb}] on {name}")
+    check_width(msb - lsb + 1, "part select")
+    return msb, lsb
+
+
 def eval_expr(expr: ast.Expr, scope: Scope,
               ctx_width: int | None = None) -> Logic:
     """Evaluate ``expr`` in ``scope``.
@@ -211,8 +223,7 @@ def eval_expr(expr: ast.Expr, scope: Scope,
 
     if isinstance(expr, ast.PartSelect):
         base = _read_name(scope, expr.base)
-        msb = const_int(expr.msb, scope)
-        lsb = const_int(expr.lsb, scope)
+        msb, lsb = _part_bounds(expr.msb, expr.lsb, expr.base, scope)
         return base.part(msb, lsb)
 
     if isinstance(expr, ast.SystemCall):
@@ -479,8 +490,8 @@ class InterpretedSimulator(Simulator):
                 return obj.width
             return 1
         if isinstance(target, ast.LvPart):
-            msb = const_int(target.msb, scope)
-            lsb = const_int(target.lsb, scope)
+            msb, lsb = _part_bounds(target.msb, target.lsb, target.name,
+                                    scope)
             return msb - lsb + 1
         if isinstance(target, ast.LvConcat):
             return sum(self._lvalue_width(p, scope) for p in target.parts)

@@ -24,11 +24,16 @@ is needed to configure a run.  ``run`` and ``campaign``
 dispatch through the campaign-method registry: a method registered
 with :func:`repro.eval.register_method` before :func:`build_parser` is
 called appears in ``--method`` choices automatically.
+
+A command whose stdout closes early (``correctbench campaign ... | head``)
+stops writing and exits with status :data:`EXIT_BROKEN_PIPE` (141),
+without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .core import (CRITERIA, AutoBenchGenerator, DEFAULT_CRITERION,
@@ -479,9 +484,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit status when stdout closes before the output is written (a
+#: reader such as ``head`` stopped reading): 128 + SIGPIPE, what a shell
+#: reports for a process that signal ended.
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The rest of the output has no reader.  Point stdout at devnull
+        # so the interpreter's exit flush cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return status
 
 
 if __name__ == "__main__":

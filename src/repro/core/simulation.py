@@ -60,7 +60,7 @@ from ..hdl.context import (START_METHOD_DEFAULT, SimContext,
                            current_context, use_context)
 from ..hdl.elaborate import Design, elaborate
 from ..hdl.errors import (ElaborationError, FailureShape, HdlError,
-                          NotConstantError, VerilogSyntaxError)
+                          VerilogSyntaxError)
 from ..hdl.lexer import clear_tokenize_cache, tokenize_cache_stats
 from ..hdl.parser import (clear_parse_cache, parse_cache_stats,
                           parse_source_cached)
@@ -470,9 +470,9 @@ def _simulate_pair(tb_src: str, dut_src: str, tb_label: str):
         return ELABORATION, str(exc), None
     try:
         return OK, "", template.run()
-    except NotConstantError as exc:  # illegal RTL met while lowering
+    except ElaborationError as exc:  # illegal RTL met while a process lowers
         return ELABORATION, str(exc), None
-    except HdlError as exc:  # late elaboration-class errors: still runtime
+    except HdlError as exc:
         return RUNTIME, str(exc), None
     except RecursionError:
         return RUNTIME, "recursion limit", None

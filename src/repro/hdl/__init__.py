@@ -7,10 +7,11 @@ CorrectBench system.  Execution is a four-stage pipeline::
 
 **parse** (:mod:`repro.hdl.lexer` + :mod:`repro.hdl.parser`)
     Lexes and parses the supported Verilog subset into immutable
-    (frozen-dataclass) AST nodes.  Lexing runs through a single-pass
-    *master-regex* tokenizer; the lexer differential fuzz suite pins it
-    to the original character-at-a-time lexer, which the test suite
-    keeps as a reference, with identical token streams and error
+    (frozen-dataclass) AST nodes.  Lexing is one C-level ``findall``
+    of a *master pattern* per text, with positions worked out only for
+    errors; the lexer differential fuzz suite pins it to the original
+    character-at-a-time lexer, which the test suite keeps as a
+    reference, with identical token streams, token positions and error
     positions.  :func:`parse_source_cached` is the
     text-keyed parse cache: identical source text is parsed once
     process-wide, and the shared AST is safe because nodes are

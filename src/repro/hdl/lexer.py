@@ -1,18 +1,35 @@
 """Lexer for the supported Verilog subset.
 
-A table-driven single-pass tokenizer built around one precompiled
-*master regex*: alternation over trivia (whitespace, comments, compiler
-directives), identifiers/keywords, based and unsized literals, system
-identifiers, strings, and a longest-match punctuation branch generated
-from :data:`~repro.hdl.tokens.PUNCTUATIONS`.  Line/column pairs are
-derived lazily from a newline-offset table (monotonic sweep, no
-per-character bookkeeping), identifier and keyword texts are interned,
-and literal ``(width, value, xmask, signed)`` payloads are decoded in
-the match handler.  The test suite keeps the original
-character-at-a-time lexer (``tests/oracles/``) as the behavioural
-reference: the lexer differential fuzz suite holds both to identical
-token streams and identical :class:`VerilogSyntaxError` positions over
-random token soups and the full golden corpus.
+One C-level scan per text: :func:`tokenize` runs ``findall`` of one
+precompiled *master pattern* whose only capture group is the token
+text.  Each match is one token alternative followed by the uncaptured,
+possessive trivia after it (whitespace, comments, compiler
+directives); the scan starts past the text's leading trivia, and its
+last match, empty at the end of the text, becomes the EOF token.
+
+The strings map to tokens through a per-call copy of a module table
+holding one shared :class:`~repro.hdl.tokens.Token` per keyword, per
+punctuation mark and for EOF.  Only strings that miss it are classified
+in Python (identifiers, numbers, strings, system names and errors),
+each once per text, so every repeat of an identifier or literal in a
+text is the same ``Token`` object.  Tokens carry no position: the
+stream (:class:`TokenStream`) keeps the source and works out the line
+and column of a token only when something asks, which the lexer and
+parser do only to raise a :class:`VerilogSyntaxError`.  Errors are
+raised in token order, at the same positions and with the same
+messages as the character-at-a-time reference lexer in
+``tests/oracles/``; the lexer differential fuzz suite holds the two to
+identical streams and positions.
+
+>>> stream = tokenize("module m;\\n  wire w;")
+>>> [t.text for t in stream]
+['module', 'm', ';', 'wire', 'w', ';', '']
+>>> stream.position(4)
+(2, 8)
+>>> tokenize("x = 4'q1;")
+Traceback (most recent call last):
+    ...
+repro.hdl.errors.VerilogSyntaxError: line 1:7: invalid number base 'q'
 
 :func:`tokenize_cached` is a text-keyed token-stream cache that no
 runtime path calls any more: the parse cache above it holds failing
@@ -25,6 +42,8 @@ from __future__ import annotations
 
 import math
 import re
+import string
+from itertools import filterfalse, islice
 from sys import intern
 
 from ..util import LruCache
@@ -35,63 +54,64 @@ from .tokens import KEYWORDS, PUNCTUATIONS, Token, TokenKind
 
 _BASE_BITS = {"b": 1, "o": 3, "d": 0, "h": 4}
 
-
-# ======================================================================
-# Master-regex tokenizer
-# ======================================================================
-# One precompiled alternation; the scan loop dispatches on
-# ``match.lastgroup``.  Every match is an uncaptured *trivia prefix*
-# (whitespace, comments, directives — folded into the token match so a
-# typical "space then token" pair costs one scan, not two) followed by
-# exactly one token alternative.  Alternative order is load-bearing:
+# The token alternatives, in match order.  Order is load-bearing:
 #
-# - complete token forms before their error-recovery counterparts
-#   (BASED before BADBASE, STRING before BADSTRING, SYSTEM before
-#   BADSYSTEM, the unterminated-comment probe before the ``/`` punct);
-# - the punctuation branch preserves PUNCTUATIONS order, which is
-#   longest-match (same first-match semantics as the reference lexer);
-# - a final any-character branch turns into "unexpected character".
+# - complete token forms before their error counterparts (BASED before
+#   BADBASE, STRING before NLSTRING before BADSTRING, SYSTEM before
+#   BADSYSTEM, the unterminated-comment probe before the ``/`` mark);
+# - the punctuation branch keeps PUNCTUATIONS order, which is
+#   longest-match (the reference lexer's first-match semantics);
+# - a final any-character branch becomes "unexpected character".
 #
-# The based-literal digit run is deliberately *generous* (full hex +
-# 4-state class for every base): the handler then computes the longest
-# valid prefix for the actual base and gives the rest back to the scan
-# loop, reproducing the reference's take-while semantics (``4'b12``
-# lexes as NUMBER(4'b1) NUMBER(2)).
-# The prefix is *possessive* (``*+``): when no token follows (trailing
-# trivia at EOF) the whole match must fail rather than backtrack and
-# hand trivia characters to the any-character error branch.
-_TRIVIA_PATTERN = r"(?:[ \t\r\n]+|//[^\n]*|`[^\n]*|/\*[\s\S]*?\*/)*+"
+# Branches that start with disjoint characters may go in any order;
+# identifiers and punctuation, the most frequent, go first.  A based
+# literal's digit run takes only its base's digits, so ``4'b12`` lexes
+# as ``4'b1`` then ``2``, as the reference's take-while does.  BADBASE
+# captures the character after the quote (and sign), which names the
+# invalid base; BADCOMMENT captures the rest of the text, so a later
+# ``/*`` cannot rescan to the end again.
+_ALTERNATIVES = (
+    ("IDENT", r"[A-Za-z_][A-Za-z0-9_$]*"),
+    ("BADCOMMENT", r"/\*[\s\S]*"),
+    ("PUNCT", "|".join(re.escape(p) for p in PUNCTUATIONS)),
+    ("BASED", r"(?:[0-9][0-9_]*[ \t]*)?'[sS]?(?:[bB][ \t]*[01xXzZ?_]*"
+              r"|[oO][ \t]*[0-7xXzZ?_]*|[dD][ \t]*[0-9_]*"
+              r"|[hH][ \t]*[0-9a-fA-FxXzZ?_]*)"),
+    ("BADBASE", r"(?:[0-9][0-9_]*[ \t]*'[sS]?|'[sS])[\s\S]?"),
+    ("DEC", r"[0-9][0-9_]*"),
+    ("STRING", r'"(?:[^"\\\n]|\\[\s\S])*"'),
+    ("NLSTRING", r'"(?:[^"\\\n]|\\[\s\S])*\n'),
+    ("BADSTRING", r'"(?:[^"\\\n]|\\[\s\S])*'),
+    ("SYSTEM", r"\$[A-Za-z_][A-Za-z0-9_$]*"),
+    ("BADSYSTEM", r"\$"),
+    ("BAD", r"[\s\S]"),
+)
 
-_MASTER_RE = re.compile(_TRIVIA_PATTERN + "(?:" + "|".join((
-    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_$]*)",
-    r"(?P<BASED>(?:[0-9][0-9_]*[ \t]*)?'[sS]?[bodhBODH][ \t]*"
-    r"[0-9a-fA-FxXzZ?_]*)",
-    r"(?P<BADBASE>[0-9][0-9_]*[ \t]*'[sS]?|'[sS])",
-    r"(?P<DEC>[0-9][0-9_]*)",
-    r'(?P<STRING>"(?:[^"\\\n]|\\[\s\S])*")',
-    r'(?P<BADSTRING>"(?:[^"\\\n]|\\[\s\S])*)',
-    r"(?P<SYSTEM>\$[A-Za-z_][A-Za-z0-9_$]*)",
-    r"(?P<BADSYSTEM>\$)",
-    r"(?P<BADCOMMENT>/\*)",
-    rf"(?P<PUNCT>{'|'.join(re.escape(p) for p in PUNCTUATIONS)})",
-    r"(?P<BAD>[\s\S])",
-)) + ")")
+# Each token match takes the trivia after it (whitespace, comments,
+# directives), so a scan that starts past the leading trivia never
+# resumes inside trivia.  The trivia is possessive (``*+``): it never
+# hands a character back to the any-character branch.  The ``\Z``
+# branch is the one empty match, at the end of the text: EOF.
+_TRIVIA = r"(?:[ \t\r\n]+|//[^\n]*|`[^\n]*|/\*[\s\S]*?\*/)*+"
+_TRIVIA_RE = re.compile(_TRIVIA)
+_SCAN_RE = re.compile(
+    "(" + "|".join(pattern for _, pattern in _ALTERNATIVES) + ")"
+    + _TRIVIA + r"|\Z")
 
-#: Decomposes a BASED match into width / sign / base; the digit run is
-#: whatever follows the match.
-_BASED_PARTS_RE = re.compile(
-    r"(?:(?P<w>[0-9][0-9_]*)[ \t]*)?'(?P<s>[sS]?)(?P<b>[bodhBODH])[ \t]*")
+#: Names the alternative a captured string came from (a string that the
+#: scan captured with one alternative fully matches no earlier one).
+_KIND_RE = re.compile("|".join(f"(?P<{name}>{pattern})"
+                               for name, pattern in _ALTERNATIVES))
 
-#: Longest-valid-prefix matchers for each base's digit alphabet
-#: (mirrors the reference's per-base take-while sets).
-_DIGIT_PREFIX_RE = {
-    "b": re.compile(r"[01xXzZ?_]*"),
-    "o": re.compile(r"[0-7xXzZ?_]*"),
-    "h": re.compile(r"[0-9a-fA-FxXzZ?_]*"),
-    "d": re.compile(r"[0-9_]*"),
-}
+#: Splits a based literal (or a bad base) into width, sign and base;
+#: the digits are the rest.
+_LITERAL_PARTS_RE = re.compile(
+    r"(?:([0-9][0-9_]*)[ \t]*)?'([sS]?)([\s\S]?)[ \t]*")
 
-_BADBASE_WIDTH_RE = re.compile(r"[0-9][0-9_]*")
+#: First characters that decide a captured string's kind: identifiers,
+#: and sized or decimal numbers (based when the string holds a quote).
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_DIGITS = frozenset(string.digits)
 
 _INT_BASE = {1: 2, 3: 8, 4: 16}
 _FOURSTATE = frozenset("xXzZ?")
@@ -99,12 +119,24 @@ _FOURSTATE = frozenset("xXzZ?")
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
 _ESCAPE_MAP = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
 
-#: Canonical string tables: every emitted keyword/punctuation text is
-#: the *same object* as the table entry, and identifier texts are
-#: interned, so downstream dict lookups (elaboration scopes, parser
-#: ``is_punct`` chains) compare pointers before bytes.
-_KEYWORD_CANON = {intern(word): intern(word) for word in KEYWORDS}
-_PUNCT_CANON = {p: intern(p) for p in PUNCTUATIONS}
+#: One shared token per keyword, punctuation mark and EOF (the empty
+#: capture at the end of the text).  Their texts are interned, as are
+#: identifier texts, so downstream dict lookups compare pointers.
+_SHARED = {
+    **{word: Token(TokenKind.KEYWORD, intern(word)) for word in KEYWORDS},
+    **{p: Token(TokenKind.PUNCT, intern(p)) for p in PUNCTUATIONS},
+    "": Token(TokenKind.EOF, ""),
+}
+
+
+class _Bad(Exception):
+    """A token text that does not lex: ``message``, ``offset``
+    characters into the token (``None``: column 0 of its line)."""
+
+    def __init__(self, message: str, offset: int | None = 0):
+        super().__init__(message)
+        self.message = message
+        self.offset = offset
 
 
 def _escape_sub(match: re.Match) -> str:
@@ -118,33 +150,30 @@ _MAX_DECIMAL_DIGITS = int(MAX_SIGNAL_WIDTH / math.log2(10))
 _WIDTH_DIGITS = len(str(MAX_SIGNAL_WIDTH))
 
 
-def _check_literal_width(width: int, line: int, column: int) -> None:
+def _check_literal_width(width: int) -> None:
     """Reject a literal wider than :data:`MAX_SIGNAL_WIDTH` bits."""
     if width > MAX_SIGNAL_WIDTH:
-        raise VerilogSyntaxError(f"literal has unsupported width {width}",
-                                 line, column)
+        raise _Bad(f"literal has unsupported width {width}")
 
 
-def _decimal_value(digits: str, line: int, column: int) -> int:
+def _decimal_value(digits: str) -> int:
     """The value of an underscore-free decimal digit run, rejected by
     its length before ``int`` parses it: past about 4,300 digits
     ``int`` itself raises ``ValueError``."""
     if len(digits) > _MAX_DECIMAL_DIGITS:
-        _check_literal_width(math.ceil(len(digits) * math.log2(10)),
-                             line, column)
+        _check_literal_width(math.ceil(len(digits) * math.log2(10)))
     return int(digits)
 
 
-def _literal_width(text: str, line: int, column: int) -> int:
+def _literal_width(text: str) -> int:
     """A sized literal's width, from its digit run ``text``."""
     digits = text.replace("_", "").lstrip("0")
     if len(digits) > _WIDTH_DIGITS:  # too many digits to parse, or to fit
-        raise VerilogSyntaxError(
-            f"literal has unsupported width {digits}", line, column)
+        raise _Bad(f"literal has unsupported width {digits}")
     width = int(digits or "0")
     if width < 1:
-        raise VerilogSyntaxError("literal width must be >= 1", line, column)
-    _check_literal_width(width, line, column)
+        raise _Bad("literal width must be >= 1")
+    _check_literal_width(width)
     return width
 
 
@@ -165,193 +194,121 @@ def _decode_based_digits(digits: str, bits_per: int) -> tuple[int, int]:
     return val, xmask
 
 
-def _master_tokenize(source: str) -> list[Token]:
-    """Single-pass scan of ``source`` with the master regex.
-
-    The hot loop anchors one ``match`` per token at the running
-    offset; a token may end *before* its match end when a based
-    literal's generous digit run had an invalid-for-base suffix to give
-    back (rare: only malformed-ish literals like ``4'b12`` take it).
-    """
-    tokens: list[Token] = []
-    append = tokens.append
-    scan = _MASTER_RE.match
-    n = len(source)
-
-    # Newline-offset table: token positions are derived lazily by a
-    # monotonic sweep instead of per-character line/column bookkeeping.
-    newlines: list[int] = []
-    nl_append = newlines.append
-    find = source.find
-    i = find("\n")
-    while i != -1:
-        nl_append(i)
-        i = find("\n", i + 1)
-    nl_count = len(newlines)
-    nl_i = 0            # newlines passed so far
-    line_start = 0      # offset of the current line's first character
-
-    number_kind = TokenKind.NUMBER
-    punct_kind = TokenKind.PUNCT
-    ident_kind = TokenKind.IDENT
-    keyword_kind = TokenKind.KEYWORD
-    keyword_canon = _KEYWORD_CANON
-    punct_canon = _PUNCT_CANON
-    # Per-run memo: repeated identifiers (every signal name appears many
-    # times) resolve to their (kind, canonical text) pair with one dict
-    # probe instead of a keyword lookup plus an intern call.
-    ident_memo: dict[str, tuple[TokenKind, str]] = {}
-
-    pos = 0
-    while pos < n:
-        m = scan(source, pos)
-        if m is None:
-            # Only trailing trivia remained (the possessive prefix
-            # refuses to match without a token after it).
-            break
-        group = m.lastgroup
-        idx = m.lastindex
-        # The token alternative is the tail of the match, so its
-        # span end is the match end.
-        start, end = m.span(idx)
-        # Advance the position sweep to this token's start.
-        while nl_i < nl_count and newlines[nl_i] < start:
-            line_start = newlines[nl_i] + 1
-            nl_i += 1
-        line = nl_i + 1
-        column = start - line_start + 1
-
-        if group == "IDENT":
-            text = m.group(idx)
-            cached = ident_memo.get(text)
-            if cached is None:
-                canon = keyword_canon.get(text)
-                if canon is not None:
-                    cached = (keyword_kind, canon)
-                else:
-                    cached = (ident_kind, intern(text))
-                ident_memo[text] = cached
-            append(Token(cached[0], cached[1], line, column))
-        elif group == "PUNCT":
-            append(Token(punct_kind, punct_canon[m.group(idx)], line,
-                         column))
-        elif group == "DEC":
-            text = m.group(idx)
-            value = _decimal_value(text.replace("_", ""), line,
-                                   column) & 0xFFFFFFFF
-            # Unsized decimal literals are 32-bit in Verilog.
-            append(Token(number_kind, text, line, column,
-                         value=(None, value, 0, True)))
-        elif group == "BASED":
-            text = m.group(idx)
-            parts = _BASED_PARTS_RE.match(text)
-            w = parts.group("w")
-            width = None if w is None else _literal_width(w, line, column)
-            base = parts.group("b").lower()
-            digits_start = start + parts.end()
-            raw = text[parts.end():]
-            valid = _DIGIT_PREFIX_RE[base].match(raw).group()
-            clean = valid.replace("_", "")
-            if not clean:
-                err_line, err_col = _position_at(
-                    newlines, nl_i, line_start, digits_start + len(valid))
-                raise VerilogSyntaxError(
-                    "missing digits in decimal literal" if base == "d"
-                    else "missing digits in based literal",
-                    err_line, err_col)
-            if base == "d":
-                val = _decimal_value(clean, line, column)
-                xmask = 0
-                natural = max(val.bit_length(), 1)
-            else:
-                bits_per = _BASE_BITS[base]
-                natural = len(clean) * bits_per
-                _check_literal_width(natural, line, column)
-                val, xmask = _decode_based_digits(clean, bits_per)
-            if width is None:
-                width = max(natural, 32)
-            token_end = digits_start + len(valid)
-            append(Token(number_kind, source[start:token_end], line,
-                         column, value=(width, val, xmask,
-                                        parts.group("s") != "")))
-            end = token_end
-        elif group == "STRING":
-            body = source[start + 1:end - 1]
-            if "\\" in body:
-                body = _ESCAPE_RE.sub(_escape_sub, body)
-            append(Token(TokenKind.STRING, body, line, column, value=body))
-        elif group == "SYSTEM":
-            append(Token(TokenKind.SYSTEM_IDENT, intern(m.group(idx)),
-                         line, column))
-        elif group == "BADBASE":
-            text = m.group(idx)
-            wm = _BADBASE_WIDTH_RE.match(text)
-            if wm is not None:
-                _literal_width(wm.group(), line, column)
-            base_ch = source[end:end + 1].lower()
-            err_line, err_col = _position_at(
-                newlines, nl_i, line_start, end)
-            raise VerilogSyntaxError(
-                f"invalid number base {base_ch!r}", err_line, err_col)
-        elif group == "BADSTRING":
-            message = ("newline in string" if source[end:end + 1] == "\n"
-                       else "unterminated string")
-            raise VerilogSyntaxError(message, line, column)
-        elif group == "BADSYSTEM":
-            err_line, err_col = _position_at(
-                newlines, nl_i, line_start, end)
-            raise VerilogSyntaxError(
-                "expected system task name after '$'", err_line, err_col)
-        elif group == "BADCOMMENT":
-            raise VerilogSyntaxError("unterminated block comment", line, 0)
-        else:  # BAD
-            raise VerilogSyntaxError(
-                f"unexpected character {m.group(idx)!r}", line, column)
-        pos = end
-
-    while nl_i < nl_count and newlines[nl_i] < n:
-        line_start = newlines[nl_i] + 1
-        nl_i += 1
-    append(Token(TokenKind.EOF, "", nl_i + 1, n - line_start + 1))
-    return tokens
+def _based(text: str) -> Token:
+    """The token for a based literal, or the error of a bad base."""
+    parts = _LITERAL_PARTS_RE.match(text)
+    w, sign, base = parts.groups()
+    width = None if w is None else _literal_width(w)
+    base = base.lower()
+    if base not in _BASE_BITS:
+        raise _Bad(f"invalid number base {base!r}", parts.start(3))
+    digits = text[parts.end():].replace("_", "")
+    if not digits:
+        raise _Bad("missing digits in decimal literal" if base == "d"
+                   else "missing digits in based literal", len(text))
+    if base == "d":
+        val = _decimal_value(digits)
+        xmask = 0
+        natural = max(val.bit_length(), 1)
+    else:
+        bits_per = _BASE_BITS[base]
+        natural = len(digits) * bits_per
+        _check_literal_width(natural)
+        val, xmask = _decode_based_digits(digits, bits_per)
+    if width is None:
+        width = max(natural, 32)
+    return Token(TokenKind.NUMBER, text, (width, val, xmask, sign != ""))
 
 
-def _position_at(newlines: list[int], nl_i: int, line_start: int,
-                 offset: int) -> tuple[int, int]:
-    """(line, column) of ``offset``, resuming the sweep at ``nl_i``.
-
-    Only used on error paths, where the offset of interest (end of a
-    digit run, character after a match) may lie ahead of the token
-    start the main sweep stopped at.
-    """
-    nl_count = len(newlines)
-    while nl_i < nl_count and newlines[nl_i] < offset:
-        line_start = newlines[nl_i] + 1
-        nl_i += 1
-    return nl_i + 1, offset - line_start + 1
+def _token(text: str) -> Token:
+    """The token for a captured string the shared table lacks; raises
+    :class:`_Bad` for one that does not lex."""
+    first = text[0]
+    if first in _IDENT_START:
+        return Token(TokenKind.IDENT, intern(text))
+    if first in _DIGITS:
+        if "'" in text:
+            return _based(text)
+        # Unsized decimal literals are 32-bit in Verilog.
+        value = _decimal_value(text.replace("_", "")) & 0xFFFFFFFF
+        return Token(TokenKind.NUMBER, text, (None, value, 0, True))
+    kind = _KIND_RE.fullmatch(text).lastgroup
+    if kind in ("BASED", "BADBASE"):  # unsized: ``'h10``, ``'sq``
+        return _based(text)
+    if kind == "STRING":
+        body = text[1:-1]
+        if "\\" in body:
+            body = _ESCAPE_RE.sub(_escape_sub, body)
+        return Token(TokenKind.STRING, body, body)
+    if kind == "SYSTEM":
+        return Token(TokenKind.SYSTEM_IDENT, intern(text))
+    if kind == "NLSTRING":
+        raise _Bad("newline in string")
+    if kind == "BADSTRING":
+        raise _Bad("unterminated string")
+    if kind == "BADSYSTEM":
+        raise _Bad("expected system task name after '$'", 1)
+    if kind == "BADCOMMENT":
+        raise _Bad("unterminated block comment", None)
+    raise _Bad(f"unexpected character {text!r}")
 
 
 # ======================================================================
 # Public entry points
 # ======================================================================
-def tokenize(source: str) -> list[Token]:
-    """Tokenize Verilog source text, raising :class:`VerilogSyntaxError`."""
-    return _master_tokenize(source)
+class TokenStream(list):
+    """A text's tokens, ending with EOF, plus the ``source`` they were
+    lexed from: :meth:`position` works out where a token starts."""
+
+    __slots__ = ("source",)
+
+    def position(self, index: int) -> tuple[int, int]:
+        """1-based ``(line, column)`` of the ``index``-th token."""
+        return _position(self.source, index)
+
+
+def _position(source: str, index: int) -> tuple[int, int]:
+    """Where the ``index``-th token of ``source`` starts (EOF: at the
+    end of the text).  Rescans up to that token."""
+    scan = _SCAN_RE.finditer(source, _TRIVIA_RE.match(source).end())
+    start = next(islice(scan, index, None)).start()
+    line_start = source.rfind("\n", 0, start) + 1
+    return source.count("\n", 0, start) + 1, start - line_start + 1
+
+
+def tokenize(source: str) -> TokenStream:
+    """Tokenize Verilog source text, raising :class:`VerilogSyntaxError`
+    at the first token that does not lex."""
+    texts = _SCAN_RE.findall(source, _TRIVIA_RE.match(source).end())
+    memo = _SHARED.copy()
+    # Misses in order of first appearance: the first that does not lex
+    # is the first bad token, and nothing after it is classified.
+    for text in filterfalse(memo.__contains__, dict.fromkeys(texts)):
+        try:
+            memo[text] = _token(text)
+        except _Bad as error:
+            line, column = _position(source, texts.index(text))
+            raise VerilogSyntaxError(
+                error.message, line,
+                0 if error.offset is None else column + error.offset
+            ) from None
+    stream = TokenStream(map(memo.get, texts))
+    stream.source = source
+    return stream
 
 
 _tokenize_cache = LruCache(capacity=512)
 
 
-def tokenize_cached(source: str) -> tuple[Token, ...]:
+def tokenize_cached(source: str) -> TokenStream:
     """Text-keyed token-stream cache (unused by the runtime; see the
     module docstring).
 
-    Token objects are immutable by convention, so sharing one stream is
-    safe.  Lexing *errors* are not cached: a failing text re-raises on
-    every call.
+    Every caller of one text shares one stream, so none may change it.
+    Lexing *errors* are not cached: a failing text re-raises on every
+    call.
     """
-    return _tokenize_cache.get_or_create(
-        source, lambda: tuple(tokenize(source)))
+    return _tokenize_cache.get_or_create(source, lambda: tokenize(source))
 
 
 def clear_tokenize_cache() -> None:

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..util import LruCache
 from . import ast
 from .errors import FailureShape, VerilogSyntaxError
-from .lexer import tokenize
+from .lexer import TokenStream, tokenize
 from .tokens import Token, TokenKind
 
 # Binary operator precedence, lowest first.  The ternary operator is handled
@@ -67,8 +65,11 @@ class Parser:
     nodes, and no table outlives a parse.
     """
 
-    def __init__(self, tokens: Sequence[Token]):
-        self.tokens = tokens
+    def __init__(self, tokens: TokenStream):
+        self.stream = tokens
+        # An exact list: CPython's fast path for ``list[int]`` skips
+        # subclasses, and the parser indexes once or more per token.
+        self.tokens = tokens[:]
         self.pos = 0
         self.depth = 0
         # key -> node or child tuple (see _make and _tuple).
@@ -92,9 +93,10 @@ class Parser:
             self.pos += 1
         return tok
 
-    def _error(self, message: str, tok: Token | None = None) -> VerilogSyntaxError:
-        tok = tok or self._peek()
-        return VerilogSyntaxError(message, tok.line, tok.column)
+    def _error(self, message: str) -> VerilogSyntaxError:
+        """An error at the current token, positioned by the stream."""
+        line, column = self.stream.position(self.pos)
+        return VerilogSyntaxError(message, line, column)
 
     def _expect_punct(self, text: str) -> Token:
         tok = self.tokens[self.pos]

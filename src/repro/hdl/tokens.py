@@ -36,23 +36,22 @@ PUNCTUATIONS = (
 
 
 class Token:
-    """One lexed token.
+    """One lexed token: its kind, its text and, for a number or a
+    string, its decoded value.
 
-    A plain ``__slots__`` class rather than a (frozen) dataclass: the
-    lexer creates one per token on the cold-parse path, and dataclass
-    ``__init__``/``object.__setattr__`` overhead dominated construction.
-    Instances are immutable by convention — they are shared freely
-    between cached token streams and parser runs.
+    A token has no position.  The lexer shares one ``Token`` per
+    keyword and punctuation mark across all texts, and one per distinct
+    identifier, number or string within a text, so a token is the same
+    object wherever its text repeats; the stream it came from
+    (:class:`~repro.hdl.lexer.TokenStream`) works out a token's line
+    and column.  Instances are immutable by convention.
     """
 
-    __slots__ = ("kind", "text", "line", "column", "value")
+    __slots__ = ("kind", "text", "value")
 
-    def __init__(self, kind: TokenKind, text: str, line: int, column: int,
-                 value: object = None):
+    def __init__(self, kind: TokenKind, text: str, value: object = None):
         self.kind = kind
         self.text = text
-        self.line = line
-        self.column = column
         self.value = value
 
     def is_punct(self, text: str) -> bool:
@@ -61,16 +60,5 @@ class Token:
     def is_keyword(self, word: str) -> bool:
         return self.kind is TokenKind.KEYWORD and self.text == word
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Token):
-            return NotImplemented
-        return (self.kind is other.kind and self.text == other.text
-                and self.line == other.line and self.column == other.column
-                and self.value == other.value)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.text, self.line, self.column,
-                     self.value))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Token({self.kind.name}, {self.text!r}, L{self.line})"
+        return f"Token({self.kind.name}, {self.text!r})"

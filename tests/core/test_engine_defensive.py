@@ -226,11 +226,28 @@ class TestExpressionWidthCap:
         ("a + {5000{1'b0}}", "replication"),
     ], ids=["replication", "concatenation", "operand"])
     def test_oversized_expression_is_typed_and_quick(self, expr, what):
+        # The cap fires while the run lowers the driver's processes: an
+        # elaboration-class error, typed as such wherever it is raised.
         start = time.perf_counter()
         run = run_driver(_hostile_driver(expr), HOSTILE_DUT)
         assert time.perf_counter() - start < 1.0
-        assert run.status == RUNTIME
+        assert run.status == ELABORATION
         assert f"{what} has unsupported width" in run.detail
+
+    @pytest.mark.parametrize("driver, dut", [
+        (_hostile_driver("a[5000:0]"), HOSTILE_DUT),
+        (_hostile_driver("a"), "module top_module(input a, output y);\n"
+                               "    reg [7:0] b;\n"
+                               "    always @(*) b[5000:0] = a;\n"
+                               "    assign y = a;\nendmodule"),
+        (_hostile_driver("a"), "module top_module(input a, output y);\n"
+                               "    wire [7:0] b = 8'hA5;\n"
+                               "    assign y = a ^ b[5000:0];\nendmodule"),
+    ], ids=["driver_read", "dut_store", "dut_assign_read"])
+    def test_oversized_part_select_is_elaboration(self, driver, dut):
+        run = run_driver(driver, dut)
+        assert run.status == ELABORATION
+        assert run.detail == "part select has unsupported width 5001"
 
     def test_constant_replication_is_capped(self):
         src = ("module tb;\n    parameter P = {8192{1'b1}};\n"
@@ -280,11 +297,11 @@ class TestPartSelectWidthCap:
     @pytest.mark.parametrize("expr", ["a[5000:0]", "a[20000000:0]"])
     def test_driver_run_is_typed_and_quick(self, expr):
         # Like the other width caps, the error surfaces when the run
-        # lowers the driver's processes: a typed runtime status.
+        # lowers the driver's processes: a typed elaboration status.
         start = time.perf_counter()
         run = run_driver(_hostile_driver(expr), HOSTILE_DUT)
         assert time.perf_counter() - start < 1.0
-        assert run.status == RUNTIME
+        assert run.status == ELABORATION
         width = int(expr[2:expr.index(":")]) + 1
         assert run.detail == f"part select has unsupported width {width}"
 

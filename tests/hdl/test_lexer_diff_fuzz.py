@@ -1,11 +1,12 @@
-"""Differential fuzzing for the lexer pair: master regex vs reference.
+"""Differential fuzzing for the lexer pair: master pattern vs reference.
 
-The master-regex tokenizer (the runtime lexer) and the
+The master-pattern tokenizer (the runtime lexer) and the
 character-at-a-time reference lexer (the oracle in ``tests/oracles/``)
 must be observationally identical:
-same token streams (kind, text, line, column, decoded number payloads)
-and, for malformed input, the same ``VerilogSyntaxError`` line, column
-and message.  Three corpora drive the comparison:
+same token streams (kind, text, decoded number payloads), the same
+token positions (the runtime stream's ``position(i)`` against the
+reference token's ``line`` / ``column``) and, for malformed input, the
+same ``VerilogSyntaxError`` line, column and message.  Three corpora drive the comparison:
 
 1. **token soups** — seeded random concatenations of valid token
    fragments, trivia and deliberately-broken fragments (bad bases,
@@ -29,7 +30,7 @@ import random
 import pytest
 
 from fuzz_budget import fuzz_budget
-from oracles import LEXERS
+from oracles import LEXERS, token_positions
 from repro.hdl.errors import VerilogSyntaxError
 from repro.hdl.lexer import (clear_tokenize_cache, tokenize,
                              tokenize_cache_stats, tokenize_cached)
@@ -39,14 +40,22 @@ from repro.problems import load_dataset
 N_SOUPS, BASE_SEED = fuzz_budget()
 
 
+#: Streams longer than this have their positions compared at a sample
+#: of tokens: the runtime stream rescans up to each token it places.
+_POSITION_SAMPLE = 64
+
+
 def lex_outcome(source: str, lexer: str):
     """Full observable behaviour of one lexer run, comparable with ==."""
     try:
         stream = LEXERS[lexer](source)
     except VerilogSyntaxError as exc:
         return ("error", exc.bare_message, exc.line, exc.column)
-    return ("ok", tuple((t.kind, t.text, t.line, t.column, t.value)
-                        for t in stream))
+    n = len(stream)
+    indices = range(n) if n <= _POSITION_SAMPLE else sorted(
+        {*range(0, n, n // _POSITION_SAMPLE), n - 1})
+    return ("ok", tuple((t.kind, t.text, t.value) for t in stream),
+            tuple(zip(indices, token_positions(stream, indices))))
 
 
 def assert_lexers_agree(source: str):
@@ -223,6 +232,7 @@ _PINNED_ERRORS = (
     ('x = "abc', "unterminated string", 1, 5),
     ('x = "ab\ncd"', "newline in string", 1, 5),
     ("a \\ b", "unexpected character '\\\\'", 1, 3),
+    ("a '", "unexpected character \"'\"", 1, 3),
 )
 
 
@@ -250,7 +260,8 @@ def test_unsized_decimal_text_excludes_probe_spaces(lexer):
     assert [t.text for t in toks[:-1]] == ["#", "5", "clk"]
     toks = LEXERS[lexer]("4  x")
     assert toks[0].text == "4"
-    assert (toks[1].text, toks[1].column) == ("x", 4)
+    assert toks[1].text == "x"
+    assert token_positions(toks, [1]) == [(1, 4)]
 
 
 @pytest.mark.parametrize("lexer", LEXERS)
@@ -259,9 +270,45 @@ def test_based_literal_giveback(lexer):
     toks = LEXERS[lexer]("4'b12")
     assert [(t.text, t.value) for t in toks[:-1]] == [
         ("4'b1", (4, 1, 0, False)), ("2", (None, 2, 0, True))]
+    assert token_positions(toks) == [(1, 1), (1, 5), (1, 6)]
     toks = LEXERS[lexer]("8'hxy_q")
     assert toks[0].value == (8, 0, 15, False)
     assert toks[1].text == "y_q"
+
+
+@pytest.mark.parametrize("lexer", LEXERS)
+def test_four_state_digits_and_underscores(lexer):
+    """``8'hz_Z?``: every x/z/? digit sets four mask bits, ``_`` none."""
+    toks = LEXERS[lexer]("8'hz_Z?")
+    assert [(t.text, t.value) for t in toks[:-1]] == [
+        ("8'hz_Z?", (8, 0, 0xFFF, False))]
+
+
+@pytest.mark.parametrize("lexer", LEXERS)
+@pytest.mark.parametrize("source, eof", [
+    ("a /* c */", (1, 10)),
+    ("a // c", (1, 7)),
+    ("a \n\t ", (2, 3)),
+], ids=["block_comment", "line_comment", "whitespace"])
+def test_trailing_trivia_ends_the_stream(lexer, source, eof):
+    """Trivia at the end of the text is skipped whole: a scan that
+    resumed inside it would lex a comment's text as tokens."""
+    toks = LEXERS[lexer](source)
+    assert [t.text for t in toks] == ["a", ""]
+    assert token_positions(toks) == [(1, 1), eof]
+
+
+def test_repeated_texts_share_one_token():
+    """Within a text every repeat of an identifier or literal is one
+    ``Token``; keywords and punctuation are shared across texts."""
+    toks = tokenize("assign y = a & 8'hF0 | a & y & 8'hF0;")
+    texts = [t.text for t in toks]
+    for text in ("y", "a", "8'hF0", "&"):
+        first = texts.index(text)
+        repeat = texts.index(text, first + 1)
+        assert toks[first] is toks[repeat], text
+    other = tokenize("assign y = b;")
+    assert other[0] is toks[0] and other[2] is toks[2]
 
 
 # ----------------------------------------------------------------------

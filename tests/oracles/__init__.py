@@ -23,5 +23,18 @@ from .reference_lexer import ReferenceLexer, reference_tokenize
 SIMULATORS = {"compiled": simulate, "interpret": simulate_interpreted}
 LEXERS = {"master": tokenize, "reference": reference_tokenize}
 
+
+def token_positions(stream, indices=None) -> list[tuple[int, int]]:
+    """``(line, column)`` of the tokens at ``indices`` (default: every
+    token) of a stream from either lexer.  A reference token carries
+    its position; the runtime stream works each one out on demand,
+    rescanning up to the token, so ask a long stream for a sample."""
+    if indices is None:
+        indices = range(len(stream))
+    if hasattr(stream, "position"):
+        return [stream.position(i) for i in indices]
+    return [(stream[i].line, stream[i].column) for i in indices]
+
+
 __all__ = ["LEXERS", "SIMULATORS", "InterpretedSimulator", "ReferenceLexer",
-           "reference_tokenize", "simulate_interpreted"]
+           "reference_tokenize", "simulate_interpreted", "token_positions"]

@@ -1,12 +1,14 @@
 """Character-at-a-time Verilog lexer: the front end's behavioural oracle.
 
-:func:`repro.hdl.lexer.tokenize` scans with one master regex.  This is
+:func:`repro.hdl.lexer.tokenize` scans with one master pattern.  This is
 the original lexer it replaced, kept as the reference it must match
-token for token, including every :class:`VerilogSyntaxError` position.
+token for token, including every token and :class:`VerilogSyntaxError`
+position.  Its tokens carry their ``line`` / ``column``; the runtime
+stream works them out on demand.
 ``tests/hdl/test_lexer_diff_fuzz.py`` drives both through random token
 soups and the golden corpus, ``tests/hdl/test_lexer.py`` runs its unit
-cases on both, and the ``lexer >= 3x reference`` microbench floor times
-the two.
+cases on both, and the lexer speedup floor in
+``benchmarks/bench_hdl_simulator.py`` times the two.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 
 from repro.hdl.errors import VerilogSyntaxError
 from repro.hdl.eval import MAX_SIGNAL_WIDTH
-from repro.hdl.tokens import KEYWORDS, PUNCTUATIONS, Token, TokenKind
+from repro.hdl.tokens import KEYWORDS, PUNCTUATIONS, TokenKind
 
 _IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | frozenset("0123456789$")
@@ -24,6 +26,21 @@ _DIGITS = frozenset("0123456789")
 _BASE_BITS = {"b": 1, "o": 3, "d": 0, "h": 4}
 _HEX_DIGITS = "0123456789abcdef"
 
+
+class Token:
+    """One reference token: the runtime token's fields plus the
+    ``line`` / ``column`` of its first character, which the runtime
+    stream works out on demand instead."""
+
+    __slots__ = ("kind", "text", "line", "column", "value")
+
+    def __init__(self, kind: TokenKind, text: str, line: int, column: int,
+                 value: object = None):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
+        self.value = value
 
 
 class ReferenceLexer:

@@ -131,3 +131,25 @@ def test_pooled_campaign_under_context_jobs_matches_plain_run():
     assert plain.returncode == 0, plain.stderr
     assert pooled.returncode == 0, pooled.stderr
     assert pooled.stdout == plain.stdout
+
+
+def test_campaign_into_a_closed_pipe_exits_quietly():
+    """``correctbench campaign ... | head`` used to end with a
+    ``BrokenPipeError`` traceback.  Here stdout is a pipe whose reader
+    is gone before anything is written: the command stops, prints no
+    traceback and exits with the documented status."""
+    from repro.cli import EXIT_BROKEN_PIPE
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "campaign",
+             "--tasks", "cmb_eq4", "--methods", "baseline"],
+            env=env, cwd=REPO_ROOT, stdout=write_end,
+            stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == b""

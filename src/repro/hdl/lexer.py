@@ -12,19 +12,18 @@ holding one shared :class:`~repro.hdl.tokens.Token` per keyword, per
 punctuation mark and for EOF.  Only strings that miss it are classified
 in Python (identifiers, numbers, strings, system names and errors),
 each once per text, so every repeat of an identifier or literal in a
-text is the same ``Token`` object.  Tokens carry no position: the
-stream (:class:`TokenStream`) keeps the source and works out the line
-and column of a token only when something asks, which the lexer and
-parser do only to raise a :class:`VerilogSyntaxError`.  Errors are
-raised in token order, at the same positions and with the same
-messages as the character-at-a-time reference lexer in
+text is the same ``Token`` object.  Tokens carry no position:
+:func:`position` works out where a token starts from the source, which
+the lexer and parser ask only to raise a :class:`VerilogSyntaxError`.
+Errors are raised in token order, at the same positions and with the
+same messages as the character-at-a-time reference lexer in
 ``tests/oracles/``; the lexer differential fuzz suite holds the two to
 identical streams and positions.
 
->>> stream = tokenize("module m;\\n  wire w;")
->>> [t.text for t in stream]
+>>> source = "module m;\\n  wire w;"
+>>> [t.text for t in tokenize(source)]
 ['module', 'm', ';', 'wire', 'w', ';', '']
->>> stream.position(4)
+>>> position(source, 4)
 (2, 8)
 >>> tokenize("x = 4'q1;")
 Traceback (most recent call last):
@@ -256,27 +255,17 @@ def _token(text: str) -> Token:
 # ======================================================================
 # Public entry points
 # ======================================================================
-class TokenStream(list):
-    """A text's tokens, ending with EOF, plus the ``source`` they were
-    lexed from: :meth:`position` works out where a token starts."""
-
-    __slots__ = ("source",)
-
-    def position(self, index: int) -> tuple[int, int]:
-        """1-based ``(line, column)`` of the ``index``-th token."""
-        return _position(self.source, index)
-
-
-def _position(source: str, index: int) -> tuple[int, int]:
-    """Where the ``index``-th token of ``source`` starts (EOF: at the
-    end of the text).  Rescans up to that token."""
+def position(source: str, index: int) -> tuple[int, int]:
+    """1-based ``(line, column)`` where the ``index``-th token of
+    ``source`` starts (EOF: the end of the text).  Rescans up to that
+    token."""
     scan = _SCAN_RE.finditer(source, _TRIVIA_RE.match(source).end())
     start = next(islice(scan, index, None)).start()
     line_start = source.rfind("\n", 0, start) + 1
     return source.count("\n", 0, start) + 1, start - line_start + 1
 
 
-def tokenize(source: str) -> TokenStream:
+def tokenize(source: str) -> list[Token]:
     """Tokenize Verilog source text, raising :class:`VerilogSyntaxError`
     at the first token that does not lex."""
     texts = _SCAN_RE.findall(source, _TRIVIA_RE.match(source).end())
@@ -287,28 +276,27 @@ def tokenize(source: str) -> TokenStream:
         try:
             memo[text] = _token(text)
         except _Bad as error:
-            line, column = _position(source, texts.index(text))
+            line, column = position(source, texts.index(text))
             raise VerilogSyntaxError(
                 error.message, line,
                 0 if error.offset is None else column + error.offset
             ) from None
-    stream = TokenStream(map(memo.get, texts))
-    stream.source = source
-    return stream
+    return list(map(memo.get, texts))
 
 
 _tokenize_cache = LruCache(capacity=512)
 
 
-def tokenize_cached(source: str) -> TokenStream:
+def tokenize_cached(source: str) -> tuple[Token, ...]:
     """Text-keyed token-stream cache (unused by the runtime; see the
     module docstring).
 
-    Every caller of one text shares one stream, so none may change it.
-    Lexing *errors* are not cached: a failing text re-raises on every
-    call.
+    Token objects are immutable by convention, so sharing one stream is
+    safe.  Lexing *errors* are not cached: a failing text re-raises on
+    every call.
     """
-    return _tokenize_cache.get_or_create(source, lambda: tokenize(source))
+    return _tokenize_cache.get_or_create(
+        source, lambda: tuple(tokenize(source)))
 
 
 def clear_tokenize_cache() -> None:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..util import LruCache
 from . import ast
 from .errors import FailureShape, VerilogSyntaxError
-from .lexer import TokenStream, tokenize
+from .lexer import position, tokenize
 from .tokens import Token, TokenKind
 
 # Binary operator precedence, lowest first.  The ternary operator is handled
@@ -65,11 +67,9 @@ class Parser:
     nodes, and no table outlives a parse.
     """
 
-    def __init__(self, tokens: TokenStream):
-        self.stream = tokens
-        # An exact list: CPython's fast path for ``list[int]`` skips
-        # subclasses, and the parser indexes once or more per token.
-        self.tokens = tokens[:]
+    def __init__(self, tokens: Sequence[Token], source: str):
+        self.tokens = tokens
+        self.source = source
         self.pos = 0
         self.depth = 0
         # key -> node or child tuple (see _make and _tuple).
@@ -94,8 +94,8 @@ class Parser:
         return tok
 
     def _error(self, message: str) -> VerilogSyntaxError:
-        """An error at the current token, positioned by the stream."""
-        line, column = self.stream.position(self.pos)
+        """An error at the current token, positioned in the source."""
+        line, column = position(self.source, self.pos)
         return VerilogSyntaxError(message, line, column)
 
     def _expect_punct(self, text: str) -> Token:
@@ -638,10 +638,11 @@ class Parser:
         """Parse one expression; the expression itself is one nesting
         level (see :data:`MAX_NESTING_DEPTH`).
 
-        >>> Parser(tokenize("(a + b) * c")).parse_expression().op
+        >>> src = "(a + b) * c"
+        >>> Parser(tokenize(src), src).parse_expression().op
         '*'
         >>> too_deep = "(" * MAX_NESTING_DEPTH + "a"
-        >>> Parser(tokenize(too_deep)).parse_expression()
+        >>> Parser(tokenize(too_deep), too_deep).parse_expression()
         Traceback (most recent call last):
             ...
         repro.hdl.errors.VerilogSyntaxError: line 1:65: nesting deeper than 64 levels
@@ -758,7 +759,7 @@ class Parser:
 
 def parse_source(source: str) -> ast.SourceFile:
     """Parse Verilog source text into a :class:`SourceFile`."""
-    parser = Parser(tokenize(source))
+    parser = Parser(tokenize(source), source)
     return parser.parse_source()
 
 
@@ -791,7 +792,7 @@ def parse_source_cached(source: str) -> ast.SourceFile:
     entry = _parse_cache.get(source)
     if entry is None:
         try:
-            entry = Parser(tokenize(source)).parse_source()
+            entry = Parser(tokenize(source), source).parse_source()
         except VerilogSyntaxError as exc:
             _parse_cache.insert(source, FailureShape(exc))
             raise

@@ -42,9 +42,9 @@ class Token:
     A token has no position.  The lexer shares one ``Token`` per
     keyword and punctuation mark across all texts, and one per distinct
     identifier, number or string within a text, so a token is the same
-    object wherever its text repeats; the stream it came from
-    (:class:`~repro.hdl.lexer.TokenStream`) works out a token's line
-    and column.  Instances are immutable by convention.
+    object wherever its text repeats;
+    :func:`~repro.hdl.lexer.position` works out a token's line and
+    column from the source.  Instances are immutable by convention.
     """
 
     __slots__ = ("kind", "text", "value")

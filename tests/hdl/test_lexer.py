@@ -68,8 +68,10 @@ class TestBasics:
             tokenize("$ 1")
 
     def test_line_tracking(self, tokenize):
-        toks = tokenize("a\nb\n  c")
-        assert token_positions(toks) == [(1, 1), (2, 1), (3, 3), (3, 4)]
+        source = "a\nb\n  c"
+        toks = tokenize(source)
+        assert token_positions(source, toks) == [
+            (1, 1), (2, 1), (3, 3), (3, 4)]
 
 
 class TestComments:

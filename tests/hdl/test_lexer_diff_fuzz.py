@@ -4,8 +4,9 @@ The master-pattern tokenizer (the runtime lexer) and the
 character-at-a-time reference lexer (the oracle in ``tests/oracles/``)
 must be observationally identical:
 same token streams (kind, text, decoded number payloads), the same
-token positions (the runtime stream's ``position(i)`` against the
-reference token's ``line`` / ``column``) and, for malformed input, the
+token positions (every runtime token's start, which
+``position(source, i)`` must also give, against the reference token's
+``line`` / ``column``) and, for malformed input, the
 same ``VerilogSyntaxError`` line, column and message.  Three corpora drive the comparison:
 
 1. **token soups** — seeded random concatenations of valid token
@@ -40,22 +41,14 @@ from repro.problems import load_dataset
 N_SOUPS, BASE_SEED = fuzz_budget()
 
 
-#: Streams longer than this have their positions compared at a sample
-#: of tokens: the runtime stream rescans up to each token it places.
-_POSITION_SAMPLE = 64
-
-
 def lex_outcome(source: str, lexer: str):
     """Full observable behaviour of one lexer run, comparable with ==."""
     try:
         stream = LEXERS[lexer](source)
     except VerilogSyntaxError as exc:
         return ("error", exc.bare_message, exc.line, exc.column)
-    n = len(stream)
-    indices = range(n) if n <= _POSITION_SAMPLE else sorted(
-        {*range(0, n, n // _POSITION_SAMPLE), n - 1})
     return ("ok", tuple((t.kind, t.text, t.value) for t in stream),
-            tuple(zip(indices, token_positions(stream, indices))))
+            tuple(token_positions(source, stream)))
 
 
 def assert_lexers_agree(source: str):
@@ -261,7 +254,7 @@ def test_unsized_decimal_text_excludes_probe_spaces(lexer):
     toks = LEXERS[lexer]("4  x")
     assert toks[0].text == "4"
     assert toks[1].text == "x"
-    assert token_positions(toks, [1]) == [(1, 4)]
+    assert token_positions("4  x", toks)[1] == (1, 4)
 
 
 @pytest.mark.parametrize("lexer", LEXERS)
@@ -270,7 +263,7 @@ def test_based_literal_giveback(lexer):
     toks = LEXERS[lexer]("4'b12")
     assert [(t.text, t.value) for t in toks[:-1]] == [
         ("4'b1", (4, 1, 0, False)), ("2", (None, 2, 0, True))]
-    assert token_positions(toks) == [(1, 1), (1, 5), (1, 6)]
+    assert token_positions("4'b12", toks) == [(1, 1), (1, 5), (1, 6)]
     toks = LEXERS[lexer]("8'hxy_q")
     assert toks[0].value == (8, 0, 15, False)
     assert toks[1].text == "y_q"
@@ -295,7 +288,7 @@ def test_trailing_trivia_ends_the_stream(lexer, source, eof):
     resumed inside it would lex a comment's text as tokens."""
     toks = LEXERS[lexer](source)
     assert [t.text for t in toks] == ["a", ""]
-    assert token_positions(toks) == [(1, 1), eof]
+    assert token_positions(source, toks) == [(1, 1), eof]
 
 
 def test_repeated_texts_share_one_token():

@@ -16,6 +16,7 @@ fallback (:func:`repro.core.simulation._per_mutant_sweep`).
 """
 
 from repro.hdl import simulate, tokenize
+from repro.hdl.lexer import _SCAN_RE, _TRIVIA_RE, position
 
 from .interpreter import InterpretedSimulator, simulate_interpreted
 from .reference_lexer import ReferenceLexer, reference_tokenize
@@ -24,16 +25,33 @@ SIMULATORS = {"compiled": simulate, "interpret": simulate_interpreted}
 LEXERS = {"master": tokenize, "reference": reference_tokenize}
 
 
-def token_positions(stream, indices=None) -> list[tuple[int, int]]:
-    """``(line, column)`` of the tokens at ``indices`` (default: every
-    token) of a stream from either lexer.  A reference token carries
-    its position; the runtime stream works each one out on demand,
-    rescanning up to the token, so ask a long stream for a sample."""
-    if indices is None:
-        indices = range(len(stream))
-    if hasattr(stream, "position"):
-        return [stream.position(i) for i in indices]
-    return [(stream[i].line, stream[i].column) for i in indices]
+#: A runtime stream longer than this checks :func:`position` at a
+#: sample of its tokens: each call rescans up to the token it places.
+_POSITION_SAMPLE = 64
+
+
+def token_positions(source: str, stream) -> list[tuple[int, int]]:
+    """``(line, column)`` of every token of ``source``'s stream from
+    either lexer.  A reference token carries its position.  The
+    runtime's are read in one pass of the scan that :func:`position`
+    rescans per token, and :func:`position` must agree with that pass
+    (at every token of a short stream, at a sample of a long one)."""
+    if hasattr(stream[0], "line"):
+        return [(t.line, t.column) for t in stream]
+    positions = []
+    line, line_start, offset = 1, 0, 0
+    for match in _SCAN_RE.finditer(source, _TRIVIA_RE.match(source).end()):
+        start = match.start()
+        newlines = source.count("\n", offset, start)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", offset, start) + 1
+        offset = start
+        positions.append((line, start - line_start + 1))
+    n = len(positions)
+    for i in {*range(0, n, max(1, n // _POSITION_SAMPLE)), n - 1}:
+        assert position(source, i) == positions[i], (source, i)
+    return positions
 
 
 __all__ = ["LEXERS", "SIMULATORS", "InterpretedSimulator", "ReferenceLexer",

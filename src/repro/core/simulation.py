@@ -6,7 +6,9 @@ reuse on top of it:
 
 - **parse cache** — text-keyed (:func:`parse_cached`); the validator
   simulates the same driver against 20 RTL samples and AutoEval runs the
-  same testbench against 10 mutants.  A text that fails to lex or parse
+  same testbench against 10 mutants.  Texts that parse to equal trees
+  share one tree object, so the layers below dedupe designs by tree.
+  A text that fails to lex or parse
   is held as its error's shape, so a broken driver (the synthetic LLM's
   Eval0 faults) is lexed and parsed once, by the fault injector's own
   check, and every later ``syntax_ok`` / ``run_driver`` re-raises the
@@ -21,7 +23,7 @@ reuse on top of it:
   re-raise their recorded error instead of re-running the front end.
 - **batched execution** — :func:`run_driver_batch` /
   :func:`run_monolithic_batch` fan one shared testbench across many DUT
-  variants in process, deduplicating identical sources.  Only a pool
+  variants in process, one run per distinct parse tree.  Only a pool
   owner submits to the *persistent* worker pool (:func:`get_sim_pool`):
   campaigns and the validator study map work items over it and the
   service hands the batch APIs its ``jobs``; sweeps inside an item run
@@ -106,10 +108,10 @@ class DesignTemplate:
     Elaboration produces mutable runtime objects (signal values, memory
     words) embedded in the design structure.  The template snapshots
     their post-elaboration state once; :meth:`run` restores that
-    snapshot — and clears any event waiters left by a previous run —
-    before simulating, so every run starts from an identical universe
-    while sharing the parsed AST, the elaborated structure, and the
-    compiled process closures.
+    snapshot before simulating and drops every trace of the run when it
+    ends, so every run starts from an identical universe while sharing
+    the parsed AST, the elaborated structure, and the compiled process
+    closures.
 
     A lock serializes runs of one template: the design's runtime state
     is singular, so concurrent in-process runs must take turns (use the
@@ -128,13 +130,29 @@ class DesignTemplate:
         self._lock = threading.Lock()
 
     def reset(self) -> None:
-        """Restore post-elaboration values and clear scheduler residue."""
+        """Restore post-elaboration values."""
         for sig, value in self._signal_init:
             sig.value = value
-            if sig.waiters:
-                sig.waiters.clear()
         for mem, words in self._memory_init:
             mem.words[:] = words
+
+    def _release(self) -> None:
+        """Detach the finished run from the design.
+
+        The simulator rebinds the design's runtime hooks to itself, and
+        the processes still waiting when it stops sit in the signal and
+        memory waiter lists; restoring the one and emptying the other
+        keeps this cached template from pinning the finished Simulator
+        (and its stdout / dump buffers / generator frames) in memory.
+        """
+        design = self.design
+        design.runtime_time = lambda: 0
+        design.runtime_random = lambda: 0
+        design.runtime_fopen = lambda name: 0
+        for sig, _ in self._signal_init:
+            if sig.waiters:
+                sig.waiters.clear()
+        for mem, _ in self._memory_init:
             if mem.waiters:
                 mem.waiters.clear()
 
@@ -156,14 +174,7 @@ class DesignTemplate:
                 return Simulator(self.design, max_time=max_time,
                                  max_stmts=max_stmts, seed=seed).run()
             finally:
-                # The simulator rebinds the design's runtime hooks to
-                # itself; restore the defaults so this cached template
-                # doesn't pin the finished Simulator (and its stdout /
-                # dump buffers / generator frames) in memory.
-                design = self.design
-                design.runtime_time = lambda: 0
-                design.runtime_random = lambda: 0
-                design.runtime_fopen = lambda name: 0
+                self._release()
 
 
 # ----------------------------------------------------------------------
@@ -789,15 +800,30 @@ def _monolithic_batch_worker(item: tuple) -> MonolithicRun:
         return run_monolithic(tb_src, dut_src)
 
 
+def _design_key(source: str):
+    """What a run against ``source`` depends on: its parse tree, which
+    texts differing only in trivia share (see
+    :func:`~repro.hdl.parser.parse_source_cached`), or the text itself
+    when it does not parse, so each broken text keeps its own
+    positioned error."""
+    try:
+        return parse_cached(source)
+    except VerilogSyntaxError:
+        return source
+
+
 def _run_batch(worker, shared_src: str, dut_srcs, jobs: int,
                context: SimContext | None) -> list:
-    """Shared fan-out: dedup identical DUTs, then run each unique pair.
+    """Shared fan-out: dedup equal DUT designs, then run each unique
+    pair.
 
-    The shared testbench text is parsed once (cache) and each unique
-    (testbench, DUT) design is elaborated + compiled once (template
-    cache), so a batch amortizes every per-design cost across the runs.
-    With ``jobs > 1`` unique pairs spread over the *persistent* process
-    pool (:func:`get_sim_pool`): workers survive across batch calls, so
+    DUTs are deduped by parse tree (:func:`_design_key`), and every
+    input gets its representative's result object.  The shared
+    testbench text is parsed once (cache) and each unique (testbench,
+    DUT) design is elaborated + compiled once (template cache), so a
+    batch amortizes every per-design cost across the runs.  With ``jobs
+    > 1`` unique pairs spread over the *persistent* process pool
+    (:func:`get_sim_pool`): workers survive across batch calls, so
     their caches stay warm and repeated small batches skip the pool
     spin-up entirely.
 
@@ -808,22 +834,20 @@ def _run_batch(worker, shared_src: str, dut_srcs, jobs: int,
     """
     context = context if context is not None else current_context()
     dut_list = list(dut_srcs)
-    order: list[str] = []
-    seen = set()
-    for dut in dut_list:
-        if dut not in seen:
-            seen.add(dut)
-            order.append(dut)
+    keys = [_design_key(dut) for dut in dut_list]
+    first: dict = {}  # design key -> first text with it
+    for key, dut in zip(keys, dut_list):
+        first.setdefault(key, dut)
 
-    items = [(shared_src, dut, context) for dut in order]
-    if jobs > 1 and len(order) > 1:
+    items = [(shared_src, dut, context) for dut in first.values()]
+    if jobs > 1 and len(items) > 1:
         unique_results = [result for _, result in sorted(
             pool_imap(worker, items, jobs), key=itemgetter(0))]
     else:
         unique_results = [worker(item) for item in items]
 
-    by_src = dict(zip(order, unique_results))
-    return [by_src[dut] for dut in dut_list]
+    by_key = dict(zip(first, unique_results))
+    return [by_key[key] for key in keys]
 
 
 def run_driver_batch(driver_src: str, dut_srcs, jobs: int = 1,
@@ -831,7 +855,7 @@ def run_driver_batch(driver_src: str, dut_srcs, jobs: int = 1,
     """Run one hybrid-TB driver against many DUT variants.
 
     This is the validator/AutoEval hot path: the driver is compiled
-    once and identical DUTs are simulated once, in process.  ``jobs >
+    once and equal DUT designs are simulated once, in process.  ``jobs >
     1`` fans the unique runs across the process pool.  ``context`` left
     unset resolves through the active :class:`SimContext`.
     """
@@ -915,27 +939,31 @@ def _per_mutant_sweep(driver_src: str, dut_list: list[str],
 def _lockstep_sweep(driver_src: str, dut_list: list[str],
                     golden_src: str | None,
                     context: SimContext) -> MutantSweep:
-    """Run the sweep as one union design.
+    """Run the sweep as one union design, one lane per distinct parse
+    tree; every input lane gets its tree's :class:`DriverRun`.
 
     Raises :exc:`LockstepUnsupported` (or a front-end/runtime
     :exc:`~repro.hdl.errors.HdlError`) when the union cannot be built or
     run faithfully; the caller falls back to the per-mutant path.
     """
     lanes = ([golden_src] if golden_src is not None else []) + dut_list
-    order: list[str] = []
-    seen = set()
-    for lane in lanes:
-        if lane not in seen:
-            seen.add(lane)
-            order.append(lane)
-    n_lanes = len(order)
+    # Every text is checked and parsed, driver first, before lanes are
+    # merged: equal trees then share one union lane and one run.
+    lockstep_mod.reject_random_lanes(lanes)
+    driver_tree = parse_cached(driver_src)
+    trees = [parse_cached(lane) for lane in lanes]
+    first: dict = {}  # tree -> first text with it
+    for tree, lane in zip(trees, lanes):
+        first.setdefault(tree, lane)
+    n_lanes = len(first)
 
-    key = ("union", driver_src, tuple(order))
+    key = ("union", driver_tree, tuple(first))
     _raise_cached_failure(key)
     try:
         template = _union_templates.get_or_create(
             key, lambda: DesignTemplate(
-                elaborate(build_union(driver_src, order), "tb")))
+                elaborate(build_union(driver_src, list(first.values())),
+                          "tb")))
     except (VerilogSyntaxError, ElaborationError,
             LockstepUnsupported) as exc:
         _record_failure(key, exc)
@@ -949,19 +977,19 @@ def _lockstep_sweep(driver_src: str, dut_list: list[str],
         raise LockstepUnsupported("union run ended without $finish")
 
     lane_records = _demux_records(result.files.get(DUMP_FILE, []), n_lanes)
-    runs_by_src: dict[str, DriverRun] = {}
-    for lane_src, records in zip(order, lane_records):
+    runs: dict = {}  # tree -> its lane's run
+    for tree, records in zip(first, lane_records):
         if records:
-            runs_by_src[lane_src] = DriverRun(
-                OK, records=records, stdout=list(result.stdout))
+            runs[tree] = DriverRun(OK, records=records,
+                                   stdout=list(result.stdout))
         else:
-            runs_by_src[lane_src] = DriverRun(
-                RUNTIME, detail="no check-points in dump",
-                stdout=list(result.stdout))
+            runs[tree] = DriverRun(RUNTIME,
+                                   detail="no check-points in dump",
+                                   stdout=list(result.stdout))
 
-    golden_run = (runs_by_src[golden_src]
-                  if golden_src is not None else None)
-    dut_runs = [runs_by_src[dut] for dut in dut_list]
+    golden_run = runs[trees[0]] if golden_src is not None else None
+    dut_trees = trees[1:] if golden_src is not None else trees
+    dut_runs = [runs[tree] for tree in dut_trees]
     return MutantSweep(
         runs=dut_runs, golden=golden_run,
         retire_rounds=[_retire_round(golden_run, run)

@@ -165,6 +165,9 @@ class ScenarioValidator:
     def validate(self, tb: HybridTestbench) -> ValidationReport:
         scenario_indexes = tuple(index for index, _ in tb.scenarios)
         rows: list[RSRow] = []
+        # Judges whose designs parse to one tree share one DriverRun
+        # (see run_mutant_sweep), so each run is checked once per call.
+        reports: dict = {}  # id(run) -> CheckReport
         self._prefetch_judges(tb.driver_src)
         for judge in self.rtl_group:
             if not judge.syntax_ok:
@@ -181,8 +184,10 @@ class ScenarioValidator:
             if not scenario_indexes:
                 scenario_indexes = tuple(sorted(
                     {record.scenario for record in run.records}))
-            report = run_checker(tb.checker_src, self.task.ports,
-                                 run.records)
+            report = reports.get(id(run))
+            if report is None:
+                report = reports[id(run)] = run_checker(
+                    tb.checker_src, self.task.ports, run.records)
             if not report.ok:
                 # A crashing checker is wrong about everything.
                 rows.append(RSRow(judge.sample_index,

@@ -45,16 +45,24 @@ def hybrid_verdicts_batch(tb: HybridTestbench, dut_srcs,
     Routed through :func:`run_mutant_sweep`, so under the default
     lockstep strategy the whole batch executes as one union simulation
     (AutoEval's mutant sweep runs the same testbench against 10 mutants
-    of one golden RTL).
+    of one golden RTL).  Each distinct dump is judged once: every
+    mutant that survives prints the golden dump, and ``run_checker``
+    loads a fresh ``RefModel`` per call, so equal dumps get equal
+    verdicts.
     """
     sweep = run_mutant_sweep(tb.driver_src, list(dut_srcs))
+    judged: dict = {}  # dump value -> verdict, for this call only
     verdicts: list[bool | None] = []
     for run in sweep.runs:
         if not run.ok:
             verdicts.append(None)
             continue
-        report = run_checker(tb.checker_src, task.ports, run.records)
-        verdicts.append(report.all_passed if report.ok else None)
+        key = tuple((record.scenario, tuple(record.values.items()))
+                    for record in run.records)
+        if key not in judged:
+            report = run_checker(tb.checker_src, task.ports, run.records)
+            judged[key] = report.all_passed if report.ok else None
+        verdicts.append(judged[key])
     return verdicts
 
 

@@ -14,8 +14,8 @@ CorrectBench system.  Execution is a four-stage pipeline::
     reference, with identical token streams, token positions and error
     positions.  :func:`parse_source_cached` is the
     text-keyed parse cache: identical source text is parsed once
-    process-wide, and the shared AST is safe because nodes are
-    immutable.  A text that fails to lex or parse is held as its
+    process-wide, texts that parse to equal trees share one tree, and
+    the shared AST is safe because nodes are immutable.  A text that fails to lex or parse is held as its
     error's shape, so it is lexed once too and every later call
     re-raises an identical :class:`VerilogSyntaxError`.
 

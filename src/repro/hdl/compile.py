@@ -48,7 +48,6 @@ such programs are only shared between processes with equal labels.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Callable
 
 from . import ast
@@ -96,10 +95,14 @@ class CompiledProc:
 _PROGRAM_CACHE_SIZE = 1024
 _MAX_VARIANTS_PER_KEY = 8
 
-# key -> list[SharedProgram]; keys hold the AST nodes themselves.  The
-# lock guards the scan/evict/insert sequences: concurrent DesignTemplate
-# runs in threads reach compile_spec concurrently.
-_program_cache: "OrderedDict[tuple, list]" = OrderedDict()
+# key -> list[SharedProgram]; keys hold the AST nodes themselves.  A
+# plain dict keeps the LRU order, least recently used first: a hit is
+# popped and re-inserted, so it compares the probe with the stored key
+# once (an OrderedDict's get + move_to_end compares them twice, and
+# each comparison of equal trees from different parses walks both).
+# The lock guards the scan/evict/insert sequences: concurrent
+# DesignTemplate runs in threads reach compile_spec concurrently.
+_program_cache: dict = {}
 _program_lock = threading.Lock()
 _stats = {"programs_compiled": 0, "programs_shared": 0, "specs_bound": 0}
 
@@ -217,11 +220,11 @@ def _shared_program(spec: ProcSpec) -> SharedProgram:
     key = _program_key(spec)
     if key is not None:
         with _program_lock:
-            variants = _program_cache.get(key)
+            variants = _program_cache.pop(key, None)
             if variants is not None:
+                _program_cache[key] = variants
                 for program in variants:
                     if program.matches(spec):
-                        _program_cache.move_to_end(key)
                         _stats["programs_shared"] += 1
                         return program
     # Lowering happens outside the lock (it can be slow); a concurrent
@@ -234,7 +237,7 @@ def _shared_program(spec: ProcSpec) -> SharedProgram:
             variants = _program_cache.get(key)
             if variants is None:
                 while len(_program_cache) >= _PROGRAM_CACHE_SIZE:
-                    _program_cache.popitem(last=False)
+                    del _program_cache[next(iter(_program_cache))]
                 variants = _program_cache[key] = []
             if len(variants) < _MAX_VARIANTS_PER_KEY:
                 variants.append(program)

@@ -375,6 +375,16 @@ def _check_lane_interfaces(lane_asts, dut_module: str) -> None:
                 f"lane {k} port interface differs from lane 0")
 
 
+def reject_random_lanes(lane_srcs) -> None:
+    """Raise :exc:`LockstepUnsupported` if any lane's text names
+    ``$random`` or ``$urandom``.  The check reads the text, comments
+    included, so it must see every lane's own text, not a stand-in for
+    an equal tree."""
+    for src in lane_srcs:
+        if "$random" in src or "$urandom" in src:
+            raise LockstepUnsupported("$random in a DUT lane")
+
+
 def build_union(driver_src: str, lane_srcs: list[str],
                 dut_module: str = "top_module",
                 top: str = "tb") -> ast.SourceFile:
@@ -386,9 +396,7 @@ def build_union(driver_src: str, lane_srcs: list[str],
     """
     if not lane_srcs:
         raise LockstepUnsupported("no lanes")
-    for src in lane_srcs:
-        if "$random" in src or "$urandom" in src:
-            raise LockstepUnsupported("$random in a DUT lane")
+    reject_random_lanes(lane_srcs)
     driver_ast = parse_source_cached(driver_src)
     lane_asts = [parse_source_cached(src) for src in lane_srcs]
     n_lanes = len(lane_srcs)

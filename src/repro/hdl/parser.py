@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from typing import Sequence
 
 from ..util import LruCache
@@ -765,17 +766,51 @@ def parse_source(source: str) -> ast.SourceFile:
 
 _parse_cache = LruCache(capacity=4096)
 
+# Finished trees by value, most recently used last, bounded like the
+# text cache.  A plain dict keeps the order: a hit is popped (one walk
+# of two equal trees; an OrderedDict's pop walks them three times) and
+# re-inserted at the end, which finds no equal key and walks nothing.
+_trees: dict = {}
+_trees_lock = threading.Lock()
+
+
+def _shared_tree(tree: ast.SourceFile) -> ast.SourceFile:
+    """The held tree equal to ``tree``, or ``tree`` itself, now held."""
+    with _trees_lock:
+        shared = _trees.pop(tree, None)
+        if shared is None:
+            shared = tree
+            if len(_trees) >= _parse_cache.capacity:
+                del _trees[next(iter(_trees))]
+        _trees[shared] = shared
+    return shared
+
 
 def parse_source_cached(source: str) -> ast.SourceFile:
-    """Text-keyed parse cache.
+    """Text-keyed parse cache whose texts share trees by value.
 
     The AST is immutable (frozen dataclasses), so sharing one tree
     between callers is safe.  Evaluation pipelines re-parse the same
     driver/DUT text thousands of times (validator R/S matrices, AutoEval
     mutant runs); this cache makes re-parsing free.  Each held tree is
     hash-consed (see :class:`Parser`), so a driver's repeated stimulus
-    and dump lines are held as one subtree each.  A text that fails
-    to lex or parse is held too, as its error's
+    and dump lines are held as one subtree each.
+
+    A new text is lexed and parsed once, and then its tree is looked up
+    by value among the trees already held: texts that differ only in
+    comments, whitespace or literal spelling get one tree object, so
+    callers can tell equal designs apart from different ones by
+    identity (the simulation layer runs each distinct tree once).
+
+    >>> first = parse_source_cached(
+    ...     "// attempt 1\\nmodule m(output o); assign o = 4'd5; endmodule")
+    >>> second = parse_source_cached(
+    ...     "// attempt 2\\nmodule m(output o);\\n  assign o = 4'b0101;\\n"
+    ...     "endmodule")
+    >>> first is second
+    True
+
+    A text that fails to lex or parse is held too, as its error's
     :class:`~repro.hdl.errors.FailureShape`: later calls re-raise an
     identically rendered :class:`VerilogSyntaxError` without lexing
     again, so a broken driver costs one front-end pass however many
@@ -796,7 +831,7 @@ def parse_source_cached(source: str) -> ast.SourceFile:
         except VerilogSyntaxError as exc:
             _parse_cache.insert(source, FailureShape(exc))
             raise
-        entry = _parse_cache.insert(source, entry)
+        entry = _parse_cache.insert(source, _shared_tree(entry))
     if isinstance(entry, FailureShape):
         entry.reraise()
     return entry
@@ -804,6 +839,8 @@ def parse_source_cached(source: str) -> ast.SourceFile:
 
 def clear_parse_cache() -> None:
     _parse_cache.clear()
+    with _trees_lock:
+        _trees.clear()
 
 
 def parse_cache_stats() -> dict:

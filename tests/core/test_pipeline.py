@@ -5,8 +5,10 @@ from repro.codegen import render_checker_core, render_driver
 from repro.core import (AutoBenchGenerator, CRITERION_70, Corrector,
                         DirectBaseline, HybridTestbench, ScenarioValidator,
                         build_rtl_group)
+import repro.core.checker_runtime as checker_runtime
 from repro.core.checker_runtime import checker_compiles
-from repro.core.simulation import syntax_ok
+from repro.core.rtl_group import JudgeRtl
+from repro.core.simulation import run_driver, syntax_ok
 from repro.llm import GPT_4O, GPT_4O_MINI, MeteredClient, UsageMeter
 from repro.llm.synthetic import SyntheticLLM
 from repro.problems import get_task
@@ -123,6 +125,39 @@ class TestValidator:
             scenarios=tuple((s.index, s.description) for s in plan))
         validator = ScenarioValidator(client_for(), task, CRITERION_70)
         assert validator.validate(broken_tb).verdict is False
+
+    def test_checker_runs_once_for_equal_judges(self, monkeypatch):
+        # Judges that differ only in trivia share one run, so
+        # RefModel.step runs once per record, not once per judge.
+        task = get_task("cmb_dec2to4")
+        plan = task.canonical_scenarios()
+        tb = HybridTestbench(
+            task_id=task.task_id,
+            driver_src=render_driver(task, plan),
+            checker_src=render_checker_core(task),
+            scenarios=tuple((s.index, s.description) for s in plan))
+        golden = task.golden_rtl()
+        sources = [f"// RTL implementation attempt {k}\n" + golden
+                   for k in range(8)]
+        validator = ScenarioValidator(client_for(), task, CRITERION_70)
+        validator.use_group(JudgeRtl(src, k, True)
+                            for k, src in enumerate(sources))
+        steps = []
+        load = checker_runtime.load_ref_model
+
+        def counting_load(source):
+            model = load(source)
+            step = model.step
+            model.step = lambda inputs: steps.append(1) or step(inputs)
+            return model
+
+        monkeypatch.setattr(checker_runtime, "load_ref_model",
+                            counting_load)
+        report = validator.validate(tb)
+        assert report.verdict is True
+        assert report.matrix.n_valid == len(sources)
+        assert len(steps) == len(run_driver(tb.driver_src,
+                                            golden).records)
 
     def test_group_reused_across_validations(self):
         task = get_task("cmb_dec2to4")

@@ -31,8 +31,9 @@ def _driver_and_duts():
     driver = render_driver(task, task.canonical_scenarios())
     golden = task.golden_rtl()
     # A second, distinct-but-valid DUT variant so the batch has two
-    # unique pairs (jobs only engage with > 1 unique DUT).
-    variant = golden.replace("endmodule", "\n// variant\nendmodule")
+    # unique pairs (jobs only engage with > 1 unique DUT).  A comment
+    # would not do: batches dedup DUTs by parse tree.
+    variant = golden.replace("endmodule", "wire variant;\nendmodule")
     return driver, [golden, variant]
 
 

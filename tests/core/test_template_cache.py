@@ -2,6 +2,7 @@
 campaign-scale churn, and stamped-state isolation between concurrent
 checkouts."""
 
+import gc
 import threading
 from collections import OrderedDict
 
@@ -18,6 +19,7 @@ from repro.codegen import render_driver
 from repro.hdl import parser
 from repro.hdl.errors import ElaborationError, VerilogSyntaxError
 from repro.hdl.parser import parse_cache_stats, parse_source_cached
+from repro.hdl.simulator import Simulator
 from repro.mutation import inject_verilog_syntax_fault
 from repro.problems import get_task
 
@@ -284,3 +286,32 @@ def test_concurrent_checkouts_are_isolated():
     assert not errors
     assert len(outcomes) == 48
     assert all(outcomes)
+
+
+CLOCKED_TB = """
+module tb;
+    reg clk = 1'b0;
+    reg [3:0] q = 4'd0;
+    always #1 clk = ~clk;
+    always @(posedge clk) q <= q + 4'd1;
+    initial begin
+        #9 $display("q=%d", q);
+        $finish;
+    end
+endmodule
+"""
+
+
+def test_finished_run_leaves_no_simulator():
+    """A cached template keeps no finished Simulator alive: the clocked
+    processes still waiting on ``clk`` at ``$finish`` hold their
+    generators, and through them the simulator and its buffers, until
+    the run drops them."""
+    clear_simulation_caches()
+    template = design_template(CLOCKED_TB, "tb")
+    result = template.run()
+    assert result.finished and result.stdout == ["q=4"]
+    del result
+    gc.collect()
+    assert not [obj for obj in gc.get_objects()
+                if isinstance(obj, Simulator)]

@@ -10,6 +10,7 @@ from repro.eval import (EvalLevel, N_MUTANTS, evaluate, golden_artifacts,
                         hybrid_verdict)
 from repro.eval.autoeval import evaluate_hybrid, evaluate_monolithic
 from repro.eval.golden import hybrid_verdicts_batch
+import repro.core.checker_runtime as checker_runtime
 import repro.core.simulation as simulation
 from repro.core.simulation import shutdown_sim_pool, sim_pool_info
 from repro.hdl import use_context
@@ -161,6 +162,30 @@ class TestEvalEdgeCases:
         result = evaluate_hybrid(golden_tb(task), golden=golden)
         assert result.level == EvalLevel.EVAL1
         assert result.agreement == 0.0
+
+    def test_surviving_mutants_are_judged_once(self, engine, monkeypatch):
+        # Ten equivalent mutants survive: each prints the golden dump,
+        # so RefModel.step runs once per record, not ten times.
+        task = get_task("cmb_eq4")
+        tb = golden_tb(task)
+        golden = task.golden_rtl()
+        survivors = [golden.replace("endmodule", f"wire w{k};\nendmodule")
+                     for k in range(N_MUTANTS)]
+        steps = []
+        load = checker_runtime.load_ref_model
+
+        def counting_load(source):
+            model = load(source)
+            step = model.step
+            model.step = lambda inputs: steps.append(1) or step(inputs)
+            return model
+
+        monkeypatch.setattr(checker_runtime, "load_ref_model",
+                            counting_load)
+        assert hybrid_verdicts_batch(tb, survivors, task) \
+            == [True] * N_MUTANTS
+        assert len(steps) == len(
+            simulation.run_driver(tb.driver_src, golden).records)
 
     def test_exactly_at_80_percent_boundary(self, engine):
         # Eval2 requires agreement >= 0.80: with ten mutants, eight

@@ -568,13 +568,18 @@ def sweep_seed_for(index: int) -> int:
 
 @pytest.mark.parametrize("index", range(_N_SWEEPS))
 def test_lockstep_sweep_matches_per_mutant(index):
-    from repro.core.simulation import _per_mutant_sweep, run_mutant_sweep
+    from repro.core.simulation import (_per_mutant_sweep, run_driver,
+                                       run_mutant_sweep)
     from repro.mutation import generate_mutants
 
     seed = sweep_seed_for(index)
     driver, dut = generate_sweep_case(seed)
     mutants = [mutant.source
                for mutant in generate_mutants(dut, _N_MUTANTS, seed)]
+    # A copy of one mutant that differs only in trivia: both sweeps
+    # give it its original's lane, and a run of its own must agree.
+    copy = "// trivia-only copy\n" + mutants[0].replace("\n", "\n  ")
+    mutants.append(copy)
 
     lockstep = run_mutant_sweep(driver, mutants, golden_src=dut)
     per_mutant = _per_mutant_sweep(driver, mutants, dut,
@@ -590,6 +595,9 @@ def test_lockstep_sweep_matches_per_mutant(index):
     else:
         assert lockstep.golden.status == per_mutant.golden.status
     assert lockstep.retire_rounds == per_mutant.retire_rounds
+    alone = run_driver(driver, copy)
+    assert lockstep.runs[-1].status == alone.status, "trivia copy status"
+    assert lockstep.runs[-1].records == alone.records, "trivia copy records"
     _sweep_engines[index] = lockstep.engine
 
 

@@ -16,6 +16,7 @@ import pytest
 
 from oracles.demux import demux_lines
 from repro.codegen.driver import DUMP_FILE
+import repro.core.simulation as simulation
 from repro.core.caches import caches
 from repro.core.simulation import (_per_mutant_sweep, run_driver,
                                    run_mutant_sweep)
@@ -231,6 +232,56 @@ class TestRunMutantSweep:
         assert sweep.runs[0].records == sweep.runs[1].records
         assert sweep.runs[2].records == sweep.golden.records
         assert sweep.retire_rounds == [1, 1, None]
+
+    def test_trivia_copies_simulate_one_lane(self, monkeypatch):
+        copies = [f"// RTL implementation attempt {k}\n"
+                  + MUT_XOR.replace("a ^ b", "a  ^" + " " * k + "b")
+                  for k in range(6)]
+        lanes = []
+        demux = simulation._demux_records
+
+        def spy(lines, n_lanes):
+            lanes.append(n_lanes)
+            return demux(lines, n_lanes)
+
+        monkeypatch.setattr(simulation, "_demux_records", spy)
+        sweep = run_mutant_sweep(DRIVER, copies)
+        assert sweep.engine == "lockstep"
+        assert lanes == [1]
+        assert len(sweep.runs) == len(copies)
+        assert all(run is sweep.runs[0] for run in sweep.runs)
+        assert sweep.runs[0].records == run_driver(DRIVER, MUT_XOR).records
+
+        lanes.clear()
+        sweep = run_mutant_sweep(DRIVER, [MUT_AND] + copies + [GOLDEN],
+                                 golden_src="// golden\n" + GOLDEN)
+        assert lanes == [3]
+        assert sweep.runs[-1] is sweep.golden
+        assert sweep.retire_rounds == [0] + [1] * len(copies) + [None]
+        for src, run in zip([MUT_AND] + copies + [GOLDEN], sweep.runs):
+            assert run.records == run_driver(DRIVER, src).records
+
+    def test_random_in_one_copys_comment_falls_back(self):
+        # The lane check reads every input text, comments included,
+        # even where two texts share one tree.
+        copy = "// never calls $random\n" + MUT_XOR
+        sweep = run_mutant_sweep(DRIVER, [MUT_XOR, copy],
+                                 golden_src=GOLDEN)
+        assert sweep.engine == "per-mutant"
+        assert sweep.fallback_reason \
+            == "LockstepUnsupported: $random in a DUT lane"
+        assert sweep.runs[0] is sweep.runs[1]
+        assert sweep.retire_rounds == [1, 1]
+
+    def test_broken_copies_keep_their_own_errors(self):
+        broken = GOLDEN.replace("endmodule", "")
+        copy = "// header\n" + broken
+        sweep = run_mutant_sweep(DRIVER, [MUT_XOR, broken, copy])
+        assert sweep.engine == "per-mutant"
+        assert sweep.fallback_reason.startswith("VerilogSyntaxError: ")
+        assert sweep.runs[1].detail == run_driver(DRIVER, broken).detail
+        assert sweep.runs[2].detail == run_driver(DRIVER, copy).detail
+        assert sweep.runs[1].detail != sweep.runs[2].detail
 
     def test_fallback_on_unsupported_driver(self):
         driver = DRIVER.replace("$finish;",

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.core.caches import caches
 from repro.core.simulation import SYNTAX, run_driver, syntax_ok
-from repro.hdl import ast
+from repro.hdl import ast, parser
 from repro.hdl.errors import VerilogSyntaxError
-from repro.hdl.parser import MAX_NESTING_DEPTH, parse_module, parse_source
+from repro.hdl.parser import (MAX_NESTING_DEPTH, parse_cache_stats,
+                              parse_module, parse_source,
+                              parse_source_cached)
 from repro.hdl.unparse import unparse_module
 
 
@@ -369,3 +372,55 @@ class TestNestingDepth:
         assert syntax_ok(driver)
         run = run_driver(driver, self.DUT)
         assert run.status != SYNTAX
+
+
+class TestSharedTrees:
+    """``parse_source_cached`` lexes and parses each new text, then
+    shares one tree among texts that parse to equal trees."""
+
+    BASE = ("module m(input [3:0] a, output [3:0] y);\n"
+            "assign y = a + 4'd5;\n"
+            "endmodule\n")
+
+    @pytest.mark.parametrize("variant", [
+        "// RTL implementation attempt 7\n" + BASE,
+        BASE.replace("assign y", "/* sum */ assign   y"),
+        BASE.replace("\n", "\n\n\t"),
+        BASE.replace("4'd5", "4'b0101"),
+        BASE.replace("4'd5", "4'h5"),
+    ], ids=["line-comment", "block-comment", "whitespace", "binary",
+            "hex"])
+    def test_trivia_only_texts_share_one_tree(self, variant):
+        assert parse_source_cached(variant) is parse_source_cached(
+            self.BASE)
+
+    def test_different_designs_keep_their_own_trees(self):
+        other = self.BASE.replace("4'd5", "4'd6")
+        assert parse_source_cached(other) is not parse_source_cached(
+            self.BASE)
+        assert parse_source_cached(other) != parse_source_cached(
+            self.BASE)
+
+    def test_each_broken_text_keeps_its_own_position(self):
+        broken = "module m(; endmodule"
+        errors = []
+        for text in (broken, "// header\n\n" + broken,
+                     broken.replace("m(;", "m(  ;")):
+            with pytest.raises(VerilogSyntaxError) as info:
+                parse_source_cached(text)
+            errors.append((info.value.line, info.value.column))
+        assert errors == [(1, 10), (3, 10), (1, 12)]
+
+    def test_clear_drops_the_tree_table(self):
+        first = parse_source_cached(self.BASE)
+        caches.clear("parse")
+        assert parser._trees == {}
+        assert parse_source_cached("// again\n" + self.BASE) is not first
+        assert {"hits", "misses", "size"} <= set(parse_cache_stats())
+
+    def test_tree_table_is_bounded(self, monkeypatch):
+        caches.clear("parse")
+        monkeypatch.setattr(parser._parse_cache, "capacity", 4)
+        for k in range(10):
+            parse_source_cached(self.BASE.replace("4'd5", f"4'd{k}"))
+        assert len(parser._trees) == 4

@@ -371,7 +371,9 @@ class TestPoolHealing:
         fans out to the pool: the batch API heals the pool and every
         request is answered."""
         driver, dut = _fixture()
-        variant = dut.replace("endmodule", "\n// variant\nendmodule")
+        # A distinct design (batches dedup DUTs by parse tree, so a
+        # comment would not make a second pool item).
+        variant = dut.replace("endmodule", "wire variant;\nendmodule")
         shutdown_sim_pool()
         get_sim_pool(2)
         # Workers spawn lazily; run one warm-up batch so there is a

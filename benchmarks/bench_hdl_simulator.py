@@ -157,13 +157,23 @@ def test_parse_throughput_reference_lexer(benchmark):
 # ----------------------------------------------------------------------
 def _time_repeated(fn, min_seconds: float, min_rounds: int = 3) -> float:
     """Best-of wall time per call, at least ``min_rounds`` calls."""
-    best = float("inf")
+    return _time_interleaved((fn,), min_seconds, min_rounds)[0]
+
+
+def _time_interleaved(fns, min_seconds: float,
+                      min_rounds: int = 3) -> list[float]:
+    """Best-of wall time per call of each of ``fns``, at least
+    ``min_rounds`` calls and ``min_seconds`` apiece.  Each round calls
+    every function once, so a load burst hits every side of a ratio."""
+    best = [float("inf")] * len(fns)
     start = time.perf_counter()
+    budget = min_seconds * len(fns)
     rounds = 0
-    while rounds < min_rounds or time.perf_counter() - start < min_seconds:
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+    while rounds < min_rounds or time.perf_counter() - start < budget:
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
         rounds += 1
     return best
 
@@ -349,7 +359,8 @@ def bench_driver_reuse(seconds: float, task_id: str = "seq_count8_en",
     - ``pair_shared_ms`` — first simulation of each fresh pair with the
       program cache warm: only elaboration + slot binding remains;
     - ``steady_same_ms`` / ``steady_cross_ms`` — per-run template-cached
-      cost of rerunning one pair vs cycling across all pairs.  The
+      cost of rerunning one pair vs cycling across all pairs, timed in
+      alternating rounds so host load hits both alike.  The
       acceptance bar is parity (``steady_cross_vs_same`` ~ 1.0): once
       bound, a cross-design sweep costs the same per run as hammering a
       single design.
@@ -390,10 +401,10 @@ def bench_driver_reuse(seconds: float, task_id: str = "seq_count8_en",
             run_driver(driver, dut)
 
     steady_cross()  # warm every template
-    out["steady_same_ms"] = (_time_repeated(steady_same, seconds)
-                             * 1000 / n_variants)
-    out["steady_cross_ms"] = (_time_repeated(steady_cross, seconds)
-                              * 1000 / n_variants)
+    same_s, cross_s = _time_interleaved((steady_same, steady_cross),
+                                        seconds)
+    out["steady_same_ms"] = same_s * 1000 / n_variants
+    out["steady_cross_ms"] = cross_s * 1000 / n_variants
     out["steady_cross_vs_same"] = (out["steady_cross_ms"]
                                    / out["steady_same_ms"])
     return out

@@ -376,87 +376,33 @@ def parse_dump(lines: list[str]) -> list[Record]:
     return records
 
 
-# A widened dump line's value group parses directly when it sits in a
-# plain ``name = <group>`` position: the literal before it ends with the
-# field-name prefix, the literal after it cannot extend the value token,
-# and every lane's token is exactly one field value.  Anything else
-# (exotic formats) takes the slow path — reconstruct each lane's line
-# and parse it like the per-mutant run would have.
-_GROUP_NAME_RE = re.compile(r"([A-Za-z_]\w*)\s*=\s*$")
-_GROUP_VALUE_RE = re.compile(r"\s*(x|-?\d+)")
-
-
 def _demux_records(lines: list[str],
                    n_lanes: int) -> list[list[Record]]:
     """Per-lane records from a lockstep union run's widened dump.
 
-    Equivalent to the tests' ``demux_lines`` (``tests/oracles/``)
-    followed by :func:`parse_dump` per lane (the slow path does exactly
-    that, line by line), but the common ``name = value`` shape parses
-    the shared line skeleton once and patches only the per-lane group
-    fields.
+    Lane ``k``'s line joins the shared literals with the ``k``-th value
+    of every group, which is the line a separate run of that lane
+    writes, and is parsed like :func:`parse_dump`: the tests'
+    ``demux_lines`` (``tests/oracles/``) followed by :func:`parse_dump`.
+    Lanes mostly agree and clocked drivers repeat check-points, so each
+    distinct lane line parses once per call and its lanes share one
+    :class:`Record`.
     """
     lanes: list[list[Record]] = [[] for _ in range(n_lanes)]
+    parsed: dict[str, Record | None] = {}
     for line in lines:
-        parts = line.split(lockstep_mod.GROUP_DELIM)
-        if len(parts) == 1:
-            record = _parse_dump_line(line)
+        pieces = line.split(lockstep_mod.GROUP_DELIM)
+        groups = [group.split(lockstep_mod.LANE_DELIM)
+                  for group in pieces[1::2]]
+        for k, lane in enumerate(lanes):
+            pieces[1::2] = [group[k] for group in groups]
+            text = "".join(pieces)
+            if text in parsed:
+                record = parsed[text]
+            else:
+                record = parsed[text] = _parse_dump_line(text)
             if record is not None:
-                for lane in lanes:
-                    lane.append(record)
-            continue
-        groups = [part.split(lockstep_mod.LANE_DELIM) if i % 2 else part
-                  for i, part in enumerate(parts)]
-
-        patches: list[tuple[str, list[str]]] = []
-        base_line_parts: list[str] = []
-        simple = True
-        for i, part in enumerate(groups):
-            if not i % 2:
-                base_line_parts.append(part)
-                continue
-            base_line_parts.append(part[0])
-            name_match = _GROUP_NAME_RE.search(groups[i - 1])
-            following = groups[i + 1] if i + 1 < len(groups) else ""
-            if (name_match is None
-                    or (following[:1].isalnum() or following[:1] == "_")):
-                simple = False
-                break
-            tokens = []
-            for token in part:
-                value = _GROUP_VALUE_RE.fullmatch(token)
-                if value is None:
-                    simple = False
-                    break
-                tokens.append(value.group(1))
-            if not simple:
-                break
-            patches.append((name_match.group(1), tokens))
-
-        base = _parse_dump_line("".join(base_line_parts)) if simple \
-            else None
-        if base is not None:
-            # parse_dump is last-occurrence-wins per field name; the
-            # patch is only faithful if the group is the winning
-            # occurrence, which lane 0's parse tells us directly.
-            for name, tokens in patches:
-                if base.values.get(name) != tokens[0]:
-                    base = None
-                    break
-        if base is None:
-            # Slow path: byte-faithful per-lane reconstruction.
-            for k in range(n_lanes):
-                record = _parse_dump_line("".join(
-                    groups[i][k] if i % 2 else groups[i]
-                    for i in range(len(groups))))
-                if record is not None:
-                    lanes[k].append(record)
-            continue
-        for k in range(n_lanes):
-            values = dict(base.values)
-            for name, tokens in patches:
-                values[name] = tokens[k]
-            lanes[k].append(Record(scenario=base.scenario, values=values))
+                lane.append(record)
     return lanes
 
 

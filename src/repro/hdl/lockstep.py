@@ -17,20 +17,22 @@ a **union design** that pays it once per sweep:
   per check-point: shared fields (scenario counter, driven inputs)
   render once, and each output field renders as a delimiter-bracketed
   group of all N lane values.  The sweep
-  (:func:`repro.core.simulation._demux_records`) splits the groups back
-  into N per-lane records equal to what N separate runs would have
-  written.
+  (:func:`repro.core.simulation._demux_records`) rebuilds each lane's
+  line from the shared literals and that lane's value in every group,
+  the line a separate run would have written, and parses it.
 
 The transform is AST-level and engine-agnostic: the union design runs
-through the ordinary elaborate → compile → simulate pipeline (either
-execution engine), and the renamed lane modules keep their original
-``always``/``assign`` AST nodes, so the shared slot-program cache
-reuses the exact programs the per-variant path compiled.
+through the ordinary elaborate → compile → simulate pipeline, and the
+renamed lane modules keep their original ``always``/``assign`` AST
+nodes, so the shared slot-program cache reuses the exact programs the
+per-variant path compiled.
 
 The union is only *valid* when the driver observes the DUT exclusively
 through dump ``$fdisplay`` statements — any other read of a DUT output
 (a ``$display`` verdict, a checking ``if``, a continuous assign) would
-see lane 0 only.  :func:`build_union` statically verifies this and
+see lane 0 only.  :func:`build_union` statically verifies this with
+the front end's read walker (:func:`repro.hdl.eval.collect_expr_reads`,
+which also looks inside system calls such as ``$signed(y)``) and
 raises :exc:`LockstepUnsupported` otherwise; callers fall back to the
 per-variant path, which stays the behavioural oracle (see the
 lockstep-vs-per-mutant differential fuzz battery).
@@ -39,6 +41,8 @@ lockstep-vs-per-mutant differential fuzz battery).
 from __future__ import annotations
 
 from . import ast
+from .compile import _format_segments
+from .eval import _collect_lvalue_reads, collect_expr_reads
 from .parser import parse_source_cached
 
 #: Delimiters bracketing per-lane value groups inside a widened dump
@@ -101,6 +105,9 @@ def _subst_expr(expr, mapping: dict):
     if isinstance(expr, ast.PartSelect):
         return ast.PartSelect(_renamed(expr.base, mapping),
                               expr.msb, expr.lsb)
+    if isinstance(expr, ast.SystemCall):
+        return ast.SystemCall(expr.name, tuple(_subst_expr(a, mapping)
+                                               for a in expr.args))
     return expr
 
 
@@ -110,42 +117,20 @@ def _renamed(name: str, mapping: dict) -> str:
 
 
 def _expr_refs(expr, names: frozenset) -> bool:
-    """Does ``expr`` reference any identifier in ``names``?"""
-    if expr is None:
-        return False
-    if isinstance(expr, ast.Identifier):
-        return expr.name in names
-    if isinstance(expr, ast.Unary):
-        return _expr_refs(expr.operand, names)
-    if isinstance(expr, ast.Binary):
-        return (_expr_refs(expr.left, names)
-                or _expr_refs(expr.right, names))
-    if isinstance(expr, ast.Ternary):
-        return (_expr_refs(expr.cond, names)
-                or _expr_refs(expr.then, names)
-                or _expr_refs(expr.other, names))
-    if isinstance(expr, ast.Concat):
-        return any(_expr_refs(p, names) for p in expr.parts)
-    if isinstance(expr, ast.Replicate):
-        return (_expr_refs(expr.count, names)
-                or _expr_refs(expr.value, names))
-    if isinstance(expr, ast.Index):
-        return expr.base in names or _expr_refs(expr.index, names)
-    if isinstance(expr, ast.PartSelect):
-        return expr.base in names
-    return False
+    """Does ``expr`` read any identifier in ``names``?"""
+    reads: set[str] = set()
+    collect_expr_reads(expr, reads)
+    return not names.isdisjoint(reads)
 
 
 def _lvalue_refs(target, names: frozenset) -> bool:
-    if isinstance(target, ast.LvIdent):
-        return target.name in names
-    if isinstance(target, ast.LvIndex):
-        return target.name in names or _expr_refs(target.index, names)
-    if isinstance(target, ast.LvPart):
-        return target.name in names
+    """Does ``target`` write, or read in a select, any name in
+    ``names``?"""
     if isinstance(target, ast.LvConcat):
         return any(_lvalue_refs(p, names) for p in target.parts)
-    return False
+    reads: set[str] = set()
+    _collect_lvalue_reads(target, reads)
+    return target.name in names or not names.isdisjoint(reads)
 
 
 def _events_ref(events, names: frozenset) -> bool:
@@ -157,49 +142,22 @@ def _events_ref(events, names: frozenset) -> bool:
 # ----------------------------------------------------------------------
 # Format widening
 # ----------------------------------------------------------------------
-def _split_fmt(fmt: str) -> list[tuple[str, str]]:
-    """``("lit", text)`` / ``("arg", spec-letter)`` segments, mirroring
-    the compiler's pre-scan (width modifiers are dropped there too, so a
-    rebuilt ``%d`` renders identically to an original ``%0d``)."""
-    segments: list[tuple[str, str]] = []
-    literal: list[str] = []
-    i = 0
-    while i < len(fmt):
-        ch = fmt[i]
-        if ch != "%":
-            literal.append(ch)
-            i += 1
-            continue
-        i += 1
-        while i < len(fmt) and fmt[i].isdigit():
-            i += 1
-        if i >= len(fmt):
-            raise LockstepUnsupported("dangling % in dump format")
-        spec = fmt[i]
-        i += 1
-        if spec == "%":
-            literal.append("%")
-            continue
-        if literal:
-            segments.append(("lit", "".join(literal)))
-            literal.clear()
-        segments.append(("arg", spec))
-    if literal:
-        segments.append(("lit", "".join(literal)))
-    return segments
-
-
 def _widen_fdisplay(stmt: ast.SysTaskCall, n_lanes: int,
                     out_maps: list[dict],
                     out_names: frozenset) -> ast.SysTaskCall:
     """One dump ``$fdisplay`` -> one widened statement carrying every
-    lane's output fields as delimiter-bracketed groups."""
+    lane's output fields as delimiter-bracketed groups.
+
+    The format is split by the compiler's own pre-scan, which drops
+    width modifiers, so a rebuilt ``%d`` renders as the original ``%0d``
+    did; a format the compiler rejects raises its ``SimulationError``.
+    """
     fmt = stmt.args[1].text
     if GROUP_DELIM in fmt or LANE_DELIM in fmt:
         raise LockstepUnsupported("group delimiter in dump format")
     _reject_out_refs((stmt.args[0],), out_names, "$fdisplay handle")
     arg_exprs = stmt.args[2:]
-    segments = _split_fmt(fmt)
+    segments = _format_segments(fmt)
     if sum(1 for kind, _ in segments if kind == "arg") != len(arg_exprs):
         raise LockstepUnsupported("dump format/argument count mismatch")
 

@@ -524,9 +524,10 @@ def generate_sweep_case(seed: int) -> tuple[str, str]:
     # Driver: codegen-style stimulus + dump $fdisplay check-points.
     spec = rng.choice(("%d", "%d", "%d", "%b", "%h"))
     # (label, format, argument); ``s`` reads a DUT output twice beside
-    # a constant, so every lane's rename is shared within the line.
+    # a constant, so every lane's rename is shared within the line, and
+    # ``t`` reads it inside a system call.
     fields = [("a", "%d", "a"), ("b", "%d", "b"), ("y", spec, "y"),
-              ("s", "%d", "y + y + 1")]
+              ("s", "%d", "y + y + 1"), ("t", "%d", "$signed(y)")]
     conns = [".clk(clk)", ".a(a)", ".b(b)", ".y(y)"]
     extra_decl = ""
     if two_outputs:

@@ -104,6 +104,9 @@ class TestBuildUnion:
          "$display"),
         (DRIVER.replace("$finish;", "if (y > 2) a = 0; $finish;"),
          "if condition"),
+        (DRIVER.replace("$finish;",
+                        "if ($signed(y) > 2) a = 0; $finish;"),
+         "if condition"),
         (DRIVER.replace("$finish;", "a = y; $finish;"),
          "assignment"),
         (DRIVER.replace("$finish;", "@(posedge y[0]); $finish;"),
@@ -189,6 +192,9 @@ class TestBuildUnion:
         assert GROUP_DELIM in dumps[0].args[1].text
 
 
+G, L = GROUP_DELIM, LANE_DELIM
+
+
 class TestDemuxLines:
     def test_groups_split_per_lane(self):
         line = (f"scenario: 1, y = {GROUP_DELIM} 3{LANE_DELIM} 9"
@@ -200,6 +206,29 @@ class TestDemuxLines:
     def test_group_free_lines_replicate(self):
         lanes = demux_lines(["shared banner"], 3)
         assert lanes == [["shared banner"]] * 3
+
+    @pytest.mark.parametrize("lines, n_lanes", [
+        # A repeated field name: the group is not the last occurrence.
+        ([f"scenario: 1, y = {G} 3{L} 9{G}, y = 5"], 2),
+        ([f"scenario: 1, y = 5, y = {G}3{L}9{G}"], 2),
+        # A group followed by a letter or ``_``.
+        ([f"scenario: 1, y = {G}3{L}9{G}abc, z = 1"], 2),
+        ([f"scenario: 1, y = {G}3{L}9{G}_q = 4"], 2),
+        # Groups not preceded by ``name =``.
+        ([f"scenario: 1, {G}3{L}9{G} units, y = 2"], 2),
+        ([f"scenario: {G}1{L}2{G}, y = 3"], 2),
+        ([f"scenario: 1, y ={G}4{L}5{G}{G}6{L}7{G}"], 2),
+        # ``x`` and negative lane values.
+        ([f"scenario: 2, y = {G}x{L}-3{L}  7{G}, z = {G}1{L}x{L}-1{G}"],
+         3),
+        # Group-free lines, noise lines, and lanes that agree.
+        (["scenario: 4, y = 1", "noise", "",
+          f"noise {G}1{L}2{L}3{G}", f"scenario: 5, y = {G}8{L}8{L}9{G}"], 3),
+    ])
+    def test_runtime_demux_matches_oracle(self, lines, n_lanes):
+        assert simulation._demux_records(lines, n_lanes) == [
+            simulation.parse_dump(lane)
+            for lane in demux_lines(lines, n_lanes)]
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +248,23 @@ class TestRunMutantSweep:
             assert ls_run.records == pm_run.records
         assert lockstep.golden.records == per_mutant.golden.records
         assert lockstep.retire_rounds == per_mutant.retire_rounds
+
+    def test_signed_dump_field_is_per_lane(self):
+        """A dump field inside a system call, ``$signed(y)``, renders
+        each lane's own value."""
+        driver = (DRIVER.replace("y = %d", "t = %d")
+                  .replace("scenario, a, b, y);",
+                           "scenario, a, b, $signed(y));"))
+        mutants = [MUT_XOR, MUT_AND, MUT_SAME]
+        lockstep = run_mutant_sweep(driver, mutants, golden_src=GOLDEN)
+        per_mutant = _per_mutant_sweep(driver, mutants, GOLDEN,
+                                       current_context())
+        assert lockstep.engine == "lockstep"
+        assert lockstep.golden.records == per_mutant.golden.records
+        assert ([run.records for run in lockstep.runs]
+                == [run.records for run in per_mutant.runs])
+        assert lockstep.retire_rounds == per_mutant.retire_rounds \
+            == [1, 0, None]
 
     def test_retire_rounds(self):
         sweep = run_mutant_sweep(DRIVER, [MUT_XOR, MUT_AND, MUT_SAME],

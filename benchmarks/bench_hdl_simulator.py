@@ -499,9 +499,10 @@ def bench_context_overhead(seconds: float) -> dict:
     ``resolve_us`` / ``dispatch_us`` price one ``current_context()``
     resolve and one method-registry lookup (both sit on every simulate
     / campaign-item call).  ``overhead_ratio`` is the end-to-end check:
-    a context-resolved counter simulation (``max_stmts=None`` under an
-    active ``use_context(max_stmts=...)``) against the same run with
-    the limit passed explicitly — the PR-3 cost model.  Parity (~1.0) is
+    a context-resolved counter simulation (``max_stmts=None`` inside a
+    ``use_context(max_stmts=...)`` that each run enters) against the
+    same run with the limit passed explicitly — the PR-3 cost model —
+    timed interleaved, so a load burst hits both.  Parity (~1.0) is
     the CI floor: the explicit-global-to-context redesign must not tax
     the hot path.
     """
@@ -529,14 +530,14 @@ def bench_context_overhead(seconds: float) -> dict:
         assert result.stdout == ["q=200"]
 
     def run_context():
-        result = simulate(COUNTER_TB, "tb")
+        with use_context(max_stmts=max_stmts):
+            result = simulate(COUNTER_TB, "tb")
         assert result.stdout == ["q=200"]
 
-    out["simulate_explicit_ms"] = _time_repeated(run_explicit,
-                                                 seconds) * 1000
-    with use_context(max_stmts=max_stmts):
-        out["simulate_context_ms"] = _time_repeated(run_context,
-                                                    seconds) * 1000
+    explicit_s, context_s = _time_interleaved((run_explicit, run_context),
+                                              seconds)
+    out["simulate_explicit_ms"] = explicit_s * 1000
+    out["simulate_context_ms"] = context_s * 1000
     out["overhead_ratio"] = (out["simulate_context_ms"]
                              / out["simulate_explicit_ms"])
     return out

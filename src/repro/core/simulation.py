@@ -23,13 +23,12 @@ reuse on top of it:
   re-raise their recorded error instead of re-running the front end.
 - **batched execution** — :func:`run_driver_batch` /
   :func:`run_monolithic_batch` fan one shared testbench across many DUT
-  variants in process, one run per distinct parse tree.  Only a pool
-  owner submits to the *persistent* worker pool (:func:`get_sim_pool`):
-  campaigns and the validator study map work items over it and the
-  service hands the batch APIs its ``jobs``; sweeps inside an item run
-  in process.  :func:`pool_imap` yields each item as it completes and
-  is the one place a broken pool heals (once, re-running only the items
-  not yet returned).
+  variants, one run per distinct parse tree.
+- **one door into the pool** — :func:`pool_imap` alone reaches the
+  *persistent* worker pool (:func:`get_sim_pool`), for campaigns, the
+  validator study and the batch APIs.  It runs in process for one job,
+  one item or inside a pool worker, so pools never nest; pooled items
+  carry the caller's context, and a broken pool heals there once.
 
 One layer below, :mod:`repro.hdl.compile` shares slot-indexed compiled
 programs across elaborations, so even a *fresh* (driver, DUT) pairing
@@ -37,9 +36,9 @@ only re-binds the driver's programs instead of recompiling them.
 
 The simulation limits resolve through the active
 :class:`~repro.hdl.context.SimContext` (explicit argument >
-``use_context`` activation > env-seeded root context); batch APIs ship
-the resolved context to pool workers as part of each work item, so a
-worker never falls back to its own process defaults.  All cache layers register with
+``use_context`` activation > env-seeded root context); :func:`pool_imap`
+activates the caller's context around each pooled item, so a worker
+never falls back to its own process defaults.  All cache layers register with
 :data:`repro.core.caches.caches`; the ``clear_*`` / ``*_stats``
 helpers below delegate to that facade.
 """
@@ -54,6 +53,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 
 from ..hdl import ast as hdl_ast
@@ -502,8 +502,8 @@ def dut_compiles(dut_src: str) -> tuple[bool, str]:
 # largest worker count requested, recreated with the same configuration
 # if a worker dies (see pool_imap), and torn down atexit.  A forked
 # child starts with no pool (_forget_pool_in_child).  multiprocessing
-# and concurrent.futures load inside the pool owners' code, when a
-# process first makes a pool (about 2.5 MB of RSS): a serial run never
+# and concurrent.futures load past pool_imap's in-process branch, when
+# a process first makes a pool (about 2.5 MB of RSS): a serial run never
 # imports them, and sim_pool_info / shutdown_sim_pool need neither.
 #
 # Workers get warm one way: under **fork** (the Linux default) they
@@ -516,6 +516,7 @@ _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
 _pool_start_method = ""
 _pool_created_warm = False
+_in_pool_worker = False  # set by _init_pool_worker
 
 #: The layers a forked worker inherits from the parent; used to decide
 #: whether this process has any warmth to give workers.
@@ -542,13 +543,11 @@ def _resolve_start_method(name: str | None) -> str:
 
 
 def _init_pool_worker() -> None:
-    """Pool-worker initializer: a daemon thread ends the worker once it
-    is reparented (a SIGKILLed parent shuts no pool down), and a pool
-    the worker made is shut down before exit joins its processes, at a
-    priority above the queue finalizers (10) that drop stop sentinels."""
-    import multiprocessing.util
-
-    multiprocessing.util.Finalize(None, shutdown_sim_pool, exitpriority=20)
+    """Pool-worker initializer: mark this process a pool worker, so its
+    :func:`pool_imap` calls run in process, and end the worker once it
+    is reparented (a SIGKILLed parent shuts no pool down)."""
+    global _in_pool_worker
+    _in_pool_worker = True
     parent = os.getppid()
 
     def watch() -> None:
@@ -686,10 +685,31 @@ def _forget_pool_in_child() -> None:
 os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
-def pool_imap(worker, items, jobs: int, *, start_method: str | None = None,
-              warm_start: bool | None = None):
-    """Run ``worker`` over ``items`` on the persistent pool, one future
-    per item, yielding ``(index, result)`` as each item completes.
+def _call_in_context(worker, context: SimContext, item):
+    with use_context(context):
+        return worker(item)
+
+
+def pool_imap(worker, items, jobs: int):
+    """Run ``worker`` over ``items``, yielding ``(index, result)``: the
+    one door into the persistent pool.
+
+    ``worker`` runs in this process, in item order, when ``jobs <= 1``,
+    when there are fewer than two items, or when this process is itself
+    a pool worker, so pools never nest.  That branch imports nothing:
+
+    >>> list(pool_imap(str.upper, ["a", "b"], jobs=1))
+    [(0, 'A'), (1, 'B')]
+    >>> list(pool_imap(len, ["abc"], jobs=4))
+    [(0, 3)]
+    >>> sim_pool_info()["alive"]
+    False
+
+    Otherwise each item goes to the pool with the caller's
+    :func:`~repro.hdl.context.current_context`, which the worker
+    activates around ``worker``, and results arrive in completion
+    order.  The pool's start method and warm start resolve from that
+    same context (:func:`get_sim_pool`).
 
     A killed worker breaks the executor (``BrokenProcessPool``), and a
     concurrent :func:`get_sim_pool` grow request can shut it down
@@ -697,22 +717,25 @@ def pool_imap(worker, items, jobs: int, *, start_method: str | None = None,
     shutdown``).  Both heal the same way, once: the pool is shut down
     and only the indices not yet yielded are submitted again to a fresh
     one.  A second failure re-raises, so a genuine worker-raised
-    ``RuntimeError`` surfaces after one retry.  ``start_method`` /
-    ``warm_start`` reach :func:`get_sim_pool` on both attempts.
+    ``RuntimeError`` surfaces after one retry.
     """
+    items = list(items)
+    if jobs <= 1 or len(items) < 2 or _in_pool_worker:
+        yield from enumerate(map(worker, items))
+        return
     from concurrent.futures.process import BrokenProcessPool
 
-    items = list(items)
     yielded: set[int] = set()
 
     def attempt():
-        pool = get_sim_pool(jobs, start_method, warm_start)
+        pool = get_sim_pool(jobs)
+        call = partial(_call_in_context, worker, current_context())
         completed = queue.SimpleQueue()
         futures = {}
         try:
             for index in range(len(items)):
                 if index not in yielded:
-                    future = pool.submit(worker, items[index])
+                    future = pool.submit(call, items[index])
                     futures[future] = index
                     future.add_done_callback(completed.put)
             for _ in futures:
@@ -734,18 +757,6 @@ def pool_imap(worker, items, jobs: int, *, start_method: str | None = None,
 # ----------------------------------------------------------------------
 # Batched execution
 # ----------------------------------------------------------------------
-def _driver_batch_worker(item: tuple) -> DriverRun:
-    driver_src, dut_src, context = item
-    with use_context(context):
-        return run_driver(driver_src, dut_src)
-
-
-def _monolithic_batch_worker(item: tuple) -> MonolithicRun:
-    tb_src, dut_src, context = item
-    with use_context(context):
-        return run_monolithic(tb_src, dut_src)
-
-
 def _design_key(source: str):
     """What a run against ``source`` depends on: its parse tree, which
     texts differing only in trivia share (see
@@ -758,40 +769,28 @@ def _design_key(source: str):
         return source
 
 
-def _run_batch(worker, shared_src: str, dut_srcs, jobs: int,
+def _run_batch(run, shared_src: str, dut_srcs, jobs: int,
                context: SimContext | None) -> list:
-    """Shared fan-out: dedup equal DUT designs, then run each unique
-    pair.
+    """Shared fan-out: dedup equal DUT designs, then ``run`` each unique
+    pair through :func:`pool_imap` under ``context`` (``None``: the
+    active one).
 
     DUTs are deduped by parse tree (:func:`_design_key`), and every
     input gets its representative's result object.  The shared
     testbench text is parsed once (cache) and each unique (testbench,
     DUT) design is elaborated + compiled once (template cache), so a
-    batch amortizes every per-design cost across the runs.  With ``jobs
-    > 1`` unique pairs spread over the *persistent* process pool
-    (:func:`get_sim_pool`): workers survive across batch calls, so
-    their caches stay warm and repeated small batches skip the pool
-    spin-up entirely.
-
-    The resolved :class:`SimContext` travels inside each work item and
-    is activated in whichever process runs it — pool workers have their
-    own root context, so shipping plain work without the context would
-    ignore any activation made in this (the parent) process.
+    batch amortizes every per-design cost across the runs.
     """
-    context = context if context is not None else current_context()
     dut_list = list(dut_srcs)
     keys = [_design_key(dut) for dut in dut_list]
     first: dict = {}  # design key -> first text with it
     for key, dut in zip(keys, dut_list):
         first.setdefault(key, dut)
 
-    items = [(shared_src, dut, context) for dut in first.values()]
-    if jobs > 1 and len(items) > 1:
+    with use_context(context):
         unique_results = [result for _, result in sorted(
-            pool_imap(worker, items, jobs), key=itemgetter(0))]
-    else:
-        unique_results = [worker(item) for item in items]
-
+            pool_imap(partial(run, shared_src), first.values(), jobs),
+            key=itemgetter(0))]
     by_key = dict(zip(first, unique_results))
     return [by_key[key] for key in keys]
 
@@ -805,16 +804,14 @@ def run_driver_batch(driver_src: str, dut_srcs, jobs: int = 1,
     1`` fans the unique runs across the process pool.  ``context`` left
     unset resolves through the active :class:`SimContext`.
     """
-    return _run_batch(_driver_batch_worker, driver_src, dut_srcs, jobs,
-                      context)
+    return _run_batch(run_driver, driver_src, dut_srcs, jobs, context)
 
 
 def run_monolithic_batch(tb_src: str, dut_srcs, jobs: int = 1,
                          context: SimContext | None = None,
                          ) -> list[MonolithicRun]:
     """Run one self-checking testbench against many DUT variants."""
-    return _run_batch(_monolithic_batch_worker, tb_src, dut_srcs, jobs,
-                      context)
+    return _run_batch(run_monolithic, tb_src, dut_srcs, jobs, context)
 
 
 # ----------------------------------------------------------------------

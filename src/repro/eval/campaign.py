@@ -263,35 +263,34 @@ def run_campaign(config: CampaignConfig, progress=None, *,
 
     todo = [items[index] for index in pending]
     n_jobs = config.n_jobs
-    if n_jobs <= 1 or not todo:
-        results = enumerate(map(_worker, todo))
-    elif is_live_backend(context.llm_backend):
-        # Live-backend items are I/O-bound (the process waits on
-        # sockets, not simulations) and their clients hold locks and
-        # connections that cannot cross a process boundary: fan out on
-        # threads instead of the sim pool.  Wire concurrency stays
-        # bounded by the backends' global in-flight cap regardless of
-        # n_jobs.
-        results = iter_fan_out(_worker, todo, max_workers=n_jobs)
-    else:
-        # Pre-warm the parent's caches from the task list, so the
-        # forked workers of the pool created below inherit warm state
-        # instead of every worker rebuilding the same golden templates
-        # per item.
-        if context.warm_start:
-            with use_context(context):
+    parallel = n_jobs > 1 and bool(todo)
+    # Under the campaign's context, pool_imap resolves the pool's start
+    # method and warm start and ships the context with pooled items.
+    with use_context(context):
+        if parallel and is_live_backend(context.llm_backend):
+            # Live-backend items are I/O-bound (the process waits on
+            # sockets, not simulations) and their clients hold locks
+            # and connections that cannot cross a process boundary: fan
+            # out on threads instead of the sim pool.  Wire concurrency
+            # stays bounded by the backends' global in-flight cap
+            # regardless of n_jobs.
+            results = iter_fan_out(_worker, todo, max_workers=n_jobs)
+        else:
+            # Pre-warm the parent's caches from the task list, so the
+            # forked workers of a pool that pool_imap creates inherit
+            # warm state instead of every worker rebuilding the same
+            # golden templates per item.
+            if parallel and context.warm_start:
                 prewarm_campaign_caches(config.task_ids)
-        results = pool_imap(_worker, todo, n_jobs,
-                            start_method=context.start_method,
-                            warm_start=context.warm_start)
+            results = pool_imap(_worker, todo, n_jobs)
 
-    for index, (position, run) in enumerate(results, done + 1):
-        item_index = pending[position]
-        runs[item_index] = run
-        if store is not None:
-            store.put(store_key(*items[item_index]), run)
-        if progress is not None:
-            progress(index, total, run)
+        for index, (position, run) in enumerate(results, done + 1):
+            item_index = pending[position]
+            runs[item_index] = run
+            if store is not None:
+                store.put(store_key(*items[item_index]), run)
+            if progress is not None:
+                progress(index, total, run)
 
     result.runs = runs
     return result

@@ -114,9 +114,6 @@ def run_study(task_ids, samples_per_task: int = 10,
     items = [(task_id, samples_per_task, profile_name, group_size,
               criteria)
              for task_id in task_ids]
-    if n_jobs > 1:
-        chunks = [chunk for _, chunk in sorted(
-            pool_imap(_worker, items, n_jobs), key=itemgetter(0))]
-    else:
-        chunks = map(_worker, items)
+    chunks = [chunk for _, chunk in sorted(
+        pool_imap(_worker, items, n_jobs), key=itemgetter(0))]
     return StudyResult([record for chunk in chunks for record in chunk])

@@ -96,8 +96,8 @@ class SimContext:
     ValueError: max_stmts must be a positive integer, got 0
 
     Contexts are plain immutable values: hashable, comparable and
-    picklable, so batch and campaign APIs ship them to pool workers
-    inside each work item.
+    picklable, so :func:`repro.core.simulation.pool_imap` ships the
+    caller's context to pool workers with each work item.
 
     >>> SimContext() == SimContext()
     True

@@ -43,8 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ..core.simulation import (run_driver_batch, run_monolithic_batch,
                                sim_pool_info, simulation_cache_stats)
-from ..hdl.context import (SimContext, context_from_request,
-                           current_context, use_context)
+from ..hdl.context import SimContext, context_from_request, current_context
 from .batcher import MicroBatcher
 from .config import ServiceConfig, service_config_from_env
 from .protocol import (ProtocolError, Request, json_body, read_request,
@@ -84,8 +83,7 @@ def _run_simulate_batch(key, duts: list[str]) -> list:
     kind, driver_src, context = key
     batch = (run_monolithic_batch if kind == "monolithic"
              else run_driver_batch)
-    with use_context(context):
-        return batch(driver_src, duts, jobs=context.jobs, context=context)
+    return batch(driver_src, duts, jobs=context.jobs, context=context)
 
 
 def _run_generate(item: tuple):

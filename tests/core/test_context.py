@@ -335,12 +335,14 @@ class TestWorkerIsolation:
         # they fell back to their own root context the runs would
         # succeed.  (max_time starves reliably on both engines; the
         # compiled engine only charges max_stmts at loop back-edges.)
+        # A distinct design: a comment would dedupe to one run in process.
+        duts = [dut, dut.replace("endmodule", "wire v2;\nendmodule")]
         with use_context(max_time=1):
-            runs = run_driver_batch(driver, [dut, dut + " // v2"], jobs=2)
+            runs = run_driver_batch(driver, duts, jobs=2)
         assert all(run.status == RUNTIME for run in runs)
         # Outside the activation the same batch is healthy again, on
         # the same (persistent) workers.
-        runs = run_driver_batch(driver, [dut, dut + " // v2"], jobs=2)
+        runs = run_driver_batch(driver, duts, jobs=2)
         assert all(run.ok for run in runs)
 
     def test_serial_runs_do_not_leak_limits(self):

@@ -1,7 +1,8 @@
-"""Persistent simulation worker pool: reuse, growth, clean shutdown,
-explicit start methods, workers that inherit a warm parent, and the
-one-shot heal of ``pool_imap``."""
+"""Persistent simulation worker pool: the rules of its one door
+(``pool_imap``), reuse, growth, clean shutdown, explicit start methods,
+workers that inherit a warm parent, and the one-shot heal."""
 
+import contextvars
 import multiprocessing
 import os
 import signal
@@ -20,7 +21,8 @@ from repro.codegen import render_driver
 from repro.core.simulation import (clear_simulation_caches, get_sim_pool,
                                    pool_imap, run_driver_batch,
                                    shutdown_sim_pool, sim_pool_info)
-from repro.hdl import use_context
+from repro.eval.campaign import METHOD_BASELINE, default_config, run_campaign
+from repro.hdl import current_context, use_context
 from repro.problems import get_task
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -35,6 +37,29 @@ def _driver_and_duts():
     # would not do: batches dedup DUTs by parse tree.
     variant = golden.replace("endmodule", "wire variant;\nendmodule")
     return driver, [golden, variant]
+
+
+class TestTheDoor:
+    @pytest.mark.parametrize("jobs, items", [(1, [3, 1, 2]), (4, [7]),
+                                             (4, [])])
+    def test_runs_in_process_in_item_order(self, jobs, items):
+        shutdown_sim_pool()
+        results = list(pool_imap(lambda item: (item, os.getpid()), items,
+                                 jobs))
+        assert results == [(index, (item, os.getpid()))
+                           for index, item in enumerate(items)]
+        assert not sim_pool_info()["alive"]
+
+    def test_campaign_context_picks_a_spawn_pool(self):
+        shutdown_sim_pool()
+        config = default_config(
+            ("cmb_and2", "cmb_eq4"), methods=(METHOD_BASELINE,), n_jobs=2,
+            context=current_context().evolve(start_method="spawn"))
+        pooled = run_campaign(config)
+        assert sim_pool_info()["start_method"] == "spawn"
+        shutdown_sim_pool()
+        assert pooled.runs == run_campaign(
+            default_config(config.task_ids, methods=config.methods)).runs
 
 
 class TestPoolLifecycle:
@@ -236,8 +261,8 @@ class _StubPool:
         self.completed += 1
         if self.failure is not None and self.completed > self.fail_after:
             future.set_exception(self.failure)
-        else:
-            future.set_result(fn(item))
+        else:  # a fresh context, as in a worker process
+            future.set_result(contextvars.Context().run(fn, item))
 
 
 class TestPoolImapHeal:
@@ -250,7 +275,7 @@ class TestPoolImapHeal:
         def install(pool):
             def fake_get_sim_pool(jobs, start_method=None,
                                   warm_start=None):
-                requests.append((jobs, start_method, warm_start))
+                requests.append((jobs, current_context()))
                 pool.start()
                 return pool
             monkeypatch.setattr(simulation_mod, "get_sim_pool",
@@ -263,14 +288,14 @@ class TestPoolImapHeal:
         install, requests, shutdowns = stub
         pool = _StubPool([BrokenProcessPool("worker died")])
         install(pool)
-        results = list(pool_imap(str, range(5), 2, start_method="fork",
-                                 warm_start=True))
-        assert results == [(0, "0"), (1, "1"), (2, "2"), (3, "3"),
-                           (4, "4")]
+        with use_context(max_stmts=123, start_method="fork") as context:
+            results = list(pool_imap(_max_stmts, range(5), 2))
+        assert results == [(item, (item, 123)) for item in range(5)]
         assert pool.submits == [[0, 1, 2, 3, 4], [2, 3, 4]]
         assert shutdowns == [False]
-        # Both attempts get the caller's pool configuration.
-        assert requests == [(2, "fork", True)] * 2
+        # Both attempts see the caller's active context: the pool
+        # configuration resolves from it, and every item runs under it.
+        assert requests == [(2, context)] * 2
 
     def test_heal_resubmits_only_unyielded_indices(self, stub):
         # Item 0 finishes after item 2, so the two items yielded before
@@ -323,6 +348,10 @@ class TestPoolImapHeal:
         shutdown_sim_pool()
 
 
+def _max_stmts(item):
+    return item, current_context().max_stmts
+
+
 def _exit_once(item):
     """Return the item's value, except that the first call to find the
     marker file removes it and kills its own worker process."""
@@ -339,14 +368,15 @@ def test_atexit_shutdown_is_clean():
     atexit hook tears the workers down; nothing hangs or leaks)."""
     code = (
         "from repro.codegen import render_driver\n"
-        "from repro.core.simulation import run_driver_batch\n"
+        "from repro.core.simulation import run_driver_batch, sim_pool_info\n"
         "from repro.problems import get_task\n"
         "task = get_task('cmb_eq4')\n"
         "driver = render_driver(task, task.canonical_scenarios())\n"
         "golden = task.golden_rtl()\n"
-        "variant = golden.replace('endmodule', '\\n//v\\nendmodule')\n"
+        "variant = golden.replace('endmodule', 'wire v;\\nendmodule')\n"
         "runs = run_driver_batch(driver, [golden, variant], jobs=2)\n"
         "assert all(run.ok for run in runs)\n"
+        "assert sim_pool_info()['alive']\n"
         "print('POOL_OK')\n"
     )
     env = dict(os.environ)
@@ -358,24 +388,29 @@ def test_atexit_shutdown_is_clean():
     assert "POOL_OK" in proc.stdout
 
 
-def test_pool_worker_batches_on_its_own_pool():
-    """A forked pool worker forgets its parent's executor: a worker
-    that calls ``run_driver_batch(..., jobs=2)`` itself gets a pool of
-    its own instead of waiting forever on the copy it inherited."""
+def test_pool_worker_runs_nested_work_in_process():
+    """Pools never nest: inside a pool worker a nested ``pool_imap`` or
+    ``run_driver_batch(..., jobs=2)`` runs in process, equals the serial
+    result, and leaves the worker with no pool of its own."""
     code = (
         "from repro.codegen import render_driver\n"
-        "from repro.core.simulation import pool_imap, run_driver_batch\n"
+        "from repro.core.simulation import (pool_imap, run_driver_batch,\n"
+        "                                   sim_pool_info)\n"
         "from repro.problems import get_task\n"
         "task = get_task('cmb_eq4')\n"
         "driver = render_driver(task, task.canonical_scenarios())\n"
         "golden = task.golden_rtl()\n"
-        "duts = [golden, golden.replace('endmodule', '//v\\nendmodule')]\n"
+        "duts = [golden, golden.replace('endmodule', 'wire v;\\nendmodule')]\n"
         "def outcome(jobs):\n"
         "    return [(run.status, [rec.values for rec in run.records])\n"
         "            for run in run_driver_batch(driver, duts, jobs=jobs)]\n"
+        "def nested(jobs):\n"
+        "    inner = [result for _, result in pool_imap(outcome, [1, 1], jobs)]\n"
+        "    return outcome(jobs), inner, sim_pool_info()['alive']\n"
         "serial = outcome(1)\n"
-        "nested = [result for _, result in pool_imap(outcome, [2, 2], 2)]\n"
-        "assert nested == [serial, serial], nested\n"
+        "results = [result for _, result in pool_imap(nested, [2, 2], 2)]\n"
+        "assert results == [(serial, [serial, serial], False)] * 2, results\n"
+        "assert sim_pool_info()['alive']\n"
         "print('NESTED_OK')\n"
     )
     env = dict(os.environ)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.simulation import pool_imap, shutdown_sim_pool
 from repro.eval.validator_study import (StudyResult, run_study,
                                         study_one_task)
+from repro.hdl import use_context
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +57,21 @@ def test_pooled_study_matches_serial(small_study):
     pooled = run_study(["cmb_eq4", "cmb_kmap3_a", "seq_tff"],
                        samples_per_task=3, n_jobs=2)
     assert pooled.records == small_study.records
+
+
+def test_pooled_study_runs_under_the_callers_context():
+    """Pooled study items run under the caller's active context, not
+    the workers' own: a tight ``max_stmts`` changes a label, and the
+    pooled run must see it as the serial run does."""
+    tasks = ["seq_count8_en", "cmb_eq4"]
+    shutdown_sim_pool()
+    run_study(tasks, samples_per_task=1, group_size=4, n_jobs=1)
+    list(pool_imap(str, range(4), 2))  # a fork pool of warm workers
+    with use_context(max_stmts=200):
+        pooled = run_study(tasks, samples_per_task=2, group_size=4,
+                           n_jobs=2)
+        serial = run_study(tasks, samples_per_task=2, group_size=4,
+                           n_jobs=1)
+    shutdown_sim_pool()
+    assert not serial.records[0].label_correct
+    assert pooled.records == serial.records

@@ -12,12 +12,17 @@ CorrectBench system.  Execution is a four-stage pipeline::
     errors; the lexer differential fuzz suite pins it to the original
     character-at-a-time lexer, which the test suite keeps as a
     reference, with identical token streams, token positions and error
-    positions.  :func:`parse_source_cached` is the
-    text-keyed parse cache: identical source text is parsed once
-    process-wide, texts that parse to equal trees share one tree, and
-    the shared AST is safe because nodes are immutable.  A text that fails to lex or parse is held as its
-    error's shape, so it is lexed once too and every later call
-    re-raises an identical :class:`VerilogSyntaxError`.
+    positions.  :func:`parse_source_cached` is the text-keyed parse
+    cache: identical source text is parsed once process-wide, and a
+    new text is scanned once and looked up by its token texts, so a
+    text that differs from a held one only in comments or whitespace
+    is neither classified nor parsed.  Texts that parse to equal trees
+    share one tree, and the shared AST is safe because nodes are
+    immutable.  The mutation engine puts the trees it unparses into
+    the same cache, so its mutants are never parsed.  A text that
+    fails to lex or parse is held as its error's shape, so it is lexed
+    once too and every later call re-raises an identical
+    :class:`VerilogSyntaxError`.
 
 **elaborate** (:mod:`repro.hdl.elaborate`)
     Resolves parameters (folding constants through the compiled

@@ -1,11 +1,12 @@
 """Lexer for the supported Verilog subset.
 
-One C-level scan per text: :func:`tokenize` runs ``findall`` of one
+One C-level scan per text: :func:`scan` runs ``findall`` of one
 precompiled *master pattern* whose only capture group is the token
-text.  Each match is one token alternative followed by the uncaptured,
-possessive trivia after it (whitespace, comments, compiler
-directives); the scan starts past the text's leading trivia, and its
-last match, empty at the end of the text, becomes the EOF token.
+text, and :func:`tokenize` turns a scan into tokens.  Each match is one
+token alternative followed by the uncaptured, possessive trivia after
+it (whitespace, comments, compiler directives); the scan starts past
+the text's leading trivia, and its last match, empty at the end of the
+text, becomes the EOF token.
 
 The strings map to tokens through a per-call copy of a module table
 holding one shared :class:`~repro.hdl.tokens.Token` per keyword, per
@@ -32,9 +33,10 @@ repro.hdl.errors.VerilogSyntaxError: line 1:7: invalid number base 'q'
 
 :func:`tokenize_cached` is a text-keyed token-stream cache that no
 runtime path calls any more: the parse cache above it holds failing
-texts as well as ASTs, and lexes a miss with :func:`tokenize`.  It
-stays registered (as the ``tokenize`` cache layer, always empty)
-because the campaign benchmark reports ``tokenize.*`` metrics.
+texts as well as ASTs, keys its trees by a text's :func:`scan`, and
+passes that scan to :func:`tokenize` on a miss.  It stays registered
+(as the ``tokenize`` cache layer, always empty) because the campaign
+benchmark reports ``tokenize.*`` metrics.
 """
 
 from __future__ import annotations
@@ -265,10 +267,25 @@ def position(source: str, index: int) -> tuple[int, int]:
     return source.count("\n", 0, start) + 1, start - line_start + 1
 
 
-def tokenize(source: str) -> list[Token]:
+def scan(source: str) -> list[str]:
+    """The token texts of ``source`` in order, ending with EOF's empty
+    text: the C-level half of :func:`tokenize`, which classifies
+    nothing and never raises (a text that does not lex is one of the
+    strings).  Trivia is not part of any string, so texts that differ
+    only in comments or whitespace scan equal.
+
+    >>> scan("4 'b1; // four\\n")
+    ["4 'b1", ';', '']
+    """
+    return _SCAN_RE.findall(source, _TRIVIA_RE.match(source).end())
+
+
+def tokenize(source: str, *, texts: list[str] | None = None) -> list[Token]:
     """Tokenize Verilog source text, raising :class:`VerilogSyntaxError`
-    at the first token that does not lex."""
-    texts = _SCAN_RE.findall(source, _TRIVIA_RE.match(source).end())
+    at the first token that does not lex.  ``texts`` is the text's
+    :func:`scan`, when the caller has it already."""
+    if texts is None:
+        texts = scan(source)
     memo = _SHARED.copy()
     # Misses in order of first appearance: the first that does not lex
     # is the first bad token, and nothing after it is classified.

@@ -8,7 +8,7 @@ from typing import Sequence
 from ..util import LruCache
 from . import ast
 from .errors import FailureShape, VerilogSyntaxError
-from .lexer import position, tokenize
+from .lexer import position, scan, tokenize
 from .tokens import Token, TokenKind
 
 # Binary operator precedence, lowest first.  The ternary operator is handled
@@ -771,19 +771,73 @@ _parse_cache = LruCache(capacity=4096)
 # of two equal trees; an OrderedDict's pop walks them three times) and
 # re-inserted at the end, which finds no equal key and walks nothing.
 _trees: dict = {}
+# Finished trees by token stream (see _stream_key), most recently used
+# last, bounded the same way.  Tokens and a successful parse depend on
+# the token texts alone (only an error's position reads the text), so
+# a held stream stands for a whole front-end pass.  Failures are never
+# keyed here: they stay per text, each with its own position.
+_streams: dict = {}
 _trees_lock = threading.Lock()
 
 
-def _shared_tree(tree: ast.SourceFile) -> ast.SourceFile:
-    """The held tree equal to ``tree``, or ``tree`` itself, now held."""
+def _stream_key(source: str, texts: list[str]) -> str | None:
+    """The key of ``source``'s token stream ``texts``, or ``None`` (no
+    key) for a text holding ``"\\0"``.  Token texts are substrings of
+    their text, so without a ``"\\0"`` in it none holds one, and the
+    joined string splits back into exactly those texts: two keys are
+    equal only if their token texts are."""
+    return None if "\0" in source else "\0".join(texts)
+
+
+def _bounded_put(table: dict, key, value) -> None:
+    """Put ``key`` last in ``table``, dropping the oldest entry when the
+    table is full (the caller holds ``_trees_lock``)."""
+    if len(table) >= _parse_cache.capacity:
+        del table[next(iter(table))]
+    table[key] = value
+
+
+def _shared_tree(tree: ast.SourceFile,
+                 key: str | None = None) -> ast.SourceFile:
+    """The held tree equal to ``tree``, or ``tree`` itself, now held;
+    held under the stream ``key`` too, when given."""
     with _trees_lock:
         shared = _trees.pop(tree, None)
         if shared is None:
             shared = tree
-            if len(_trees) >= _parse_cache.capacity:
-                del _trees[next(iter(_trees))]
-        _trees[shared] = shared
+        _bounded_put(_trees, shared, shared)
+        if key is not None:
+            _streams.pop(key, None)
+            _bounded_put(_streams, key, shared)
     return shared
+
+
+def _parse_new(source: str) -> ast.SourceFile:
+    """The shared tree of a text the text cache lacks: scanned once,
+    then looked up by token stream, and lexed and parsed only on a
+    stream miss."""
+    texts = scan(source)
+    key = _stream_key(source, texts)
+    if key is not None:
+        with _trees_lock:
+            tree = _streams.pop(key, None)
+            if tree is not None:
+                _streams[key] = tree
+                return tree
+    tree = Parser(tokenize(source, texts=texts), source).parse_source()
+    return _shared_tree(tree, key)
+
+
+def _hold_unparsed(source: str, tree: ast.SourceFile) -> None:
+    """Hold ``tree`` as the parse of ``source``, a text unparsed from
+    it, under the text and its token stream, without parsing it.
+
+    Only for texts that :func:`~repro.hdl.unparse.unparse_module` wrote:
+    the mutation engine's round-trip tests pin that parsing such a text
+    gives back an equal tree.
+    """
+    key = _stream_key(source, scan(source))
+    _parse_cache.insert(source, _shared_tree(tree, key))
 
 
 def parse_source_cached(source: str) -> ast.SourceFile:
@@ -796,18 +850,28 @@ def parse_source_cached(source: str) -> ast.SourceFile:
     hash-consed (see :class:`Parser`), so a driver's repeated stimulus
     and dump lines are held as one subtree each.
 
-    A new text is lexed and parsed once, and then its tree is looked up
-    by value among the trees already held: texts that differ only in
-    comments, whitespace or literal spelling get one tree object, so
-    callers can tell equal designs apart from different ones by
-    identity (the simulation layer runs each distinct tree once).
+    A new text is scanned once (:func:`~repro.hdl.lexer.scan`) and
+    looked up by its token texts: a text that differs from a held one
+    only in comments or whitespace, such as a rewritten testbench or a
+    re-emitted RTL, gets the held tree with no token classification and
+    no parse.
 
-    >>> first = parse_source_cached(
-    ...     "// attempt 1\\nmodule m(output o); assign o = 4'd5; endmodule")
-    >>> second = parse_source_cached(
-    ...     "// attempt 2\\nmodule m(output o);\\n  assign o = 4'b0101;\\n"
-    ...     "endmodule")
-    >>> first is second
+    >>> text = "module m(output o);\\n  assign o = 4'd5;\\nendmodule\\n"
+    >>> first = parse_source_cached("// attempt 1\\n" + text)
+    >>> from unittest import mock
+    >>> with mock.patch.object(Parser, "parse_source") as parse:
+    ...     second = parse_source_cached("// attempt 2\\n" + text)
+    >>> second is first, parse.called
+    (True, False)
+
+    Otherwise the text is lexed and parsed, and its tree is looked up
+    by value among the trees already held: texts that differ only in
+    literal spelling get one tree object too, so callers can tell equal
+    designs apart from different ones by identity (the simulation layer
+    runs each distinct tree once).
+
+    >>> third = parse_source_cached(text.replace("4'd5", "4'b0101"))
+    >>> third is first
     True
 
     A text that fails to lex or parse is held too, as its error's
@@ -827,11 +891,11 @@ def parse_source_cached(source: str) -> ast.SourceFile:
     entry = _parse_cache.get(source)
     if entry is None:
         try:
-            entry = Parser(tokenize(source), source).parse_source()
+            entry = _parse_new(source)
         except VerilogSyntaxError as exc:
             _parse_cache.insert(source, FailureShape(exc))
             raise
-        entry = _parse_cache.insert(source, _shared_tree(entry))
+        entry = _parse_cache.insert(source, entry)
     if isinstance(entry, FailureShape):
         entry.reraise()
     return entry
@@ -841,6 +905,7 @@ def clear_parse_cache() -> None:
     _parse_cache.clear()
     with _trees_lock:
         _trees.clear()
+        _streams.clear()
 
 
 def parse_cache_stats() -> dict:

@@ -1,10 +1,20 @@
-"""Mutant generation engine built on the AST operators."""
+"""Mutant generation engine built on the AST operators.
+
+Each mutant is a tree the engine already holds, written back to text
+with :func:`~repro.hdl.unparse.unparse_module`.  The engine hands that
+tree to the parse cache under the text (and its token stream), so the
+compile check, every later simulation and any comment-only variant of
+the text (the synthetic tier prepends a header) find it parsed.  The
+round-trip tests (``tests/mutation/test_round_trip.py``) pin that
+parsing a mutant's text gives back exactly its tree.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..hdl.parser import parse_source_cached
+from ..hdl.ast import SourceFile
+from ..hdl.parser import _hold_unparsed, parse_source_cached
 from ..hdl.unparse import unparse_module
 from ..util import derive_rng
 from .operators import count_sites, mutate_module
@@ -22,9 +32,12 @@ def generate_mutants(rtl_src: str, count: int, seed: object,
                      compile_check=None) -> list[Mutant]:
     """Derive up to ``count`` distinct single-site mutants of ``rtl_src``.
 
+    When single sites run out (tiny modules), two sites are stacked.
     ``compile_check`` is an optional ``str -> bool`` predicate; mutants
     that fail it are discarded (the dataset only ships compiling mutants).
-    Deterministic in ``seed``.
+    Each new mutant text is held in the parse cache with its tree before
+    the check runs, so the check does not parse it.  Deterministic in
+    ``seed``.
     """
     module = parse_source_cached(rtl_src).module(module_name)
     n_sites = count_sites(module)
@@ -45,6 +58,7 @@ def generate_mutants(rtl_src: str, count: int, seed: object,
         source = unparse_module(mutated)
         if source in seen or not description:
             continue
+        _hold_unparsed(source, SourceFile((mutated,)))
         if compile_check is not None and not compile_check(source):
             continue
         seen.add(source)
@@ -62,6 +76,7 @@ def generate_mutants(rtl_src: str, count: int, seed: object,
         source = unparse_module(second)
         if source in seen or not (desc_a or desc_b):
             continue
+        _hold_unparsed(source, SourceFile((second,)))
         if compile_check is not None and not compile_check(source):
             continue
         seen.add(source)
@@ -75,7 +90,8 @@ def random_mutation(rtl_src: str, seed: object,
     """One random single-site mutation (used for imperfect-RTL noise).
 
     Returns ``(source, description)``; falls back to the original source
-    when the module has no mutation sites.
+    when the module has no mutation sites.  The mutant's tree is held in
+    the parse cache under ``source`` and its token stream.
     """
     module = parse_source_cached(rtl_src).module(module_name)
     n_sites = count_sites(module)
@@ -84,4 +100,6 @@ def random_mutation(rtl_src: str, seed: object,
     rng = derive_rng("random-mutation", seed)
     site = rng.randrange(n_sites)
     mutated, description = mutate_module(module, site, rng)
-    return unparse_module(mutated), description
+    source = unparse_module(mutated)
+    _hold_unparsed(source, SourceFile((mutated,)))
+    return source, description

@@ -133,9 +133,9 @@ class TestParseFailureMemo:
         calls = []
         original = parser.tokenize
 
-        def counting(source):
+        def counting(source, texts=None):
             calls.append(source)
-            return original(source)
+            return original(source, texts=texts)
         monkeypatch.setattr(parser, "tokenize", counting)
         return calls
 

@@ -375,8 +375,9 @@ class TestNestingDepth:
 
 
 class TestSharedTrees:
-    """``parse_source_cached`` lexes and parses each new text, then
-    shares one tree among texts that parse to equal trees."""
+    """``parse_source_cached`` looks each new text up by its token
+    texts, lexes and parses it on a miss, then shares one tree among
+    texts that parse to equal trees."""
 
     BASE = ("module m(input [3:0] a, output [3:0] y);\n"
             "assign y = a + 4'd5;\n"
@@ -424,3 +425,82 @@ class TestSharedTrees:
         for k in range(10):
             parse_source_cached(self.BASE.replace("4'd5", f"4'd{k}"))
         assert len(parser._trees) == 4
+        assert len(parser._streams) == 4
+
+    def test_comment_only_variant_skips_the_parser(self, monkeypatch):
+        held = parse_source_cached(self.BASE)
+        calls = []
+        real = parser.Parser.parse_source
+        monkeypatch.setattr(parser.Parser, "parse_source",
+                            lambda self: calls.append(1) or real(self))
+        variant = "// rewrite 2\n" + self.BASE.replace("\n", "  /* */\n")
+        assert parse_source_cached(variant) is held
+        assert calls == []
+        # A literal spelled differently is another token stream: parsed,
+        # then shared by value.
+        assert parse_source_cached(
+            self.BASE.replace("4'd5", "4'h5")) is held
+        assert calls == [1]
+
+    def test_clear_drops_the_stream_table(self):
+        parse_source_cached(self.BASE)
+        assert parser._streams
+        caches.clear("parse")
+        assert parser._streams == {}
+
+    # Pairs whose token texts differ although a looser key would join
+    # them equal: " " joins ``4`` and ``'b1`` (a comment between them)
+    # into the one token ``4 'b1``; a string may hold a backslash-newline
+    # and ``"\0"`` itself, the separators of a "\n" or "\0" join.
+    STRING_TB = ('module t;\ninitial $display("{}");\nendmodule\n')
+    ADVERSARIAL = [
+        ("module m(output [3:0] y);\nassign y = 4/*c*/'b1;\nendmodule\n",
+         "module m(output [3:0] y);\nassign y = 4 'b1;\nendmodule\n"),
+        (STRING_TB.format("a\\\nb"), STRING_TB.format("a\\\n b")),
+        (STRING_TB.format("a\0b"), STRING_TB.format("a\0\0b")),
+        (STRING_TB.format("a\0b"), STRING_TB.format("a\\0b")),
+    ]
+
+    @pytest.mark.parametrize("order", ["forward", "backward"])
+    @pytest.mark.parametrize("pair", ADVERSARIAL,
+                             ids=["space-join", "newline-join",
+                                  "nul-in-string", "nul-vs-escape"])
+    def test_adversarial_pairs_keep_their_own_parse(self, pair, order):
+        def outcome(text):
+            try:
+                return parse_source(text)
+            except VerilogSyntaxError as exc:
+                return str(exc)
+
+        expected = [outcome(text) for text in pair]
+        assert expected[0] != expected[1]
+        texts = pair if order == "forward" else pair[::-1]
+        caches.clear("parse")
+        got = {}
+        for text in texts:
+            try:
+                got[text] = parse_source_cached(text)
+            except VerilogSyntaxError as exc:
+                got[text] = str(exc)
+        assert [got[text] for text in pair] == expected
+
+    @pytest.mark.parametrize("texts", [
+        (["4", "'b1", ""], ["4 'b1", ""]),
+        (['"a\\', 'b"', ""], ['"a\\\nb"', ""]),
+        (["a", "\0", "b", ""], ["a\0\0\0b", ""]),
+    ], ids=["space", "newline", "nul"])
+    def test_stream_keys_are_exact(self, texts):
+        first, second = texts
+        assert " ".join(first) == " ".join(second) or (
+            "\n".join(first) == "\n".join(second)) or (
+            "\0".join(first) == "\0".join(second))
+        keys = [parser._stream_key("".join(t), t) for t in texts]
+        assert keys[0] != keys[1] or keys == [None, None]
+
+    def test_text_holding_nul_is_not_keyed(self):
+        caches.clear("parse")
+        text = self.STRING_TB.format("a\0b")
+        tree = parse_source_cached(text)
+        assert parser._streams == {}
+        stmt = tree.modules[0].items[0].body
+        assert stmt.args[0].text == "a\0b"

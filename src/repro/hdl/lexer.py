@@ -261,8 +261,8 @@ def position(source: str, index: int) -> tuple[int, int]:
     """1-based ``(line, column)`` where the ``index``-th token of
     ``source`` starts (EOF: the end of the text).  Rescans up to that
     token."""
-    scan = _SCAN_RE.finditer(source, _TRIVIA_RE.match(source).end())
-    start = next(islice(scan, index, None)).start()
+    matches = _SCAN_RE.finditer(source, _TRIVIA_RE.match(source).end())
+    start = next(islice(matches, index, None)).start()
     line_start = source.rfind("\n", 0, start) + 1
     return source.count("\n", 0, start) + 1, start - line_start + 1
 

@@ -797,10 +797,9 @@ def _bounded_put(table: dict, key, value) -> None:
     table[key] = value
 
 
-def _shared_tree(tree: ast.SourceFile,
-                 key: str | None = None) -> ast.SourceFile:
+def _shared_tree(tree: ast.SourceFile, key: str | None) -> ast.SourceFile:
     """The held tree equal to ``tree``, or ``tree`` itself, now held;
-    held under the stream ``key`` too, when given."""
+    held under the stream ``key`` too, unless it is ``None``."""
     with _trees_lock:
         shared = _trees.pop(tree, None)
         if shared is None:
